@@ -10,14 +10,12 @@ transform-domain noise variances, and maps the result back.
 __version__ = "0.1.0"
 
 from .bm4d import (
-    BlockGroup,
     Bm4dProfile,
     CoeffVariances,
     StageParams,
     bm4d_multichannel,
     bm4d_stage,
     coeff_variances,
-    match_blocks,
 )
 from .core import (
     DwiDataset,
@@ -67,7 +65,6 @@ from .simulate import (
 )
 
 __all__ = [
-    "BlockGroup",
     "Bm4dProfile",
     "CoeffVariances",
     "DwiDataset",
@@ -104,7 +101,6 @@ __all__ = [
     "kernel_to_psd",
     "make_colored_kernel",
     "make_phantom",
-    "match_blocks",
     "mppca_denoise",
     "psnr",
     "read_bvals_bvecs",

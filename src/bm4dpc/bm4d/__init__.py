@@ -6,25 +6,15 @@ multichannel driver that filters every principal component with block
 positions matched once on the first.
 """
 
-from .engine import (
-    BlockGroup,
-    aggregate,
-    bm4d_multichannel,
-    bm4d_stage,
-    hard_threshold,
-    match_blocks,
-    wiener_shrink,
-)
+from .engine import bm4d_multichannel, bm4d_stage, wiener_shrink
 from .profile import Bm4dProfile, StageParams
 from .transforms import group_inverse, group_transform, haar_matrix
 from .variance import CoeffVariances, coeff_variances, fold_psd
 
 __all__ = [
-    "BlockGroup",
     "Bm4dProfile",
     "CoeffVariances",
     "StageParams",
-    "aggregate",
     "bm4d_multichannel",
     "bm4d_stage",
     "coeff_variances",
@@ -32,7 +22,5 @@ __all__ = [
     "group_inverse",
     "group_transform",
     "haar_matrix",
-    "hard_threshold",
-    "match_blocks",
     "wiener_shrink",
 ]

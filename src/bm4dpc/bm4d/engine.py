@@ -8,59 +8,30 @@ once per reference corner.
 """
 
 import itertools
-import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..core import NoisePsd, Volume3
+from ..core import NoisePsd, Volume3, _starts
 from .profile import Bm4dProfile, StageParams
-from .transforms import group_inverse, group_transform, haar_matrix
+from .transforms import group_inverse, group_transform
 from .variance import basis_autocorr, fold_psd, variances_from_fields, working_dims
 
 WEIGHT_FLOOR = 1e-12
 CORNERS_PER_CHUNK = 32
 
 
-@dataclass(frozen=True)
-class BlockGroup:
-    """Matched block corners (reference first) and their samples."""
-
-    positions: np.ndarray  # (M, 3) int corners
-    samples: np.ndarray    # (M, b0, b1, b2)
-
-    def __post_init__(self):
-        positions = np.asarray(self.positions, dtype=np.int64)
-        samples = np.asarray(self.samples, dtype=np.float64)
-        if positions.ndim != 2 or positions.shape[1] != 3:
-            raise ValueError("positions must be (M, 3)")
-        m = positions.shape[0]
-        if m < 1 or m & (m - 1):
-            raise ValueError("group size must be a power of two")
-        if samples.ndim != 4 or samples.shape[0] != m:
-            raise ValueError("samples must be (M, b0, b1, b2)")
-        if len(np.unique(positions, axis=0)) != m:
-            raise ValueError("positions must be unique")
-        object.__setattr__(self, "positions", positions)
-        object.__setattr__(self, "samples", samples)
-
-    @property
-    def reference(self) -> np.ndarray:
-        return self.positions[0]
-
-
-def _starts(extent: int, size: int, step: int) -> list:
-    """Strided starts plus a clamped final start covering the end."""
-    if size > extent:
-        raise ValueError("volume smaller than the block")
-    starts = list(range(0, extent - size + 1, step))
-    if starts[-1] != extent - size:
-        starts.append(extent - size)
-    return starts
-
-
 def _match_from_view(view, dims, ref_pos, params: StageParams) -> np.ndarray:
+    """Corners of the blocks most similar to the reference block.
+
+    `view` is the sliding block view of the real matching guide and
+    `ref_pos` a corner whose block lies inside the volume. Candidates
+    are every corner in the search window around it (clamped so blocks
+    stay inside), ranked by mean squared difference with lexicographic
+    tie-breaking; the reference is always first. The result length is
+    the largest power of two not exceeding min(candidate count, max
+    group size).
+    """
     block = params.block
     lows = [max(r - s, 0) for r, s in zip(ref_pos, params.search_radius)]
     highs = [
@@ -83,40 +54,11 @@ def _match_from_view(view, dims, ref_pos, params: StageParams) -> np.ndarray:
     return picked + np.asarray(lows, dtype=np.int64)
 
 
-def match_blocks(guide: Volume3, ref_pos, params: StageParams) -> np.ndarray:
-    """Corners of the blocks most similar to the reference block.
-
-    Candidates are every corner in the search window around `ref_pos`
-    (clamped so blocks stay inside the volume), ranked by mean squared
-    difference with lexicographic tie-breaking; the reference is always
-    first. The result length is the largest power of two not exceeding
-    min(candidate count, max group size).
-    """
-    if guide.is_complex:
-        raise ValueError("matching guide must be real")
-    dims = guide.dims
-    block = params.block
-    if any(r < 0 or r > d - b for r, d, b in zip(ref_pos, dims, block)):
-        raise ValueError("reference block falls outside the volume")
-    view = np.lib.stride_tricks.sliding_window_view(guide.data, block)
-    return _match_from_view(view, dims, tuple(ref_pos), params)
-
-
 def _ht_core(coeffs, variances, lam):
+    """Zero coefficients within lam * sigma; returns (shrunk, kept mask)."""
     keep = np.abs(coeffs) > lam * np.sqrt(variances)
     keep[..., 0, 0, 0, 0] = True  # group DC always survives
     return np.where(keep, coeffs, 0.0), keep
-
-
-def hard_threshold(coeffs: np.ndarray, variances: np.ndarray, lam: float):
-    """Zero coefficients whose magnitude is within lam * sigma.
-
-    Returns the shrunk coefficients and the number retained. The group
-    DC coefficient (first Haar row, first block basis) is always kept.
-    """
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    shrunk, keep = _ht_core(coeffs, np.asarray(variances, dtype=np.float64), lam)
-    return shrunk, int(keep.sum())
 
 
 def wiener_shrink(noisy: np.ndarray, pilot: np.ndarray, variances: np.ndarray):
@@ -138,24 +80,20 @@ def wiener_shrink(noisy: np.ndarray, pilot: np.ndarray, variances: np.ndarray):
     return shrunk, weight
 
 
-def aggregate(groups, dims, fallback: Volume3 = None) -> Volume3:
-    """Weighted overlap-average of denoised groups onto a volume.
+def accumulate_blocks(num, den, positions, blocks, weight) -> None:
+    """Add weighted blocks into running numerator and weight sums.
 
-    `groups` yields (BlockGroup, weight) pairs. Voxels no block covers
-    keep the fallback value (zero when no fallback volume is given).
+    `num` and `den` are (C, m, n, o); `blocks` is (C, M, b0, b1, b2)
+    with corners `positions` (M, 3); `weight` has one entry per
+    channel. The aggregate estimate is num / den once every group has
+    been added.
     """
-    num = np.zeros(dims)
-    den = np.zeros(dims)
-    for group, weight in groups:
-        edges = group.samples.shape[1:]
-        for pos, blk in zip(group.positions, group.samples):
-            sl = tuple(slice(p, p + e) for p, e in zip(pos, edges))
-            num[sl] += weight * blk
-            den[sl] += weight
-    covered = den > 0
-    base = fallback.data if fallback is not None else np.zeros(dims)
-    out = np.where(covered, num / np.where(covered, den, 1.0), base)
-    return Volume3(out)
+    edges = blocks.shape[-3:]
+    wcol = weight[:, None, None, None]
+    for j, pos in enumerate(positions):
+        sl = (slice(None),) + tuple(slice(p, p + e) for p, e in zip(pos, edges))
+        num[sl] += wcol * blocks[:, j]
+        den[sl] += wcol
 
 
 def _stage_params(profile: Bm4dProfile, stage: int) -> StageParams:
@@ -217,12 +155,6 @@ def bm4d_stage(
 
     work = working_dims(dims, block, params.search_radius)
     fields = basis_autocorr(fold_psd(psd.data, work), block)
-    haars = {}
-    size = 1
-    while size <= params.max_group:
-        haars[size] = haar_matrix(size)
-        size *= 2
-
     corners = list(itertools.product(*(
         _starts(d, b, params.step) for d, b in zip(dims, block)
     )))
@@ -230,7 +162,6 @@ def bm4d_stage(
         corners[i:i + CORNERS_PER_CHUNK]
         for i in range(0, len(corners), CORNERS_PER_CHUNK)
     ]
-    var_cache = {}
     nchan = len(channels)
 
     def process_chunk(chunk):
@@ -238,15 +169,7 @@ def bm4d_stage(
         den = np.zeros((nchan,) + dims)
         for ref in chunk:
             positions = _match_from_view(guide_view, dims, ref, params)
-            offsets = positions - positions[0]
-            key = offsets.tobytes()
-            var = var_cache.get(key)
-            if var is None:
-                var = variances_from_fields(
-                    fields, offsets, haars[positions.shape[0]]
-                ).reshape((positions.shape[0],) + block)
-                var = np.clip(var, 0.0, None)
-                var_cache[key] = var
+            var = variances_from_fields(fields, positions - positions[0], block)
             px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
             group = view[:, px, py, pz]  # (C, M, b0, b1, b2)
             coeffs = group_transform(group)
@@ -260,31 +183,22 @@ def bm4d_stage(
                 shrunk, weight = wiener_shrink(
                     coeffs, group_transform(pilot_group), var
                 )
-            blocks = group_inverse(shrunk)
-            wcol = weight[:, None, None, None]
-            for j in range(positions.shape[0]):
-                sl = (
-                    slice(None),
-                    slice(px[j], px[j] + block[0]),
-                    slice(py[j], py[j] + block[1]),
-                    slice(pz[j], pz[j] + block[2]),
-                )
-                num[sl] += wcol * blocks[:, j]
-                den[sl] += wcol
+            accumulate_blocks(num, den, positions, group_inverse(shrunk), weight)
         return num, den
 
-    total_num = np.zeros((nchan,) + dims)
-    total_den = np.zeros((nchan,) + dims)
+    def merge(partials):  # fixed chunk order keeps float sums stable
+        total_num = np.zeros((nchan,) + dims)
+        total_den = np.zeros((nchan,) + dims)
+        for num, den in partials:
+            total_num += num
+            total_den += den
+        return total_num, total_den
+
     if threads <= 1:
-        partials = map(process_chunk, chunks)
+        total_num, total_den = merge(map(process_chunk, chunks))
     else:
-        executor = ThreadPoolExecutor(max_workers=threads)
-        partials = executor.map(process_chunk, chunks)
-    for num, den in partials:  # fixed chunk order keeps float sums stable
-        total_num += num
-        total_den += den
-    if threads > 1:
-        executor.shutdown()
+        with ThreadPoolExecutor(max_workers=threads) as executor:
+            total_num, total_den = merge(executor.map(process_chunk, chunks))
 
     if not np.all(total_den > 0):
         raise AssertionError("aggregation left uncovered voxels")

@@ -36,17 +36,7 @@ def _default_wiener() -> StageParams:
 
 @dataclass(frozen=True)
 class Bm4dProfile:
-    """Two-stage parameter set; `named` gives the standard profile."""
+    """Two-stage parameter set; the defaults are the standard profile."""
 
     ht: StageParams = field(default_factory=_default_ht)
     wiener: StageParams = field(default_factory=_default_wiener)
-
-    @staticmethod
-    def named(name: str) -> "Bm4dProfile":
-        if name == "np":
-            return Bm4dProfile()
-        if name in ("lc", "mp"):
-            raise ValueError(
-                f"profile {name!r} is reserved and not implemented; use 'np'"
-            )
-        raise ValueError(f"unknown profile {name!r}")

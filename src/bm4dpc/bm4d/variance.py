@@ -85,18 +85,22 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
 
 
 def variances_from_fields(
-    c_fields: np.ndarray, offsets: np.ndarray, haar: np.ndarray
+    c_fields: np.ndarray, offsets: np.ndarray, block: tuple
 ) -> np.ndarray:
-    """Coefficient variances (M, P) from precomputed autocorr fields.
+    """Coefficient variances (M, b0, b1, b2) from precomputed autocorr fields.
 
     var(c_{k,p}) = sum_{i,j} haar[k,i] * haar[k,j] * c_p[off_i - off_j],
-    the quadratic form of the k-th Haar row over the pairwise-offset
-    covariance table of basis p.
+    the quadratic form of the k-th row of the size-M Haar matrix over
+    the pairwise-offset covariance table of basis p; round-off
+    negatives are clipped to zero.
     """
+    m = offsets.shape[0]
+    haar = haar_matrix(m)
     work = c_fields.shape[1:]
     diff = (offsets[:, None, :] - offsets[None, :, :]) % np.asarray(work)
     table = c_fields[:, diff[..., 0], diff[..., 1], diff[..., 2]]  # (P, M, M)
-    return np.einsum("ki,pij,kj->kp", haar, table, haar, optimize=True)
+    var = np.einsum("ki,pij,kj->kp", haar, table, haar, optimize=True)
+    return np.clip(var, 0.0, None).reshape((m,) + tuple(block))
 
 
 def coeff_variances(
@@ -113,9 +117,8 @@ def coeff_variances(
     highs = np.asarray(psd.dims) - np.asarray(block)
     if np.any(positions < 0) or np.any(positions > highs):
         raise ValueError("block corner falls outside the volume")
-    m = positions.shape[0]
     work = working_dims(psd.dims, block, search_radius)
-    psi_work = fold_psd(psd.data, work)
-    fields = basis_autocorr(psi_work, block)
-    var = variances_from_fields(fields, positions - positions[0], haar_matrix(m))
-    return CoeffVariances(np.clip(var, 0.0, None).reshape((m,) + tuple(block)))
+    fields = basis_autocorr(fold_psd(psd.data, work), block)
+    return CoeffVariances(
+        variances_from_fields(fields, positions - positions[0], block)
+    )

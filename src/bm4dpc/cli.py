@@ -13,7 +13,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bm4d import Bm4dProfile
 from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
 from .dataio import NiftiError, attach_gradients, read_bvals_bvecs, read_nifti, write_nifti
 from .evaluate import fit_dti, mppca_denoise, report_metrics
@@ -44,6 +43,8 @@ def _default_threads():
             return max(1, int(env))
         except ValueError:
             pass
+    if hasattr(os, "sched_getaffinity"):  # CPUs this process may run on
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -130,7 +131,6 @@ def _cmd_denoise(args):
     options = PipelineOptions(
         provided_noise_map=provided_map,
         provided_psd=provided_psd,
-        bm4d_profile=Bm4dProfile.named(args.profile),
         skip_phase_stabilization=args.real_input,
     )
     denoised, used_map, used_psd = denoise_bm4dpc(
@@ -223,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--noise-map", help="NIfTI sigma map overriding estimation")
     p.add_argument("--psd", help="NIfTI noise PSD overriding estimation")
-    p.add_argument("--profile", default="np")
+    p.add_argument("--profile", choices=["np"], default="np",
+                   help="filtering profile; only the standard one exists")
     p.add_argument("--real-input", action="store_true",
                    help="input is already real; skip phase stabilization")
     p.add_argument("--save-noise-estimates", metavar="DIR")

@@ -14,6 +14,16 @@ BVEC_NORM_TOL = 1e-6
 PSD_MEAN_TOL = 1e-6
 
 
+def _starts(extent: int, size: int, step: int) -> list:
+    """Strided window starts plus a clamped final start covering the end."""
+    if size > extent:
+        raise ValueError("window does not fit in the extent")
+    starts = list(range(0, extent - size + 1, step))
+    if starts[-1] != extent - size:
+        starts.append(extent - size)
+    return starts
+
+
 def _as_samples(data) -> np.ndarray:
     """Coerce to a float64 or complex128 ndarray without copying twice."""
     arr = np.asarray(data)
@@ -205,18 +215,21 @@ class SpatialKernel:
         return float(np.linalg.norm(self.data))
 
 
-def vectorize(dataset: DwiDataset) -> np.ndarray:
-    """Stack the dataset into a W x N matrix, W = m*n*o.
+def vectorize(volumes) -> np.ndarray:
+    """Stack volumes into a W x N matrix, W = m*n*o.
 
+    `volumes` is a DwiDataset or a sequence of N Volume3 sharing dims.
     Column i is volume i flattened first-axis-fastest. Lossless; exact
     inverse is `devectorize`.
     """
-    W = int(np.prod(dataset.dims))
-    N = dataset.n_volumes
+    if isinstance(volumes, DwiDataset):
+        volumes = volumes.volumes
+    W = int(np.prod(volumes[0].dims))
+    N = len(volumes)
     if W < N:
         raise ValueError(f"need at least as many voxels as volumes (W={W} < N={N})")
-    out = np.empty((W, N), dtype=dataset.volumes[0].data.dtype)
-    for i, vol in enumerate(dataset.volumes):
+    out = np.empty((W, N), dtype=volumes[0].data.dtype)
+    for i, vol in enumerate(volumes):
         out[:, i] = vol.data.ravel(order="F")
     return out
 

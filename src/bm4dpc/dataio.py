@@ -5,6 +5,8 @@ float32 payloads for real data and complex64 for complex data. Noise
 maps and PSDs are serialized as plain volumes in the same format.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass
 
@@ -130,14 +132,18 @@ def read_nifti(path):
         else:
             raise NiftiError(f"{path}: unsupported datatype code {datatype}")
 
+        if not math.isfinite(vox_offset) or vox_offset < VOX_OFFSET:
+            raise NiftiError(f"{path}: invalid vox_offset {vox_offset}")
         count = m * n * o * n_volumes
+        needed = int(vox_offset) + count * dtype.itemsize
+        size = os.fstat(fh.fileno()).st_size
+        if size < needed:  # checked before reading: dims may be huge
+            raise NiftiError(
+                f"{path}: truncated payload (file has {size} bytes, "
+                f"header needs {needed})"
+            )
         fh.seek(int(vox_offset))
         buf = fh.read(count * dtype.itemsize)
-        if len(buf) < count * dtype.itemsize:
-            raise NiftiError(
-                f"{path}: truncated payload ({len(buf)} of "
-                f"{count * dtype.itemsize} bytes)"
-            )
 
     flat = np.frombuffer(buf, dtype=dtype, count=count)
     data = flat.reshape((m, n, o, n_volumes), order="F")

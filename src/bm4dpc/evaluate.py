@@ -13,7 +13,7 @@ from typing import Optional
 import numpy as np
 from scipy import ndimage
 
-from .core import DwiDataset, Volume3
+from .core import DwiDataset, Volume3, _starts
 from .dataio import group_shells
 
 SSIM_K1 = 0.01
@@ -175,13 +175,6 @@ def fit_dti(dataset: DwiDataset, mask, max_bval: float = 1000.0):
     return Volume3(fa_map), Volume3(md_map)
 
 
-def _patch_starts(extent: int, size: int, step: int):
-    starts = list(range(0, extent - size + 1, step))
-    if starts[-1] != extent - size:
-        starts.append(extent - size)
-    return starts
-
-
 def mppca_denoise(dataset: DwiDataset, kernel: int = 5, step: int = 3) -> DwiDataset:
     """Patchwise PCA denoising with an automatic eigenvalue cutoff.
 
@@ -202,9 +195,9 @@ def mppca_denoise(dataset: DwiDataset, kernel: int = 5, step: int = 3) -> DwiDat
     den = np.zeros(dims)
     m_rows = kernel**3
 
-    for x0 in _patch_starts(dims[0], kernel, step):
-        for y0 in _patch_starts(dims[1], kernel, step):
-            for z0 in _patch_starts(dims[2], kernel, step):
+    for x0 in _starts(dims[0], kernel, step):
+        for y0 in _starts(dims[1], kernel, step):
+            for z0 in _starts(dims[2], kernel, step):
                 sl = (
                     slice(x0, x0 + kernel),
                     slice(y0, y0 + kernel),

@@ -56,16 +56,6 @@ class PcStack:
     def n_components(self) -> int:
         return len(self.pcs)
 
-    def pc_matrix(self) -> np.ndarray:
-        """PCs as a W x N matrix (first-axis-fastest columns)."""
-        out = np.empty(
-            (int(np.prod(self.pcs[0].dims)), len(self.pcs)),
-            dtype=self.pcs[0].data.dtype,
-        )
-        for i, pc in enumerate(self.pcs):
-            out[:, i] = pc.data.ravel(order="F")
-        return out
-
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column real-positive."""

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import DwiDataset, NoiseMap, NoisePsd, Volume3, vectorize
+from .core import DwiDataset, NoiseMap, NoisePsd, Volume3, _starts, vectorize
 from .dataio import group_shells
 from .gpca import forward_pca
 
@@ -51,16 +51,6 @@ def clamp_sigma(sigma: np.ndarray, fraction: float = 0.01) -> np.ndarray:
     if positive.size == 0:
         raise ValueError("sigma map has no positive entries to clamp against")
     return np.maximum(sigma, fraction * np.median(positive))
-
-
-def _starts(extent: int, size: int, step: int) -> np.ndarray:
-    """Strided starts plus a clamped final start covering the end."""
-    if size > extent:
-        raise ValueError("window does not fit in the extent")
-    starts = list(range(0, extent - size + 1, step))
-    if starts[-1] != extent - size:
-        starts.append(extent - size)
-    return np.asarray(starts)
 
 
 def estimate_noise_map(tail_pcs, window: int = 5) -> NoiseMap:
@@ -170,10 +160,7 @@ def estimate_noise(
     if len(members) <= params.tail_count:
         raise ValueError("highest shell has too few volumes for the tail")
 
-    subset = [dataset.volumes[i] for i in members]
-    matrix = vectorize(DwiDataset(
-        tuple(subset), np.asarray([dataset.bvals[i] for i in members])
-    ))
+    matrix = vectorize([dataset.volumes[i] for i in members])
     stack = forward_pca(matrix, dims=dataset.dims)
     tail = list(stack.pcs[-params.tail_count:])
 

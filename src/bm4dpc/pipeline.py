@@ -10,8 +10,6 @@ shared PSD, and the result is rotated and rescaled back.
 from dataclasses import dataclass, field
 from typing import Optional
 
-import numpy as np
-
 from .bm4d import Bm4dProfile, bm4d_multichannel
 from .core import DwiDataset, NoiseMap, NoisePsd, Volume3, devectorize, vectorize
 from .gpca import forward_pca, inverse_pca
@@ -85,10 +83,7 @@ def denoise_bm4dpc(dataset: DwiDataset, options: PipelineOptions = None,
     denoised_pcs = bm4d_multichannel(
         list(stack.pcs), psd, options.bm4d_profile, threads=threads
     )
-    pc_matrix = np.stack(
-        [np.ravel(pc.data, order="F") for pc in denoised_pcs], axis=1
-    )
-    restored = inverse_pca(pc_matrix, stack.basis)
+    restored = inverse_pca(vectorize(denoised_pcs), stack.basis)
 
     volumes = [
         Volume3(v.data * clamped) for v in devectorize(restored, dims)

@@ -14,7 +14,7 @@ from bm4dpc.bm4d import (
     coeff_variances,
     group_transform,
 )
-from bm4dpc.core import NoisePsd, Volume3
+from bm4dpc.core import NoisePsd, Volume3, vectorize
 from bm4dpc.evaluate import fit_dti, rmse_map
 from bm4dpc.gpca import forward_pca, inverse_pca
 from bm4dpc.simulate import fibonacci_directions
@@ -135,7 +135,7 @@ def test_criterion_8_transform_and_pca_exactness():
 
     matrix = rng.standard_normal((500, 10))
     stack = forward_pca(matrix)
-    restored = inverse_pca(stack.pc_matrix(), stack.basis)
+    restored = inverse_pca(vectorize(stack.pcs), stack.basis)
     round_trip = np.linalg.norm(restored - matrix) / np.linalg.norm(matrix)
 
     channel = Volume3(rng.standard_normal((16, 16, 16)))

@@ -1,21 +1,29 @@
 """Block matching, shrinkage, aggregation and the stage driver."""
 
 import itertools
+import threading
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.ndimage
 
 from bm4dpc.bm4d import Bm4dProfile, StageParams, bm4d_multichannel, bm4d_stage
+from bm4dpc.bm4d import engine
 from bm4dpc.bm4d.engine import (
     WEIGHT_FLOOR,
-    BlockGroup,
-    aggregate,
-    hard_threshold,
-    match_blocks,
+    _ht_core,
+    _match_from_view,
+    accumulate_blocks,
     wiener_shrink,
 )
-from bm4dpc.core import NoisePsd, Volume3
+from bm4dpc.core import NoisePsd, Volume3, _starts
+
+
+def _match(data, ref, params):
+    """Run the stage's matcher on one guide volume."""
+    view = np.lib.stride_tricks.sliding_window_view(data, params.block)
+    return _match_from_view(view, data.shape, tuple(ref), params)
 
 
 def _brute_match(data, ref, params):
@@ -45,8 +53,7 @@ class TestMatchBlocks:
     def test_constant_volume_tie_order(self):
         """On a constant volume every distance ties, so the result is
         the reference followed by window corners in raster order."""
-        guide = Volume3(np.full((8, 8, 8), 3.7))
-        positions = match_blocks(guide, (2, 2, 2), StageParams())
+        positions = _match(np.full((8, 8, 8), 3.7), (2, 2, 2), StageParams())
         assert positions.shape == (16, 3)
         assert tuple(positions[0]) == (2, 2, 2)
         lex = [
@@ -58,8 +65,8 @@ class TestMatchBlocks:
 
     def test_reference_always_first(self):
         rng = np.random.default_rng(0)
-        guide = Volume3(rng.standard_normal((10, 10, 10)))
-        positions = match_blocks(guide, (3, 5, 2), StageParams())
+        data = rng.standard_normal((10, 10, 10))
+        positions = _match(data, (3, 5, 2), StageParams())
         assert tuple(positions[0]) == (3, 5, 2)
 
     def test_planted_duplicate_ranks_second(self):
@@ -67,7 +74,7 @@ class TestMatchBlocks:
         data = rng.standard_normal((12, 12, 12))
         # exact copy of the reference block at a disjoint corner
         data[0:4, 4:8, 4:8] = data[4:8, 4:8, 4:8]
-        positions = match_blocks(Volume3(data), (4, 4, 4), StageParams())
+        positions = _match(data, (4, 4, 4), StageParams())
         assert tuple(positions[0]) == (4, 4, 4)
         assert tuple(positions[1]) == (0, 4, 4)
 
@@ -76,84 +83,58 @@ class TestMatchBlocks:
         data = rng.standard_normal((12, 12, 12))
         data[0:4, 4:8, 4:8] = data[4:8, 4:8, 4:8]
         params = StageParams()
-        got = match_blocks(Volume3(data), (4, 4, 4), params)
+        got = _match(data, (4, 4, 4), params)
         expected = _brute_match(data, (4, 4, 4), params)
         assert np.array_equal(got, expected)
 
     def test_truncates_to_power_of_two(self):
         # 2 * 3 * 1 = 6 candidate corners, so 4 blocks come back
-        guide = Volume3(np.zeros((5, 6, 4)))
-        positions = match_blocks(guide, (0, 0, 0), StageParams())
+        positions = _match(np.zeros((5, 6, 4)), (0, 0, 0), StageParams())
         assert positions.shape == (4, 3)
 
-    def test_complex_guide_rejected(self):
-        guide = Volume3(np.zeros((8, 8, 8), dtype=np.complex128))
-        with pytest.raises(ValueError, match="matching guide must be real"):
-            match_blocks(guide, (0, 0, 0), StageParams())
-
     def test_reference_inside_volume(self):
-        guide = Volume3(np.zeros((6, 6, 6)))
-        with pytest.raises(ValueError, match="falls outside"):
-            match_blocks(guide, (4, 4, 4), StageParams())
-
-
-class TestBlockGroup:
-    def test_reference_property(self):
-        group = BlockGroup(
-            np.array([[1, 2, 3], [0, 0, 0]]), np.zeros((2, 4, 4, 4))
-        )
-        assert tuple(group.reference) == (1, 2, 3)
-
-    def test_power_of_two_size(self):
-        with pytest.raises(ValueError, match="power of two"):
-            BlockGroup(np.zeros((3, 3), dtype=int), np.zeros((3, 4, 4, 4)))
-
-    def test_unique_positions(self):
-        with pytest.raises(ValueError, match="unique"):
-            BlockGroup(np.zeros((2, 3), dtype=int), np.zeros((2, 4, 4, 4)))
-
-    def test_shape_checks(self):
-        with pytest.raises(ValueError, match=r"\(M, 3\)"):
-            BlockGroup(np.zeros((2, 2), dtype=int), np.zeros((2, 4, 4, 4)))
-        with pytest.raises(ValueError, match=r"\(M, b0, b1, b2\)"):
-            BlockGroup(
-                np.array([[0, 0, 0], [1, 0, 0]]), np.zeros((4, 4, 4))
-            )
+        """Reference corners are strided starts whose last start is
+        clamped so the final block ends at the volume edge."""
+        assert _starts(9, 4, 3) == [0, 3, 5]
+        assert _starts(7, 4, 3) == [0, 3]
+        assert _starts(4, 4, 3) == [0]
+        with pytest.raises(ValueError, match="does not fit"):
+            _starts(3, 4, 3)
 
 
 class TestHardThreshold:
     def test_zero_lambda_keeps_values(self):
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal((4, 2, 2, 2))
-        shrunk, retained = hard_threshold(coeffs, np.ones_like(coeffs), 0.0)
+        shrunk, keep = _ht_core(coeffs, np.ones_like(coeffs), 0.0)
         assert np.array_equal(shrunk, coeffs)
-        assert retained == coeffs.size
+        assert keep.sum() == coeffs.size
 
     def test_threshold_scales_with_sigma(self):
         coeffs = np.array([3.0, 1.0]).reshape(1, 2, 1, 1)
         var = np.ones_like(coeffs)
-        shrunk, retained = hard_threshold(coeffs, var, 2.7)
+        shrunk, keep = _ht_core(coeffs, var, 2.7)
         assert np.array_equal(shrunk, [[[[3.0]], [[0.0]]]])
-        assert retained == 1
+        assert keep.sum() == 1
         # same coefficients survive a 4x noisier spectrum only if they
         # clear the doubled deviate
-        shrunk4, retained4 = hard_threshold(coeffs, 4.0 * var, 1.4)
+        shrunk4, keep4 = _ht_core(coeffs, 4.0 * var, 1.4)
         assert np.array_equal(shrunk4, [[[[3.0]], [[0.0]]]])
-        assert retained4 == 1
+        assert keep4.sum() == 1
 
     def test_group_dc_always_kept(self):
         coeffs = np.full((2, 2, 2, 2), 0.01)
-        shrunk, retained = hard_threshold(coeffs, np.ones_like(coeffs), 2.7)
+        shrunk, keep = _ht_core(coeffs, np.ones_like(coeffs), 2.7)
         assert shrunk[0, 0, 0, 0] == 0.01
-        assert retained == 1
+        assert keep.sum() == 1
         assert np.all(shrunk.ravel()[1:] == 0.0)
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal((4, 2, 2, 2))
         var = np.full_like(coeffs, 0.5)
-        once, _ = hard_threshold(coeffs, var, 1.0)
-        twice, _ = hard_threshold(once, var, 1.0)
+        once, _ = _ht_core(coeffs, var, 1.0)
+        twice, _ = _ht_core(once, var, 1.0)
         assert np.array_equal(once, twice)
 
 
@@ -194,32 +175,44 @@ class TestWienerShrink:
             assert weight[c] == pytest.approx(wc, rel=1e-12)
 
 
+def _aggregate(groups, dims):
+    """(num, den) after adding (positions, blocks, weights) groups."""
+    nchan = groups[0][1].shape[0]
+    num = np.zeros((nchan,) + dims)
+    den = np.zeros((nchan,) + dims)
+    for positions, blocks, weights in groups:
+        accumulate_blocks(
+            num, den, np.asarray(positions), blocks, np.asarray(weights)
+        )
+    return num, den
+
+
 class TestAggregate:
     def test_single_group_restores_block(self):
         rng = np.random.default_rng(7)
-        samples = rng.standard_normal((1, 4, 4, 4))
-        group = BlockGroup(np.array([[2, 3, 1]]), samples)
-        out = aggregate([(group, 1.0)], (8, 8, 8))
-        assert np.allclose(out.data[2:6, 3:7, 1:5], samples[0], atol=1e-12)
-        outside = out.data.copy()
-        outside[2:6, 3:7, 1:5] = 0.0
-        assert np.all(outside == 0.0)
+        blocks = rng.standard_normal((1, 1, 4, 4, 4))
+        num, den = _aggregate([([[2, 3, 1]], blocks, [1.0])], (8, 8, 8))
+        inside = (0, slice(2, 6), slice(3, 7), slice(1, 5))
+        assert np.allclose(num[inside] / den[inside], blocks[0, 0], atol=1e-12)
+        num[inside] = 0.0
+        den[inside] = 0.0
+        assert np.all(num == 0.0) and np.all(den == 0.0)
 
     def test_overlap_weighted_average(self):
-        g1 = BlockGroup(np.array([[0, 0, 0]]), np.full((1, 4, 4, 4), 2.0))
-        g2 = BlockGroup(np.array([[2, 0, 0]]), np.full((1, 4, 4, 4), 8.0))
-        out = aggregate([(g1, 3.0), (g2, 1.0)], (6, 4, 4))
-        # overlap rows 2:4 blend (3*2 + 1*8) / 4
-        assert np.allclose(out.data[0:2], 2.0, atol=1e-12)
-        assert np.allclose(out.data[2:4], 3.5, atol=1e-12)
-        assert np.allclose(out.data[4:6], 8.0, atol=1e-12)
+        def flat(value):
+            return np.full((2, 1, 4, 4, 4), value)
 
-    def test_fallback_fills_uncovered(self):
-        group = BlockGroup(np.array([[0, 0, 0]]), np.ones((1, 4, 4, 4)))
-        fallback = Volume3(np.full((8, 8, 8), 7.0))
-        out = aggregate([(group, 1.0)], (8, 8, 8), fallback=fallback)
-        assert np.all(out.data[:4, :4, :4] == 1.0)
-        assert np.all(out.data[4:] == 7.0)
+        # channel 0 weighs the groups 3:1, channel 1 evenly
+        num, den = _aggregate(
+            [([[0, 0, 0]], flat(2.0), [3.0, 1.0]),
+             ([[2, 0, 0]], flat(8.0), [1.0, 1.0])],
+            (6, 4, 4),
+        )
+        out = num / den
+        assert np.allclose(out[:, 0:2], 2.0, atol=1e-12)
+        assert np.allclose(out[0, 2:4], 3.5, atol=1e-12)  # (3*2 + 1*8) / 4
+        assert np.allclose(out[1, 2:4], 5.0, atol=1e-12)
+        assert np.allclose(out[:, 4:6], 8.0, atol=1e-12)
 
 
 def _smooth_signal(rng, dims, amplitude):
@@ -277,6 +270,37 @@ class TestBm4dStage:
         threaded = bm4d_multichannel(noisy, psd, threads=4)
         for a, b in zip(serial, threaded):
             assert np.array_equal(a.data, b.data)
+
+    def test_odd_dims_clamped_starts(self):
+        """Non-cubic odd dims end on clamped starts along x and z, and a
+        unit search radius gives groups of 8 blocks at the corners."""
+        rng = np.random.default_rng(11)
+        dims = (11, 13, 9)
+        channels = [Volume3(rng.standard_normal(dims)) for _ in range(2)]
+        psd = NoisePsd(np.ones(dims))
+        small = StageParams(search_radius=(1, 1, 1))
+        identity = Bm4dProfile(ht=replace(small, threshold=0.0))
+        out = bm4d_stage(channels, psd, identity, stage=1)
+        for o, c in zip(out, channels):
+            assert np.max(np.abs(o.data - c.data)) <= 1e-6
+        profile = Bm4dProfile(ht=small, wiener=small)
+        serial = bm4d_multichannel(channels, psd, profile, threads=1)
+        threaded = bm4d_multichannel(channels, psd, profile, threads=3)
+        for a, b in zip(serial, threaded):
+            assert np.array_equal(a.data, b.data)
+
+    def test_pool_shut_down_on_error(self, monkeypatch):
+        def fail(*args):
+            raise RuntimeError("variance lookup failed")
+
+        monkeypatch.setattr(engine, "variances_from_fields", fail)
+        rng = np.random.default_rng(12)
+        channel = Volume3(rng.standard_normal((16, 16, 16)))
+        psd = NoisePsd(np.ones((16, 16, 16)))
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="variance lookup failed"):
+            bm4d_stage([channel], psd, Bm4dProfile(), stage=1, threads=2)
+        assert threading.active_count() == before
 
     def test_single_channel_supported(self):
         rng = np.random.default_rng(9)
@@ -341,19 +365,9 @@ class TestBm4dStage:
 
 
 class TestProfiles:
-    def test_named_standard(self):
-        assert Bm4dProfile.named("np") == Bm4dProfile()
+    def test_standard_defaults(self):
         assert Bm4dProfile().ht.max_group == 16
         assert Bm4dProfile().wiener.max_group == 32
-
-    def test_reserved_names(self):
-        for name in ("lc", "mp"):
-            with pytest.raises(ValueError, match="reserved and not implemented"):
-                Bm4dProfile.named(name)
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown profile"):
-            Bm4dProfile.named("aggressive")
 
     def test_stage_params_validation(self):
         with pytest.raises(ValueError, match="block edges"):

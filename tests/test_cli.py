@@ -1,5 +1,8 @@
 """Command-line interface: exit codes, file plumbing, determinism."""
 
+import os
+import struct
+
 import numpy as np
 import pytest
 
@@ -52,6 +55,33 @@ class TestArgHandling:
         monkeypatch.setenv("BM4DPC_THREADS", "many")
         assert build_parser().get_default("threads") >= 1
 
+    def test_thread_default_from_affinity(self, monkeypatch):
+        monkeypatch.delenv("BM4DPC_THREADS", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(
+            os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False
+        )
+        assert build_parser().get_default("threads") == 3
+        monkeypatch.setenv("BM4DPC_THREADS", "5")
+        assert build_parser().get_default("threads") == 5
+        monkeypatch.delenv("BM4DPC_THREADS")
+        monkeypatch.delattr(os, "sched_getaffinity")
+        assert build_parser().get_default("threads") == 64
+
+    def test_unknown_profile_rejected(self, tmp_path, capsys):
+        for name in ("lc", "mp", "aggressive"):
+            code = run_cli(
+                [
+                    "denoise",
+                    "--in", str(tmp_path / "absent.nii"),
+                    "--bval", str(tmp_path / "absent.bval"),
+                    "--out", str(tmp_path / "out.nii"),
+                    "--profile", name,
+                ]
+            )
+            assert code == 2
+            assert "invalid choice" in capsys.readouterr().err
+
     def test_missing_input_file(self, tmp_path, capsys):
         code = run_cli(
             [
@@ -75,6 +105,28 @@ class TestArgHandling:
         )
         assert code == 2
         assert "kernel does not fit" in capsys.readouterr().err
+
+    def test_corrupt_header_is_io_error(self, small_sim, tmp_path, capsys):
+        blob = (small_sim / "noisy.nii").read_bytes()
+        mutations = [
+            ("<5h", 40, (4, 32767, 32767, 32767, 32767)),  # exabyte dims
+            ("<f", 108, (float("nan"),)),  # vox_offset
+        ]
+        for fmt, offset, values in mutations:
+            bad = bytearray(blob)
+            struct.pack_into(fmt, bad, offset, *values)
+            path = tmp_path / "bad.nii"
+            path.write_bytes(bytes(bad))
+            code = run_cli(
+                [
+                    "denoise",
+                    "--in", str(path),
+                    "--bval", str(small_sim / "bvals"),
+                    "--out", str(tmp_path / "out.nii"),
+                ]
+            )
+            assert code == 3
+            assert "error:" in capsys.readouterr().err
 
     def test_single_volume_input_rejected(self, small_sim, tmp_path, capsys):
         code = run_cli(

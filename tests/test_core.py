@@ -168,6 +168,7 @@ class TestVectorize:
         back = devectorize(vectorize(ds), (3, 4, 5))
         for orig, rec in zip(vols, back):
             assert np.array_equal(orig.data, rec.data)
+        assert np.array_equal(vectorize(vols), vectorize(ds))
 
     def test_more_volumes_than_voxels_rejected(self):
         vols = tuple(_volume(np.zeros((3, 1, 1))) for _ in range(4))

@@ -174,6 +174,24 @@ class TestNiftiErrors:
         with pytest.raises(NiftiError, match="truncated payload"):
             read_nifti(path)
 
+    def test_payload_beyond_file_rejected_before_reading(self, tmp_path):
+        # 32767^4 float32 samples would be exabytes; the file holds 8
+        blob = bytearray(_reference_nifti_bytes(np.zeros((2, 2, 2), np.float32)))
+        struct.pack_into("<5h", blob, 40, 4, 32767, 32767, 32767, 32767)
+        path = tmp_path / "huge.nii"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NiftiError, match="truncated payload"):
+            read_nifti(path)
+
+    def test_invalid_vox_offset(self, tmp_path):
+        for offset in (float("nan"), float("inf"), 100.0):
+            blob = bytearray(_reference_nifti_bytes(np.zeros((2, 2, 2), np.float32)))
+            struct.pack_into("<f", blob, 108, offset)
+            path = tmp_path / "offset.nii"
+            path.write_bytes(bytes(blob))
+            with pytest.raises(NiftiError, match="vox_offset"):
+                read_nifti(path)
+
     def test_big_endian_rejected_distinctly(self, tmp_path):
         blob = bytearray(_reference_nifti_bytes(np.zeros((2, 2, 2), np.float32)))
         struct.pack_into(">i", blob, 0, HEADER)

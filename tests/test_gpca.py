@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from bm4dpc import forward_pca, inverse_pca
+from bm4dpc import forward_pca, inverse_pca, vectorize
 
 
 class TestForwardPca:
     def test_identity_input(self):
         stack = forward_pca(np.eye(2))
         assert np.allclose(stack.eigenvalues, [1.0, 1.0], atol=1e-12)
-        A = stack.pc_matrix()
+        A = vectorize(stack.pcs)
         assert np.allclose(A.T @ A, np.eye(2), atol=1e-12)
         assert np.linalg.norm(A) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
@@ -20,7 +20,7 @@ class TestForwardPca:
         matrix = np.stack([q, 2.0 * q], axis=1)
         stack = forward_pca(matrix)
         assert stack.eigenvalues[1] <= 1e-10 * stack.eigenvalues[0]
-        second = stack.pc_matrix()[:, 1]
+        second = vectorize(stack.pcs)[:, 1]
         assert np.linalg.norm(second) <= 1e-6 * np.linalg.norm(matrix)
 
     def test_svd_oracle(self):
@@ -33,7 +33,7 @@ class TestForwardPca:
         u, s, _ = np.linalg.svd(matrix, full_matrices=False)
         assert np.allclose(stack.eigenvalues, s**2, rtol=1e-8)
 
-        A = stack.pc_matrix()
+        A = vectorize(stack.pcs)
         us = u * s
         for j in range(8):
             sign = np.sign(A[:, j] @ us[:, j])
@@ -62,7 +62,7 @@ class TestForwardPca:
         rng = np.random.default_rng(5)
         matrix = rng.standard_normal((80, 7))
         stack = forward_pca(matrix)
-        assert np.linalg.norm(stack.pc_matrix()) == pytest.approx(
+        assert np.linalg.norm(vectorize(stack.pcs)) == pytest.approx(
             np.linalg.norm(matrix), rel=1e-10
         )
 
@@ -88,7 +88,7 @@ class TestInversePca:
         rng = np.random.default_rng(7)
         matrix = rng.standard_normal((64, 6))
         stack = forward_pca(matrix)
-        back = inverse_pca(stack.pc_matrix(), stack.basis)
+        back = inverse_pca(vectorize(stack.pcs), stack.basis)
         rel = np.linalg.norm(back - matrix) / np.linalg.norm(matrix)
         assert rel <= 1e-8
 
@@ -102,7 +102,7 @@ class TestInversePca:
         matrix = rng.standard_normal((50, 6))
         stack = forward_pca(matrix)
 
-        pcs = stack.pc_matrix().copy()
+        pcs = vectorize(stack.pcs).copy()
         pcs[:, -1] = 0.0
         recon = inverse_pca(pcs, stack.basis)
 
@@ -119,6 +119,6 @@ class TestInversePca:
         rng = np.random.default_rng(10)
         matrix = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
         stack = forward_pca(matrix)
-        back = inverse_pca(stack.pc_matrix(), stack.basis)
+        back = inverse_pca(vectorize(stack.pcs), stack.basis)
         rel = np.linalg.norm(back - matrix) / np.linalg.norm(matrix)
         assert rel <= 1e-8
