@@ -17,15 +17,7 @@ from .bm4d import (
     bm4d_stage,
     coeff_variances,
 )
-from .core import (
-    DwiDataset,
-    NoiseMap,
-    NoisePsd,
-    SpatialKernel,
-    Volume3,
-    devectorize,
-    vectorize,
-)
+from .core import DwiDataset, NoiseMap, NoisePsd, SpatialKernel, Volume3
 from .dataio import (
     NiftiError,
     ShellTable,
@@ -89,7 +81,6 @@ __all__ = [
     "clamp_sigma",
     "coeff_variances",
     "denoise_bm4dpc",
-    "devectorize",
     "estimate_noise",
     "estimate_noise_map",
     "estimate_psd",
@@ -110,6 +101,5 @@ __all__ = [
     "ssim",
     "stabilize_phase",
     "stabilize_volume",
-    "vectorize",
     "write_nifti",
 ]

@@ -12,7 +12,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from ..core import NoisePsd, Volume3, _starts
+from ..core import NoisePsd, _starts
 from .profile import Bm4dProfile, StageParams
 from .transforms import group_inverse, group_transform
 from .variance import basis_autocorr, fold_psd, variances_from_fields, working_dims
@@ -96,6 +96,18 @@ def accumulate_blocks(num, den, positions, blocks, weight) -> None:
         den[sl] += wcol
 
 
+def _channel_stack(channels) -> np.ndarray:
+    """A real, finite (C, m, n, o) array with C >= 1, as float64."""
+    if np.iscomplexobj(channels):
+        raise ValueError("channels must be real")
+    stacked = np.ascontiguousarray(channels, dtype=np.float64)
+    if stacked.ndim != 4 or len(stacked) == 0:
+        raise ValueError("need a (C, m, n, o) array of at least one channel")
+    if not np.all(np.isfinite(stacked)):
+        raise ValueError("channels contain non-finite samples")
+    return stacked
+
+
 def _stage_params(profile: Bm4dProfile, stage: int) -> StageParams:
     if stage == 1:
         return profile.ht
@@ -111,47 +123,37 @@ def bm4d_stage(
     stage: int,
     pilot_channels=None,
     threads: int = 1,
-):
-    """One filtering pass over all channels with shared matching.
+) -> np.ndarray:
+    """One filtering pass over a real (C, m, n, o) channel stack.
 
     Stage 1 matches on channel 0 of the noisy data and hard-thresholds;
-    stage 2 matches on channel 0 of the pilot (stage-1 output) and
-    Wiener-filters every channel against its own pilot spectrum.
+    stage 2 matches on channel 0 of `pilot_channels` (the stage-1
+    output, same shape) and Wiener-filters every channel against its
+    own pilot spectrum. Returns the filtered (C, m, n, o) array.
     Deterministic for any thread count: reference corners are processed
     in fixed chunks whose partial sums are merged in order.
     """
     params = _stage_params(profile, stage)
-    if not channels:
-        raise ValueError("need at least one channel")
-    dims = channels[0].dims
-    if any(c.dims != dims for c in channels):
-        raise ValueError("channels must share dims")
-    if any(c.is_complex for c in channels):
-        raise ValueError("channels must be real")
+    stacked = _channel_stack(channels)
+    nchan, dims = stacked.shape[0], stacked.shape[1:]
     if any(b > d for b, d in zip(params.block, dims)):
         raise ValueError("volume smaller than the block")
     if psd.dims != dims:
         raise ValueError("PSD dims must match the channels")
     if stage == 2:
-        if pilot_channels is None or len(pilot_channels) != len(channels):
-            raise ValueError("stage 2 needs one pilot per channel")
-        if any(p.dims != dims or p.is_complex for p in pilot_channels):
-            raise ValueError("pilot channels must be real with matching dims")
+        if pilot_channels is None:
+            raise ValueError("stage 2 needs a pilot")
+        pilot = _channel_stack(pilot_channels)
+        if pilot.shape != stacked.shape:
+            raise ValueError("pilot shape must match the channels")
     elif pilot_channels is not None:
         raise ValueError("stage 1 takes no pilot")
 
     block = params.block
-    stacked = np.stack([c.data for c in channels])
-    view = np.lib.stride_tricks.sliding_window_view(stacked, block, axis=(1, 2, 3))
-    if stage == 2:
-        pilot_stack = np.stack([p.data for p in pilot_channels])
-        pilot_view = np.lib.stride_tricks.sliding_window_view(
-            pilot_stack, block, axis=(1, 2, 3)
-        )
-        guide_view = pilot_view[0]
-    else:
-        pilot_view = None
-        guide_view = view[0]
+    window = np.lib.stride_tricks.sliding_window_view  # no copy
+    view = window(stacked, block, axis=(1, 2, 3))
+    pilot_view = window(pilot, block, axis=(1, 2, 3)) if stage == 2 else None
+    guide_view = (view if stage == 1 else pilot_view)[0]
 
     work = working_dims(dims, block, params.search_radius)
     fields = basis_autocorr(fold_psd(psd.data, work), block)
@@ -162,7 +164,6 @@ def bm4d_stage(
         corners[i:i + CORNERS_PER_CHUNK]
         for i in range(0, len(corners), CORNERS_PER_CHUNK)
     ]
-    nchan = len(channels)
 
     def process_chunk(chunk):
         num = np.zeros((nchan,) + dims)
@@ -202,13 +203,12 @@ def bm4d_stage(
 
     if not np.all(total_den > 0):
         raise AssertionError("aggregation left uncovered voxels")
-    out = total_num / total_den
-    return [Volume3(out[c]) for c in range(nchan)]
+    return total_num / total_den
 
 
 def bm4d_multichannel(channels, psd: NoisePsd, profile: Bm4dProfile = None,
                       threads: int = 1):
-    """Full two-stage filtering of a channel stack; no channel dropped."""
+    """Full two-stage filtering of a real (C, m, n, o) channel stack."""
     if profile is None:
         profile = Bm4dProfile()
     pilots = bm4d_stage(channels, psd, profile, stage=1, threads=threads)

@@ -1,8 +1,11 @@
 """Command-line interface for simulation, denoising, and evaluation.
 
-Exit codes: 0 success, 2 argument error, 3 I/O error, 4 numerical
-failure. All diagnostics go to stderr; metric reports are JSON with
-stable key order.
+Exit codes follow the exception type: 0 success; 2 invalid arguments
+or input values (`ValueError`: bad b-values, a negative noise map, dims
+below the block size); 3 unreadable or malformed files (`OSError`,
+`NiftiError`, including non-finite NIfTI samples); 4 numerical failure
+(`np.linalg.LinAlgError`). All diagnostics go to stderr; metric reports
+are JSON with stable key order.
 """
 
 import argparse
@@ -287,9 +290,8 @@ def run_cli(argv) -> int:
         _err(f"numerical failure: {exc}")
         return EXIT_NUMERIC
     except ValueError as exc:
-        message = str(exc)
-        _err(message)
-        return EXIT_NUMERIC if "finite" in message else EXIT_USAGE
+        _err(str(exc))
+        return EXIT_USAGE
 
 
 def main() -> int:

@@ -1,8 +1,10 @@
-"""Shared domain types and 4D <-> matrix reshaping.
+"""Shared domain types.
 
-All volumes use first-axis-fastest voxel ordering, i.e. flattening a
-volume of shape (m, n, o) is done in Fortran order. Every type here is
-immutable after construction and safe to share across workers.
+A stack of N volumes of dims (m, n, o) is one C-contiguous array of
+shape (N, m, n, o), as built by `DwiDataset.stack`; the PCA, noise
+estimation and filtering layers all take and return that layout. Every
+type here is immutable after construction and safe to share across
+workers.
 """
 
 from dataclasses import dataclass, field
@@ -128,8 +130,8 @@ class DwiDataset:
         return self.volumes[0].is_complex
 
     def stack(self) -> np.ndarray:
-        """Samples as a 4D array of shape (m, n, o, N)."""
-        return np.stack([v.data for v in self.volumes], axis=-1)
+        """Samples as a C-contiguous array of shape (N, m, n, o)."""
+        return np.stack([v.data for v in self.volumes])
 
     def with_volumes(self, volumes: Sequence[Volume3]) -> "DwiDataset":
         """Same b-values/bvecs, new volumes."""
@@ -214,37 +216,3 @@ class SpatialKernel:
     def l2_norm(self) -> float:
         return float(np.linalg.norm(self.data))
 
-
-def vectorize(volumes) -> np.ndarray:
-    """Stack volumes into a W x N matrix, W = m*n*o.
-
-    `volumes` is a DwiDataset or a sequence of N Volume3 sharing dims.
-    Column i is volume i flattened first-axis-fastest. Lossless; exact
-    inverse is `devectorize`.
-    """
-    if isinstance(volumes, DwiDataset):
-        volumes = volumes.volumes
-    W = int(np.prod(volumes[0].dims))
-    N = len(volumes)
-    if W < N:
-        raise ValueError(f"need at least as many voxels as volumes (W={W} < N={N})")
-    out = np.empty((W, N), dtype=volumes[0].data.dtype)
-    for i, vol in enumerate(volumes):
-        out[:, i] = vol.data.ravel(order="F")
-    return out
-
-
-def devectorize(matrix: np.ndarray, dims: tuple) -> list:
-    """Exact inverse of `vectorize`: columns back to Volume3 of `dims`."""
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError("expected a W x N matrix")
-    m, n, o = (int(d) for d in dims)
-    if m * n * o != matrix.shape[0]:
-        raise ValueError(
-            f"dims product {m * n * o} does not match row count {matrix.shape[0]}"
-        )
-    return [
-        Volume3(matrix[:, i].reshape((m, n, o), order="F"))
-        for i in range(matrix.shape[1])
-    ]

@@ -62,9 +62,10 @@ def write_nifti(data, path) -> None:
     """Write a volume, dataset, noise map, or PSD as single-file NIfTI-1.
 
     Real samples are stored as float32, complex samples as complex64.
+    A plain 4D array is taken in on-disk order, (m, n, o, N).
     """
     if isinstance(data, DwiDataset):
-        payload = data.stack()
+        payload = np.moveaxis(data.stack(), 0, -1)  # NIfTI puts volumes last
         n_volumes = data.n_volumes
     elif isinstance(data, (Volume3, NoiseMap, NoisePsd)):
         payload = data.data
@@ -88,7 +89,7 @@ def write_nifti(data, path) -> None:
     header = _pack_header(raw.shape[:3], n_volumes, datatype, bitpix)
     with open(path, "wb") as fh:
         fh.write(header)
-        # NIfTI stores x fastest, matching the core flattening convention
+        # NIfTI stores x fastest and the volume index slowest
         fh.write(raw.tobytes(order="F"))
 
 
@@ -147,8 +148,13 @@ def read_nifti(path):
 
     flat = np.frombuffer(buf, dtype=dtype, count=count)
     data = flat.reshape((m, n, o, n_volumes), order="F")
-    if scl_slope != 0.0 and not (scl_slope == 1.0 and scl_inter == 0.0):
-        data = data * scl_slope + scl_inter
+    # a zero or non-finite slope means unscaled (nibabel writes NaN)
+    if math.isfinite(scl_slope) and scl_slope != 0.0:
+        inter = scl_inter if math.isfinite(scl_inter) else 0.0
+        if not (scl_slope == 1.0 and inter == 0.0):
+            data = data * scl_slope + inter
+    if not np.all(np.isfinite(data)):
+        raise NiftiError(f"{path}: payload holds non-finite samples")
 
     if n_volumes == 1:
         return Volume3(data[..., 0])

@@ -190,7 +190,7 @@ def mppca_denoise(dataset: DwiDataset, kernel: int = 5, step: int = 3) -> DwiDat
     if any(d < kernel for d in dims):
         raise ValueError("volume smaller than the patch")
 
-    stack = dataset.stack()  # (m, n, o, N)
+    stack = np.moveaxis(dataset.stack(), 0, -1)  # (m, n, o, N)
     num = np.zeros(dims + (n,), dtype=stack.dtype)
     den = np.zeros(dims)
     m_rows = kernel**3

@@ -1,8 +1,8 @@
 """Global PCA across the volume dimension.
 
-The decomposition works on the N x N Gram matrix of the vectorized
-dataset rather than a full SVD, which is cheaper since N << W. The
-unitary basis preserves noise statistics, so noise is uniformly
+The decomposition works on the N x N Gram matrix of the (N, ...) stack
+rather than a full SVD, which is cheaper since N << W, the voxel count.
+The unitary basis preserves noise statistics, so noise is uniformly
 distributed across all principal components.
 """
 
@@ -10,9 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Volume3, devectorize
-
-ORTHONORMALITY_TOL = 1e-10
 INVERSE_ORTHO_TOL = 1e-8
 
 
@@ -22,8 +19,9 @@ class PcStack:
 
     Attributes
     ----------
-    pcs : tuple of Volume3
-        Columns of the PC matrix reshaped to volumes, strongest first.
+    pcs : ndarray (N, ...)
+        PC j is sum_i basis[i, j] * stack[i], strongest first; same
+        shape as the input stack.
     basis : ndarray (N, N)
         Orthonormal eigenvector columns of the Gram matrix.
     eigenvalues : ndarray (N,)
@@ -31,30 +29,9 @@ class PcStack:
         values of the data matrix.
     """
 
-    pcs: tuple
+    pcs: np.ndarray
     basis: np.ndarray
     eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        n = len(self.pcs)
-        basis = np.asarray(self.basis)
-        eig = np.asarray(self.eigenvalues, dtype=np.float64)
-        if basis.shape != (n, n) or eig.shape != (n,):
-            raise ValueError("basis/eigenvalue shapes must match PC count")
-        gram = basis.conj().T @ basis
-        if np.max(np.abs(gram - np.eye(n))) > ORTHONORMALITY_TOL:
-            raise ValueError("basis columns are not orthonormal")
-        if np.any(np.diff(eig) > 0) or np.any(eig < 0):
-            raise ValueError("eigenvalues must be nonincreasing and nonnegative")
-        dims = self.pcs[0].dims
-        if any(pc.dims != dims for pc in self.pcs):
-            raise ValueError("PC volumes must share dims")
-        object.__setattr__(self, "basis", basis)
-        object.__setattr__(self, "eigenvalues", eig)
-
-    @property
-    def n_components(self) -> int:
-        return len(self.pcs)
 
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
@@ -73,61 +50,54 @@ def _fix_signs(basis: np.ndarray) -> np.ndarray:
     return fixed
 
 
-def forward_pca(matrix: np.ndarray, dims=None) -> PcStack:
+def forward_pca(stack: np.ndarray) -> PcStack:
     """Eigendecompose the Gram matrix and project the data onto its basis.
 
     Parameters
     ----------
-    matrix : ndarray (W, N)
-        Vectorized dataset, W >= N, finite entries.
-    dims : (m, n, o), optional
-        Volume dims for reshaping the PC columns. Required unless W
-        factors as given; defaults to (W, 1, 1).
+    stack : ndarray (N, ...)
+        N volumes (or vectors) along the first axis, at least N voxels
+        each, finite entries.
 
     Returns
     -------
     PcStack
-        PCs ordered by descending eigenvalue, deterministic column
-        signs (largest-magnitude entry of each basis column made
-        real-positive).
+        PCs of the stack's shape ordered by descending eigenvalue,
+        deterministic column signs (largest-magnitude entry of each
+        basis column made real-positive).
     """
-    matrix = np.asarray(matrix)
-    if matrix.ndim != 2:
-        raise ValueError("expected a W x N matrix")
-    W, N = matrix.shape
-    if W < N:
-        raise ValueError(f"need W >= N, got W={W}, N={N}")
-    if not np.all(np.isfinite(matrix)):
-        raise ValueError("matrix contains non-finite entries")
-    if dims is None:
-        dims = (W, 1, 1)
-    if int(np.prod(dims)) != W:
-        raise ValueError("dims product must equal row count")
+    stack = np.asarray(stack)
+    if stack.ndim < 2:
+        raise ValueError("expected an (N, ...) stack")
+    N = stack.shape[0]
+    X = stack.reshape(N, -1)
+    if X.shape[1] < N:
+        raise ValueError(f"need W >= N, got W={X.shape[1]}, N={N}")
+    if not np.all(np.isfinite(X)):
+        raise ValueError("stack contains non-finite entries")
 
-    gram = matrix.conj().T @ matrix
+    gram = X.conj() @ X.T
     # symmetrize against round-off before the Hermitian eigensolver
     gram = 0.5 * (gram + gram.conj().T)
     eigenvalues, basis = np.linalg.eigh(gram)
     order = np.arange(N - 1, -1, -1)
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)
     basis = _fix_signs(basis[:, order])
-
-    pc_matrix = matrix @ basis
-    return PcStack(tuple(devectorize(pc_matrix, dims)), basis, eigenvalues)
+    return PcStack((basis.T @ X).reshape(stack.shape), basis, eigenvalues)
 
 
-def inverse_pca(pc_matrix: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Reconstruct the data matrix from (possibly filtered) PCs.
+def inverse_pca(pcs: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """Reconstruct the stack from (possibly filtered) PCs.
 
-    Returns pc_matrix @ basis^H; `basis` must be orthonormal within
-    1e-8.
+    Volume i is sum_j conj(basis[i, j]) * pcs[j], returned in the shape
+    of `pcs`; `basis` must be orthonormal within 1e-8.
     """
-    pc_matrix = np.asarray(pc_matrix)
+    pcs = np.asarray(pcs)
     basis = np.asarray(basis)
     n = basis.shape[0]
-    if basis.shape != (n, n) or pc_matrix.shape[1] != n:
+    if basis.shape != (n, n) or pcs.shape[0] != n:
         raise ValueError("basis must be N x N matching the PC count")
     gram = basis.conj().T @ basis
     if np.max(np.abs(gram - np.eye(n))) > INVERSE_ORTHO_TOL:
         raise ValueError("basis is not orthonormal")
-    return pc_matrix @ basis.conj().T
+    return (basis.conj() @ pcs.reshape(n, -1)).reshape(pcs.shape)

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from .core import DwiDataset, NoiseMap, NoisePsd, Volume3, _starts, vectorize
+from .core import DwiDataset, NoiseMap, NoisePsd, _starts
 from .dataio import group_shells
 from .gpca import forward_pca
 
@@ -38,6 +38,16 @@ class NoiseEstParams:
             raise ValueError("map_window must be odd")
 
 
+def _tail_array(tail_pcs) -> np.ndarray:
+    """Validate a real (K, m, n, o) array of tail PCs, K >= 1."""
+    tail_pcs = np.asarray(tail_pcs)
+    if tail_pcs.ndim != 4 or len(tail_pcs) == 0:
+        raise ValueError("need a (K, m, n, o) array of at least one tail PC")
+    if np.iscomplexobj(tail_pcs):
+        raise ValueError("tail PCs must be real")
+    return tail_pcs
+
+
 def clamp_sigma(sigma: np.ndarray, fraction: float = 0.01) -> np.ndarray:
     """Floor a sigma map at `fraction` of its median positive value.
 
@@ -56,25 +66,21 @@ def clamp_sigma(sigma: np.ndarray, fraction: float = 0.01) -> np.ndarray:
 def estimate_noise_map(tail_pcs, window: int = 5) -> NoiseMap:
     """Voxel-wise noise sigma from windowed sample standard deviations.
 
-    Each tail PC yields a local std map (mean-subtracted, divisor n-1,
-    window shrunk at the borders); the final map is their arithmetic
-    mean.
+    `tail_pcs` is a real (K, m, n, o) array. Each tail PC yields a
+    local std map (mean-subtracted, divisor n-1, window shrunk at the
+    borders); the final map is their arithmetic mean.
     """
-    if not tail_pcs:
-        raise ValueError("need at least one tail PC")
+    tail_pcs = _tail_array(tail_pcs)
     if window % 2 != 1:
         raise ValueError("window must be odd")
-    dims = tail_pcs[0].dims
+    dims = tail_pcs.shape[1:]
     if window > min(dims):
         raise ValueError("window larger than the volume")
 
     kernel = np.ones((window,) * 3)
     counts = ndimage.correlate(np.ones(dims), kernel, mode="constant", cval=0.0)
     maps = []
-    for pc in tail_pcs:
-        x = pc.data
-        if np.iscomplexobj(x):
-            raise ValueError("tail PCs must be real")
+    for x in tail_pcs:
         s1 = ndimage.correlate(x, kernel, mode="constant", cval=0.0)
         s2 = ndimage.correlate(x * x, kernel, mode="constant", cval=0.0)
         var = (s2 - s1 * s1 / counts) / (counts - 1.0)
@@ -117,7 +123,7 @@ def _psd_for_pc(x: np.ndarray, params: NoiseEstParams) -> np.ndarray:
 
 
 def estimate_psd(tail_pcs_normalized, params: NoiseEstParams = None) -> NoisePsd:
-    """Noise PSD from sigma-normalized tail PCs.
+    """Noise PSD from sigma-normalized tail PCs, a (K, m, n, o) array.
 
     Per PC: windowed mean-subtracted 2D periodograms are averaged
     within chunks of consecutive slices, the voxel-wise minimum across
@@ -128,9 +134,7 @@ def estimate_psd(tail_pcs_normalized, params: NoiseEstParams = None) -> NoisePsd
     """
     if params is None:
         params = NoiseEstParams()
-    if not tail_pcs_normalized:
-        raise ValueError("need at least one tail PC")
-    spectra = [_psd_for_pc(pc.data, params) for pc in tail_pcs_normalized]
+    spectra = [_psd_for_pc(x, params) for x in _tail_array(tail_pcs_normalized)]
     psi = np.mean(spectra, axis=0)
     return NoisePsd(psi / psi.mean())
 
@@ -160,12 +164,10 @@ def estimate_noise(
     if len(members) <= params.tail_count:
         raise ValueError("highest shell has too few volumes for the tail")
 
-    matrix = vectorize([dataset.volumes[i] for i in members])
-    stack = forward_pca(matrix, dims=dataset.dims)
-    tail = list(stack.pcs[-params.tail_count:])
+    stack = forward_pca(np.stack([dataset.volumes[i].data for i in members]))
+    tail = stack.pcs[-params.tail_count:]
 
     sigma = estimate_noise_map(tail, params.map_window)
     clamped = clamp_sigma(sigma.data, clamp_fraction)
-    normalized = [Volume3(pc.data / clamped) for pc in tail]
-    psd = estimate_psd(normalized, params)
+    psd = estimate_psd(tail / clamped, params)
     return sigma, psd

@@ -4,14 +4,16 @@ The full chain: phase stabilization makes the data real, the noise map
 and PSD are estimated from the highest shell (or taken from the
 caller), volumes are normalized by the clamped map, decorrelated by
 global PCA, every component is collaboratively filtered under the
-shared PSD, and the result is rotated and rescaled back.
+shared PSD, and the result is rotated and rescaled back. Between the
+input and the returned dataset the volumes travel as one (N, m, n, o)
+array.
 """
 
 from dataclasses import dataclass, field
 from typing import Optional
 
 from .bm4d import Bm4dProfile, bm4d_multichannel
-from .core import DwiDataset, NoiseMap, NoisePsd, Volume3, devectorize, vectorize
+from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
 from .gpca import forward_pca, inverse_pca
 from .noisest import NoiseEstParams, clamp_sigma, estimate_noise
 from .phasestab import PhaseFilterParams, stabilize_phase
@@ -73,20 +75,12 @@ def denoise_bm4dpc(dataset: DwiDataset, options: PipelineOptions = None,
         raise ValueError("noise map and PSD dims must match the data")
 
     clamped = clamp_sigma(sigma_map.data, options.sigma_clamp_fraction)
-    normalized = DwiDataset(
-        tuple(Volume3(v.data / clamped) for v in real.volumes),
-        real.bvals,
-        real.bvecs,
-    )
-
-    stack = forward_pca(vectorize(normalized), dims=dims)
+    stack = forward_pca(real.stack() / clamped)
     denoised_pcs = bm4d_multichannel(
-        list(stack.pcs), psd, options.bm4d_profile, threads=threads
+        stack.pcs, psd, options.bm4d_profile, threads=threads
     )
-    restored = inverse_pca(vectorize(denoised_pcs), stack.basis)
+    restored = inverse_pca(denoised_pcs, stack.basis)
+    restored *= clamped
 
-    volumes = [
-        Volume3(v.data * clamped) for v in devectorize(restored, dims)
-    ]
-    result = DwiDataset(tuple(volumes), real.bvals, real.bvecs)
+    result = real.with_volumes([Volume3(v) for v in restored])
     return result, NoiseMap(clamped), psd

@@ -14,7 +14,7 @@ from bm4dpc.bm4d import (
     coeff_variances,
     group_transform,
 )
-from bm4dpc.core import NoisePsd, Volume3, vectorize
+from bm4dpc.core import NoisePsd, Volume3
 from bm4dpc.evaluate import fit_dti, rmse_map
 from bm4dpc.gpca import forward_pca, inverse_pca
 from bm4dpc.simulate import fibonacci_directions
@@ -133,17 +133,17 @@ def test_criterion_8_transform_and_pca_exactness():
         np.linalg.norm(group_transform(group)) - np.linalg.norm(group)
     ) / np.linalg.norm(group)
 
-    matrix = rng.standard_normal((500, 10))
+    matrix = rng.standard_normal((500, 10)).T  # 10 volumes of 500 voxels
     stack = forward_pca(matrix)
-    restored = inverse_pca(vectorize(stack.pcs), stack.basis)
+    restored = inverse_pca(stack.pcs, stack.basis)
     round_trip = np.linalg.norm(restored - matrix) / np.linalg.norm(matrix)
 
-    channel = Volume3(rng.standard_normal((16, 16, 16)))
+    channels = rng.standard_normal((1, 16, 16, 16))
     profile = Bm4dProfile(ht=StageParams(threshold=0.0))
     out = bm4d_stage(
-        [channel], NoisePsd(np.ones((16, 16, 16))), profile, stage=1
+        channels, NoisePsd(np.ones((16, 16, 16))), profile, stage=1
     )
-    identity = np.max(np.abs(out[0].data - channel.data))
+    identity = np.max(np.abs(out - channels))
 
     ok = parseval <= 1e-10 and round_trip <= 1e-8 and identity <= 1e-6
     _report(

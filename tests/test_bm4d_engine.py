@@ -17,7 +17,7 @@ from bm4dpc.bm4d.engine import (
     accumulate_blocks,
     wiener_shrink,
 )
-from bm4dpc.core import NoisePsd, Volume3, _starts
+from bm4dpc.core import NoisePsd, _starts
 
 
 def _match(data, ref, params):
@@ -226,8 +226,8 @@ def bm4d_noise_bench():
     """Two smooth channels plus unit white noise on a 16^3 grid."""
     rng = np.random.default_rng(10)
     dims = (16, 16, 16)
-    clean = [_smooth_signal(rng, dims, 6.0), _smooth_signal(rng, dims, 3.0)]
-    noisy = [Volume3(c + rng.standard_normal(dims)) for c in clean]
+    clean = np.stack([_smooth_signal(rng, dims, 6.0), _smooth_signal(rng, dims, 3.0)])
+    noisy = np.stack([c + rng.standard_normal(dims) for c in clean])
     psd = NoisePsd(np.ones(dims))
     return clean, noisy, psd
 
@@ -241,53 +241,50 @@ def bm4d_bench_stage1(bm4d_noise_bench):
 class TestBm4dStage:
     def test_zero_threshold_is_identity(self):
         rng = np.random.default_rng(8)
-        channel = Volume3(rng.standard_normal((16, 16, 16)))
+        channels = rng.standard_normal((1, 16, 16, 16))
         profile = Bm4dProfile(ht=StageParams(threshold=0.0))
         psd = NoisePsd(np.ones((16, 16, 16)))
-        out = bm4d_stage([channel], psd, profile, stage=1)
-        assert len(out) == 1
-        assert np.max(np.abs(out[0].data - channel.data)) <= 1e-6
+        out = bm4d_stage(channels, psd, profile, stage=1)
+        assert out.shape == channels.shape
+        assert np.max(np.abs(out - channels)) <= 1e-6
 
     def test_stage1_reduces_noise(self, bm4d_noise_bench, bm4d_bench_stage1):
         clean, noisy, _ = bm4d_noise_bench
         pilots = bm4d_bench_stage1
         for c in range(len(clean)):
-            mse_in = np.mean((noisy[c].data - clean[c]) ** 2)
-            mse_out = np.mean((pilots[c].data - clean[c]) ** 2)
+            mse_in = np.mean((noisy[c] - clean[c]) ** 2)
+            mse_out = np.mean((pilots[c] - clean[c]) ** 2)
             assert mse_out < 0.5 * mse_in
 
     def test_two_stage_beats_stage1(self, bm4d_noise_bench, bm4d_bench_stage1):
         clean, noisy, psd = bm4d_noise_bench
         pilots = bm4d_bench_stage1
         final = bm4d_multichannel(noisy, psd)
-        mse_pilot = np.mean((pilots[0].data - clean[0]) ** 2)
-        mse_final = np.mean((final[0].data - clean[0]) ** 2)
+        mse_pilot = np.mean((pilots[0] - clean[0]) ** 2)
+        mse_final = np.mean((final[0] - clean[0]) ** 2)
         assert mse_final < mse_pilot
 
     def test_thread_count_does_not_change_output(self, bm4d_noise_bench):
         _, noisy, psd = bm4d_noise_bench
         serial = bm4d_multichannel(noisy, psd, threads=1)
         threaded = bm4d_multichannel(noisy, psd, threads=4)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(serial, threaded)
 
     def test_odd_dims_clamped_starts(self):
         """Non-cubic odd dims end on clamped starts along x and z, and a
         unit search radius gives groups of 8 blocks at the corners."""
         rng = np.random.default_rng(11)
         dims = (11, 13, 9)
-        channels = [Volume3(rng.standard_normal(dims)) for _ in range(2)]
+        channels = rng.standard_normal((2,) + dims)
         psd = NoisePsd(np.ones(dims))
         small = StageParams(search_radius=(1, 1, 1))
         identity = Bm4dProfile(ht=replace(small, threshold=0.0))
         out = bm4d_stage(channels, psd, identity, stage=1)
-        for o, c in zip(out, channels):
-            assert np.max(np.abs(o.data - c.data)) <= 1e-6
+        assert np.max(np.abs(out - channels)) <= 1e-6
         profile = Bm4dProfile(ht=small, wiener=small)
         serial = bm4d_multichannel(channels, psd, profile, threads=1)
         threaded = bm4d_multichannel(channels, psd, profile, threads=3)
-        for a, b in zip(serial, threaded):
-            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(serial, threaded)
 
     def test_pool_shut_down_on_error(self, monkeypatch):
         def fail(*args):
@@ -295,72 +292,74 @@ class TestBm4dStage:
 
         monkeypatch.setattr(engine, "variances_from_fields", fail)
         rng = np.random.default_rng(12)
-        channel = Volume3(rng.standard_normal((16, 16, 16)))
+        channels = rng.standard_normal((1, 16, 16, 16))
         psd = NoisePsd(np.ones((16, 16, 16)))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="variance lookup failed"):
-            bm4d_stage([channel], psd, Bm4dProfile(), stage=1, threads=2)
+            bm4d_stage(channels, psd, Bm4dProfile(), stage=1, threads=2)
         assert threading.active_count() == before
 
     def test_single_channel_supported(self):
         rng = np.random.default_rng(9)
-        channel = Volume3(_smooth_signal(rng, (12, 12, 12), 5.0))
+        channels = _smooth_signal(rng, (12, 12, 12), 5.0)[None]
         psd = NoisePsd(np.ones((12, 12, 12)))
-        out = bm4d_multichannel([channel], psd)
-        assert len(out) == 1
-        assert out[0].dims == (12, 12, 12)
-        assert not out[0].is_complex
+        out = bm4d_multichannel(channels, psd)
+        assert out.shape == (1, 12, 12, 12)
+        assert out.dtype == np.float64
 
     def test_stage_argument_validated(self):
-        channel = Volume3(np.zeros((8, 8, 8)))
+        channels = np.zeros((1, 8, 8, 8))
         psd = NoisePsd(np.ones((8, 8, 8)))
         with pytest.raises(ValueError, match="stage must be 1 or 2"):
-            bm4d_stage([channel], psd, Bm4dProfile(), stage=3)
+            bm4d_stage(channels, psd, Bm4dProfile(), stage=3)
 
     def test_input_validation(self):
         psd = NoisePsd(np.ones((8, 8, 8)))
-        channel = Volume3(np.zeros((8, 8, 8)))
         with pytest.raises(ValueError, match="at least one channel"):
-            bm4d_stage([], psd, Bm4dProfile(), stage=1)
-        with pytest.raises(ValueError, match="share dims"):
-            bm4d_stage(
-                [channel, Volume3(np.zeros((8, 8, 4)))],
-                psd, Bm4dProfile(), stage=1,
-            )
+            bm4d_stage(np.zeros((0, 8, 8, 8)), psd, Bm4dProfile(), stage=1)
+        with pytest.raises(ValueError, match="at least one channel"):
+            bm4d_stage(np.zeros((8, 8, 8)), psd, Bm4dProfile(), stage=1)
         with pytest.raises(ValueError, match="must be real"):
             bm4d_stage(
-                [Volume3(np.zeros((8, 8, 8), dtype=np.complex128))],
+                np.zeros((1, 8, 8, 8), dtype=np.complex128),
                 psd, Bm4dProfile(), stage=1,
             )
+        nan = np.zeros((1, 8, 8, 8))
+        nan[0, 1, 2, 3] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            bm4d_stage(nan, psd, Bm4dProfile(), stage=1)
         with pytest.raises(ValueError, match="smaller than the block"):
             bm4d_stage(
-                [Volume3(np.zeros((3, 8, 8)))],
+                np.zeros((1, 3, 8, 8)),
                 NoisePsd(np.ones((3, 8, 8))), Bm4dProfile(), stage=1,
             )
         with pytest.raises(ValueError, match="PSD dims"):
             bm4d_stage(
-                [channel], NoisePsd(np.ones((8, 8, 4))), Bm4dProfile(), stage=1
+                np.zeros((1, 8, 8, 8)), NoisePsd(np.ones((8, 8, 4))),
+                Bm4dProfile(), stage=1,
             )
 
     def test_pilot_validation(self):
-        channel = Volume3(np.zeros((8, 8, 8)))
+        channels = np.zeros((1, 8, 8, 8))
         psd = NoisePsd(np.ones((8, 8, 8)))
-        with pytest.raises(ValueError, match="one pilot per channel"):
-            bm4d_stage([channel], psd, Bm4dProfile(), stage=2)
-        with pytest.raises(ValueError, match="one pilot per channel"):
+        with pytest.raises(ValueError, match="needs a pilot"):
+            bm4d_stage(channels, psd, Bm4dProfile(), stage=2)
+        with pytest.raises(ValueError, match="pilot shape"):
             bm4d_stage(
-                [channel], psd, Bm4dProfile(), stage=2,
-                pilot_channels=[channel, channel],
+                channels, psd, Bm4dProfile(), stage=2,
+                pilot_channels=np.zeros((2, 8, 8, 8)),
             )
         with pytest.raises(ValueError, match="stage 1 takes no pilot"):
+            bm4d_stage(channels, psd, Bm4dProfile(), stage=1, pilot_channels=channels)
+        with pytest.raises(ValueError, match="pilot shape"):
             bm4d_stage(
-                [channel], psd, Bm4dProfile(), stage=1,
-                pilot_channels=[channel],
+                channels, psd, Bm4dProfile(), stage=2,
+                pilot_channels=np.zeros((1, 8, 8, 4)),
             )
-        with pytest.raises(ValueError, match="matching dims"):
+        with pytest.raises(ValueError, match="must be real"):
             bm4d_stage(
-                [channel], psd, Bm4dProfile(), stage=2,
-                pilot_channels=[Volume3(np.zeros((8, 8, 4)))],
+                channels, psd, Bm4dProfile(), stage=2,
+                pilot_channels=np.zeros((1, 8, 8, 8), dtype=np.complex128),
             )
 
 

@@ -6,9 +6,9 @@ import struct
 import numpy as np
 import pytest
 
-from bm4dpc import __version__
+from bm4dpc import Volume3, __version__
 from bm4dpc.cli import build_parser, run_cli
-from bm4dpc.dataio import read_nifti
+from bm4dpc.dataio import read_nifti, write_nifti
 
 
 @pytest.fixture(scope="module")
@@ -127,6 +127,43 @@ class TestArgHandling:
             )
             assert code == 3
             assert "error:" in capsys.readouterr().err
+
+    def _denoise(self, small_sim, tmp_path, **paths):
+        argv = [
+            "denoise",
+            "--in", str(paths.get("noisy", small_sim / "noisy.nii")),
+            "--bval", str(paths.get("bvals", small_sim / "bvals")),
+            "--out", str(tmp_path / "out.nii"),
+        ]
+        if "noise_map" in paths:
+            argv += ["--noise-map", str(paths["noise_map"])]
+        return run_cli(argv)
+
+    def test_nan_voxel_is_io_error(self, small_sim, tmp_path, capsys):
+        blob = bytearray((small_sim / "noisy.nii").read_bytes())
+        struct.pack_into("<f", blob, 352 + 8 * 100, float("nan"))
+        path = tmp_path / "nan.nii"
+        path.write_bytes(bytes(blob))
+        assert self._denoise(small_sim, tmp_path, noisy=path) == 3
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_nan_bvalue_is_usage_error(self, small_sim, tmp_path, capsys):
+        tokens = (small_sim / "bvals").read_text().split()
+        tokens[3] = "nan"
+        path = tmp_path / "bvals"
+        path.write_text(" ".join(tokens) + "\n")
+        assert self._denoise(small_sim, tmp_path, bvals=path) == 2
+        assert "bvals must be finite" in capsys.readouterr().err
+
+    def test_negative_noise_map_is_usage_error(self, small_sim, tmp_path,
+                                               capsys):
+        sigma = read_nifti(str(small_sim / "sigma_true.nii"))
+        path = tmp_path / "sigma.nii"
+        write_nifti(Volume3(-sigma.data), path)
+        assert self._denoise(small_sim, tmp_path, noise_map=path) == 2
+        assert "noise map must be finite and nonnegative" in (
+            capsys.readouterr().err
+        )
 
     def test_single_volume_input_rejected(self, small_sim, tmp_path, capsys):
         code = run_cli(

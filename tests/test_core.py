@@ -1,17 +1,9 @@
-"""Domain types and the 4D <-> matrix reshaping round trip."""
+"""Domain types and the (N, m, n, o) stack layout."""
 
 import numpy as np
 import pytest
 
-from bm4dpc import (
-    DwiDataset,
-    NoiseMap,
-    NoisePsd,
-    SpatialKernel,
-    Volume3,
-    devectorize,
-    vectorize,
-)
+from bm4dpc import DwiDataset, NoiseMap, NoisePsd, SpatialKernel, Volume3
 
 
 def _volume(data):
@@ -54,7 +46,16 @@ class TestDwiDataset:
         assert ds.n_volumes == 3
         assert ds.dims == (2, 2, 2)
         assert not ds.is_complex
-        assert ds.stack().shape == (2, 2, 2, 3)
+        assert ds.stack().shape == (3, 2, 2, 2)
+
+    def test_stack_puts_volumes_first(self):
+        rng = np.random.default_rng(1)
+        vols = tuple(_volume(rng.standard_normal((3, 4, 5))) for _ in range(4))
+        stack = DwiDataset(vols, np.zeros(4)).stack()
+        assert stack.shape == (4, 3, 4, 5)
+        assert stack.flags.c_contiguous
+        for i, vol in enumerate(vols):
+            assert np.array_equal(stack[i], vol.data)
 
     def test_needs_two_volumes(self):
         with pytest.raises(ValueError):
@@ -127,62 +128,3 @@ class TestNoiseTypes:
         with pytest.raises(ValueError):
             SpatialKernel(np.ones((3, 3, 1)), center=(3, 0, 0))
 
-
-class TestVectorize:
-    def test_column_stacking_example(self):
-        # 2x1x1 volumes [a, b] and [c, d] stack to [[a, c], [b, d]]
-        a, b, c, d = 1.0, 2.0, 3.0, 4.0
-        ds = DwiDataset(
-            (
-                _volume(np.array([a, b]).reshape(2, 1, 1)),
-                _volume(np.array([c, d]).reshape(2, 1, 1)),
-            ),
-            [0.0, 0.0],
-        )
-        expected = np.array([[a, c], [b, d]])
-        assert np.array_equal(vectorize(ds), expected)
-
-    def test_devectorize_inverts_example(self):
-        matrix = np.array([[1.0, 3.0], [2.0, 4.0]])
-        vols = devectorize(matrix, (2, 1, 1))
-        assert np.array_equal(vols[0].data.ravel(order="F"), [1.0, 2.0])
-        assert np.array_equal(vols[1].data.ravel(order="F"), [3.0, 4.0])
-
-    def test_first_axis_fastest_ordering(self):
-        data = np.arange(24, dtype=np.float64).reshape(2, 3, 4)
-        ds = DwiDataset((_volume(data), _volume(data)), [0.0, 0.0])
-        col = vectorize(ds)[:, 0]
-        assert np.array_equal(col, data.ravel(order="F"))
-
-    def test_round_trip_exact(self):
-        rng = np.random.default_rng(0)
-        matrix = rng.standard_normal((24, 5))
-        vols = devectorize(matrix, (2, 3, 4))
-        ds = DwiDataset(tuple(vols), np.zeros(5))
-        assert np.array_equal(vectorize(ds), matrix)
-
-    def test_round_trip_from_volumes(self):
-        rng = np.random.default_rng(1)
-        vols = tuple(_volume(rng.standard_normal((3, 4, 5))) for _ in range(4))
-        ds = DwiDataset(vols, np.zeros(4))
-        back = devectorize(vectorize(ds), (3, 4, 5))
-        for orig, rec in zip(vols, back):
-            assert np.array_equal(orig.data, rec.data)
-        assert np.array_equal(vectorize(vols), vectorize(ds))
-
-    def test_more_volumes_than_voxels_rejected(self):
-        vols = tuple(_volume(np.zeros((3, 1, 1))) for _ in range(4))
-        ds = DwiDataset(vols, np.zeros(4))
-        with pytest.raises(ValueError):
-            vectorize(ds)
-
-    def test_dims_product_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            devectorize(np.zeros((24, 5)), (2, 3, 5))
-
-    def test_complex_round_trip(self):
-        rng = np.random.default_rng(2)
-        matrix = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
-        vols = devectorize(matrix, (2, 2, 2))
-        ds = DwiDataset(tuple(vols), np.zeros(3))
-        assert np.array_equal(vectorize(ds), matrix)

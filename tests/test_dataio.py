@@ -107,7 +107,12 @@ class TestNiftiRoundTrip:
         assert dim[1:5] == (3, 4, 5, 6)
 
     def test_writer_output_parses_independently(self, tmp_path):
-        """Decode our writer's file with plain struct/frombuffer calls."""
+        """Decode our writer's files with plain struct/frombuffer calls.
+
+        The 4D case holds distinct values, so any mix-up of the volume
+        axis with a spatial one shows, even if the reader made the
+        matching mistake.
+        """
         rng = np.random.default_rng(3)
         data = rng.standard_normal((4, 5, 6)).astype(np.float32)
         path = tmp_path / "plain.nii"
@@ -120,6 +125,19 @@ class TestNiftiRoundTrip:
             blob, dtype="<f4", count=m * n * o, offset=offset
         ).reshape((m, n, o), order="F")
         assert np.array_equal(decoded, data)
+
+        series = np.arange(3 * 4 * 5 * 6, dtype=np.float32).reshape(3, 4, 5, 6)
+        vols = tuple(Volume3(series[..., i]) for i in range(6))
+        path = tmp_path / "series.nii"
+        write_nifti(DwiDataset(vols, np.zeros(6)), path)
+
+        blob = path.read_bytes()
+        offset = int(_header_field(blob, "<f", 108))
+        assert struct.unpack_from("<5h", blob, 40) == (4, 3, 4, 5, 6)
+        decoded = np.frombuffer(
+            blob, dtype="<f4", count=series.size, offset=offset
+        ).reshape((3, 4, 5, 6), order="F")
+        assert np.array_equal(decoded, series)
 
     def test_reads_independent_reference_file(self, tmp_path):
         rng = np.random.default_rng(4)
@@ -135,6 +153,20 @@ class TestNiftiRoundTrip:
         path.write_bytes(_reference_nifti_bytes(data, scl_slope=2.0, scl_inter=1.0))
         back = read_nifti(path)
         assert np.allclose(back.data, data * 2.0 + 1.0, atol=0, rtol=0)
+
+    def test_nan_or_zero_scaling_means_unscaled(self, tmp_path):
+        """A zero or NaN slope leaves the payload unscaled (nibabel writes
+        NaN for unscaled float data); a NaN intercept reads as 0."""
+        data = np.arange(8, dtype=np.float32).reshape(2, 2, 2) - 3.0
+        nan = float("nan")
+        cases = [(nan, nan, data), (0.0, 5.0, data), (0.0, nan, data),
+                 (2.0, nan, 2.0 * data)]
+        for slope, inter, expected in cases:
+            path = tmp_path / "unscaled.nii"
+            path.write_bytes(
+                _reference_nifti_bytes(data, scl_slope=slope, scl_inter=inter)
+            )
+            assert np.array_equal(read_nifti(path).data, expected)
 
     def test_noise_map_round_trip(self, tmp_path):
         sigma = NoiseMap(np.abs(np.random.default_rng(5).standard_normal((3, 3, 3))).astype(np.float32))
@@ -191,6 +223,14 @@ class TestNiftiErrors:
             path.write_bytes(bytes(blob))
             with pytest.raises(NiftiError, match="vox_offset"):
                 read_nifti(path)
+
+    def test_non_finite_payload(self, tmp_path):
+        data = np.zeros((2, 2, 2, 3), np.float32)
+        data[1, 0, 1, 2] = np.nan
+        path = tmp_path / "nan.nii"
+        path.write_bytes(_reference_nifti_bytes(data))
+        with pytest.raises(NiftiError, match="non-finite"):
+            read_nifti(path)
 
     def test_big_endian_rejected_distinctly(self, tmp_path):
         blob = bytearray(_reference_nifti_bytes(np.zeros((2, 2, 2), np.float32)))

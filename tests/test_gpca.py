@@ -1,26 +1,30 @@
-"""Global PCA against an independent SVD oracle."""
+"""Global PCA against an independent SVD oracle.
+
+Stacks are (N, ...) arrays, volumes first. The oracles draw W x N
+matrices and hand the PCA their transpose.
+"""
 
 import numpy as np
 import pytest
 
-from bm4dpc import forward_pca, inverse_pca, vectorize
+from bm4dpc import forward_pca, inverse_pca
 
 
 class TestForwardPca:
     def test_identity_input(self):
         stack = forward_pca(np.eye(2))
         assert np.allclose(stack.eigenvalues, [1.0, 1.0], atol=1e-12)
-        A = vectorize(stack.pcs)
-        assert np.allclose(A.T @ A, np.eye(2), atol=1e-12)
+        A = stack.pcs
+        assert np.allclose(A @ A.T, np.eye(2), atol=1e-12)
         assert np.linalg.norm(A) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_rank_one_input(self):
         rng = np.random.default_rng(0)
         q = rng.standard_normal(50)
-        matrix = np.stack([q, 2.0 * q], axis=1)
+        matrix = np.stack([q, 2.0 * q])
         stack = forward_pca(matrix)
         assert stack.eigenvalues[1] <= 1e-10 * stack.eigenvalues[0]
-        second = vectorize(stack.pcs)[:, 1]
+        second = stack.pcs[1]
         assert np.linalg.norm(second) <= 1e-6 * np.linalg.norm(matrix)
 
     def test_svd_oracle(self):
@@ -28,12 +32,12 @@ class TestForwardPca:
         per-column sign."""
         rng = np.random.default_rng(1)
         matrix = rng.standard_normal((100, 8))
-        stack = forward_pca(matrix)
+        stack = forward_pca(matrix.T)
 
         u, s, _ = np.linalg.svd(matrix, full_matrices=False)
         assert np.allclose(stack.eigenvalues, s**2, rtol=1e-8)
 
-        A = vectorize(stack.pcs)
+        A = stack.pcs.T
         us = u * s
         for j in range(8):
             sign = np.sign(A[:, j] @ us[:, j])
@@ -41,19 +45,19 @@ class TestForwardPca:
 
     def test_eigenvalues_sorted_nonnegative(self):
         rng = np.random.default_rng(2)
-        stack = forward_pca(rng.standard_normal((60, 6)))
+        stack = forward_pca(rng.standard_normal((60, 6)).T)
         assert np.all(np.diff(stack.eigenvalues) <= 0)
         assert np.all(stack.eigenvalues >= 0)
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(3)
-        stack = forward_pca(rng.standard_normal((40, 5)))
+        stack = forward_pca(rng.standard_normal((40, 5)).T)
         gram = stack.basis.T @ stack.basis
         assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
 
     def test_sign_convention(self):
         rng = np.random.default_rng(4)
-        stack = forward_pca(rng.standard_normal((40, 5)))
+        stack = forward_pca(rng.standard_normal((40, 5)).T)
         for j in range(5):
             col = stack.basis[:, j]
             assert col[np.argmax(np.abs(col))] > 0
@@ -61,23 +65,23 @@ class TestForwardPca:
     def test_energy_conserved(self):
         rng = np.random.default_rng(5)
         matrix = rng.standard_normal((80, 7))
-        stack = forward_pca(matrix)
-        assert np.linalg.norm(vectorize(stack.pcs)) == pytest.approx(
+        stack = forward_pca(matrix.T)
+        assert np.linalg.norm(stack.pcs) == pytest.approx(
             np.linalg.norm(matrix), rel=1e-10
         )
 
     def test_dims_reshape(self):
         rng = np.random.default_rng(6)
-        stack = forward_pca(rng.standard_normal((24, 3)), dims=(2, 3, 4))
-        assert all(pc.dims == (2, 3, 4) for pc in stack.pcs)
-        assert stack.n_components == 3
+        stack = forward_pca(rng.standard_normal((3, 2, 3, 4)))
+        assert stack.pcs.shape == (3, 2, 3, 4)
+        assert stack.basis.shape == (3, 3)
 
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
-            forward_pca(np.zeros((3, 4)))
+            forward_pca(np.zeros((4, 3)))  # 4 volumes of 3 voxels
 
     def test_non_finite_rejected(self):
-        bad = np.zeros((5, 2))
+        bad = np.zeros((2, 5))
         bad[0, 0] = np.inf
         with pytest.raises(ValueError):
             forward_pca(bad)
@@ -86,39 +90,57 @@ class TestForwardPca:
 class TestInversePca:
     def test_round_trip(self):
         rng = np.random.default_rng(7)
-        matrix = rng.standard_normal((64, 6))
+        matrix = rng.standard_normal((64, 6)).T
         stack = forward_pca(matrix)
-        back = inverse_pca(vectorize(stack.pcs), stack.basis)
+        back = inverse_pca(stack.pcs, stack.basis)
         rel = np.linalg.norm(back - matrix) / np.linalg.norm(matrix)
         assert rel <= 1e-8
 
     def test_identity_basis_passthrough(self):
         rng = np.random.default_rng(8)
-        s_hat = rng.standard_normal((30, 4))
+        s_hat = rng.standard_normal((30, 4)).T
         assert np.array_equal(inverse_pca(s_hat, np.eye(4)), s_hat)
 
     def test_zeroed_last_pc_matches_truncated_svd(self):
         rng = np.random.default_rng(9)
         matrix = rng.standard_normal((50, 6))
-        stack = forward_pca(matrix)
+        stack = forward_pca(matrix.T)
 
-        pcs = vectorize(stack.pcs).copy()
-        pcs[:, -1] = 0.0
+        pcs = stack.pcs.copy()
+        pcs[-1] = 0.0
         recon = inverse_pca(pcs, stack.basis)
 
         u, s, vh = np.linalg.svd(matrix, full_matrices=False)
-        truncated = u[:, :5] @ np.diag(s[:5]) @ vh[:5]
+        truncated = (u[:, :5] @ np.diag(s[:5]) @ vh[:5]).T
         rel = np.linalg.norm(recon - truncated) / np.linalg.norm(matrix)
         assert rel <= 1e-8
 
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError):
-            inverse_pca(np.zeros((10, 2)), np.array([[1.0, 1.0], [0.0, 1.0]]))
+            inverse_pca(np.zeros((2, 10)), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
     def test_complex_round_trip(self):
         rng = np.random.default_rng(10)
-        matrix = rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+        matrix = (
+            rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
+        ).T
         stack = forward_pca(matrix)
-        back = inverse_pca(vectorize(stack.pcs), stack.basis)
+        back = inverse_pca(stack.pcs, stack.basis)
         rel = np.linalg.norm(back - matrix) / np.linalg.norm(matrix)
         assert rel <= 1e-8
+
+
+class TestStackLayout:
+    def test_non_cubic_stack_voxelwise(self):
+        """PC j is sum_i basis[i, j] * volume i voxel by voxel; distinct
+        m, n, o extents catch any mix-up of the spatial axes."""
+        rng = np.random.default_rng(11)
+        stack = rng.standard_normal((5, 3, 4, 6))
+        pcs = forward_pca(stack)
+        assert pcs.pcs.shape == stack.shape
+        for j in range(5):
+            expected = sum(pcs.basis[i, j] * stack[i] for i in range(5))
+            assert np.max(np.abs(pcs.pcs[j] - expected)) <= 1e-12
+        back = inverse_pca(pcs.pcs, pcs.basis)
+        assert back.shape == stack.shape
+        assert np.max(np.abs(back - stack)) <= 1e-12

@@ -20,7 +20,8 @@ from _util import pearson, radial_profile, rel_rmse, synth_colored
 
 
 def _white_volumes(rng, count, dims):
-    return [Volume3(rng.standard_normal(dims)) for _ in range(count)]
+    """A (count, *dims) stack of unit white noise."""
+    return rng.standard_normal((count,) + dims)
 
 
 class TestParams:
@@ -63,13 +64,12 @@ class TestClampSigma:
 
 class TestNoiseMap:
     def test_all_zero_pc(self):
-        out = estimate_noise_map([Volume3(np.zeros((8, 8, 8)))])
+        out = estimate_noise_map(np.zeros((1, 8, 8, 8)))
         assert np.all(out.data == 0.0)
 
     def test_iid_unit_noise_mean(self):
         rng = np.random.default_rng(20)
-        pc = Volume3(rng.standard_normal((32, 32, 32)))
-        out = estimate_noise_map([pc])
+        out = estimate_noise_map(rng.standard_normal((1, 32, 32, 32)))
         assert 0.95 <= out.data.mean() <= 1.05
 
     def test_bump_map_recovered(self):
@@ -77,32 +77,34 @@ class TestNoiseMap:
         dims = (32, 32, 32)
         truth = default_gfactor(dims)
         rng = np.random.default_rng(21)
-        pcs = [Volume3(rng.standard_normal(dims) * truth) for _ in range(3)]
+        pcs = np.stack([rng.standard_normal(dims) * truth for _ in range(3)])
         out = estimate_noise_map(pcs)
         assert pearson(out.data, truth) >= 0.9
 
     def test_averages_tail_pcs(self):
         rng = np.random.default_rng(22)
         pcs = _white_volumes(rng, 3, (16, 16, 16))
-        separate = [estimate_noise_map([pc]).data for pc in pcs]
+        separate = [estimate_noise_map(pc[None]).data for pc in pcs]
         combined = estimate_noise_map(pcs).data
         assert np.allclose(combined, np.mean(separate, axis=0), atol=1e-12)
 
     def test_scale_equivariance_exact(self):
         rng = np.random.default_rng(23)
         pc = rng.standard_normal((12, 12, 12))
-        base = estimate_noise_map([Volume3(pc)]).data
-        scaled = estimate_noise_map([Volume3(2.0 * pc)]).data
+        base = estimate_noise_map(pc[None]).data
+        scaled = estimate_noise_map(2.0 * pc[None]).data
         assert np.array_equal(scaled, 2.0 * base)
 
     def test_window_validation(self):
-        pc = Volume3(np.zeros((8, 8, 8)))
+        pc = np.zeros((1, 8, 8, 8))
         with pytest.raises(ValueError):
-            estimate_noise_map([pc], window=4)
+            estimate_noise_map(pc, window=4)
         with pytest.raises(ValueError):
-            estimate_noise_map([pc], window=9)
+            estimate_noise_map(pc, window=9)
         with pytest.raises(ValueError):
-            estimate_noise_map([])
+            estimate_noise_map(np.zeros((0, 8, 8, 8)))
+        with pytest.raises(ValueError, match="real"):
+            estimate_noise_map(np.zeros((1, 8, 8, 8), dtype=complex))
 
 
 class TestPsd:
@@ -115,7 +117,7 @@ class TestPsd:
 
     def test_unit_mean_always(self):
         rng = np.random.default_rng(25)
-        pcs = [Volume3(3.0 * rng.standard_normal((32, 32, 8)))]
+        pcs = 3.0 * rng.standard_normal((1, 32, 32, 8))
         psd = estimate_psd(pcs)
         assert abs(psd.data.mean() - 1.0) <= 1e-6
 
@@ -124,7 +126,7 @@ class TestPsd:
         kernel = make_colored_kernel()
         truth = kernel_to_psd(kernel, dims)
         rng = np.random.default_rng(26)
-        pcs = [Volume3(synth_colored(rng, dims, truth.data)) for _ in range(3)]
+        pcs = np.stack([synth_colored(rng, dims, truth.data) for _ in range(3)])
         est = estimate_psd(pcs)
 
         _, prof_est = radial_profile(est.data)
@@ -138,14 +140,14 @@ class TestPsd:
 
     def test_window_and_chunk_validation(self):
         rng = np.random.default_rng(28)
-        small = [Volume3(rng.standard_normal((8, 8, 8)))]
+        small = rng.standard_normal((1, 8, 8, 8))
         with pytest.raises(ValueError):
             estimate_psd(small)  # 16 x 16 window cannot fit
-        thin = [Volume3(rng.standard_normal((32, 32, 3)))]
+        thin = rng.standard_normal((1, 32, 32, 3))
         with pytest.raises(ValueError):
             estimate_psd(thin)  # fewer slices than one chunk
         with pytest.raises(ValueError):
-            estimate_psd([])
+            estimate_psd(np.zeros((0, 32, 32, 8)))
 
 
 class TestEstimateNoise:
