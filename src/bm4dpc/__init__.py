@@ -37,14 +37,8 @@ from .evaluate import (
     ssim,
 )
 from .gpca import PcStack, forward_pca, inverse_pca
-from .noisest import (
-    NoiseEstParams,
-    clamp_sigma,
-    estimate_noise,
-    estimate_noise_map,
-    estimate_psd,
-)
-from .phasestab import PhaseFilterParams, stabilize_phase, stabilize_volume
+from .noisest import clamp_sigma, estimate_noise, estimate_noise_map, estimate_psd
+from .phasestab import stabilize_phase
 from .pipeline import PipelineOptions, denoise_bm4dpc
 from .simulate import (
     NoiseSpec,
@@ -62,13 +56,11 @@ __all__ = [
     "DwiDataset",
     "MetricReport",
     "NiftiError",
-    "NoiseEstParams",
     "NoiseMap",
     "NoisePsd",
     "NoiseSpec",
     "PcStack",
     "PhantomSpec",
-    "PhaseFilterParams",
     "PipelineOptions",
     "ShellTable",
     "SpatialKernel",
@@ -100,6 +92,5 @@ __all__ = [
     "rmse_map",
     "ssim",
     "stabilize_phase",
-    "stabilize_volume",
     "write_nifti",
 ]

@@ -8,6 +8,7 @@ once per reference corner.
 """
 
 import itertools
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -18,7 +19,6 @@ from .transforms import group_inverse, group_transform
 from .variance import basis_autocorr, fold_psd, variances_from_fields, working_dims
 
 WEIGHT_FLOOR = 1e-12
-CORNERS_PER_CHUNK = 32
 
 
 def _match_from_view(view, dims, ref_pos, params: StageParams) -> np.ndarray:
@@ -130,8 +130,8 @@ def bm4d_stage(
     stage 2 matches on channel 0 of `pilot_channels` (the stage-1
     output, same shape) and Wiener-filters every channel against its
     own pilot spectrum. Returns the filtered (C, m, n, o) array.
-    Deterministic for any thread count: reference corners are processed
-    in fixed chunks whose partial sums are merged in order.
+    Identical output for any thread count: worker threads filter the
+    groups, and the calling thread adds them up in corner order.
     """
     params = _stage_params(profile, stage)
     stacked = _channel_stack(channels)
@@ -157,53 +157,49 @@ def bm4d_stage(
 
     work = working_dims(dims, block, params.search_radius)
     fields = basis_autocorr(fold_psd(psd.data, work), block)
-    corners = list(itertools.product(*(
+    corners = itertools.product(*(
         _starts(d, b, params.step) for d, b in zip(dims, block)
-    )))
-    chunks = [
-        corners[i:i + CORNERS_PER_CHUNK]
-        for i in range(0, len(corners), CORNERS_PER_CHUNK)
-    ]
+    ))
 
-    def process_chunk(chunk):
-        num = np.zeros((nchan,) + dims)
-        den = np.zeros((nchan,) + dims)
-        for ref in chunk:
-            positions = _match_from_view(guide_view, dims, ref, params)
-            var = variances_from_fields(fields, positions - positions[0], block)
-            px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
-            group = view[:, px, py, pz]  # (C, M, b0, b1, b2)
-            coeffs = group_transform(group)
-            if stage == 1:
-                shrunk, keep = _ht_core(coeffs, var, params.threshold)
-                weight = 1.0 / np.maximum(
-                    (keep * var).sum(axis=(1, 2, 3, 4)), WEIGHT_FLOOR
-                )
-            else:
-                pilot_group = pilot_view[:, px, py, pz]
-                shrunk, weight = wiener_shrink(
-                    coeffs, group_transform(pilot_group), var
-                )
-            accumulate_blocks(num, den, positions, group_inverse(shrunk), weight)
-        return num, den
+    def filter_group(ref):
+        positions = _match_from_view(guide_view, dims, ref, params)
+        var = variances_from_fields(fields, positions - positions[0], block)
+        px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
+        group = view[:, px, py, pz]  # (C, M, b0, b1, b2)
+        coeffs = group_transform(group)
+        if stage == 1:
+            shrunk, keep = _ht_core(coeffs, var, params.threshold)
+            weight = 1.0 / np.maximum(
+                (keep * var).sum(axis=(1, 2, 3, 4)), WEIGHT_FLOOR
+            )
+        else:
+            pilot_group = pilot_view[:, px, py, pz]
+            shrunk, weight = wiener_shrink(
+                coeffs, group_transform(pilot_group), var
+            )
+        return positions, group_inverse(shrunk), weight
 
-    def merge(partials):  # fixed chunk order keeps float sums stable
-        total_num = np.zeros((nchan,) + dims)
-        total_den = np.zeros((nchan,) + dims)
-        for num, den in partials:
-            total_num += num
-            total_den += den
-        return total_num, total_den
-
+    num = np.zeros((nchan,) + dims)
+    den = np.zeros((nchan,) + dims)
     if threads <= 1:
-        total_num, total_den = merge(map(process_chunk, chunks))
+        for ref in corners:
+            accumulate_blocks(num, den, *filter_group(ref))
     else:
+        # a bounded queue keeps finished groups from piling up, and the
+        # corner-order sum makes the output independent of the thread count
         with ThreadPoolExecutor(max_workers=threads) as executor:
-            total_num, total_den = merge(executor.map(process_chunk, chunks))
+            pending = deque()
+            for ref in corners:
+                pending.append(executor.submit(filter_group, ref))
+                if len(pending) == 2 * threads:
+                    accumulate_blocks(num, den, *pending.popleft().result())
+            for future in pending:
+                accumulate_blocks(num, den, *future.result())
 
-    if not np.all(total_den > 0):
+    if not np.all(den > 0):
         raise AssertionError("aggregation left uncovered voxels")
-    return total_num / total_den
+    num /= den
+    return num
 
 
 def bm4d_multichannel(channels, psd: NoisePsd, profile: Bm4dProfile = None,

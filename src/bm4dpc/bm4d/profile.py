@@ -22,6 +22,8 @@ class StageParams:
             raise ValueError("max_group must be >= 1")
         if self.step < 1:
             raise ValueError("step must be >= 1")
+        if self.step > min(self.block):  # reference blocks must tile the volume
+            raise ValueError("step must not exceed the smallest block edge")
         if self.threshold < 0:
             raise ValueError("threshold must be nonnegative")
 

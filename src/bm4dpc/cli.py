@@ -19,7 +19,7 @@ from . import __version__
 from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
 from .dataio import NiftiError, attach_gradients, read_bvals_bvecs, read_nifti, write_nifti
 from .evaluate import fit_dti, mppca_denoise, report_metrics
-from .noisest import NoiseEstParams, estimate_noise
+from .noisest import estimate_noise
 from .phasestab import stabilize_phase
 from .pipeline import PipelineOptions, denoise_bm4dpc
 from .simulate import NoiseSpec, PhantomSpec, add_noise, make_colored_kernel, make_phantom
@@ -40,12 +40,6 @@ def _err(message):
 
 
 def _default_threads():
-    env = os.environ.get("BM4DPC_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
     if hasattr(os, "sched_getaffinity"):  # CPUs this process may run on
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -154,7 +148,7 @@ def _cmd_denoise(args):
 
 def _cmd_estimate_noise(args):
     dataset = _as_real(_load_dataset(args.input, args.bval))
-    sigma, psd = estimate_noise(dataset, NoiseEstParams())
+    sigma, psd = estimate_noise(dataset)
     write_nifti(sigma, args.out_map)
     write_nifti(psd, args.out_psd)
     return EXIT_OK
@@ -202,7 +196,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
         "--threads", type=int, default=_default_threads(),
-        help="worker threads (env BM4DPC_THREADS); results do not depend on it",
+        help="worker threads (default: usable CPUs); results do not depend on it",
     )
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     parser.add_argument("--verbose", action="store_true")
@@ -226,8 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--noise-map", help="NIfTI sigma map overriding estimation")
     p.add_argument("--psd", help="NIfTI noise PSD overriding estimation")
-    p.add_argument("--profile", choices=["np"], default="np",
-                   help="filtering profile; only the standard one exists")
     p.add_argument("--real-input", action="store_true",
                    help="input is already real; skip phase stabilization")
     p.add_argument("--save-noise-estimates", metavar="DIR")

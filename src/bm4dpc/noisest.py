@@ -6,8 +6,6 @@ the spatial map, and windowed 2D periodograms (minimum across slice
 chunks, to reject residual signal) give the in-plane power spectrum.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy import ndimage
 
@@ -15,27 +13,13 @@ from .core import DwiDataset, NoiseMap, NoisePsd, _starts
 from .dataio import group_shells
 from .gpca import forward_pca
 
-
-@dataclass(frozen=True)
-class NoiseEstParams:
-    """Windowing choices for the map and PSD estimators."""
-
-    tail_count: int = 3
-    map_window: int = 5
-    psd_window: int = 16
-    chunk_size: int = 5
-    chunk_step: int = 3
-    window_step: int = 8
-
-    def __post_init__(self):
-        fields = (
-            self.tail_count, self.map_window, self.psd_window,
-            self.chunk_size, self.chunk_step, self.window_step,
-        )
-        if any(int(v) != v or v < 1 for v in fields):
-            raise ValueError("all estimation parameters must be positive integers")
-        if self.map_window % 2 != 1:
-            raise ValueError("map_window must be odd")
+TAIL_COUNT = 3    # last PCs of the highest shell taken as pure noise
+MAP_WINDOW = 5    # odd edge of the cubic window of the local std map
+PSD_WINDOW = 16   # in-plane edge of the periodogram windows
+CHUNK_SIZE = 5    # consecutive slices averaged into one chunk spectrum
+CHUNK_STEP = 3    # slice step between chunks
+WINDOW_STEP = 8   # in-plane step between periodogram windows
+SIGMA_CLAMP_FRACTION = 0.01  # sigma floor, relative to the median positive sigma
 
 
 def _tail_array(tail_pcs) -> np.ndarray:
@@ -48,36 +32,33 @@ def _tail_array(tail_pcs) -> np.ndarray:
     return tail_pcs
 
 
-def clamp_sigma(sigma: np.ndarray, fraction: float = 0.01) -> np.ndarray:
-    """Floor a sigma map at `fraction` of its median positive value.
+def clamp_sigma(sigma: np.ndarray) -> np.ndarray:
+    """Floor a sigma map at SIGMA_CLAMP_FRACTION of its median positive value.
 
     Keeps the subsequent voxel-wise division from exploding in
     background voxels where the estimate collapses to ~0. Relative
     flooring keeps the estimators scale equivariant.
     """
-    if not 0 < fraction < 1:
-        raise ValueError("clamp fraction must lie in (0, 1)")
     positive = sigma[sigma > 0]
     if positive.size == 0:
         raise ValueError("sigma map has no positive entries to clamp against")
-    return np.maximum(sigma, fraction * np.median(positive))
+    return np.maximum(sigma, SIGMA_CLAMP_FRACTION * np.median(positive))
 
 
-def estimate_noise_map(tail_pcs, window: int = 5) -> NoiseMap:
+def estimate_noise_map(tail_pcs) -> NoiseMap:
     """Voxel-wise noise sigma from windowed sample standard deviations.
 
     `tail_pcs` is a real (K, m, n, o) array. Each tail PC yields a
-    local std map (mean-subtracted, divisor n-1, window shrunk at the
-    borders); the final map is their arithmetic mean.
+    local std map (MAP_WINDOW-cubed window, mean-subtracted, divisor
+    n-1, window shrunk at the borders); the final map is their
+    arithmetic mean.
     """
     tail_pcs = _tail_array(tail_pcs)
-    if window % 2 != 1:
-        raise ValueError("window must be odd")
     dims = tail_pcs.shape[1:]
-    if window > min(dims):
+    if MAP_WINDOW > min(dims):
         raise ValueError("window larger than the volume")
 
-    kernel = np.ones((window,) * 3)
+    kernel = np.ones((MAP_WINDOW,) * 3)
     counts = ndimage.correlate(np.ones(dims), kernel, mode="constant", cval=0.0)
     maps = []
     for x in tail_pcs:
@@ -88,19 +69,19 @@ def estimate_noise_map(tail_pcs, window: int = 5) -> NoiseMap:
     return NoiseMap(np.mean(maps, axis=0))
 
 
-def _psd_for_pc(x: np.ndarray, params: NoiseEstParams) -> np.ndarray:
+def _psd_for_pc(x: np.ndarray) -> np.ndarray:
     m, n, o = x.shape
-    w = params.psd_window
+    w = PSD_WINDOW
     if w > min(m, n):
         raise ValueError("psd window exceeds the slice dims")
-    if params.chunk_size > o:
+    if CHUNK_SIZE > o:
         raise ValueError("fewer slices than one chunk")
 
-    xs = _starts(m, w, params.window_step)
-    ys = _starts(n, w, params.window_step)
+    xs = _starts(m, w, WINDOW_STEP)
+    ys = _starts(n, w, WINDOW_STEP)
     chunk_psds = []
-    for z0 in _starts(o, params.chunk_size, params.chunk_step):
-        sub = x[:, :, z0:z0 + params.chunk_size]
+    for z0 in _starts(o, CHUNK_SIZE, CHUNK_STEP):
+        sub = x[:, :, z0:z0 + CHUNK_SIZE]
         view = np.lib.stride_tricks.sliding_window_view(sub, (w, w), axis=(0, 1))
         wins = view[np.ix_(xs, ys)].astype(np.float64)  # (nx, ny, chunk, w, w)
         wins = wins - wins.mean(axis=(-2, -1), keepdims=True)
@@ -122,7 +103,7 @@ def _psd_for_pc(x: np.ndarray, params: NoiseEstParams) -> np.ndarray:
     return psi / psi.mean()
 
 
-def estimate_psd(tail_pcs_normalized, params: NoiseEstParams = None) -> NoisePsd:
+def estimate_psd(tail_pcs_normalized) -> NoisePsd:
     """Noise PSD from sigma-normalized tail PCs, a (K, m, n, o) array.
 
     Per PC: windowed mean-subtracted 2D periodograms are averaged
@@ -132,42 +113,33 @@ def estimate_psd(tail_pcs_normalized, params: NoiseEstParams = None) -> NoisePsd
     (constant along the through-slice frequency). The per-PC spectra
     are averaged and scaled to unit grid mean.
     """
-    if params is None:
-        params = NoiseEstParams()
-    spectra = [_psd_for_pc(x, params) for x in _tail_array(tail_pcs_normalized)]
+    spectra = [_psd_for_pc(x) for x in _tail_array(tail_pcs_normalized)]
     psi = np.mean(spectra, axis=0)
     return NoisePsd(psi / psi.mean())
 
 
-def estimate_noise(
-    dataset: DwiDataset,
-    params: NoiseEstParams = None,
-    clamp_fraction: float = 0.01,
-):
+def estimate_noise(dataset: DwiDataset):
     """Estimate (sigma map, PSD) from the highest shell of a real dataset.
 
     The highest-shell volumes are decomposed by PCA; the last
-    `tail_count` PC images feed the map estimator, then, normalized by
+    TAIL_COUNT PC images feed the map estimator, then, normalized by
     the clamped map, the PSD estimator.
 
     Returns
     -------
     (NoiseMap, NoisePsd)
     """
-    if params is None:
-        params = NoiseEstParams()
     if dataset.is_complex:
         raise ValueError("noise estimation expects real (phase-stabilized) data")
 
     shells = group_shells(dataset.bvals)
     members = shells.highest
-    if len(members) <= params.tail_count:
+    if len(members) <= TAIL_COUNT:
         raise ValueError("highest shell has too few volumes for the tail")
 
     stack = forward_pca(np.stack([dataset.volumes[i].data for i in members]))
-    tail = stack.pcs[-params.tail_count:]
+    tail = stack.pcs[-TAIL_COUNT:]
 
-    sigma = estimate_noise_map(tail, params.map_window)
-    clamped = clamp_sigma(sigma.data, clamp_fraction)
-    psd = estimate_psd(tail / clamped, params)
+    sigma = estimate_noise_map(tail)
+    psd = estimate_psd(tail / clamp_sigma(sigma.data))
     return sigma, psd

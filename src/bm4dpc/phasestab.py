@@ -7,54 +7,29 @@ zero-mean Gaussian with the per-channel standard deviation of the
 input.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from .core import DwiDataset, Volume3
 
-
-@dataclass(frozen=True)
-class PhaseFilterParams:
-    """Spatial sigma (voxels) of the 2D phase-smoothing Gaussian."""
-
-    lowpass_sigma: float = 2.0
-
-    def __post_init__(self):
-        if not self.lowpass_sigma > 0:
-            raise ValueError("lowpass_sigma must be positive")
+LOWPASS_SIGMA = 2.0  # in-plane sigma (voxels) of the phase-smoothing Gaussian
 
 
-def _stabilize_slice(slc: np.ndarray, sigma: float) -> np.ndarray:
-    # replicate padding keeps the border phase estimate stable
-    smooth_re = gaussian_filter(slc.real, sigma, mode="nearest")
-    smooth_im = gaussian_filter(slc.imag, sigma, mode="nearest")
-    phase = np.arctan2(smooth_im, smooth_re)
-    return (slc.real * np.cos(phase) + slc.imag * np.sin(phase))
-
-
-def stabilize_volume(volume: Volume3, params: PhaseFilterParams) -> Volume3:
-    """Phase-stabilize one complex volume slice by slice."""
-    if not volume.is_complex:
-        raise ValueError("phase stabilization expects complex samples")
-    data = volume.data
-    out = np.empty(data.shape, dtype=np.float64)
-    for k in range(data.shape[2]):
-        out[:, :, k] = _stabilize_slice(data[:, :, k], params.lowpass_sigma)
-    return Volume3(out)
-
-
-def stabilize_phase(dataset: DwiDataset, params: PhaseFilterParams = None) -> DwiDataset:
+def stabilize_phase(dataset: DwiDataset) -> DwiDataset:
     """Convert a complex dataset to real volumes with Gaussian noise.
 
     For each slice s the phase estimate is arg(G_sigma (*) s) and the
     output is Re(s * exp(-i * phase)). Deterministic and independent
-    per (volume, slice).
+    per (volume, slice): the whole (N, m, n, o) stack is filtered at
+    once with a zero sigma along the volume and slice axes.
     """
-    if params is None:
-        params = PhaseFilterParams()
     if not dataset.is_complex:
         raise ValueError("dataset is already real; skip phase stabilization")
-    volumes = [stabilize_volume(v, params) for v in dataset.volumes]
-    return dataset.with_volumes(volumes)
+    x = dataset.stack()
+    s = LOWPASS_SIGMA
+    # replicate padding keeps the border phase estimate stable
+    smooth_re = gaussian_filter(x.real, (0, s, s, 0), mode="nearest")
+    smooth_im = gaussian_filter(x.imag, (0, s, s, 0), mode="nearest")
+    phase = np.arctan2(smooth_im, smooth_re)
+    out = x.real * np.cos(phase) + x.imag * np.sin(phase)
+    return dataset.with_volumes([Volume3(v) for v in out])

@@ -6,34 +6,28 @@ caller), volumes are normalized by the clamped map, decorrelated by
 global PCA, every component is collaboratively filtered under the
 shared PSD, and the result is rotated and rescaled back. Between the
 input and the returned dataset the volumes travel as one (N, m, n, o)
-array.
+array. The method's fixed settings are module constants of the layer
+that uses them; the caller supplies only the data and, optionally, the
+noise statistics.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
-from .bm4d import Bm4dProfile, bm4d_multichannel
+from .bm4d import StageParams, bm4d_multichannel
 from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
 from .gpca import forward_pca, inverse_pca
-from .noisest import NoiseEstParams, clamp_sigma, estimate_noise
-from .phasestab import PhaseFilterParams, stabilize_phase
+from .noisest import clamp_sigma, estimate_noise
+from .phasestab import stabilize_phase
 
 
 @dataclass(frozen=True)
 class PipelineOptions:
-    """Knobs for the full pipeline; defaults mirror the standard setup."""
+    """Noise statistics that override estimation, and real-input mode."""
 
     provided_noise_map: Optional[NoiseMap] = None
     provided_psd: Optional[NoisePsd] = None
-    noise_est_params: NoiseEstParams = field(default_factory=NoiseEstParams)
-    bm4d_profile: Bm4dProfile = field(default_factory=Bm4dProfile)
-    phase_params: PhaseFilterParams = field(default_factory=PhaseFilterParams)
-    sigma_clamp_fraction: float = 0.01
     skip_phase_stabilization: bool = False
-
-    def __post_init__(self):
-        if not 0 < self.sigma_clamp_fraction < 1:
-            raise ValueError("sigma_clamp_fraction must lie in (0, 1)")
 
 
 def denoise_bm4dpc(dataset: DwiDataset, options: PipelineOptions = None,
@@ -55,30 +49,25 @@ def denoise_bm4dpc(dataset: DwiDataset, options: PipelineOptions = None,
             )
         real = dataset
     else:
-        real = stabilize_phase(dataset, options.phase_params)
+        real = stabilize_phase(dataset)
 
     dims = real.dims
-    block = options.bm4d_profile.ht.block
-    if any(d < b for d, b in zip(dims, block)):
+    if any(d < b for d, b in zip(dims, StageParams().block)):
         raise ValueError("volume dims fall below the filtering block size")
 
     sigma_map = options.provided_noise_map
     psd = options.provided_psd
     if sigma_map is None or psd is None:
         # estimation runs on the non-normalized real data
-        est_map, est_psd = estimate_noise(
-            real, options.noise_est_params, options.sigma_clamp_fraction
-        )
+        est_map, est_psd = estimate_noise(real)
         sigma_map = sigma_map if sigma_map is not None else est_map
         psd = psd if psd is not None else est_psd
     if sigma_map.dims != dims or psd.dims != dims:
         raise ValueError("noise map and PSD dims must match the data")
 
-    clamped = clamp_sigma(sigma_map.data, options.sigma_clamp_fraction)
+    clamped = clamp_sigma(sigma_map.data)
     stack = forward_pca(real.stack() / clamped)
-    denoised_pcs = bm4d_multichannel(
-        stack.pcs, psd, options.bm4d_profile, threads=threads
-    )
+    denoised_pcs = bm4d_multichannel(stack.pcs, psd, threads=threads)
     restored = inverse_pca(denoised_pcs, stack.basis)
     restored *= clamped
 

@@ -379,3 +379,12 @@ class TestProfiles:
             StageParams(step=0)
         with pytest.raises(ValueError, match="threshold"):
             StageParams(threshold=-0.1)
+
+    def test_step_beyond_block_rejected(self):
+        """A step past the block edge leaves voxels no reference block
+        covers; it is refused up front, not when aggregating."""
+        StageParams(step=4)  # equal to the edge: blocks still tile
+        with pytest.raises(ValueError, match="step must not exceed"):
+            StageParams(step=6, search_radius=(1, 1, 1))
+        with pytest.raises(ValueError, match="step must not exceed"):
+            StageParams(block=(4, 2, 4), step=3)

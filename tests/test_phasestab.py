@@ -3,13 +3,7 @@
 import numpy as np
 import pytest
 
-from bm4dpc import (
-    DwiDataset,
-    PhaseFilterParams,
-    Volume3,
-    stabilize_phase,
-    stabilize_volume,
-)
+from bm4dpc import DwiDataset, Volume3, stabilize_phase
 
 from _util import pearson
 
@@ -21,15 +15,6 @@ def _positive_field(rng, dims):
 def _complex_dataset(arrays):
     vols = tuple(Volume3(np.asarray(a, dtype=complex)) for a in arrays)
     return DwiDataset(vols, np.zeros(len(vols)))
-
-
-class TestParams:
-    def test_sigma_must_be_positive(self):
-        PhaseFilterParams(lowpass_sigma=2.0)
-        with pytest.raises(ValueError):
-            PhaseFilterParams(lowpass_sigma=0.0)
-        with pytest.raises(ValueError):
-            PhaseFilterParams(lowpass_sigma=-1.0)
 
 
 class TestStabilize:
@@ -103,9 +88,24 @@ class TestStabilize:
         about half the complex noise power (a bit less near DC where
         the low-pass phase estimate locks onto the noise)."""
         rng = np.random.default_rng(5)
-        noise = rng.standard_normal((64, 64, 64)) + 1j * rng.standard_normal(
-            (64, 64, 64)
-        )
-        out = stabilize_volume(Volume3(noise), PhaseFilterParams())
-        ratio = out.data.var() / (noise.real.var() + noise.imag.var())
+        shape = (2, 64, 64, 32)
+        noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        out = stabilize_phase(_complex_dataset(noise)).stack()
+        ratio = out.var() / (noise.real.var() + noise.imag.var())
         assert 0.4 <= ratio <= 0.6
+
+    def test_volumes_and_slices_filtered_separately(self):
+        """Changing one slice of one volume changes nothing else: the
+        phase low-pass must not smooth across volumes or slices."""
+        rng = np.random.default_rng(6)
+        shape = (3, 12, 10, 5)
+        base = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        changed = base.copy()
+        changed[1, :, :, 2] *= np.exp(1j * 1.3) * 4.0
+        changed[1, 3, 4, 2] += 2.0 - 1.5j
+        out0 = stabilize_phase(_complex_dataset(base)).stack()
+        out1 = stabilize_phase(_complex_dataset(changed)).stack()
+        touched = np.zeros(shape, bool)
+        touched[1, :, :, 2] = True
+        assert not np.array_equal(out0[touched], out1[touched])
+        assert np.array_equal(out0[~touched], out1[~touched])

@@ -9,15 +9,6 @@ from bm4dpc.pipeline import PipelineOptions, denoise_bm4dpc
 from _util import shell_mean_psnr
 
 
-class TestPipelineOptions:
-    def test_clamp_fraction_range(self):
-        with pytest.raises(ValueError, match="sigma_clamp_fraction"):
-            PipelineOptions(sigma_clamp_fraction=0.0)
-        with pytest.raises(ValueError, match="sigma_clamp_fraction"):
-            PipelineOptions(sigma_clamp_fraction=1.0)
-        PipelineOptions(sigma_clamp_fraction=0.5)  # interior value fine
-
-
 class TestVanishingNoise:
     def test_near_identity_on_clean_input(self, gt_real):
         """With (sigma, psd) pinned to a vanishing noise level the
