@@ -1,10 +1,11 @@
 """Separable orthonormal transforms for grouped blocks.
 
-A group of M blocks of shape (b0, b1, b2) is transformed by a 4-point
-(in general b-point) DCT-II along each block axis and an orthonormal
-Haar transform of size M along the group axis. Everything is real and
-orthonormal, so coefficient energies and the exact-variance formula
-stay simple.
+A group of M blocks of shape (b0, b1, b2) is transformed by the 3D
+DCT-II of each block, applied as one matrix over the flattened block
+(`block_basis`, the Kronecker product of the per-axis DCT matrices),
+and by an orthonormal Haar transform of size M along the group axis.
+Everything is real and orthonormal, so coefficient energies and the
+exact-variance formula stay simple.
 """
 
 from functools import lru_cache
@@ -39,10 +40,6 @@ def haar_matrix(m: int) -> np.ndarray:
     return mat
 
 
-def _apply(mat: np.ndarray, arr: np.ndarray, axis: int) -> np.ndarray:
-    return np.moveaxis(np.tensordot(mat, arr, axes=(1, axis)), 0, axis)
-
-
 def group_transform(samples: np.ndarray) -> np.ndarray:
     """Forward 4D transform of one group.
 
@@ -53,10 +50,10 @@ def group_transform(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim < 4:
         raise ValueError("expected (..., M, b0, b1, b2) samples")
-    out = samples
-    for i, edge in enumerate(samples.shape[-3:]):
-        out = _apply(dct_matrix(edge), out, out.ndim - 3 + i)
-    return _apply(haar_matrix(samples.shape[-4]), out, out.ndim - 4)
+    flat = samples.reshape(samples.shape[:-3] + (-1,))
+    basis = block_basis(samples.shape[-3:]).reshape(flat.shape[-1], -1)
+    out = haar_matrix(samples.shape[-4]) @ (flat @ basis.T)
+    return out.reshape(samples.shape)
 
 
 def group_inverse(coeffs: np.ndarray) -> np.ndarray:
@@ -64,12 +61,13 @@ def group_inverse(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim < 4:
         raise ValueError("expected (..., M, b0, b1, b2) coefficients")
-    out = _apply(haar_matrix(coeffs.shape[-4]).T, coeffs, coeffs.ndim - 4)
-    for i, edge in enumerate(coeffs.shape[-3:]):
-        out = _apply(dct_matrix(edge).T, out, out.ndim - 3 + i)
-    return out
+    flat = coeffs.reshape(coeffs.shape[:-3] + (-1,))
+    basis = block_basis(coeffs.shape[-3:]).reshape(flat.shape[-1], -1)
+    out = (haar_matrix(coeffs.shape[-4]).T @ flat) @ basis
+    return out.reshape(coeffs.shape)
 
 
+@lru_cache(maxsize=None)
 def block_basis(block: tuple) -> np.ndarray:
     """All 3D transform basis functions, shape (prod(block), b0, b1, b2).
 
@@ -79,4 +77,6 @@ def block_basis(block: tuple) -> np.ndarray:
     t0, t1, t2 = (dct_matrix(e) for e in block)
     basis = np.einsum("ai,bj,ck->abcijk", t0, t1, t2)
     size = int(np.prod(block))
-    return basis.reshape(size, *block)
+    basis = basis.reshape(size, *block)
+    basis.setflags(write=False)  # cached: every caller shares this array
+    return basis

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -98,9 +99,7 @@ def _cmd_simulate(args):
     )
 
     os.makedirs(args.out, exist_ok=True)
-    magnitude = clean.with_volumes(
-        [Volume3(np.abs(v.data)) for v in clean.volumes]
-    )
+    magnitude = replace(clean, data=np.abs(clean.data))
     write_nifti(magnitude, os.path.join(args.out, "gt.nii"))
     write_nifti(noisy, os.path.join(args.out, "noisy.nii"))
     write_nifti(sigma, os.path.join(args.out, "sigma_true.nii"))
@@ -109,7 +108,7 @@ def _cmd_simulate(args):
         Volume3(support.astype(np.float64)), os.path.join(args.out, "mask.nii")
     )
     _write_gradients(args.out, clean.bvals, clean.bvecs)
-    _log(args, f"simulated {len(clean.volumes)} volumes into {args.out}")
+    _log(args, f"simulated {clean.n_volumes} volumes into {args.out}")
     return EXIT_OK
 
 
@@ -142,7 +141,7 @@ def _cmd_denoise(args):
         write_nifti(
             used_psd, os.path.join(args.save_noise_estimates, "psd_est.nii")
         )
-    _log(args, f"denoised {len(denoised.volumes)} volumes -> {args.out}")
+    _log(args, f"denoised {denoised.n_volumes} volumes -> {args.out}")
     return EXIT_OK
 
 
@@ -160,7 +159,7 @@ def _cmd_metrics(args):
     mask = _load_volume(args.mask).data > 0.5 if args.mask else None
     report = report_metrics(ref, test, mask)
     with open(args.out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2)
+        json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
         fh.write("\n")
     _log(args, f"metrics written to {args.out}")
     return EXIT_OK

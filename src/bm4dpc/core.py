@@ -1,13 +1,13 @@
 """Shared domain types.
 
-A stack of N volumes of dims (m, n, o) is one C-contiguous array of
-shape (N, m, n, o), as built by `DwiDataset.stack`; the PCA, noise
+A series of N volumes of dims (m, n, o) is one C-contiguous array of
+shape (N, m, n, o): `DwiDataset.data` stores it, and the PCA, noise
 estimation and filtering layers all take and return that layout. Every
 type here is immutable after construction and safe to share across
 workers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
 import numpy as np
@@ -26,13 +26,19 @@ def _starts(extent: int, size: int, step: int) -> list:
     return starts
 
 
-def _as_samples(data) -> np.ndarray:
-    """Coerce to a float64 or complex128 ndarray without copying twice."""
+def _as_samples(data, ndim: int, what: str) -> np.ndarray:
+    """Finite, non-empty float64 or complex128 C-contiguous samples."""
     arr = np.asarray(data)
     if np.iscomplexobj(arr):
         arr = np.ascontiguousarray(arr, dtype=np.complex128)
     else:
         arr = np.ascontiguousarray(arr, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{what} must be {ndim}D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{what} must be non-empty")
+    if not np.all(np.isfinite(arr)):
+        raise ValueError(f"{what} contains non-finite samples")
     return arr
 
 
@@ -50,14 +56,7 @@ class Volume3:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = _as_samples(self.data)
-        if arr.ndim != 3:
-            raise ValueError(f"volume must be 3D, got shape {arr.shape}")
-        if arr.size == 0:
-            raise ValueError("volume must be non-empty")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("volume contains non-finite samples")
-        object.__setattr__(self, "data", arr)
+        object.__setattr__(self, "data", _as_samples(self.data, 3, "volume"))
 
     @property
     def dims(self) -> tuple:
@@ -74,68 +73,64 @@ class DwiDataset:
 
     Parameters
     ----------
-    volumes : sequence of Volume3
-        N >= 2 volumes sharing dims and sample kind (all real or all
-        complex).
+    data : ndarray (N, m, n, o)
+        N >= 2 volumes, volumes first. Stored C-contiguous, as float64
+        for real input and complex128 for complex input. All samples
+        must be finite.
     bvals : array (N,)
         Nonnegative b-values in s/mm^2.
     bvecs : array (N, 3), optional
-        Unit gradient directions; only required for tensor fitting.
-        Rows belonging to b=0 volumes may be zero vectors.
+        Finite unit gradient directions; only required for tensor
+        fitting. Rows belonging to b=0 volumes may be zero vectors.
     """
 
-    volumes: tuple
+    data: np.ndarray
     bvals: np.ndarray
     bvecs: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        vols = tuple(self.volumes)
-        if len(vols) < 2:
+        data = _as_samples(self.data, 4, "dataset")
+        n = data.shape[0]
+        if n < 2:
             raise ValueError("dataset needs at least 2 volumes")
-        dims = vols[0].dims
-        is_complex = vols[0].is_complex
-        for v in vols:
-            if v.dims != dims:
-                raise ValueError("all volumes must share dims")
-            if v.is_complex != is_complex:
-                raise ValueError("all volumes must share sample kind")
         bvals = np.asarray(self.bvals, dtype=np.float64)
-        if bvals.shape != (len(vols),):
+        if bvals.shape != (n,):
             raise ValueError("bvals count must match volume count")
         if np.any(bvals < 0) or not np.all(np.isfinite(bvals)):
             raise ValueError("bvals must be finite and nonnegative")
         bvecs = self.bvecs
         if bvecs is not None:
             bvecs = np.asarray(bvecs, dtype=np.float64)
-            if bvecs.shape != (len(vols), 3):
-                raise ValueError("bvecs must be (N, 3)")
+            if bvecs.shape != (n, 3) or not np.all(np.isfinite(bvecs)):
+                raise ValueError("bvecs must be a finite (N, 3) array")
             norms = np.linalg.norm(bvecs, axis=1)
             bad = (np.abs(norms - 1.0) > BVEC_NORM_TOL) & (bvals > 0)
             if np.any(bad):
                 raise ValueError("bvecs of weighted volumes must be unit length")
-        object.__setattr__(self, "volumes", vols)
+        object.__setattr__(self, "data", data)
         object.__setattr__(self, "bvals", bvals)
         object.__setattr__(self, "bvecs", bvecs)
 
     @property
     def dims(self) -> tuple:
-        return self.volumes[0].dims
+        return self.data.shape[1:]
 
     @property
     def n_volumes(self) -> int:
-        return len(self.volumes)
+        return self.data.shape[0]
 
     @property
     def is_complex(self) -> bool:
-        return self.volumes[0].is_complex
+        return np.iscomplexobj(self.data)
 
-    def stack(self) -> np.ndarray:
-        """Samples as a C-contiguous array of shape (N, m, n, o)."""
-        return np.stack([v.data for v in self.volumes])
+    @property
+    def volumes(self) -> tuple:
+        """Per-volume views of `data`, for callers that want Volume3s."""
+        return tuple(Volume3(v) for v in self.data)
 
     def with_volumes(self, volumes: Sequence[Volume3]) -> "DwiDataset":
         """Same b-values/bvecs, new volumes."""
-        return DwiDataset(tuple(volumes), self.bvals, self.bvecs)
+        return replace(self, data=np.stack([v.data for v in volumes]))
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,7 @@ maps and PSDs are serialized as plain volumes in the same format.
 import math
 import os
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -65,7 +65,7 @@ def write_nifti(data, path) -> None:
     A plain 4D array is taken in on-disk order, (m, n, o, N).
     """
     if isinstance(data, DwiDataset):
-        payload = np.moveaxis(data.stack(), 0, -1)  # NIfTI puts volumes last
+        payload = np.moveaxis(data.data, 0, -1)  # NIfTI puts volumes last
         n_volumes = data.n_volumes
     elif isinstance(data, (Volume3, NoiseMap, NoisePsd)):
         payload = data.data
@@ -158,8 +158,7 @@ def read_nifti(path):
 
     if n_volumes == 1:
         return Volume3(data[..., 0])
-    volumes = [Volume3(data[..., i]) for i in range(n_volumes)]
-    return DwiDataset(tuple(volumes), np.zeros(n_volumes))
+    return DwiDataset(np.moveaxis(data, -1, 0), np.zeros(n_volumes))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +218,7 @@ def attach_gradients(dataset: DwiDataset, bvals, bvecs=None) -> DwiDataset:
         raise ValueError(
             f"got {bvals.size} b-values for {dataset.n_volumes} volumes"
         )
-    return DwiDataset(dataset.volumes, bvals, bvecs)
+    return replace(dataset, bvals=bvals, bvecs=bvecs)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ shrinkage baseline.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -136,9 +136,7 @@ def fit_dti(dataset: DwiDataset, mask, max_bval: float = 1000.0):
     if np.linalg.matrix_rank(design) < 7:
         raise ValueError("rank-deficient design (need 6 non-collinear directions)")
 
-    signals = np.stack(
-        [np.real(dataset.volumes[i].data)[mask] for i in sel], axis=1
-    )  # (voxels, volumes)
+    signals = dataset.data.real[sel][:, mask].T.copy()  # (voxels, volumes)
     usable = signals.min(axis=1) > 0
     fa_flat = np.zeros(signals.shape[0])
     md_flat = np.zeros(signals.shape[0])
@@ -183,14 +181,14 @@ def mppca_denoise(dataset: DwiDataset, kernel: int = 5, step: int = 3) -> DwiDat
     pure-noise eigenvalue spread; only leading components are kept.
     Overlapping patch estimates are averaged uniformly.
     """
-    n = len(dataset.volumes)
+    n = dataset.n_volumes
     if kernel**3 < n:
         raise ValueError("patch smaller than the volume count")
     dims = dataset.dims
     if any(d < kernel for d in dims):
         raise ValueError("volume smaller than the patch")
 
-    stack = np.moveaxis(dataset.stack(), 0, -1)  # (m, n, o, N)
+    stack = np.moveaxis(dataset.data, 0, -1)  # (m, n, o, N)
     num = np.zeros(dims + (n,), dtype=stack.dtype)
     den = np.zeros(dims)
     m_rows = kernel**3
@@ -228,8 +226,7 @@ def mppca_denoise(dataset: DwiDataset, kernel: int = 5, step: int = 3) -> DwiDat
                 den[sl] += 1.0
 
     out = num / den[..., None]
-    volumes = [Volume3(out[..., i]) for i in range(n)]
-    return dataset.with_volumes(volumes)
+    return replace(dataset, data=np.moveaxis(out, -1, 0))
 
 
 @dataclass(frozen=True)
@@ -249,13 +246,17 @@ class MetricReport:
                 raise ValueError("SSIM out of [-1, 1]")
 
     def to_dict(self) -> dict:
+        """JSON-ready fields; a non-finite PSNR (identical data) is None."""
         def shell_key(center):
             return f"{center:g}"
+
+        def finite(value):
+            return value if math.isfinite(value) else None
 
         return {
             "shells": {
                 shell_key(c): {
-                    "psnr_db": self.shell_psnr[c],
+                    "psnr_db": finite(self.shell_psnr[c]),
                     "ssim": self.shell_ssim[c],
                     "volumes": self.shell_counts[c],
                 }
@@ -275,7 +276,7 @@ def report_metrics(
     When both datasets carry b-vectors, FA and MD maps are fitted on
     each and their RMSE over the mask (or everywhere) is included.
     """
-    if len(gt.volumes) != len(test.volumes) or gt.dims != test.dims:
+    if gt.data.shape != test.data.shape:
         raise ValueError("datasets must share volume count and dims")
     if not np.array_equal(gt.bvals, test.bvals):
         raise ValueError("datasets must share b-values")
@@ -283,8 +284,8 @@ def report_metrics(
     shells = group_shells(gt.bvals)
     shell_psnr, shell_ssim, shell_counts = {}, {}, {}
     for center, members in zip(shells.centers, shells.members):
-        vals_p = [psnr(gt.volumes[i], test.volumes[i]) for i in members]
-        vals_s = [ssim(gt.volumes[i], test.volumes[i]) for i in members]
+        vals_p = [psnr(gt.data[i], test.data[i]) for i in members]
+        vals_s = [ssim(gt.data[i], test.data[i]) for i in members]
         shell_psnr[center] = float(np.mean(vals_p))
         shell_ssim[center] = float(np.mean(vals_s))
         shell_counts[center] = len(members)

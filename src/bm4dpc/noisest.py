@@ -137,7 +137,7 @@ def estimate_noise(dataset: DwiDataset):
     if len(members) <= TAIL_COUNT:
         raise ValueError("highest shell has too few volumes for the tail")
 
-    stack = forward_pca(np.stack([dataset.volumes[i].data for i in members]))
+    stack = forward_pca(dataset.data[list(members)])
     tail = stack.pcs[-TAIL_COUNT:]
 
     sigma = estimate_noise_map(tail)

@@ -7,10 +7,12 @@ zero-mean Gaussian with the per-channel standard deviation of the
 input.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
-from .core import DwiDataset, Volume3
+from .core import DwiDataset
 
 LOWPASS_SIGMA = 2.0  # in-plane sigma (voxels) of the phase-smoothing Gaussian
 
@@ -25,11 +27,11 @@ def stabilize_phase(dataset: DwiDataset) -> DwiDataset:
     """
     if not dataset.is_complex:
         raise ValueError("dataset is already real; skip phase stabilization")
-    x = dataset.stack()
+    x = dataset.data
     s = LOWPASS_SIGMA
     # replicate padding keeps the border phase estimate stable
     smooth_re = gaussian_filter(x.real, (0, s, s, 0), mode="nearest")
     smooth_im = gaussian_filter(x.imag, (0, s, s, 0), mode="nearest")
     phase = np.arctan2(smooth_im, smooth_re)
     out = x.real * np.cos(phase) + x.imag * np.sin(phase)
-    return dataset.with_volumes([Volume3(v) for v in out])
+    return replace(dataset, data=out)

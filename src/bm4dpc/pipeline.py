@@ -4,18 +4,18 @@ The full chain: phase stabilization makes the data real, the noise map
 and PSD are estimated from the highest shell (or taken from the
 caller), volumes are normalized by the clamped map, decorrelated by
 global PCA, every component is collaboratively filtered under the
-shared PSD, and the result is rotated and rescaled back. Between the
-input and the returned dataset the volumes travel as one (N, m, n, o)
-array. The method's fixed settings are module constants of the layer
-that uses them; the caller supplies only the data and, optionally, the
+shared PSD, and the result is rotated and rescaled back. The volumes
+travel as one (N, m, n, o) array, the layout `DwiDataset.data` stores.
+The method's fixed settings are module constants of the layer that
+uses them; the caller supplies only the data and, optionally, the
 noise statistics.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from .bm4d import StageParams, bm4d_multichannel
-from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
+from .core import DwiDataset, NoiseMap, NoisePsd
 from .gpca import forward_pca, inverse_pca
 from .noisest import clamp_sigma, estimate_noise
 from .phasestab import stabilize_phase
@@ -66,10 +66,9 @@ def denoise_bm4dpc(dataset: DwiDataset, options: PipelineOptions = None,
         raise ValueError("noise map and PSD dims must match the data")
 
     clamped = clamp_sigma(sigma_map.data)
-    stack = forward_pca(real.stack() / clamped)
+    stack = forward_pca(real.data / clamped)
     denoised_pcs = bm4d_multichannel(stack.pcs, psd, threads=threads)
     restored = inverse_pca(denoised_pcs, stack.basis)
     restored *= clamped
 
-    result = real.with_volumes([Volume3(v) for v in restored])
-    return result, NoiseMap(clamped), psd
+    return replace(real, data=restored), NoiseMap(clamped), psd

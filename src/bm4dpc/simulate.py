@@ -7,12 +7,12 @@ data.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional
 
 import numpy as np
 
-from .core import DwiDataset, NoiseMap, NoisePsd, SpatialKernel, Volume3
+from .core import DwiDataset, NoiseMap, NoisePsd, SpatialKernel
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 
@@ -153,7 +153,7 @@ def make_phantom(spec: PhantomSpec = None):
     bvals = np.asarray(bvals)
     bvecs = np.asarray(bvecs)
 
-    volumes = []
+    data = np.empty((len(bvals),) + spec.dims, dtype=np.complex128)
     for i, (b, g) in enumerate(zip(bvals, bvecs)):
         if b == 0:
             mag = s0_map.copy()
@@ -173,10 +173,9 @@ def make_phantom(spec: PhantomSpec = None):
         for k in range(o):
             phase[:, :, k] = _smooth_slice_phase(rng, m, n)
         phase += rng.uniform(0.0, 2.0 * math.pi)  # global per-volume shift
-        volumes.append(Volume3(mag * np.exp(1j * phase)))
+        data[i] = mag * np.exp(1j * phase)
 
-    dataset = DwiDataset(tuple(volumes), bvals, bvecs)
-    return dataset, tensors, support
+    return DwiDataset(data, bvals, bvecs), tensors, support
 
 
 def make_colored_kernel(sigma_inner: float = 0.8, sigma_outer: float = 2.0) -> SpatialKernel:
@@ -284,11 +283,7 @@ def add_noise(dataset: DwiDataset, spec: NoiseSpec):
     if gfactor.shape != dims:
         raise ValueError("gfactor dims must match the dataset")
 
-    b0_max = max(
-        float(np.abs(v.data).max())
-        for v, b in zip(dataset.volumes, dataset.bvals)
-        if b == 0
-    )
+    b0_max = float(np.abs(dataset.data[dataset.bvals == 0]).max())
     sigma0 = spec.level * b0_max
     sigma = sigma0 * gfactor
 
@@ -302,14 +297,12 @@ def add_noise(dataset: DwiDataset, spec: NoiseSpec):
     if spec.level == 0:
         return dataset, NoiseMap(sigma), psd
 
-    volumes = []
-    for i, vol in enumerate(dataset.volumes):
+    noisy = dataset.data.copy()
+    for i in range(dataset.n_volumes):
         rng = np.random.default_rng([int(spec.seed), i])
         draws = rng.standard_normal((2,) + dims)
         if spectrum is not None:
             for c in range(2):
                 draws[c] = np.fft.ifftn(np.fft.fftn(draws[c]) * spectrum).real
-        noise = sigma * (draws[0] + 1j * draws[1])
-        volumes.append(Volume3(vol.data + noise))
-    noisy = dataset.with_volumes(volumes)
-    return noisy, NoiseMap(sigma), psd
+        noisy[i] += sigma * (draws[0] + 1j * draws[1])
+    return replace(dataset, data=noisy), NoiseMap(sigma), psd

@@ -10,10 +10,7 @@ def shell_mean_psnr(gt_dataset, test_dataset, center, tol=50.0):
     shells = group_shells(gt_dataset.bvals, tol)
     for c, members in zip(shells.centers, shells.members):
         if abs(c - center) <= tol:
-            vals = [
-                psnr(gt_dataset.volumes[i], test_dataset.volumes[i])
-                for i in members
-            ]
+            vals = [psnr(gt_dataset.data[i], test_dataset.data[i]) for i in members]
             return float(np.mean(vals))
     raise ValueError(f"no shell near b={center}")
 

@@ -7,6 +7,7 @@ criteria included).
 
 import json
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,6 @@ import pytest
 from bm4dpc import (
     NoiseSpec,
     PhantomSpec,
-    Volume3,
     add_noise,
     denoise_bm4dpc,
     kernel_to_psd,
@@ -44,7 +44,7 @@ def phantom():
 def gt_real(phantom):
     """Magnitude ground truth, the real-valued denoising target."""
     clean, _, _ = phantom
-    return clean.with_volumes([Volume3(np.abs(v.data)) for v in clean.volumes])
+    return replace(clean, data=np.abs(clean.data))
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,7 @@ from bm4dpc.bm4d import (
     coeff_variances,
     group_transform,
 )
-from bm4dpc.core import NoisePsd, Volume3
+from bm4dpc.core import NoisePsd
 from bm4dpc.evaluate import fit_dti, rmse_map
 from bm4dpc.gpca import forward_pca, inverse_pca
 from bm4dpc.simulate import fibonacci_directions
@@ -169,8 +169,8 @@ def test_criterion_9_dti_exactness():
         vols = []
         for b, g in zip(bvals, bvecs):
             expo = np.einsum("...ij,i,j->...", tens, g, g)
-            vols.append(Volume3(s0 * np.exp(-b * expo)))
-        return DwiDataset(vols, bvals, bvecs)
+            vols.append(s0 * np.exp(-b * expo))
+        return DwiDataset(np.stack(vols), bvals, bvecs)
 
     mask = np.ones(dims, bool)
     fa, md = fit_dti(synth(tensors), mask)

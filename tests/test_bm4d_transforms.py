@@ -106,6 +106,18 @@ class TestGroupTransform:
         direct = np.tensordot(basis, block, axes=3).reshape(4, 4, 4)
         assert np.allclose(coeffs, direct, atol=1e-12)
 
+    def test_matches_per_axis_reference(self):
+        """The one-matrix 3D DCT equals per-axis DCT-II passes followed
+        by the Haar transform along the group axis, for non-cubic
+        blocks and a leading channel axis."""
+        rng = np.random.default_rng(5)
+        group = rng.standard_normal((3, 8, 2, 3, 4))
+        ref = scipy.fft.dctn(group, type=2, norm="ortho", axes=(-3, -2, -1))
+        ref = np.moveaxis(np.tensordot(haar_matrix(8), ref, axes=(1, 1)), 0, 1)
+        coeffs = group_transform(group)
+        assert np.max(np.abs(coeffs - ref)) <= 1e-12
+        assert np.max(np.abs(group_inverse(coeffs) - group)) <= 1e-12
+
     def test_non_power_of_two_group_rejected(self):
         with pytest.raises(ValueError):
             group_transform(np.zeros((3, 4, 4, 4)))

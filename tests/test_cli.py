@@ -161,7 +161,7 @@ class TestSubcommands:
         } <= names
         noisy = read_nifti(str(small_sim / "noisy.nii"))
         assert noisy.is_complex
-        assert len(noisy.volumes) == 10
+        assert noisy.n_volumes == 10
 
     def test_denoise_with_priors_skips_estimation(self, small_sim, tmp_path,
                                                   capsys):
@@ -228,7 +228,7 @@ class TestSubcommands:
         )
         assert code == 0
         out = read_nifti(str(tmp_path / "mppca.nii"))
-        assert len(out.volumes) == 10
+        assert out.n_volumes == 10
 
     def test_metrics_with_mask(self, small_sim, tmp_path):
         import json
@@ -248,6 +248,24 @@ class TestSubcommands:
         assert set(report["shells"]) == {"0", "1000"}
         mask = read_nifti(str(small_sim / "mask.nii"))
         assert report["mask_voxels"] == int((mask.data > 0.5).sum())
+
+    def test_metrics_identical_data_is_strict_json(self, small_sim, tmp_path):
+        import json
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        gt = str(small_sim / "gt.nii")
+        out = tmp_path / "same.json"
+        code = run_cli(
+            ["metrics", "--ref", gt, "--test", gt,
+             "--bval", str(small_sim / "bvals"), "--out", str(out)]
+        )
+        assert code == 0
+        report = json.loads(out.read_text(), parse_constant=reject)
+        for shell in report["shells"].values():
+            assert shell["psnr_db"] is None  # infinite: the data agree
+            assert shell["ssim"] == pytest.approx(1.0)
 
 
 class TestDeterminism:

@@ -41,61 +41,80 @@ class TestVolume3:
 
 class TestDwiDataset:
     def test_basic_construction(self):
-        vols = [_volume(np.full((2, 2, 2), i)) for i in range(3)]
-        ds = DwiDataset(tuple(vols), [0.0, 1000.0, 2000.0])
+        data = np.stack([np.full((2, 2, 2), i) for i in range(3)])
+        ds = DwiDataset(data, [0.0, 1000.0, 2000.0])
         assert ds.n_volumes == 3
         assert ds.dims == (2, 2, 2)
         assert not ds.is_complex
-        assert ds.stack().shape == (3, 2, 2, 2)
+        assert ds.data.shape == (3, 2, 2, 2)
+        assert ds.data.dtype == np.float64
 
     def test_stack_puts_volumes_first(self):
         rng = np.random.default_rng(1)
-        vols = tuple(_volume(rng.standard_normal((3, 4, 5))) for _ in range(4))
-        stack = DwiDataset(vols, np.zeros(4)).stack()
-        assert stack.shape == (4, 3, 4, 5)
-        assert stack.flags.c_contiguous
+        vols = [rng.standard_normal((3, 4, 5)) for _ in range(4)]
+        data = DwiDataset(np.stack(vols), np.zeros(4)).data
+        assert data.shape == (4, 3, 4, 5)
+        assert data.flags.c_contiguous
         for i, vol in enumerate(vols):
-            assert np.array_equal(stack[i], vol.data)
+            assert np.array_equal(data[i], vol)
 
     def test_needs_two_volumes(self):
         with pytest.raises(ValueError):
-            DwiDataset((_volume(np.zeros((2, 2, 2))),), [0.0])
+            DwiDataset(np.zeros((1, 2, 2, 2)), [0.0])
 
-    def test_rejects_mixed_dims(self):
-        with pytest.raises(ValueError):
-            DwiDataset(
-                (_volume(np.zeros((2, 2, 2))), _volume(np.zeros((2, 2, 3)))),
-                [0.0, 0.0],
-            )
+    def test_rejects_non_4d_empty_and_non_finite(self):
+        with pytest.raises(ValueError, match="4D"):
+            DwiDataset(np.zeros((2, 2, 2)), [0.0, 0.0])
+        with pytest.raises(ValueError, match="non-empty"):
+            DwiDataset(np.zeros((2, 0, 2, 2)), [0.0, 0.0])
+        bad = np.zeros((2, 2, 2, 2))
+        bad[1, 0, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            DwiDataset(bad, [0.0, 0.0])
 
-    def test_rejects_mixed_kind(self):
-        with pytest.raises(ValueError):
-            DwiDataset(
-                (
-                    _volume(np.zeros((2, 2, 2))),
-                    Volume3(np.zeros((2, 2, 2), dtype=complex)),
-                ),
-                [0.0, 0.0],
-            )
+    def test_complex_kind(self):
+        ds = DwiDataset(np.ones((2, 2, 2, 2), dtype=np.complex64), [0.0, 0.0])
+        assert ds.is_complex
+        assert ds.data.dtype == np.complex128
 
     def test_rejects_negative_bvals(self):
-        vols = tuple(_volume(np.zeros((2, 2, 2))) for _ in range(2))
         with pytest.raises(ValueError):
-            DwiDataset(vols, [0.0, -1.0])
+            DwiDataset(np.zeros((2, 2, 2, 2)), [0.0, -1.0])
 
     def test_bvec_unit_norm_enforced_on_weighted_volumes(self):
-        vols = tuple(_volume(np.zeros((2, 2, 2))) for _ in range(2))
+        data = np.zeros((2, 2, 2, 2))
         # zero bvec on the b=0 row is fine, non-unit on b>0 is not
-        DwiDataset(vols, [0.0, 1000.0], [[0, 0, 0], [1, 0, 0]])
+        DwiDataset(data, [0.0, 1000.0], [[0, 0, 0], [1, 0, 0]])
         with pytest.raises(ValueError):
-            DwiDataset(vols, [0.0, 1000.0], [[0, 0, 0], [2, 0, 0]])
+            DwiDataset(data, [0.0, 1000.0], [[0, 0, 0], [2, 0, 0]])
+
+    def test_rejects_non_finite_bvecs(self):
+        data = np.zeros((2, 2, 2, 2))
+        with pytest.raises(ValueError, match="finite"):
+            DwiDataset(data, [0.0, 1000.0], [[0, 0, 0], [np.nan] * 3])
+        with pytest.raises(ValueError, match="finite"):
+            DwiDataset(data, [0.0, 1000.0], [[np.inf, 0, 0], [1, 0, 0]])
 
     def test_with_volumes_keeps_gradients(self):
-        vols = tuple(_volume(np.zeros((2, 2, 2))) for _ in range(2))
-        ds = DwiDataset(vols, [0.0, 1000.0], [[0, 0, 0], [1, 0, 0]])
+        ds = DwiDataset(np.zeros((2, 2, 2, 2)), [0.0, 1000.0], [[0, 0, 0], [1, 0, 0]])
         swapped = ds.with_volumes([_volume(np.ones((2, 2, 2)))] * 2)
+        assert np.array_equal(swapped.data, np.ones((2, 2, 2, 2)))
         assert np.array_equal(swapped.bvals, ds.bvals)
         assert np.array_equal(swapped.bvecs, ds.bvecs)
+
+    def test_volumes_are_views_of_data(self):
+        rng = np.random.default_rng(2)
+        ds = DwiDataset(rng.standard_normal((3, 4, 5, 2)), [0.0, 1000.0, 1000.0],
+                        [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
+        vols = ds.volumes
+        assert len(vols) == 3
+        for i, vol in enumerate(vols):
+            assert isinstance(vol, Volume3)
+            assert np.shares_memory(vol.data, ds.data[i])
+        again = ds.with_volumes(vols)
+        assert np.array_equal(again.data, ds.data)
+        assert np.array_equal(again.bvals, ds.bvals)
+        assert np.array_equal(again.bvecs, ds.bvecs)
 
 
 class TestNoiseTypes:

@@ -60,18 +60,14 @@ class TestNiftiRoundTrip:
 
     def test_dataset_round_trip_exact(self, tmp_path):
         rng = np.random.default_rng(1)
-        vols = tuple(
-            Volume3(rng.standard_normal((4, 4, 2)).astype(np.float32))
-            for _ in range(3)
-        )
-        ds = DwiDataset(vols, [0.0, 1000.0, 2000.0])
+        data = rng.standard_normal((3, 4, 4, 2)).astype(np.float32)
+        ds = DwiDataset(data, [0.0, 1000.0, 2000.0])
         path = tmp_path / "series.nii"
         write_nifti(ds, path)
         back = read_nifti(path)
         assert isinstance(back, DwiDataset)
         assert back.n_volumes == 3
-        for orig, rec in zip(ds.volumes, back.volumes):
-            assert np.array_equal(orig.data, rec.data)
+        assert np.array_equal(back.data, ds.data)
         # gradients are not stored in the file itself
         assert np.array_equal(back.bvals, np.zeros(3))
 
@@ -99,9 +95,8 @@ class TestNiftiRoundTrip:
         assert _header_field(blob, "<f", 108) == 352.0
 
     def test_4d_header_dims(self, tmp_path):
-        vols = tuple(Volume3(np.zeros((3, 4, 5))) for _ in range(6))
         path = tmp_path / "four.nii"
-        write_nifti(DwiDataset(vols, np.zeros(6)), path)
+        write_nifti(DwiDataset(np.zeros((6, 3, 4, 5)), np.zeros(6)), path)
         dim = struct.unpack_from("<8h", path.read_bytes(), 40)
         assert dim[0] == 4
         assert dim[1:5] == (3, 4, 5, 6)
@@ -127,9 +122,8 @@ class TestNiftiRoundTrip:
         assert np.array_equal(decoded, data)
 
         series = np.arange(3 * 4 * 5 * 6, dtype=np.float32).reshape(3, 4, 5, 6)
-        vols = tuple(Volume3(series[..., i]) for i in range(6))
         path = tmp_path / "series.nii"
-        write_nifti(DwiDataset(vols, np.zeros(6)), path)
+        write_nifti(DwiDataset(np.moveaxis(series, -1, 0), np.zeros(6)), path)
 
         blob = path.read_bytes()
         offset = int(_header_field(blob, "<f", 108))
@@ -289,8 +283,7 @@ class TestGradients:
             read_bvals_bvecs(bval, bvec)
 
     def test_attach_checks_count(self):
-        vols = tuple(Volume3(np.zeros((2, 2, 2))) for _ in range(3))
-        ds = DwiDataset(vols, np.zeros(3))
+        ds = DwiDataset(np.zeros((3, 2, 2, 2)), np.zeros(3))
         out = attach_gradients(ds, [0.0, 1000.0, 2000.0])
         assert np.array_equal(out.bvals, [0.0, 1000.0, 2000.0])
         with pytest.raises(ValueError):

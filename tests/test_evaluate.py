@@ -52,8 +52,8 @@ def _tensor_dataset(tensors, s0, bvals, bvecs):
     vols = []
     for b, g in zip(bvals, bvecs):
         expo = np.einsum("...ij,i,j->...", tensors, g, g)
-        vols.append(Volume3(s0 * np.exp(-b * expo)))
-    return DwiDataset(vols, np.asarray(bvals, float), np.asarray(bvecs, float))
+        vols.append(s0 * np.exp(-b * expo))
+    return DwiDataset(np.stack(vols), np.asarray(bvals, float), np.asarray(bvecs, float))
 
 
 def _protocol(n_dwi, bval=1000.0, seed=3):
@@ -225,7 +225,7 @@ class TestFitDti:
             expo = np.einsum("...ij,i,j->...", tensors, g, g)
             arrays.append(0.9 * np.exp(-b * expo))
         arrays[3][2, 2, 1] = 0.0  # dead voxel in one volume
-        ds = DwiDataset([Volume3(a) for a in arrays], bvals, bvecs)
+        ds = DwiDataset(np.stack(arrays), bvals, bvecs)
         mask = np.ones(dims, bool)
         mask[0, 0, :] = False
         fa, md = fit_dti(ds, mask)
@@ -245,11 +245,11 @@ class TestFitDti:
         with pytest.raises(ValueError, match="mask dims"):
             fit_dti(ds, np.ones((5, 5, 4), bool))
 
-        no_vecs = DwiDataset(ds.volumes, ds.bvals)
+        no_vecs = DwiDataset(ds.data, ds.bvals)
         with pytest.raises(ValueError, match="needs b-vectors"):
             fit_dti(no_vecs, np.ones(dims, bool))
 
-        few = DwiDataset(ds.volumes[:6], ds.bvals[:6], ds.bvecs[:6])
+        few = DwiDataset(ds.data[:6], ds.bvals[:6], ds.bvecs[:6])
         with pytest.raises(ValueError, match="at least 7 low-b"):
             fit_dti(few, np.ones(dims, bool))
 
@@ -264,12 +264,12 @@ class TestMppca:
     def test_pure_noise_variance_drops(self):
         rng = np.random.default_rng(9)
         dims = (16, 16, 16)
-        vols = [Volume3(rng.standard_normal(dims)) for _ in range(16)]
+        vols = [rng.standard_normal(dims) for _ in range(16)]
         bvals = np.zeros(16)
-        ds = DwiDataset(vols, bvals)
+        ds = DwiDataset(np.stack(vols), bvals)
         out = mppca_denoise(ds)
-        var_in = np.var(ds.stack())
-        var_out = np.var(out.stack())
+        var_in = np.var(ds.data)
+        var_out = np.var(out.data)
         assert var_out < 0.3 * var_in
 
     def test_noiseless_low_rank_preserved(self):
@@ -280,10 +280,10 @@ class TestMppca:
         arrays = [
             2.0 + sum(w * c for w, c in zip(row, comps)) for row in mix
         ]
-        ds = DwiDataset([Volume3(a) for a in arrays], np.zeros(10))
+        ds = DwiDataset(np.stack(arrays), np.zeros(10))
         out = mppca_denoise(ds)
-        for a, v in zip(arrays, out.volumes):
-            rel = np.linalg.norm(v.data - a) / np.linalg.norm(a)
+        for a, v in zip(arrays, out.data):
+            rel = np.linalg.norm(v - a) / np.linalg.norm(a)
             assert rel <= 0.05
 
     def test_improves_noisy_dwi(self, gt_real, white_stabilized, white_mppca):
@@ -293,13 +293,10 @@ class TestMppca:
 
     def test_validation(self):
         dims = (8, 8, 8)
-        vols = [Volume3(np.zeros(dims)) for _ in range(10)]
-        ds = DwiDataset(vols, np.zeros(10))
+        ds = DwiDataset(np.zeros((10,) + dims), np.zeros(10))
         with pytest.raises(ValueError, match="patch smaller than the volume count"):
             mppca_denoise(ds, kernel=2)
-        small = DwiDataset(
-            [Volume3(np.zeros((4, 8, 8))) for _ in range(10)], np.zeros(10)
-        )
+        small = DwiDataset(np.zeros((10, 4, 8, 8)), np.zeros(10))
         with pytest.raises(ValueError, match="volume smaller than the patch"):
             mppca_denoise(small)
 
@@ -341,10 +338,10 @@ def pair():
     bvals, bvecs = _protocol(15)
     gt = _tensor_dataset(tensors, s0, bvals, bvecs)
     noisy_vols = [
-        Volume3(np.clip(v.data + 0.01 * rng.standard_normal(dims), 1e-4, None))
-        for v in gt.volumes
+        np.clip(v + 0.01 * rng.standard_normal(dims), 1e-4, None)
+        for v in gt.data
     ]
-    test = DwiDataset(noisy_vols, bvals, bvecs)
+    test = DwiDataset(np.stack(noisy_vols), bvals, bvecs)
     return gt, test
 
 
@@ -362,8 +359,8 @@ class TestReportMetrics:
 
     def test_no_bvecs_skips_tensor_fit(self, pair):
         gt, test = pair
-        gt2 = DwiDataset(gt.volumes, gt.bvals)
-        test2 = DwiDataset(test.volumes, test.bvals)
+        gt2 = DwiDataset(gt.data, gt.bvals)
+        test2 = DwiDataset(test.data, test.bvals)
         report = report_metrics(gt2, test2)
         assert report.rmse_fa is None
         assert report.rmse_md is None
@@ -378,7 +375,7 @@ class TestReportMetrics:
     def test_validation(self, pair):
         gt, test = pair
         with pytest.raises(ValueError, match="share volume count"):
-            report_metrics(gt, DwiDataset(test.volumes[:-1], test.bvals[:-1]))
-        other = DwiDataset(test.volumes, test.bvals * 2.0, test.bvecs)
+            report_metrics(gt, DwiDataset(test.data[:-1], test.bvals[:-1]))
+        other = DwiDataset(test.data, test.bvals * 2.0, test.bvecs)
         with pytest.raises(ValueError, match="share b-values"):
             report_metrics(gt, other)

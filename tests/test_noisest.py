@@ -148,8 +148,7 @@ class TestEstimateNoise:
             i for i, b in enumerate(colored_stabilized.bvals) if b == 2000.0
         ]
         subset = DwiDataset(
-            tuple(colored_stabilized.volumes[i] for i in members),
-            colored_stabilized.bvals[members],
+            colored_stabilized.data[members], colored_stabilized.bvals[members]
         )
         full_sigma, full_psd = estimate_noise(colored_stabilized)
         sub_sigma, sub_psd = estimate_noise(subset)
@@ -171,7 +170,7 @@ class TestEstimateNoise:
 
     def test_small_highest_shell_rejected(self):
         rng = np.random.default_rng(29)
-        vols = tuple(Volume3(rng.standard_normal((16, 16, 8))) for _ in range(5))
-        ds = DwiDataset(vols, [0.0, 0.0, 2000.0, 2000.0, 2000.0])
+        vols = [rng.standard_normal((16, 16, 8)) for _ in range(5)]
+        ds = DwiDataset(np.stack(vols), [0.0, 0.0, 2000.0, 2000.0, 2000.0])
         with pytest.raises(ValueError):
             estimate_noise(ds)  # 3 volumes in the tail shell, tail_count 3

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bm4dpc import DwiDataset, Volume3, stabilize_phase
+from bm4dpc import DwiDataset, stabilize_phase
 
 from _util import pearson
 
@@ -13,15 +13,15 @@ def _positive_field(rng, dims):
 
 
 def _complex_dataset(arrays):
-    vols = tuple(Volume3(np.asarray(a, dtype=complex)) for a in arrays)
-    return DwiDataset(vols, np.zeros(len(vols)))
+    data = np.stack([np.asarray(a, dtype=complex) for a in arrays])
+    return DwiDataset(data, np.zeros(len(data)))
 
 
 class TestStabilize:
     def test_rejects_real_input(self):
         rng = np.random.default_rng(0)
-        vols = tuple(Volume3(rng.standard_normal((8, 8, 4))) for _ in range(2))
-        ds = DwiDataset(vols, np.zeros(2))
+        vols = [rng.standard_normal((8, 8, 4)) for _ in range(2)]
+        ds = DwiDataset(np.stack(vols), np.zeros(2))
         with pytest.raises(ValueError):
             stabilize_phase(ds)
 
@@ -30,27 +30,24 @@ class TestStabilize:
         fields = [_positive_field(rng, (12, 12, 4)) for _ in range(2)]
         out = stabilize_phase(_complex_dataset(fields))
         assert not out.is_complex
-        for field, vol in zip(fields, out.volumes):
-            assert np.max(np.abs(vol.data - field)) <= 1e-12
+        for field, vol in zip(fields, out.data):
+            assert np.max(np.abs(vol - field)) <= 1e-12
 
     def test_constant_global_phase_recovers_magnitude(self):
         rng = np.random.default_rng(2)
         mag = _positive_field(rng, (16, 16, 4))
         phased = mag * np.exp(1j * np.pi / 3.0)
         out = stabilize_phase(_complex_dataset([phased, phased]))
-        for vol in out.volumes:
-            assert np.max(np.abs(vol.data - mag)) <= 1e-10
+        for vol in out.data:
+            assert np.max(np.abs(vol - mag)) <= 1e-10
 
     def test_output_real_dims_and_gradients_preserved(self):
         rng = np.random.default_rng(3)
-        vols = tuple(
-            Volume3(
-                _positive_field(rng, (10, 8, 6))
-                * np.exp(1j * rng.uniform(0, 2 * np.pi))
-            )
+        vols = [
+            _positive_field(rng, (10, 8, 6)) * np.exp(1j * rng.uniform(0, 2 * np.pi))
             for _ in range(3)
-        )
-        ds = DwiDataset(vols, [0.0, 1000.0, 1000.0],
+        ]
+        ds = DwiDataset(np.stack(vols), [0.0, 1000.0, 1000.0],
                         [[0, 0, 0], [1, 0, 0], [0, 1, 0]])
         out = stabilize_phase(ds)
         assert not out.is_complex
@@ -69,8 +66,8 @@ class TestStabilize:
         rotated = stabilize_phase(
             _complex_dataset([a * np.exp(1j * 0.9) for a in arrays])
         )
-        for v0, v1 in zip(base.volumes, rotated.volumes):
-            assert np.max(np.abs(v0.data - v1.data)) <= 1e-10
+        for v0, v1 in zip(base.data, rotated.data):
+            assert np.max(np.abs(v0 - v1)) <= 1e-10
 
     def test_correlation_beats_plain_real_part(self, phantom, colored_arm,
                                                colored_stabilized, gt_real):
@@ -78,9 +75,9 @@ class TestStabilize:
         than just taking the real part."""
         noisy = colored_arm["noisy"]
         for i in (0, 5, 20):
-            truth = gt_real.volumes[i].data
-            corr_stab = pearson(colored_stabilized.volumes[i].data, truth)
-            corr_real = pearson(noisy.volumes[i].data.real, truth)
+            truth = gt_real.data[i]
+            corr_stab = pearson(colored_stabilized.data[i], truth)
+            corr_real = pearson(noisy.data[i].real, truth)
             assert corr_stab > corr_real
 
     def test_noise_power_roughly_halved(self):
@@ -90,7 +87,7 @@ class TestStabilize:
         rng = np.random.default_rng(5)
         shape = (2, 64, 64, 32)
         noise = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        out = stabilize_phase(_complex_dataset(noise)).stack()
+        out = stabilize_phase(_complex_dataset(noise)).data
         ratio = out.var() / (noise.real.var() + noise.imag.var())
         assert 0.4 <= ratio <= 0.6
 
@@ -103,8 +100,8 @@ class TestStabilize:
         changed = base.copy()
         changed[1, :, :, 2] *= np.exp(1j * 1.3) * 4.0
         changed[1, 3, 4, 2] += 2.0 - 1.5j
-        out0 = stabilize_phase(_complex_dataset(base)).stack()
-        out1 = stabilize_phase(_complex_dataset(changed)).stack()
+        out0 = stabilize_phase(_complex_dataset(base)).data
+        out1 = stabilize_phase(_complex_dataset(changed)).data
         touched = np.zeros(shape, bool)
         touched[1, :, :, 2] = True
         assert not np.array_equal(out0[touched], out1[touched])

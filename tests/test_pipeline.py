@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bm4dpc.core import DwiDataset, NoiseMap, NoisePsd, Volume3
+from bm4dpc.core import DwiDataset, NoiseMap, NoisePsd
 from bm4dpc.pipeline import PipelineOptions, denoise_bm4dpc
 
 from _util import shell_mean_psnr
@@ -20,8 +20,8 @@ class TestVanishingNoise:
             skip_phase_stabilization=True,
         )
         out, _, _ = denoise_bm4dpc(gt_real, opts, threads=4)
-        ref = gt_real.stack()
-        diff = np.abs(out.stack() - ref)
+        ref = gt_real.data
+        diff = np.abs(out.data - ref)
         rel = np.max(diff) / np.max(np.abs(ref))
         assert rel <= 1e-3
 
@@ -31,7 +31,7 @@ class TestDenoiseQuality:
         noisy = phantom[0]
         out = colored_denoised["dataset"]
         assert out.dims == noisy.dims
-        assert len(out.volumes) == len(noisy.volumes)
+        assert out.n_volumes == noisy.n_volumes
         assert np.array_equal(out.bvals, noisy.bvals)
         assert np.array_equal(out.bvecs, noisy.bvecs)
         assert not out.is_complex
@@ -93,8 +93,7 @@ class TestPipelineValidation:
             denoise_bm4dpc(gt_real, opts)
 
     def test_tiny_volume_rejected(self):
-        vols = [Volume3(np.ones((3, 8, 8))) for _ in range(4)]
-        ds = DwiDataset(vols, np.array([0.0, 0.0, 1000.0, 1000.0]))
+        ds = DwiDataset(np.ones((4, 3, 8, 8)), np.array([0.0, 0.0, 1000.0, 1000.0]))
         opts = PipelineOptions(skip_phase_stabilization=True)
         with pytest.raises(ValueError, match="below the filtering block"):
             denoise_bm4dpc(ds, opts)

@@ -80,12 +80,12 @@ class TestPhantom:
 
     def test_b0_magnitude_is_s0_map(self):
         dataset, _, _ = _isotropic_phantom()
-        b0 = np.abs(dataset.volumes[0].data)
+        b0 = np.abs(dataset.data[0])
         assert np.allclose(b0, 0.7, atol=1e-12)
 
     def test_default_b0_magnitudes_take_compartment_values(self, phantom):
         dataset, _, _ = phantom
-        values = np.unique(np.round(np.abs(dataset.volumes[0].data), 12))
+        values = np.unique(np.round(np.abs(dataset.data[0]), 12))
         assert set(values) <= {0.3, 0.8, 0.7, 1.0}
         assert len(values) == 4
 
@@ -93,15 +93,14 @@ class TestPhantom:
         d, s0, b = 1.0e-3, 0.7, 1000.0
         dataset, _, _ = _isotropic_phantom(diffusivity=d, s0=s0)
         expected = s0 * np.exp(-b * d)
-        weighted = [np.abs(v.data) for v, bv in zip(dataset.volumes, dataset.bvals)
-                    if bv > 0]
+        weighted = np.abs(dataset.data[dataset.bvals > 0])
         assert len(weighted) == 6
         for mag in weighted:
             assert np.allclose(mag, expected, atol=1e-12)
 
     def test_phase_does_not_change_magnitude(self, phantom):
         dataset, _, _ = phantom
-        vol = dataset.volumes[3].data
+        vol = dataset.data[3]
         # phase is genuinely present
         assert np.abs(vol.imag).max() > 0
         assert np.all(np.abs(vol) > 0)
@@ -109,8 +108,7 @@ class TestPhantom:
     def test_seed_reproducibility(self):
         a, _, _ = make_phantom(PhantomSpec())
         b, _, _ = make_phantom(PhantomSpec())
-        for va, vb in zip(a.volumes, b.volumes):
-            assert np.array_equal(va.data, vb.data)
+        assert np.array_equal(a.data, b.data)
 
     def test_requires_b0_shell(self):
         with pytest.raises(ValueError):
@@ -193,8 +191,7 @@ class TestAddNoise:
     def test_level_zero_bitwise_identity(self, phantom):
         dataset, _, _ = phantom
         noisy, sigma, psd = add_noise(dataset, NoiseSpec(level=0.0))
-        for a, b in zip(noisy.volumes, dataset.volumes):
-            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(noisy.data, dataset.data)
         assert np.all(sigma.data == 0.0)
         assert np.allclose(psd.data, 1.0)
 
@@ -207,13 +204,13 @@ class TestAddNoise:
 
         sigma0 = level * 0.7  # level * max |b=0|
         assert np.allclose(sigma.data, sigma0, atol=1e-15)
-        noise = noisy.stack() - dataset.stack()
+        noise = noisy.data - dataset.data
         for channel in (noise.real, noise.imag):
             assert channel.var() == pytest.approx(sigma0**2, rel=0.05)
 
     def test_standard_levels_scale_sigma(self, phantom):
         dataset, _, _ = phantom
-        b0_max = np.abs(dataset.volumes[0].data).max()
+        b0_max = np.abs(dataset.data[0]).max()
         for level in (0.01, 0.05, 0.10):
             _, sigma, _ = add_noise(
                 dataset, NoiseSpec(level=level, seed=4)
@@ -223,7 +220,7 @@ class TestAddNoise:
 
     def test_colored_noise_matches_sigma_map(self, phantom, colored_arm):
         dataset, _, _ = phantom
-        noise = colored_arm["noisy"].stack() - dataset.stack()
+        noise = colored_arm["noisy"].data - dataset.data
         scaled = noise.real / colored_arm["sigma"].data
         # unit kernel norm keeps the voxel variance at sigma^2
         assert scaled.std() == pytest.approx(1.0, rel=0.05)
@@ -233,13 +230,12 @@ class TestAddNoise:
         spec = NoiseSpec(level=0.05, seed=9)
         first, _, _ = add_noise(dataset, spec)
         second, _, _ = add_noise(dataset, spec)
-        for a, b in zip(first.volumes, second.volumes):
-            assert np.array_equal(a.data, b.data)
+        assert np.array_equal(first.data, second.data)
 
     def test_volumes_get_independent_noise(self, phantom):
         dataset, _, _ = phantom
         noisy, _, _ = add_noise(dataset, NoiseSpec(level=0.05, seed=5))
-        noise = noisy.stack() - dataset.stack()
+        noise = noisy.data - dataset.data
         a = noise[0].real.ravel()
         b = noise[1].real.ravel()
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
