@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .bm4d import (
     Bm4dProfile,
-    CoeffVariances,
     StageParams,
     bm4d_multichannel,
     bm4d_stage,
@@ -52,7 +51,6 @@ from .simulate import (
 
 __all__ = [
     "Bm4dProfile",
-    "CoeffVariances",
     "DwiDataset",
     "MetricReport",
     "NiftiError",

@@ -9,11 +9,10 @@ positions matched once on the first.
 from .engine import bm4d_multichannel, bm4d_stage, wiener_shrink
 from .profile import Bm4dProfile, StageParams
 from .transforms import group_inverse, group_transform, haar_matrix
-from .variance import CoeffVariances, coeff_variances, fold_psd
+from .variance import coeff_variances, fold_psd
 
 __all__ = [
     "Bm4dProfile",
-    "CoeffVariances",
     "StageParams",
     "bm4d_multichannel",
     "bm4d_stage",

@@ -5,6 +5,12 @@ variances; stage 2 re-runs the grouping on the stage-1 pilot and
 applies empirical Wiener gains. Multiple channels (principal
 components) ride along the same matched positions, so matching happens
 once per reference corner.
+
+A block is addressed by one flat voxel index, its corner's raveled
+index plus `block_offsets`, into the raveled guide and (C, V) stack.
+Aggregation is channel-last: blocks add into an (m, n, o, C) numerator,
+and group weights into a corner field that `_spread_weights` turns
+into the per-voxel weight sums.
 """
 
 import itertools
@@ -21,36 +27,41 @@ from .variance import basis_autocorr, fold_psd, variances_from_fields, working_d
 WEIGHT_FLOOR = 1e-12
 
 
-def _match_from_view(view, dims, ref_pos, params: StageParams) -> np.ndarray:
+def block_offsets(dims, block) -> np.ndarray:
+    """Raveled offsets of a block's voxels from its corner, raster order."""
+    return np.ravel_multi_index(np.indices(block).reshape(3, -1), dims)
+
+
+def _match_from_view(guide, dims, ref_pos, params: StageParams,
+                     offsets) -> np.ndarray:
     """Corners of the blocks most similar to the reference block.
 
-    `view` is the sliding block view of the real matching guide and
-    `ref_pos` a corner whose block lies inside the volume. Candidates
-    are every corner in the search window around it (clamped so blocks
-    stay inside), ranked by mean squared difference with lexicographic
-    tie-breaking; the reference is always first. The result length is
-    the largest power of two not exceeding min(candidate count, max
-    group size).
+    `guide` is the real matching volume of shape `dims`, raveled in C
+    order, `offsets` its `block_offsets`, and `ref_pos` a corner whose
+    block lies inside the volume. Candidates are every corner in the
+    search window around it (clamped so blocks stay inside), ranked by
+    mean squared difference with lexicographic tie-breaking; the
+    reference is always first. The result length is the largest power
+    of two not exceeding min(candidate count, max group size).
     """
-    block = params.block
     lows = [max(r - s, 0) for r, s in zip(ref_pos, params.search_radius)]
     highs = [
         min(r + s, d - b)
-        for r, s, d, b in zip(ref_pos, params.search_radius, dims, block)
+        for r, s, d, b in zip(ref_pos, params.search_radius, dims, params.block)
     ]
-    sub = view[lows[0]:highs[0] + 1, lows[1]:highs[1] + 1, lows[2]:highs[2] + 1]
-    ref_block = view[tuple(ref_pos)]
-    dist = ((sub - ref_block) ** 2).mean(axis=(-3, -2, -1)).ravel()
+    shape = tuple(h - lo + 1 for lo, h in zip(lows, highs))
+    x, y, z = (np.arange(lo, h + 1) for lo, h in zip(lows, highs))
+    base = ((x[:, None, None] * dims[1] + y[:, None]) * dims[2] + z).ravel()
+    candidates = guide[base[:, None] + offsets]  # (K, block voxels)
 
-    ref_flat = np.ravel_multi_index(
-        [r - lo for r, lo in zip(ref_pos, lows)], sub.shape[:3]
-    )
+    ref_flat = np.ravel_multi_index([r - lo for r, lo in zip(ref_pos, lows)], shape)
+    dist = ((candidates - candidates[ref_flat]) ** 2).mean(axis=1)
     dist[ref_flat] = -np.inf  # reference always ranks first
     order = np.argsort(dist, kind="stable")  # ties fall back to corner order
 
     count = min(order.size, params.max_group)
     count = 1 << (count.bit_length() - 1)  # Haar needs a power of two
-    picked = np.stack(np.unravel_index(order[:count], sub.shape[:3]), axis=1)
+    picked = np.stack(np.unravel_index(order[:count], shape), axis=1)
     return picked + np.asarray(lows, dtype=np.int64)
 
 
@@ -73,27 +84,41 @@ def wiener_shrink(noisy: np.ndarray, pilot: np.ndarray, variances: np.ndarray):
     var = np.asarray(variances, dtype=np.float64)
     energy = pilot * pilot
     denom = energy + var
-    gain = np.where(denom > 0, energy / np.where(denom > 0, denom, 1.0), 0.0)
+    gain = np.divide(energy, denom, out=np.zeros_like(energy), where=denom > 0)
     shrunk = gain * noisy
     axes = tuple(range(shrunk.ndim - 4, shrunk.ndim))
     weight = 1.0 / np.maximum((gain * gain * var).sum(axis=axes), WEIGHT_FLOOR)
     return shrunk, weight
 
 
-def accumulate_blocks(num, den, positions, blocks, weight) -> None:
-    """Add weighted blocks into running numerator and weight sums.
+def _add_group(num, corner_weight, positions, blocks, weight) -> None:
+    """Add one group's weighted blocks and its weights at their corners.
 
-    `num` and `den` are (C, m, n, o); `blocks` is (C, M, b0, b1, b2)
-    with corners `positions` (M, 3); `weight` has one entry per
-    channel. The aggregate estimate is num / den once every group has
-    been added.
+    `num` and `corner_weight` are channel-last (m, n, o, C); `blocks`
+    is (M, b0, b1, b2, C), already multiplied by `weight` (one entry
+    per channel), with corners `positions` (M, 3), which are distinct.
     """
-    edges = blocks.shape[-3:]
-    wcol = weight[:, None, None, None]
-    for j, pos in enumerate(positions):
-        sl = (slice(None),) + tuple(slice(p, p + e) for p, e in zip(pos, edges))
-        num[sl] += wcol * blocks[:, j]
-        den[sl] += wcol
+    b0, b1, b2 = blocks.shape[1:4]
+    for (x, y, z), block in zip(positions.tolist(), blocks):
+        num[x:x + b0, y:y + b1, z:z + b2] += block
+    corner_weight[tuple(positions.T)] += weight
+
+
+def _spread_weights(corner_weight, block) -> np.ndarray:
+    """Per-voxel weight sums from the weights deposited at block corners.
+
+    Each corner's weight covers the block that starts there, so the sum
+    at a voxel is a box sum of the corner field, taken one axis at a
+    time and in place: walking an axis downwards, each slice adds the
+    edge - 1 slices below it before they are updated. Corners hold
+    weight only where a whole block fits, so nothing spills past the
+    volume. Returns `corner_weight`, now the sums.
+    """
+    for axis, edge in enumerate(block):
+        lines = np.moveaxis(corner_weight, axis, 0)  # a view
+        for i in range(len(lines) - 1, 0, -1):
+            lines[i] += lines[max(i - edge + 1, 0):i].sum(axis=0)
+    return corner_weight
 
 
 def _channel_stack(channels) -> np.ndarray:
@@ -150,10 +175,10 @@ def bm4d_stage(
         raise ValueError("stage 1 takes no pilot")
 
     block = params.block
-    window = np.lib.stride_tricks.sliding_window_view  # no copy
-    view = window(stacked, block, axis=(1, 2, 3))
-    pilot_view = window(pilot, block, axis=(1, 2, 3)) if stage == 2 else None
-    guide_view = (view if stage == 1 else pilot_view)[0]
+    offsets = block_offsets(dims, block)
+    flat = stacked.reshape(nchan, -1)
+    pilot_flat = pilot.reshape(nchan, -1) if stage == 2 else None
+    guide = (flat if stage == 1 else pilot_flat)[0]
 
     work = working_dims(dims, block, params.search_radius)
     fields = basis_autocorr(fold_psd(psd.data, work), block)
@@ -162,28 +187,31 @@ def bm4d_stage(
     ))
 
     def filter_group(ref):
-        positions = _match_from_view(guide_view, dims, ref, params)
+        positions = _match_from_view(guide, dims, ref, params, offsets)
         var = variances_from_fields(fields, positions - positions[0], block)
-        px, py, pz = positions[:, 0], positions[:, 1], positions[:, 2]
-        group = view[:, px, py, pz]  # (C, M, b0, b1, b2)
-        coeffs = group_transform(group)
+        idx = np.ravel_multi_index(positions.T, dims)[:, None] + offsets
+        shape = (nchan, len(positions)) + block
+        coeffs = group_transform(np.take(flat, idx, axis=1).reshape(shape))
         if stage == 1:
             shrunk, keep = _ht_core(coeffs, var, params.threshold)
             weight = 1.0 / np.maximum(
                 (keep * var).sum(axis=(1, 2, 3, 4)), WEIGHT_FLOOR
             )
         else:
-            pilot_group = pilot_view[:, px, py, pz]
-            shrunk, weight = wiener_shrink(
-                coeffs, group_transform(pilot_group), var
+            pilot_coeffs = group_transform(
+                np.take(pilot_flat, idx, axis=1).reshape(shape)
             )
-        return positions, group_inverse(shrunk), weight
+            shrunk, weight = wiener_shrink(coeffs, pilot_coeffs, var)
+        weighted = group_inverse(shrunk) * weight[:, None, None, None, None]
+        # copied channel-last here, in the worker, so that the calling
+        # thread's slice adds read contiguous blocks
+        return positions, np.moveaxis(weighted, 0, -1).copy(), weight
 
-    num = np.zeros((nchan,) + dims)
-    den = np.zeros((nchan,) + dims)
+    num = np.zeros(dims + (nchan,))
+    corner_weight = np.zeros(dims + (nchan,))
     if threads <= 1:
         for ref in corners:
-            accumulate_blocks(num, den, *filter_group(ref))
+            _add_group(num, corner_weight, *filter_group(ref))
     else:
         # a bounded queue keeps finished groups from piling up, and the
         # corner-order sum makes the output independent of the thread count
@@ -192,14 +220,16 @@ def bm4d_stage(
             for ref in corners:
                 pending.append(executor.submit(filter_group, ref))
                 if len(pending) == 2 * threads:
-                    accumulate_blocks(num, den, *pending.popleft().result())
+                    _add_group(num, corner_weight, *pending.popleft().result())
             for future in pending:
-                accumulate_blocks(num, den, *future.result())
+                _add_group(num, corner_weight, *future.result())
 
+    den = _spread_weights(corner_weight, block)
     if not np.all(den > 0):
         raise AssertionError("aggregation left uncovered voxels")
     num /= den
-    return num
+    del den, corner_weight  # freed before the (C, m, n, o) copy
+    return np.ascontiguousarray(np.moveaxis(num, -1, 0))
 
 
 def bm4d_multichannel(channels, psd: NoisePsd, profile: Bm4dProfile = None,

@@ -50,10 +50,11 @@ def group_transform(samples: np.ndarray) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.ndim < 4:
         raise ValueError("expected (..., M, b0, b1, b2) samples")
-    flat = samples.reshape(samples.shape[:-3] + (-1,))
-    basis = block_basis(samples.shape[-3:]).reshape(flat.shape[-1], -1)
-    out = haar_matrix(samples.shape[-4]) @ (flat @ basis.T)
-    return out.reshape(samples.shape)
+    size = int(np.prod(samples.shape[-3:]))
+    basis = block_basis(samples.shape[-3:]).reshape(size, size)
+    blocks = samples.reshape(-1, size) @ basis.T  # every block in one matmul
+    flat = blocks.reshape(samples.shape[:-3] + (size,))
+    return (haar_matrix(samples.shape[-4]) @ flat).reshape(samples.shape)
 
 
 def group_inverse(coeffs: np.ndarray) -> np.ndarray:
@@ -61,10 +62,11 @@ def group_inverse(coeffs: np.ndarray) -> np.ndarray:
     coeffs = np.asarray(coeffs, dtype=np.float64)
     if coeffs.ndim < 4:
         raise ValueError("expected (..., M, b0, b1, b2) coefficients")
-    flat = coeffs.reshape(coeffs.shape[:-3] + (-1,))
-    basis = block_basis(coeffs.shape[-3:]).reshape(flat.shape[-1], -1)
-    out = (haar_matrix(coeffs.shape[-4]).T @ flat) @ basis
-    return out.reshape(coeffs.shape)
+    size = int(np.prod(coeffs.shape[-3:]))
+    basis = block_basis(coeffs.shape[-3:]).reshape(size, size)
+    flat = coeffs.reshape(coeffs.shape[:-3] + (size,))
+    blocks = haar_matrix(coeffs.shape[-4]).T @ flat
+    return (blocks.reshape(-1, size) @ basis).reshape(coeffs.shape)
 
 
 @lru_cache(maxsize=None)

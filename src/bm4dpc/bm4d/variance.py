@@ -8,27 +8,10 @@ group to table lookups at the pairwise block offsets, so the spectral
 work is done once per PSD rather than once per group.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..core import NoisePsd
 from .transforms import block_basis, haar_matrix
-
-
-@dataclass(frozen=True)
-class CoeffVariances:
-    """Noise variance of each 4D coefficient, shape (M, b0, b1, b2)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        data = np.asarray(self.data, dtype=np.float64)
-        if data.ndim != 4:
-            raise ValueError("expected (M, b0, b1, b2) variances")
-        if not np.all(np.isfinite(data)) or np.any(data < 0):
-            raise ValueError("variances must be finite and nonnegative")
-        object.__setattr__(self, "data", data)
 
 
 def working_dims(dims, block, search_radius) -> tuple:
@@ -72,7 +55,7 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
 
     Entry p is ifftn(psi_work * |DFT(basis_p)|^2).real: the covariance
     of the p-th 3D block coefficient between two blocks, as a function
-    of their corner offset.
+    of their corner offset. C-contiguous, so each field ravels in place.
     """
     work = psi_work.shape
     if any(b > e for b, e in zip(block, work)):
@@ -81,7 +64,8 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
     pad = np.zeros((basis.shape[0],) + tuple(work))
     pad[:, : block[0], : block[1], : block[2]] = basis
     spectra = np.abs(np.fft.fftn(pad, axes=(1, 2, 3))) ** 2
-    return np.fft.ifftn(spectra * psi_work, axes=(1, 2, 3)).real
+    fields = np.fft.ifftn(spectra * psi_work, axes=(1, 2, 3)).real
+    return np.ascontiguousarray(fields)
 
 
 def variances_from_fields(
@@ -92,24 +76,27 @@ def variances_from_fields(
     var(c_{k,p}) = sum_{i,j} haar[k,i] * haar[k,j] * c_p[off_i - off_j],
     the quadratic form of the k-th row of the size-M Haar matrix over
     the pairwise-offset covariance table of basis p; round-off
-    negatives are clipped to zero.
+    negatives are clipped to zero. The table is gathered with one
+    raveled lag index, and all M * P forms are one matrix product.
     """
     m = offsets.shape[0]
     haar = haar_matrix(m)
     work = c_fields.shape[1:]
     diff = (offsets[:, None, :] - offsets[None, :, :]) % np.asarray(work)
-    table = c_fields[:, diff[..., 0], diff[..., 1], diff[..., 2]]  # (P, M, M)
-    var = np.einsum("ki,pij,kj->kp", haar, table, haar, optimize=True)
+    lags = np.ravel_multi_index(np.moveaxis(diff, -1, 0), work)  # (M, M)
+    table = c_fields.reshape(len(c_fields), -1)[:, lags.ravel()]  # (P, M * M)
+    pairs = (haar[:, :, None] * haar[:, None, :]).reshape(m, m * m)
+    var = pairs @ table.T  # (M, P)
     return np.clip(var, 0.0, None).reshape((m,) + tuple(block))
 
 
 def coeff_variances(
     psd: NoisePsd, positions, block=(4, 4, 4), search_radius=(5, 5, 5)
-) -> CoeffVariances:
-    """Exact noise variances of all 4D coefficients for one group.
+) -> np.ndarray:
+    """Exact noise variances (M, b0, b1, b2) of all 4D coefficients for one group.
 
     `positions` are the member block corners, reference first, as
-    produced by the matcher.
+    produced by the matcher. The variances are finite and nonnegative.
     """
     positions = np.asarray(positions, dtype=np.int64)
     if positions.ndim != 2 or positions.shape[1] != 3:
@@ -119,6 +106,4 @@ def coeff_variances(
         raise ValueError("block corner falls outside the volume")
     work = working_dims(psd.dims, block, search_radius)
     fields = basis_autocorr(fold_psd(psd.data, work), block)
-    return CoeffVariances(
-        variances_from_fields(fields, positions - positions[0], block)
-    )
+    return variances_from_fields(fields, positions - positions[0], block)

@@ -106,7 +106,9 @@ def fit_dti(dataset: DwiDataset, mask, max_bval: float = 1000.0):
     Uses volumes with b <= max_bval. Per masked voxel the log-signal
     model ln S = ln S0 - b g^T D g is solved with weights S^2, the
     tensor eigenvalues are clipped at zero, and FA and MD follow from
-    them. Masked voxels with nonpositive signals yield zeros.
+    them. Masked voxels with nonpositive signals yield zeros. A design
+    that is numerically singular (condition number of the column-scaled
+    design above 1/sqrt(eps)) raises ValueError.
 
     Returns
     -------
@@ -133,8 +135,14 @@ def fit_dti(dataset: DwiDataset, mask, max_bval: float = 1000.0):
         -2.0 * bvals * gx * gz,
         -2.0 * bvals * gy * gz,
     ], axis=1)
-    if np.linalg.matrix_rank(design) < 7:
-        raise ValueError("rank-deficient design (need 6 non-collinear directions)")
+    # scale-free test: unit-norm columns, so the unit of b does not matter;
+    # past 1/sqrt(eps) the weighted normal equations keep no correct digit
+    norms = np.linalg.norm(design, axis=0)
+    sv = np.linalg.svd(design / np.where(norms > 0, norms, 1.0), compute_uv=False)
+    if sv[-1] <= sv[0] * np.sqrt(np.finfo(np.float64).eps):
+        raise ValueError(
+            "rank-deficient design (need 6 well-spread, non-collinear directions)"
+        )
 
     signals = dataset.data.real[sel][:, mask].T.copy()  # (voxels, volumes)
     usable = signals.min(axis=1) > 0

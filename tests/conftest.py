@@ -126,7 +126,7 @@ def dog_variance_mc():
     kernel = make_colored_kernel()
     psd = kernel_to_psd(kernel, dims)
     positions = np.array([[4, 4, 2], [5, 4, 2]])
-    predicted = coeff_variances(psd, positions).data
+    predicted = coeff_variances(psd, positions)
 
     rng = np.random.default_rng(42)
     block = tuple(slice(0, 4) for _ in range(3))

@@ -111,7 +111,7 @@ def test_criterion_7_variance_oracles(dog_variance_mc):
     positions = np.array(
         [[0, 0, 0], [4, 0, 0], [0, 4, 0], [4, 4, 0]], dtype=np.intp
     )
-    flat_dev = np.max(np.abs(coeff_variances(psd, positions).data - 1.0))
+    flat_dev = np.max(np.abs(coeff_variances(psd, positions) - 1.0))
 
     predicted = dog_variance_mc["predicted"]
     empirical = dog_variance_mc["empirical"]

@@ -12,18 +12,27 @@ from bm4dpc.bm4d import Bm4dProfile, StageParams, bm4d_multichannel, bm4d_stage
 from bm4dpc.bm4d import engine
 from bm4dpc.bm4d.engine import (
     WEIGHT_FLOOR,
+    _add_group,
     _ht_core,
     _match_from_view,
-    accumulate_blocks,
+    _spread_weights,
+    block_offsets,
     wiener_shrink,
+)
+from bm4dpc.bm4d.transforms import group_inverse, group_transform
+from bm4dpc.bm4d.variance import (
+    basis_autocorr,
+    fold_psd,
+    variances_from_fields,
+    working_dims,
 )
 from bm4dpc.core import NoisePsd, _starts
 
 
 def _match(data, ref, params):
-    """Run the stage's matcher on one guide volume."""
-    view = np.lib.stride_tricks.sliding_window_view(data, params.block)
-    return _match_from_view(view, data.shape, tuple(ref), params)
+    """Run the stage's matcher on one raveled guide volume."""
+    offsets = block_offsets(data.shape, params.block)
+    return _match_from_view(data.ravel(), data.shape, tuple(ref), params, offsets)
 
 
 def _brute_match(data, ref, params):
@@ -176,15 +185,20 @@ class TestWienerShrink:
 
 
 def _aggregate(groups, dims):
-    """(num, den) after adding (positions, blocks, weights) groups."""
+    """(num, den) after adding (positions, blocks, weights) groups.
+
+    `blocks` are (C, M, b0, b1, b2) and unweighted; the stage's
+    channel-last sums come back as (C, m, n, o) views.
+    """
     nchan = groups[0][1].shape[0]
-    num = np.zeros((nchan,) + dims)
-    den = np.zeros((nchan,) + dims)
+    num = np.zeros(dims + (nchan,))
+    corner_weight = np.zeros(dims + (nchan,))
     for positions, blocks, weights in groups:
-        accumulate_blocks(
-            num, den, np.asarray(positions), blocks, np.asarray(weights)
-        )
-    return num, den
+        weights = np.asarray(weights)
+        weighted = np.moveaxis(blocks * weights[:, None, None, None, None], 0, -1)
+        _add_group(num, corner_weight, np.asarray(positions), weighted, weights)
+    den = _spread_weights(corner_weight, blocks.shape[2:])
+    return np.moveaxis(num, -1, 0), np.moveaxis(den, -1, 0)
 
 
 class TestAggregate:
@@ -213,6 +227,21 @@ class TestAggregate:
         assert np.allclose(out[0, 2:4], 3.5, atol=1e-12)  # (3*2 + 1*8) / 4
         assert np.allclose(out[1, 2:4], 5.0, atol=1e-12)
         assert np.allclose(out[:, 4:6], 8.0, atol=1e-12)
+
+    def test_spread_equals_block_coverage_non_cubic(self):
+        """The box sum of corner weights equals adding each weight over
+        its whole (2, 3, 4) block, corners up to the last that fits."""
+        rng = np.random.default_rng(14)
+        dims, block = (7, 6, 9), (2, 3, 4)
+        corner_weight = np.zeros(dims + (2,))
+        expected = np.zeros(dims + (2,))
+        corners = [range(d - b + 1) for d, b in zip(dims, block)]
+        for x, y, z in itertools.product(*corners):
+            w = rng.random(2)
+            corner_weight[x, y, z] = w
+            expected[x:x + 2, y:y + 3, z:z + 4] += w
+        got = _spread_weights(corner_weight, block)
+        assert np.allclose(got, expected, rtol=1e-12, atol=0.0)
 
 
 def _smooth_signal(rng, dims, amplitude):
@@ -360,6 +389,78 @@ class TestBm4dStage:
             bm4d_stage(
                 channels, psd, Bm4dProfile(), stage=2,
                 pilot_channels=np.zeros((1, 8, 8, 8), dtype=np.complex128),
+            )
+
+
+def _reference_stage(channels, psd, profile, stage, pilot=None):
+    """The stage as it reads on paper: slice gathers, and per-block
+    slice adds into (C, m, n, o) numerator and weight sums."""
+    params = profile.ht if stage == 1 else profile.wiener
+    block = params.block
+    dims = channels.shape[1:]
+    guide = (channels if stage == 1 else pilot)[0]
+    offsets = block_offsets(dims, block)
+    work = working_dims(dims, block, params.search_radius)
+    fields = basis_autocorr(fold_psd(psd.data, work), block)
+
+    def gather(stack, positions):
+        return np.stack([
+            stack[(slice(None),) + tuple(slice(p, p + b) for p, b in zip(pos, block))]
+            for pos in positions
+        ], axis=1)
+
+    num = np.zeros(channels.shape)
+    den = np.zeros(channels.shape)
+    starts = [_starts(d, b, params.step) for d, b in zip(dims, block)]
+    for ref in itertools.product(*starts):
+        positions = _match_from_view(guide.ravel(), dims, ref, params, offsets)
+        var = variances_from_fields(fields, positions - positions[0], block)
+        coeffs = group_transform(gather(channels, positions))
+        if stage == 1:
+            shrunk, keep = _ht_core(coeffs, var, params.threshold)
+            weight = 1.0 / np.maximum((keep * var).sum(axis=(1, 2, 3, 4)), WEIGHT_FLOOR)
+        else:
+            pilot_coeffs = group_transform(gather(pilot, positions))
+            shrunk, weight = wiener_shrink(coeffs, pilot_coeffs, var)
+        blocks = group_inverse(shrunk)
+        wcol = weight[:, None, None, None]
+        for j, pos in enumerate(positions):
+            sl = (slice(None),) + tuple(slice(p, p + b) for p, b in zip(pos, block))
+            num[sl] += wcol * blocks[:, j]
+            den[sl] += wcol
+    return num / den
+
+
+class TestStageOracle:
+    def test_matches_slice_add_reference(self):
+        """Flat-index gathers and the channel-last, corner-weighted
+        aggregation reproduce the per-block reference on odd dims with
+        clamped last starts, under a colored PSD, for both stages; every
+        thread count gives the same bytes."""
+        rng = np.random.default_rng(13)
+        dims = (11, 13, 9)
+        clean = np.stack([_smooth_signal(rng, dims, a) for a in (6.0, 3.0, 1.0)])
+        channels = clean + rng.standard_normal(clean.shape)
+        kernel = rng.random((3, 3, 3))
+        spectrum = np.abs(np.fft.fftn(kernel, dims, axes=(0, 1, 2))) ** 2
+        psd = NoisePsd(spectrum / spectrum.mean())
+        profile = Bm4dProfile()
+
+        pilot = bm4d_stage(channels, psd, profile, stage=1)
+        expected = _reference_stage(channels, psd, profile, 1)
+        assert np.max(np.abs(pilot - expected)) <= 1e-12
+        final = bm4d_stage(channels, psd, profile, stage=2, pilot_channels=pilot)
+        expected = _reference_stage(channels, psd, profile, 2, pilot)
+        assert np.max(np.abs(final - expected)) <= 1e-12
+
+        for threads in (1, 2, 3):
+            assert np.array_equal(
+                bm4d_stage(channels, psd, profile, stage=1, threads=threads), pilot
+            )
+            assert np.array_equal(
+                bm4d_stage(channels, psd, profile, stage=2, pilot_channels=pilot,
+                           threads=threads),
+                final,
             )
 
 

@@ -152,6 +152,29 @@ class TestArgHandling:
         assert "need a 4D series" in capsys.readouterr().err
 
 
+    def test_dti_on_singular_direction_set_is_value_error(self, tmp_path, capsys):
+        """`simulate --seed 0` draws the b=1000 shell as
+        fibonacci_directions(6, seed=1), a numerically singular tensor
+        design: `dti` exits 2 with a message, not 4 from the solver."""
+        out = tmp_path / "six"
+        code = run_cli([
+            "--seed", "0", "simulate", "--out", str(out),
+            "--size", "16", "16", "8", "--shells", "0:1,1000:6",
+            "--noise-type", "white",
+        ])
+        assert code == 0
+        code = run_cli([
+            "dti",
+            "--in", str(out / "gt.nii"),
+            "--bval", str(out / "bvals"),
+            "--bvec", str(out / "bvecs"),
+            "--out-fa", str(tmp_path / "fa.nii"),
+            "--out-md", str(tmp_path / "md.nii"),
+        ])
+        assert code == 2
+        assert "rank-deficient design" in capsys.readouterr().err
+
+
 class TestSubcommands:
     def test_simulate_outputs(self, small_sim):
         names = {p.name for p in small_sim.iterdir()}

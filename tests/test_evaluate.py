@@ -259,6 +259,29 @@ class TestFitDti:
         with pytest.raises(ValueError, match="rank-deficient"):
             fit_dti(ds2, np.ones(dims, bool))
 
+    def test_numerically_singular_design_rejected_at_any_b_unit(self):
+        """Six full-sphere Fibonacci directions make a tensor design that
+        is singular up to round-off. Rounded to 8 decimals, as a bvecs
+        text file holds them, the design has full numerical rank, yet
+        its condition number is ~1e9: it must be refused whether b is
+        in s/mm^2 or in ms/um^2, while seven directions are fitted."""
+        dims = (4, 4, 3)
+        tensors = np.broadcast_to(1e-3 * np.eye(3), dims + (3, 3))
+        mask = np.ones(dims, bool)
+        for scale in (1.0, 1e-3):
+            for count in (6, 7):
+                dirs = np.round(fibonacci_directions(count, seed=1), 8)
+                dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+                bvals = np.array([0.0, 0.0] + [1000.0 * scale] * count)
+                bvecs = np.vstack([np.zeros((2, 3)), dirs])
+                ds = _tensor_dataset(tensors / scale, 1.0, bvals, bvecs)
+                if count == 6:
+                    with pytest.raises(ValueError, match="rank-deficient"):
+                        fit_dti(ds, mask)
+                else:
+                    _, md = fit_dti(ds, mask)
+                    assert np.max(np.abs(md.data * scale - 1e-3)) <= 1e-9
+
 
 class TestMppca:
     def test_pure_noise_variance_drops(self):
