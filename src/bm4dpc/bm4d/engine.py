@@ -6,11 +6,14 @@ applies empirical Wiener gains. Multiple channels (principal
 components) ride along the same matched positions, so matching happens
 once per reference corner.
 
-A block is addressed by one flat voxel index, its corner's raveled
-index plus `block_offsets`, into the raveled guide and (C, V) stack.
-Aggregation is channel-last: blocks add into an (m, n, o, C) numerator,
-and group weights into a corner field that `_spread_weights` turns
-into the per-voxel weight sums.
+The whole stage is channel-last. The channels (and the stage-2
+pilot) are copied once into a (V, C) array, and a block is addressed by
+one flat voxel index, its corner's raveled index plus `block_offsets`,
+so each group is one row take of shape (M, P, C). Groups are
+transformed as (M, b0, b1, b2, C) arrays, and the filtered blocks add
+into an (m, n, o, C) numerator without a layout change; group weights
+go into a corner field that `_spread_weights` turns into the per-voxel
+weight sums.
 """
 
 import itertools
@@ -68,7 +71,7 @@ def _match_from_view(guide, dims, ref_pos, params: StageParams,
 def _ht_core(coeffs, variances, lam):
     """Zero coefficients within lam * sigma; returns (shrunk, kept mask)."""
     keep = np.abs(coeffs) > lam * np.sqrt(variances)
-    keep[..., 0, 0, 0, 0] = True  # group DC always survives
+    keep[0, 0, 0, 0] = True  # group DC always survives
     return np.where(keep, coeffs, 0.0), keep
 
 
@@ -76,18 +79,21 @@ def wiener_shrink(noisy: np.ndarray, pilot: np.ndarray, variances: np.ndarray):
     """Empirical Wiener gains from pilot energies.
 
     gain = pilot^2 / (pilot^2 + var), applied to the noisy
-    coefficients; the returned weight is 1 / sum(gain^2 * var), floored
-    to stay finite, one weight per leading channel.
+    coefficients of an (M, b0, b1, b2, ...) group; the returned weight
+    is 1 / sum(gain^2 * var) over the four group axes, floored to stay
+    finite, one weight per trailing channel. The variances are
+    nonnegative, so where pilot^2 + var is zero the gain is zero.
     """
     noisy = np.asarray(noisy, dtype=np.float64)
     pilot = np.asarray(pilot, dtype=np.float64)
     var = np.asarray(variances, dtype=np.float64)
     energy = pilot * pilot
     denom = energy + var
-    gain = np.divide(energy, denom, out=np.zeros_like(energy), where=denom > 0)
+    gain = np.divide(energy, denom, out=energy, where=denom > 0)
     shrunk = gain * noisy
-    axes = tuple(range(shrunk.ndim - 4, shrunk.ndim))
-    weight = 1.0 / np.maximum((gain * gain * var).sum(axis=axes), WEIGHT_FLOOR)
+    gain *= gain
+    gain *= var
+    weight = 1.0 / np.maximum(gain.sum(axis=(0, 1, 2, 3)), WEIGHT_FLOOR)
     return shrunk, weight
 
 
@@ -133,6 +139,11 @@ def _channel_stack(channels) -> np.ndarray:
     return stacked
 
 
+def _voxel_rows(stacked) -> np.ndarray:
+    """The (V, C) copy of a (C, m, n, o) stack: one row per voxel."""
+    return np.ascontiguousarray(stacked.reshape(len(stacked), -1).T)
+
+
 def _stage_params(profile: Bm4dProfile, stage: int) -> StageParams:
     if stage == 1:
         return profile.ht
@@ -175,13 +186,13 @@ def bm4d_stage(
         raise ValueError("stage 1 takes no pilot")
 
     block = params.block
-    offsets = block_offsets(dims, block)
-    flat = stacked.reshape(nchan, -1)
-    pilot_flat = pilot.reshape(nchan, -1) if stage == 2 else None
-    guide = (flat if stage == 1 else pilot_flat)[0]
-
     work = working_dims(dims, block, params.search_radius)
+    # the fields' FFT temporaries are freed before the (V, C) copies exist
     fields = basis_autocorr(fold_psd(psd.data, work), block)
+    offsets = block_offsets(dims, block)
+    guide = (stacked if stage == 1 else pilot)[0].ravel()
+    rows = _voxel_rows(stacked)
+    pilot_rows = _voxel_rows(pilot) if stage == 2 else None
     corners = itertools.product(*(
         _starts(d, b, params.step) for d, b in zip(dims, block)
     ))
@@ -189,23 +200,23 @@ def bm4d_stage(
     def filter_group(ref):
         positions = _match_from_view(guide, dims, ref, params, offsets)
         var = variances_from_fields(fields, positions - positions[0], block)
+        var = var[..., None]  # broadcast over the channels
         idx = np.ravel_multi_index(positions.T, dims)[:, None] + offsets
-        shape = (nchan, len(positions)) + block
-        coeffs = group_transform(np.take(flat, idx, axis=1).reshape(shape))
+        group_shape = (len(positions),) + block + (nchan,)
+        coeffs = group_transform(np.take(rows, idx, axis=0).reshape(group_shape))
         if stage == 1:
             shrunk, keep = _ht_core(coeffs, var, params.threshold)
             weight = 1.0 / np.maximum(
-                (keep * var).sum(axis=(1, 2, 3, 4)), WEIGHT_FLOOR
+                (keep * var).sum(axis=(0, 1, 2, 3)), WEIGHT_FLOOR
             )
         else:
             pilot_coeffs = group_transform(
-                np.take(pilot_flat, idx, axis=1).reshape(shape)
+                np.take(pilot_rows, idx, axis=0).reshape(group_shape)
             )
             shrunk, weight = wiener_shrink(coeffs, pilot_coeffs, var)
-        weighted = group_inverse(shrunk) * weight[:, None, None, None, None]
-        # copied channel-last here, in the worker, so that the calling
-        # thread's slice adds read contiguous blocks
-        return positions, np.moveaxis(weighted, 0, -1).copy(), weight
+        blocks = group_inverse(shrunk)
+        blocks *= weight
+        return positions, blocks, weight
 
     num = np.zeros(dims + (nchan,))
     corner_weight = np.zeros(dims + (nchan,))

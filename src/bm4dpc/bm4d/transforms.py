@@ -1,11 +1,14 @@
 """Separable orthonormal transforms for grouped blocks.
 
 A group of M blocks of shape (b0, b1, b2) is transformed by the 3D
-DCT-II of each block, applied as one matrix over the flattened block
-(`block_basis`, the Kronecker product of the per-axis DCT matrices),
-and by an orthonormal Haar transform of size M along the group axis.
-Everything is real and orthonormal, so coefficient energies and the
-exact-variance formula stay simple.
+DCT-II of each block and by an orthonormal Haar transform of size M
+along the group axis. Groups are laid out group axis first, channels
+trailing: (M, b0, b1, b2, ...). The Haar transform is one (M, M) matrix
+product over all samples, and the 3D DCT is factored into a
+kron(dct(b1), dct(b2)) pass over the (b1 * b2) axis and a dct(b0) pass,
+which computes the values of the dense `block_basis` matrix at a
+fraction of its flops. Everything is real and orthonormal, so
+coefficient energies and the exact-variance formula stay simple.
 """
 
 from functools import lru_cache
@@ -40,33 +43,44 @@ def haar_matrix(m: int) -> np.ndarray:
     return mat
 
 
+@lru_cache(maxsize=None)
+def _plane_dct(b1: int, b2: int) -> np.ndarray:
+    """kron(dct(b1), dct(b2)): the 2D DCT over a raveled (b1, b2) plane."""
+    mat = np.kron(dct_matrix(b1), dct_matrix(b2))
+    mat.setflags(write=False)  # cached: every caller shares this array
+    return mat
+
+
+def _checked(array: np.ndarray, what: str) -> np.ndarray:
+    array = np.asarray(array, dtype=np.float64)
+    if array.ndim < 4:
+        raise ValueError(f"expected (M, b0, b1, b2, ...) {what}")
+    return array
+
+
 def group_transform(samples: np.ndarray) -> np.ndarray:
     """Forward 4D transform of one group.
 
-    `samples` has shape (..., M, b0, b1, b2); leading axes (such as a
+    `samples` has shape (M, b0, b1, b2, ...); trailing axes (such as a
     channel axis) are carried through untouched. M must be a power of
     two.
     """
-    samples = np.asarray(samples, dtype=np.float64)
-    if samples.ndim < 4:
-        raise ValueError("expected (..., M, b0, b1, b2) samples")
-    size = int(np.prod(samples.shape[-3:]))
-    basis = block_basis(samples.shape[-3:]).reshape(size, size)
-    blocks = samples.reshape(-1, size) @ basis.T  # every block in one matmul
-    flat = blocks.reshape(samples.shape[:-3] + (size,))
-    return (haar_matrix(samples.shape[-4]) @ flat).reshape(samples.shape)
+    samples = _checked(samples, "samples")
+    m, b0, b1, b2 = samples.shape[:4]
+    grouped = haar_matrix(m) @ samples.reshape(m, -1)  # (M, P * C)
+    planes = _plane_dct(b1, b2) @ grouped.reshape(m * b0, b1 * b2, -1)
+    coeffs = dct_matrix(b0) @ planes.reshape(m, b0, -1)
+    return coeffs.reshape(samples.shape)
 
 
 def group_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of group_transform (transposes, transforms orthonormal)."""
-    coeffs = np.asarray(coeffs, dtype=np.float64)
-    if coeffs.ndim < 4:
-        raise ValueError("expected (..., M, b0, b1, b2) coefficients")
-    size = int(np.prod(coeffs.shape[-3:]))
-    basis = block_basis(coeffs.shape[-3:]).reshape(size, size)
-    flat = coeffs.reshape(coeffs.shape[:-3] + (size,))
-    blocks = haar_matrix(coeffs.shape[-4]).T @ flat
-    return (blocks.reshape(-1, size) @ basis).reshape(coeffs.shape)
+    coeffs = _checked(coeffs, "coefficients")
+    m, b0, b1, b2 = coeffs.shape[:4]
+    planes = dct_matrix(b0).T @ coeffs.reshape(m, b0, -1)
+    grouped = _plane_dct(b1, b2).T @ planes.reshape(m * b0, b1 * b2, -1)
+    blocks = haar_matrix(m).T @ grouped.reshape(m, -1)
+    return blocks.reshape(coeffs.shape)
 
 
 @lru_cache(maxsize=None)

@@ -8,6 +8,8 @@ group to table lookups at the pairwise block offsets, so the spectral
 work is done once per PSD rather than once per group.
 """
 
+from functools import lru_cache
+
 import numpy as np
 
 from ..core import NoisePsd
@@ -53,9 +55,10 @@ def fold_psd(psd_data: np.ndarray, work: tuple) -> np.ndarray:
 def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
     """Per-basis noise autocorrelation fields on the working grid.
 
-    Entry p is ifftn(psi_work * |DFT(basis_p)|^2).real: the covariance
-    of the p-th 3D block coefficient between two blocks, as a function
-    of their corner offset. C-contiguous, so each field ravels in place.
+    Entry [..., p] is ifftn(psi_work * |DFT(basis_p)|^2).real: the
+    covariance of the p-th 3D block coefficient between two blocks, as
+    a function of their corner offset. Shape (w0, w1, w2, P), lag axes
+    first and C-contiguous, so one raveled lag picks a row of all P.
     """
     work = psi_work.shape
     if any(b > e for b, e in zip(block, work)):
@@ -65,7 +68,16 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
     pad[:, : block[0], : block[1], : block[2]] = basis
     spectra = np.abs(np.fft.fftn(pad, axes=(1, 2, 3))) ** 2
     fields = np.fft.ifftn(spectra * psi_work, axes=(1, 2, 3)).real
-    return np.ascontiguousarray(fields)
+    return np.ascontiguousarray(np.moveaxis(fields, 0, -1))
+
+
+@lru_cache(maxsize=None)
+def _haar_pairs(m: int) -> np.ndarray:
+    """(M, M * M) products haar[k, i] * haar[k, j], raveled over (i, j)."""
+    haar = haar_matrix(m)
+    pairs = (haar[:, :, None] * haar[:, None, :]).reshape(m, m * m)
+    pairs.setflags(write=False)  # cached: every caller shares this array
+    return pairs
 
 
 def variances_from_fields(
@@ -76,17 +88,16 @@ def variances_from_fields(
     var(c_{k,p}) = sum_{i,j} haar[k,i] * haar[k,j] * c_p[off_i - off_j],
     the quadratic form of the k-th row of the size-M Haar matrix over
     the pairwise-offset covariance table of basis p; round-off
-    negatives are clipped to zero. The table is gathered with one
-    raveled lag index, and all M * P forms are one matrix product.
+    negatives are clipped to zero. The (M * M, P) table is one row take
+    at the raveled lags, and all M * P forms are one matrix product.
     """
     m = offsets.shape[0]
-    haar = haar_matrix(m)
-    work = c_fields.shape[1:]
+    work = c_fields.shape[:3]
     diff = (offsets[:, None, :] - offsets[None, :, :]) % np.asarray(work)
     lags = np.ravel_multi_index(np.moveaxis(diff, -1, 0), work)  # (M, M)
-    table = c_fields.reshape(len(c_fields), -1)[:, lags.ravel()]  # (P, M * M)
-    pairs = (haar[:, :, None] * haar[:, None, :]).reshape(m, m * m)
-    var = pairs @ table.T  # (M, P)
+    rows = c_fields.reshape(-1, c_fields.shape[3])
+    table = np.take(rows, lags.ravel(), axis=0)  # (M * M, P)
+    var = _haar_pairs(m) @ table  # (M, P)
     return np.clip(var, 0.0, None).reshape((m,) + tuple(block))
 
 

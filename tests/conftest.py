@@ -133,16 +133,19 @@ def dog_variance_mc():
     total = np.zeros_like(predicted)
     total_sq = np.zeros_like(predicted)
     for batch in synth_colored_batch(rng, draws, dims, psd.data):
+        # (M, 4, 4, 4, draws): the draws ride along as trailing channels
         groups = np.stack(
             [
-                batch[(slice(None),) + tuple(slice(p, p + 4) for p in pos)]
+                np.moveaxis(
+                    batch[(slice(None),) + tuple(slice(p, p + 4) for p in pos)],
+                    0, -1,
+                )
                 for pos in positions
-            ],
-            axis=1,
+            ]
         )
         coeffs = group_transform(groups)
-        total += coeffs.sum(axis=0)
-        total_sq += (coeffs**2).sum(axis=0)
+        total += coeffs.sum(axis=-1)
+        total_sq += (coeffs**2).sum(axis=-1)
     empirical = total_sq / draws - (total / draws) ** 2
     return {"predicted": predicted, "empirical": empirical, "draws": draws}
 

@@ -173,48 +173,62 @@ class TestWienerShrink:
 
     def test_weight_per_channel(self):
         rng = np.random.default_rng(6)
-        noisy = rng.standard_normal((3, 2, 2, 2, 2))
-        pilot = rng.standard_normal((3, 2, 2, 2, 2))
+        noisy = rng.standard_normal((2, 2, 2, 2, 3))
+        pilot = rng.standard_normal((2, 2, 2, 2, 3))
         var = np.full_like(noisy, 0.7)
         shrunk, weight = wiener_shrink(noisy, pilot, var)
         assert shrunk.shape == noisy.shape
         assert weight.shape == (3,)
         for c in range(3):
-            _, wc = wiener_shrink(noisy[c], pilot[c], var[c])
+            _, wc = wiener_shrink(noisy[..., c], pilot[..., c], var[..., c])
             assert weight[c] == pytest.approx(wc, rel=1e-12)
+
+    def test_inputs_not_mutated(self):
+        """The gain reuses a scratch buffer, never the caller's arrays,
+        also when the variances broadcast over the channels."""
+        rng = np.random.default_rng(16)
+        noisy = rng.standard_normal((4, 2, 2, 2, 3))
+        pilot = rng.standard_normal((4, 2, 2, 2, 3))
+        pilot[0, 0, 0, 0] = 0.0
+        var = rng.random((4, 2, 2, 2, 1))
+        var[0, 0, 0, 0] = 0.0  # pilot^2 + var == 0: the zero-gain branch
+        copies = [a.copy() for a in (noisy, pilot, var)]
+        shrunk, _ = wiener_shrink(noisy, pilot, var)
+        for given, kept in zip((noisy, pilot, var), copies):
+            assert np.array_equal(given, kept)
+        assert np.all(shrunk[0, 0, 0, 0] == 0.0)
 
 
 def _aggregate(groups, dims):
     """(num, den) after adding (positions, blocks, weights) groups.
 
-    `blocks` are (C, M, b0, b1, b2) and unweighted; the stage's
-    channel-last sums come back as (C, m, n, o) views.
+    `blocks` are (M, b0, b1, b2, C), channel-last like the stage's, and
+    unweighted; the channel-last sums come back as (C, m, n, o) views.
     """
-    nchan = groups[0][1].shape[0]
+    nchan = groups[0][1].shape[-1]
     num = np.zeros(dims + (nchan,))
     corner_weight = np.zeros(dims + (nchan,))
     for positions, blocks, weights in groups:
         weights = np.asarray(weights)
-        weighted = np.moveaxis(blocks * weights[:, None, None, None, None], 0, -1)
-        _add_group(num, corner_weight, np.asarray(positions), weighted, weights)
-    den = _spread_weights(corner_weight, blocks.shape[2:])
+        _add_group(num, corner_weight, np.asarray(positions), blocks * weights, weights)
+    den = _spread_weights(corner_weight, blocks.shape[1:4])
     return np.moveaxis(num, -1, 0), np.moveaxis(den, -1, 0)
 
 
 class TestAggregate:
     def test_single_group_restores_block(self):
         rng = np.random.default_rng(7)
-        blocks = rng.standard_normal((1, 1, 4, 4, 4))
+        blocks = rng.standard_normal((1, 4, 4, 4, 1))
         num, den = _aggregate([([[2, 3, 1]], blocks, [1.0])], (8, 8, 8))
         inside = (0, slice(2, 6), slice(3, 7), slice(1, 5))
-        assert np.allclose(num[inside] / den[inside], blocks[0, 0], atol=1e-12)
+        assert np.allclose(num[inside] / den[inside], blocks[0, ..., 0], atol=1e-12)
         num[inside] = 0.0
         den[inside] = 0.0
         assert np.all(num == 0.0) and np.all(den == 0.0)
 
     def test_overlap_weighted_average(self):
         def flat(value):
-            return np.full((2, 1, 4, 4, 4), value)
+            return np.full((1, 4, 4, 4, 2), value)
 
         # channel 0 weighs the groups 3:1, channel 1 evenly
         num, den = _aggregate(
@@ -404,10 +418,14 @@ def _reference_stage(channels, psd, profile, stage, pilot=None):
     fields = basis_autocorr(fold_psd(psd.data, work), block)
 
     def gather(stack, positions):
+        """(M, b0, b1, b2, C): the group axis first, channels trailing."""
         return np.stack([
-            stack[(slice(None),) + tuple(slice(p, p + b) for p, b in zip(pos, block))]
+            np.moveaxis(
+                stack[(slice(None),) + tuple(slice(p, p + b) for p, b in zip(pos, block))],
+                0, -1,
+            )
             for pos in positions
-        ], axis=1)
+        ])
 
     num = np.zeros(channels.shape)
     den = np.zeros(channels.shape)
@@ -415,10 +433,11 @@ def _reference_stage(channels, psd, profile, stage, pilot=None):
     for ref in itertools.product(*starts):
         positions = _match_from_view(guide.ravel(), dims, ref, params, offsets)
         var = variances_from_fields(fields, positions - positions[0], block)
+        var = var[..., None]
         coeffs = group_transform(gather(channels, positions))
         if stage == 1:
             shrunk, keep = _ht_core(coeffs, var, params.threshold)
-            weight = 1.0 / np.maximum((keep * var).sum(axis=(1, 2, 3, 4)), WEIGHT_FLOOR)
+            weight = 1.0 / np.maximum((keep * var).sum(axis=(0, 1, 2, 3)), WEIGHT_FLOOR)
         else:
             pilot_coeffs = group_transform(gather(pilot, positions))
             shrunk, weight = wiener_shrink(coeffs, pilot_coeffs, var)
@@ -426,7 +445,7 @@ def _reference_stage(channels, psd, profile, stage, pilot=None):
         wcol = weight[:, None, None, None]
         for j, pos in enumerate(positions):
             sl = (slice(None),) + tuple(slice(p, p + b) for p, b in zip(pos, block))
-            num[sl] += wcol * blocks[:, j]
+            num[sl] += wcol * np.moveaxis(blocks[j], -1, 0)
             den[sl] += wcol
     return num / den
 

@@ -86,13 +86,15 @@ class TestGroupTransform:
         )
 
     def test_leading_channel_axis(self):
+        """Channels trail the group and block axes and are carried
+        through: each channel transforms as a group of its own."""
         rng = np.random.default_rng(3)
-        stack = rng.standard_normal((3, 4, 4, 4, 4))
+        stack = rng.standard_normal((4, 4, 4, 4, 3))
         coeffs = group_transform(stack)
         assert coeffs.shape == stack.shape
         for c in range(3):
             assert np.allclose(
-                coeffs[c], group_transform(stack[c]), atol=1e-12
+                coeffs[..., c], group_transform(stack[..., c]), atol=1e-12
             )
         assert np.max(np.abs(group_inverse(coeffs) - stack)) <= 1e-10
 
@@ -107,16 +109,31 @@ class TestGroupTransform:
         assert np.allclose(coeffs, direct, atol=1e-12)
 
     def test_matches_per_axis_reference(self):
-        """The one-matrix 3D DCT equals per-axis DCT-II passes followed
+        """The factored 3D DCT equals per-axis DCT-II passes followed
         by the Haar transform along the group axis, for non-cubic
-        blocks and a leading channel axis."""
+        blocks and a trailing channel axis."""
         rng = np.random.default_rng(5)
-        group = rng.standard_normal((3, 8, 2, 3, 4))
-        ref = scipy.fft.dctn(group, type=2, norm="ortho", axes=(-3, -2, -1))
-        ref = np.moveaxis(np.tensordot(haar_matrix(8), ref, axes=(1, 1)), 0, 1)
+        group = rng.standard_normal((8, 2, 3, 4, 3))
+        ref = scipy.fft.dctn(group, type=2, norm="ortho", axes=(1, 2, 3))
+        ref = np.tensordot(haar_matrix(8), ref, axes=(1, 0))
         coeffs = group_transform(group)
         assert np.max(np.abs(coeffs - ref)) <= 1e-12
         assert np.max(np.abs(group_inverse(coeffs) - group)) <= 1e-12
+
+    @pytest.mark.parametrize("block", [(4, 4, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("m", [1, 2, 16, 32])
+    def test_factored_dct_matches_block_basis(self, block, m):
+        """The plane-then-axis DCT passes give the coefficients of the
+        dense block_basis matrix, the one the variance model uses."""
+        rng = np.random.default_rng(15)
+        group = rng.standard_normal((m,) + block + (3,))
+        size = int(np.prod(block))
+        basis = block_basis(block).reshape(size, size)
+        dense = np.einsum("pq,mqc->mpc", basis, group.reshape(m, size, 3))
+        ref = (haar_matrix(m) @ dense.reshape(m, -1)).reshape(group.shape)
+        coeffs = group_transform(group)
+        assert np.max(np.abs(coeffs - ref)) <= 1e-12
+        assert np.max(np.abs(group_inverse(ref) - group)) <= 1e-12
 
     def test_non_power_of_two_group_rejected(self):
         with pytest.raises(ValueError):

@@ -56,8 +56,8 @@ class TestBasisAutocorr:
         """For unit white noise every orthonormal basis coefficient has
         unit variance, which is exactly the zero-lag autocorrelation."""
         fields = basis_autocorr(np.ones((24, 24, 8)), (4, 4, 4))
-        assert fields.shape == (64, 24, 24, 8)
-        assert np.max(np.abs(fields[:, 0, 0, 0] - 1.0)) <= 1e-9
+        assert fields.shape == (24, 24, 8, 64)
+        assert np.max(np.abs(fields[0, 0, 0] - 1.0)) <= 1e-9
 
 
 class TestCoeffVariances:
