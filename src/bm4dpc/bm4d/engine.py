@@ -7,13 +7,16 @@ components) ride along the same matched positions, so matching happens
 once per reference corner.
 
 The whole stage is channel-last. The channels (and the stage-2
-pilot) are copied once into a (V, C) array, and a block is addressed by
-one flat voxel index, its corner's raveled index plus `block_offsets`,
-so each group is one row take of shape (M, P, C). Groups are
-transformed as (M, b0, b1, b2, C) arrays, and the filtered blocks add
-into an (m, n, o, C) numerator without a layout change; group weights
-go into a corner field that `_spread_weights` turns into the per-voxel
-weight sums.
+pilot) are read as a (V, C) array of voxel rows, which is a view when
+the stack is voxel-major, as the PCA and both stages produce it, and a
+copy otherwise. A block is addressed by one flat voxel index, its
+corner's raveled index plus `block_offsets`, so each group is one row
+take of shape (M, P, C). Groups are transformed as (M, b0, b1, b2, C)
+arrays, and the filtered blocks add into an (m, n, o, C) numerator
+without a layout change; group weights go into a corner field that
+`_spread_weights` turns into the per-voxel weight sums. The stage
+returns its numerator as a voxel-major (C, m, n, o) view, so stage 2
+and the inverse PCA read it without a copy.
 """
 
 import itertools
@@ -128,10 +131,14 @@ def _spread_weights(corner_weight, block) -> np.ndarray:
 
 
 def _channel_stack(channels) -> np.ndarray:
-    """A real, finite (C, m, n, o) array with C >= 1, as float64."""
+    """A real, finite (C, m, n, o) array with C >= 1, as float64.
+
+    The memory layout is kept as given (no copy of a float64 array), so
+    a voxel-major stack stays voxel-major.
+    """
     if np.iscomplexobj(channels):
         raise ValueError("channels must be real")
-    stacked = np.ascontiguousarray(channels, dtype=np.float64)
+    stacked = np.asarray(channels, dtype=np.float64)
     if stacked.ndim != 4 or len(stacked) == 0:
         raise ValueError("need a (C, m, n, o) array of at least one channel")
     if not np.all(np.isfinite(stacked)):
@@ -140,7 +147,10 @@ def _channel_stack(channels) -> np.ndarray:
 
 
 def _voxel_rows(stacked) -> np.ndarray:
-    """The (V, C) copy of a (C, m, n, o) stack: one row per voxel."""
+    """The C-contiguous (V, C) rows of a (C, m, n, o) stack, one per voxel.
+
+    A view of a voxel-major stack; any other layout is copied.
+    """
     return np.ascontiguousarray(stacked.reshape(len(stacked), -1).T)
 
 
@@ -165,7 +175,9 @@ def bm4d_stage(
     Stage 1 matches on channel 0 of the noisy data and hard-thresholds;
     stage 2 matches on channel 0 of `pilot_channels` (the stage-1
     output, same shape) and Wiener-filters every channel against its
-    own pilot spectrum. Returns the filtered (C, m, n, o) array.
+    own pilot spectrum. Any memory layout is accepted; voxel-major
+    stacks are read without a copy. Returns the filtered (C, m, n, o)
+    array as a voxel-major view of a C-contiguous (m, n, o, C) array.
     Identical output for any thread count: worker threads filter the
     groups, and the calling thread adds them up in corner order.
     """
@@ -187,7 +199,7 @@ def bm4d_stage(
 
     block = params.block
     work = working_dims(dims, block, params.search_radius)
-    # the fields' FFT temporaries are freed before the (V, C) copies exist
+    # the fields' FFT temporaries are freed before any (V, C) row copy exists
     fields = basis_autocorr(fold_psd(psd.data, work), block)
     offsets = block_offsets(dims, block)
     guide = (stacked if stage == 1 else pilot)[0].ravel()
@@ -239,8 +251,7 @@ def bm4d_stage(
     if not np.all(den > 0):
         raise AssertionError("aggregation left uncovered voxels")
     num /= den
-    del den, corner_weight  # freed before the (C, m, n, o) copy
-    return np.ascontiguousarray(np.moveaxis(num, -1, 0))
+    return np.moveaxis(num, -1, 0)
 
 
 def bm4d_multichannel(channels, psd: NoisePsd, profile: Bm4dProfile = None,

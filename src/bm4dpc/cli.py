@@ -113,8 +113,6 @@ def _cmd_simulate(args):
 
 
 def _cmd_denoise(args):
-    dataset = _load_dataset(args.input, args.bval, args.bvec)
-
     provided_map = provided_psd = None
     if args.noise_map:
         provided_map = NoiseMap(_load_volume(args.noise_map).data)
@@ -129,8 +127,10 @@ def _cmd_denoise(args):
         provided_psd=provided_psd,
         skip_phase_stabilization=args.real_input,
     )
+    # the pipeline holds the only reference to the input, so it can free it
     denoised, used_map, used_psd = denoise_bm4dpc(
-        dataset, options, threads=args.threads
+        _load_dataset(args.input, args.bval, args.bvec), options,
+        threads=args.threads,
     )
     write_nifti(denoised, args.out)
     if args.save_noise_estimates:

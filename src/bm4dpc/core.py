@@ -1,10 +1,13 @@
 """Shared domain types.
 
-A series of N volumes of dims (m, n, o) is one C-contiguous array of
-shape (N, m, n, o): `DwiDataset.data` stores it, and the PCA, noise
-estimation and filtering layers all take and return that layout. Every
-type here is immutable after construction and safe to share across
-workers.
+A series of N volumes of dims (m, n, o) is one array of shape
+(N, m, n, o). `DwiDataset.data` stores it C-contiguous, the layout
+phase stabilization, noise estimation and the forward PCA read. From
+the PCA projection to the inverse PCA the components keep that shape
+but are stored voxel-major, as views of (m, n, o, N) arrays, so the
+filtering stages read the N values of a voxel as one row without a
+copy. Every type here is immutable after construction and safe to
+share across workers.
 """
 
 from dataclasses import dataclass, field, replace

@@ -21,7 +21,8 @@ class PcStack:
     ----------
     pcs : ndarray (N, ...)
         PC j is sum_i basis[i, j] * stack[i], strongest first; same
-        shape as the input stack.
+        shape as the input stack, stored voxel-major (the channel axis
+        is the fastest-varying one in memory).
     basis : ndarray (N, N)
         Orthonormal eigenvector columns of the Gram matrix.
     eigenvalues : ndarray (N,)
@@ -64,7 +65,10 @@ def forward_pca(stack: np.ndarray) -> PcStack:
     PcStack
         PCs of the stack's shape ordered by descending eigenvalue,
         deterministic column signs (largest-magnitude entry of each
-        basis column made real-positive).
+        basis column made real-positive). The PCs are a view of one
+        (W, N) product, so the N values of a voxel sit side by side:
+        the channel-last layout the filtering stages read without a
+        copy.
     """
     stack = np.asarray(stack)
     if stack.ndim < 2:
@@ -83,14 +87,17 @@ def forward_pca(stack: np.ndarray) -> PcStack:
     order = np.arange(N - 1, -1, -1)
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)
     basis = _fix_signs(basis[:, order])
-    return PcStack((basis.T @ X).reshape(stack.shape), basis, eigenvalues)
+    pcs = (X.T @ basis).reshape(stack.shape[1:] + (N,))
+    return PcStack(np.moveaxis(pcs, -1, 0), basis, eigenvalues)
 
 
 def inverse_pca(pcs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Reconstruct the stack from (possibly filtered) PCs.
 
-    Volume i is sum_j conj(basis[i, j]) * pcs[j], returned in the shape
-    of `pcs`; `basis` must be orthonormal within 1e-8.
+    Volume i is sum_j conj(basis[i, j]) * pcs[j], returned C-contiguous
+    in the shape of `pcs`; `basis` must be orthonormal within 1e-8.
+    Voxel-major PCs, as `forward_pca` and the filtering stages return
+    them, are read in place as a transposed matrix operand.
     """
     pcs = np.asarray(pcs)
     basis = np.asarray(basis)

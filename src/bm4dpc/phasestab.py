@@ -32,6 +32,15 @@ def stabilize_phase(dataset: DwiDataset) -> DwiDataset:
     # replicate padding keeps the border phase estimate stable
     smooth_re = gaussian_filter(x.real, (0, s, s, 0), mode="nearest")
     smooth_im = gaussian_filter(x.imag, (0, s, s, 0), mode="nearest")
-    phase = np.arctan2(smooth_im, smooth_re)
-    out = x.real * np.cos(phase) + x.imag * np.sin(phase)
-    return replace(dataset, data=out)
+    # Re(x * conj(g) / |g|) for the smoothed g, in place in the two
+    # smoothed buffers; where g = 0 the phase is arctan2(0, 0) = 0, so
+    # g is taken as 1 there and the voxel keeps Re(x)
+    norm = np.hypot(smooth_re, smooth_im)
+    flat = norm == 0
+    smooth_re[flat] = 1.0
+    norm[flat] = 1.0
+    smooth_re *= x.real
+    smooth_im *= x.imag
+    smooth_re += smooth_im
+    smooth_re /= norm
+    return replace(dataset, data=smooth_re)

@@ -11,7 +11,7 @@ uses them; the caller supplies only the data and, optionally, the
 noise statistics.
 """
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from .bm4d import StageParams, bm4d_multichannel
@@ -34,6 +34,11 @@ def denoise_bm4dpc(dataset: DwiDataset, options: PipelineOptions = None,
                    threads: int = 1):
     """Denoise a DWI dataset.
 
+    The caller's arrays are never written. Each full-size intermediate
+    is dropped after its last use, so a caller that hands over its only
+    reference to `dataset` lets the input be freed once it is
+    phase-stabilized.
+
     Returns
     -------
     (denoised DwiDataset, NoiseMap, NoisePsd)
@@ -50,6 +55,8 @@ def denoise_bm4dpc(dataset: DwiDataset, options: PipelineOptions = None,
         real = dataset
     else:
         real = stabilize_phase(dataset)
+    del dataset
+    bvals, bvecs = real.bvals, real.bvecs
 
     dims = real.dims
     if any(d < b for d, b in zip(dims, StageParams().block)):
@@ -66,9 +73,16 @@ def denoise_bm4dpc(dataset: DwiDataset, options: PipelineOptions = None,
         raise ValueError("noise map and PSD dims must match the data")
 
     clamped = clamp_sigma(sigma_map.data)
-    stack = forward_pca(real.data / clamped)
-    denoised_pcs = bm4d_multichannel(stack.pcs, psd, threads=threads)
-    restored = inverse_pca(denoised_pcs, stack.basis)
+    normalized = real.data / clamped
+    del real
+    projected = forward_pca(normalized)
+    del normalized
+    pcs, basis = projected.pcs, projected.basis
+    del projected
+    denoised_pcs = bm4d_multichannel(pcs, psd, threads=threads)
+    del pcs
+    restored = inverse_pca(denoised_pcs, basis)
+    del denoised_pcs
     restored *= clamped
 
-    return replace(real, data=restored), NoiseMap(clamped), psd
+    return DwiDataset(restored, bvals, bvecs), NoiseMap(clamped), psd

@@ -2,6 +2,7 @@
 
 import itertools
 import threading
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,9 +14,11 @@ from bm4dpc.bm4d import engine
 from bm4dpc.bm4d.engine import (
     WEIGHT_FLOOR,
     _add_group,
+    _channel_stack,
     _ht_core,
     _match_from_view,
     _spread_weights,
+    _voxel_rows,
     block_offsets,
     wiener_shrink,
 )
@@ -404,6 +407,60 @@ class TestBm4dStage:
                 channels, psd, Bm4dProfile(), stage=2,
                 pilot_channels=np.zeros((1, 8, 8, 8), dtype=np.complex128),
             )
+
+
+class TestChannelLayout:
+    """Voxel-major stacks, as the PCA and the stages return them, are
+    read and handed on without copies."""
+
+    SMALL = StageParams(max_group=4, search_radius=(1, 1, 1))
+
+    def test_voxel_rows_view_of_voxel_major_stack(self):
+        rng = np.random.default_rng(13)
+        voxel_major = np.moveaxis(rng.standard_normal((6, 5, 4, 3)), -1, 0)
+        rows = _voxel_rows(_channel_stack(voxel_major))
+        assert rows.flags.c_contiguous
+        assert np.shares_memory(rows, voxel_major)
+        c_ordered = np.ascontiguousarray(voxel_major)
+        copied = _voxel_rows(_channel_stack(c_ordered))
+        assert not np.shares_memory(copied, c_ordered)
+        assert np.array_equal(copied, rows)
+
+    def test_output_independent_of_input_layout(self):
+        rng = np.random.default_rng(14)
+        dims = (10, 9, 8)
+        c_ordered = rng.standard_normal((3,) + dims)
+        voxel_major = np.moveaxis(np.moveaxis(c_ordered, 0, -1).copy(), -1, 0)
+        psd = NoisePsd(np.ones(dims))
+        profile = Bm4dProfile(ht=self.SMALL, wiener=self.SMALL)
+        out = bm4d_multichannel(c_ordered, psd, profile)
+        assert np.array_equal(out, bm4d_multichannel(voxel_major, psd, profile))
+        assert out.shape == c_ordered.shape
+        assert out.reshape(3, -1).T.flags.c_contiguous  # voxel-major
+
+    def test_multichannel_peak_memory(self, monkeypatch):
+        """Stage 2 holds three full-size (C, m, n, o) arrays: the pilot,
+        the numerator and the weight field. A copy of the rows of the
+        channels or of the pilot, or of a stage's output, would each
+        add one more."""
+        rng = np.random.default_rng(15)
+        dims = (16, 16, 12)
+        channels = np.moveaxis(rng.standard_normal(dims + (16,)), -1, 0)
+        psd = NoisePsd(np.ones(dims))
+        profile = Bm4dProfile(ht=self.SMALL, wiener=self.SMALL)
+        # the PSD fields are C-independent set-up, made before tracing
+        work = working_dims(dims, self.SMALL.block, self.SMALL.search_radius)
+        fields = basis_autocorr(fold_psd(psd.data, work), self.SMALL.block)
+        monkeypatch.setattr(engine, "fold_psd", lambda psd, work: None)
+        monkeypatch.setattr(engine, "basis_autocorr", lambda psi, block: fields)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            bm4d_multichannel(channels, psd, profile)
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 4.5 * channels.nbytes
 
 
 def _reference_stage(channels, psd, profile, stage, pilot=None):

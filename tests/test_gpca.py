@@ -144,3 +144,22 @@ class TestStackLayout:
         back = inverse_pca(pcs.pcs, pcs.basis)
         assert back.shape == stack.shape
         assert np.max(np.abs(back - stack)) <= 1e-12
+
+    def test_pcs_voxel_major(self):
+        """The PCs are stored voxel-major, so the (V, N) rows the
+        filtering stages read are a C-contiguous view."""
+        rng = np.random.default_rng(12)
+        stack = rng.standard_normal((5, 3, 4, 6))
+        pcs = forward_pca(stack)
+        rows = pcs.pcs.reshape(5, -1).T
+        assert rows.flags.c_contiguous
+        expected = (pcs.basis.T @ stack.reshape(5, -1)).T
+        assert np.max(np.abs(rows - expected)) <= 1e-12
+
+    def test_inverse_reads_any_layout(self):
+        rng = np.random.default_rng(13)
+        pcs = forward_pca(rng.standard_normal((5, 3, 4, 6)))
+        c_ordered = np.ascontiguousarray(pcs.pcs)
+        back = inverse_pca(pcs.pcs, pcs.basis)
+        assert back.flags.c_contiguous
+        assert np.max(np.abs(back - inverse_pca(c_ordered, pcs.basis))) <= 1e-12

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.ndimage import gaussian_filter
 
 from bm4dpc import DwiDataset, stabilize_phase
 
@@ -106,3 +107,19 @@ class TestStabilize:
         touched[1, :, :, 2] = True
         assert not np.array_equal(out0[touched], out1[touched])
         assert np.array_equal(out0[~touched], out1[~touched])
+
+    def test_matches_arctan_rotation(self):
+        """Re(x exp(-i arctan2(g_im, g_re))) for the smoothed g, with an
+        all-zero slice where g = 0 and arctan2(0, 0) = 0."""
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal((3, 10, 9, 4)) + 1j * rng.standard_normal((3, 10, 9, 4))
+        x[1, :, :, 2] = 0
+        out = stabilize_phase(DwiDataset(x, np.zeros(3))).data
+
+        sigma = (0, 2.0, 2.0, 0)
+        phase = np.arctan2(gaussian_filter(x.imag, sigma, mode="nearest"),
+                           gaussian_filter(x.real, sigma, mode="nearest"))
+        expected = x.real * np.cos(phase) + x.imag * np.sin(phase)
+        assert np.all(np.isfinite(out))
+        assert np.max(np.abs(out - expected)) <= 1e-12
+        assert np.array_equal(out[1, :, :, 2], np.zeros((10, 9)))

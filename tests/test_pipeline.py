@@ -77,6 +77,26 @@ class TestDenoiseQuality:
             assert good >= bad
 
 
+class TestCallerData:
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_input_left_unmodified(self, is_complex):
+        rng = np.random.default_rng(5)
+        data = 1.0 + rng.standard_normal((4, 8, 8, 6))
+        if is_complex:
+            data = data * np.exp(1j * rng.uniform(0, 2 * np.pi, data.shape))
+        ds = DwiDataset(data, np.array([0.0, 1000.0, 1000.0, 1000.0]))
+        before = ds.data.copy()
+        dims = ds.dims
+        opts = PipelineOptions(
+            provided_noise_map=NoiseMap(np.full(dims, 0.5)),
+            provided_psd=NoisePsd(np.ones(dims)),
+            skip_phase_stabilization=not is_complex,
+        )
+        out, _, _ = denoise_bm4dpc(ds, opts)
+        assert np.array_equal(ds.data, before)
+        assert not np.shares_memory(out.data, ds.data)
+
+
 class TestPipelineValidation:
     def test_skip_stabilization_requires_real(self, phantom):
         opts = PipelineOptions(skip_phase_stabilization=True)
