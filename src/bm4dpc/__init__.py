@@ -5,17 +5,16 @@ power spectrum from the tail principal components of the highest
 shell, decorrelates the volumes by global PCA, filters every component
 with a two-stage nonlocal block-matching scheme that knows the exact
 transform-domain noise variances, and maps the result back.
+
+The package exports what a user of the method calls: the pipeline and
+its two preprocessing steps, the data types, I/O, simulation and
+metrics. The layers' own functions (`gpca.forward_pca`,
+`noisest.estimate_psd`, `bm4d.bm4d_stage`, ...) are imported from
+their modules.
 """
 
 __version__ = "0.1.0"
 
-from .bm4d import (
-    Bm4dProfile,
-    StageParams,
-    bm4d_multichannel,
-    bm4d_stage,
-    coeff_variances,
-)
 from .core import DwiDataset, NoiseMap, NoisePsd, SpatialKernel, Volume3
 from .dataio import (
     NiftiError,
@@ -35,10 +34,9 @@ from .evaluate import (
     rmse_map,
     ssim,
 )
-from .gpca import PcStack, forward_pca, inverse_pca
-from .noisest import clamp_sigma, estimate_noise, estimate_noise_map, estimate_psd
+from .noisest import estimate_noise
 from .phasestab import stabilize_phase
-from .pipeline import PipelineOptions, denoise_bm4dpc
+from .pipeline import denoise_bm4dpc
 from .simulate import (
     NoiseSpec,
     PhantomSpec,
@@ -50,35 +48,23 @@ from .simulate import (
 )
 
 __all__ = [
-    "Bm4dProfile",
     "DwiDataset",
     "MetricReport",
     "NiftiError",
     "NoiseMap",
     "NoisePsd",
     "NoiseSpec",
-    "PcStack",
     "PhantomSpec",
-    "PipelineOptions",
     "ShellTable",
     "SpatialKernel",
-    "StageParams",
     "Volume3",
     "add_noise",
     "attach_gradients",
-    "bm4d_multichannel",
-    "bm4d_stage",
-    "clamp_sigma",
-    "coeff_variances",
     "denoise_bm4dpc",
     "estimate_noise",
-    "estimate_noise_map",
-    "estimate_psd",
     "fibonacci_directions",
     "fit_dti",
-    "forward_pca",
     "group_shells",
-    "inverse_pca",
     "kernel_to_psd",
     "make_colored_kernel",
     "make_phantom",

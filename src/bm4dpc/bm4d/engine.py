@@ -22,15 +22,45 @@ and the inverse PCA read it without a copy.
 import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import NoisePsd, _starts
-from .profile import Bm4dProfile, StageParams
 from .transforms import group_inverse, group_transform
 from .variance import basis_autocorr, fold_psd, variances_from_fields, working_dims
 
 WEIGHT_FLOOR = 1e-12
+
+
+@dataclass(frozen=True)
+class StageParams:
+    """Geometry and strength parameters for one filtering stage."""
+
+    block: tuple = (4, 4, 4)
+    max_group: int = 16
+    search_radius: tuple = (5, 5, 5)
+    step: int = 3
+    threshold: float = 2.7  # hard-threshold multiplier; unused by Wiener
+
+    def __post_init__(self):
+        if len(self.block) != 3 or any(int(e) != e or e < 2 for e in self.block):
+            raise ValueError("block edges must be integers >= 2")
+        if len(self.search_radius) != 3 or any(r < 1 for r in self.search_radius):
+            raise ValueError("search radii must be positive")
+        if self.max_group < 1:
+            raise ValueError("max_group must be >= 1")
+        if self.step < 1:
+            raise ValueError("step must be >= 1")
+        if self.step > min(self.block):  # reference blocks must tile the volume
+            raise ValueError("step must not exceed the smallest block edge")
+        if self.threshold < 0:
+            raise ValueError("threshold must be nonnegative")
+
+
+# the standard two-stage settings; both stages share the block geometry
+HT_PARAMS = StageParams(max_group=16)
+WIENER_PARAMS = StageParams(max_group=32)
 
 
 def block_offsets(dims, block) -> np.ndarray:
@@ -154,34 +184,29 @@ def _voxel_rows(stacked) -> np.ndarray:
     return np.ascontiguousarray(stacked.reshape(len(stacked), -1).T)
 
 
-def _stage_params(profile: Bm4dProfile, stage: int) -> StageParams:
-    if stage == 1:
-        return profile.ht
-    if stage == 2:
-        return profile.wiener
-    raise ValueError("stage must be 1 or 2")
-
-
 def bm4d_stage(
     channels,
     psd: NoisePsd,
-    profile: Bm4dProfile,
+    params: StageParams,
     stage: int,
     pilot_channels=None,
     threads: int = 1,
 ) -> np.ndarray:
     """One filtering pass over a real (C, m, n, o) channel stack.
 
-    Stage 1 matches on channel 0 of the noisy data and hard-thresholds;
-    stage 2 matches on channel 0 of `pilot_channels` (the stage-1
-    output, same shape) and Wiener-filters every channel against its
-    own pilot spectrum. Any memory layout is accepted; voxel-major
-    stacks are read without a copy. Returns the filtered (C, m, n, o)
-    array as a voxel-major view of a C-contiguous (m, n, o, C) array.
+    `params` are the settings of this stage (`HT_PARAMS` or
+    `WIENER_PARAMS` in the standard method). Stage 1 matches on
+    channel 0 of the noisy data and hard-thresholds; stage 2 matches on
+    channel 0 of `pilot_channels` (the stage-1 output, same shape) and
+    Wiener-filters every channel against its own pilot spectrum. Any
+    memory layout is accepted; voxel-major stacks are read without a
+    copy. Returns the filtered (C, m, n, o) array as a voxel-major view
+    of a C-contiguous (m, n, o, C) array.
     Identical output for any thread count: worker threads filter the
     groups, and the calling thread adds them up in corner order.
     """
-    params = _stage_params(profile, stage)
+    if stage not in (1, 2):
+        raise ValueError("stage must be 1 or 2")
     stacked = _channel_stack(channels)
     nchan, dims = stacked.shape[0], stacked.shape[1:]
     if any(b > d for b, d in zip(params.block, dims)):
@@ -254,12 +279,10 @@ def bm4d_stage(
     return np.moveaxis(num, -1, 0)
 
 
-def bm4d_multichannel(channels, psd: NoisePsd, profile: Bm4dProfile = None,
-                      threads: int = 1):
+def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
     """Full two-stage filtering of a real (C, m, n, o) channel stack."""
-    if profile is None:
-        profile = Bm4dProfile()
-    pilots = bm4d_stage(channels, psd, profile, stage=1, threads=threads)
+    pilots = bm4d_stage(channels, psd, HT_PARAMS, stage=1, threads=threads)
     return bm4d_stage(
-        channels, psd, profile, stage=2, pilot_channels=pilots, threads=threads
+        channels, psd, WIENER_PARAMS, stage=2, pilot_channels=pilots,
+        threads=threads,
     )

@@ -22,7 +22,7 @@ from .dataio import NiftiError, attach_gradients, read_bvals_bvecs, read_nifti, 
 from .evaluate import fit_dti, mppca_denoise, report_metrics
 from .noisest import estimate_noise
 from .phasestab import stabilize_phase
-from .pipeline import PipelineOptions, denoise_bm4dpc
+from .pipeline import denoise_bm4dpc
 from .simulate import NoiseSpec, PhantomSpec, add_noise, make_colored_kernel, make_phantom
 
 EXIT_OK = 0
@@ -122,15 +122,10 @@ def _cmd_denoise(args):
     if provided_map is not None and provided_psd is not None:
         print("noise estimation skipped (map and PSD provided)", file=sys.stderr)
 
-    options = PipelineOptions(
-        provided_noise_map=provided_map,
-        provided_psd=provided_psd,
-        skip_phase_stabilization=args.real_input,
-    )
     # the pipeline holds the only reference to the input, so it can free it
     denoised, used_map, used_psd = denoise_bm4dpc(
-        _load_dataset(args.input, args.bval, args.bvec), options,
-        threads=args.threads,
+        _load_dataset(args.input, args.bval, args.bvec), provided_map,
+        provided_psd, threads=args.threads,
     )
     write_nifti(denoised, args.out)
     if args.save_noise_estimates:
@@ -219,8 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--noise-map", help="NIfTI sigma map overriding estimation")
     p.add_argument("--psd", help="NIfTI noise PSD overriding estimation")
-    p.add_argument("--real-input", action="store_true",
-                   help="input is already real; skip phase stabilization")
     p.add_argument("--save-noise-estimates", metavar="DIR")
     p.set_defaults(func=_cmd_denoise)
 

@@ -45,6 +45,13 @@ def _as_samples(data, ndim: int, what: str) -> np.ndarray:
     return arr
 
 
+def _as_real_grid(data, what: str) -> np.ndarray:
+    """Finite, non-empty, real 3D samples as C-contiguous float64."""
+    if np.iscomplexobj(data):
+        raise ValueError(f"{what} must be real")
+    return _as_samples(data, 3, what)
+
+
 @dataclass(frozen=True)
 class Volume3:
     """A dense 3D scalar grid, real- or complex-valued.
@@ -143,10 +150,8 @@ class NoiseMap:
     data: np.ndarray
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data), dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError("noise map must be 3D")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        arr = _as_real_grid(self.data, "noise map")
+        if np.any(arr < 0):
             raise ValueError("noise map must be finite and nonnegative")
         object.__setattr__(self, "data", arr)
 
@@ -168,10 +173,8 @@ class NoisePsd:
     unit_variance: bool = True
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data), dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError("PSD must be a full 3D frequency grid")
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
+        arr = _as_real_grid(self.data, "PSD")
+        if np.any(arr < 0):
             raise ValueError("PSD must be finite and nonnegative")
         if self.unit_variance and abs(arr.mean() - 1.0) > PSD_MEAN_TOL:
             raise ValueError(
@@ -196,11 +199,7 @@ class SpatialKernel:
     center: tuple = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.data), dtype=np.float64)
-        if arr.ndim != 3:
-            raise ValueError("kernel must be 3D (use depth 1 for in-plane)")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("kernel contains non-finite values")
+        arr = _as_real_grid(self.data, "kernel")  # depth 1 for in-plane
         center = self.center
         if center is None:
             center = tuple(s // 2 for s in arr.shape)

@@ -62,7 +62,6 @@ def write_nifti(data, path) -> None:
     """Write a volume, dataset, noise map, or PSD as single-file NIfTI-1.
 
     Real samples are stored as float32, complex samples as complex64.
-    A plain 4D array is taken in on-disk order, (m, n, o, N).
     """
     if isinstance(data, DwiDataset):
         payload = np.moveaxis(data.data, 0, -1)  # NIfTI puts volumes last
@@ -71,13 +70,7 @@ def write_nifti(data, path) -> None:
         payload = data.data
         n_volumes = None
     else:
-        payload = np.asarray(data)
-        if payload.ndim == 4:
-            n_volumes = payload.shape[3]
-        elif payload.ndim == 3:
-            n_volumes = None
-        else:
-            raise ValueError("expected 3D or 4D data")
+        raise TypeError(f"cannot write a {type(data).__name__} as NIfTI")
 
     if np.iscomplexobj(payload):
         raw = np.asarray(payload, dtype=np.complex64)

@@ -51,20 +51,19 @@ def _ssim_window_filter(x: np.ndarray) -> np.ndarray:
     return ndimage.gaussian_filter(x, SSIM_SIGMA, truncate=2.0, mode="nearest")
 
 
-def ssim(gt: Volume3, test: Volume3, data_range: Optional[float] = None) -> float:
+def ssim(gt: Volume3, test: Volume3) -> float:
     """Mean structural similarity over valid 7x7x7 window centers.
 
     Gaussian weighting (sigma 1.5), uncorrected local moments, dynamic
-    range from the reference unless given. Borders within half a window
-    of the edge are excluded from the mean.
+    range from the reference. Borders within half a window of the edge
+    are excluded from the mean.
     """
     a, b = _data(gt), _data(test)
     if a.shape != b.shape:
         raise ValueError("dims mismatch")
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         raise ValueError("SSIM expects real volumes")
-    if data_range is None:
-        data_range = float(a.max() - a.min())
+    data_range = float(a.max() - a.min())
     if data_range == 0:
         raise ValueError("reference has zero dynamic range")
     a = a.astype(np.float64)

@@ -1,6 +1,6 @@
 """End-to-end denoising: stabilize, estimate, normalize, PCA, filter.
 
-The full chain: phase stabilization makes the data real, the noise map
+The full chain: phase stabilization makes complex data real, the noise map
 and PSD are estimated from the highest shell (or taken from the
 caller), volumes are normalized by the clamped map, decorrelated by
 global PCA, every component is collaboratively filtered under the
@@ -11,68 +11,48 @@ uses them; the caller supplies only the data and, optionally, the
 noise statistics.
 """
 
-from dataclasses import dataclass
 from typing import Optional
 
-from .bm4d import StageParams, bm4d_multichannel
+from .bm4d.engine import HT_PARAMS, bm4d_multichannel
 from .core import DwiDataset, NoiseMap, NoisePsd
 from .gpca import forward_pca, inverse_pca
 from .noisest import clamp_sigma, estimate_noise
 from .phasestab import stabilize_phase
 
 
-@dataclass(frozen=True)
-class PipelineOptions:
-    """Noise statistics that override estimation, and real-input mode."""
-
-    provided_noise_map: Optional[NoiseMap] = None
-    provided_psd: Optional[NoisePsd] = None
-    skip_phase_stabilization: bool = False
-
-
-def denoise_bm4dpc(dataset: DwiDataset, options: PipelineOptions = None,
-                   threads: int = 1):
+def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
+                   psd: Optional[NoisePsd] = None, threads: int = 1):
     """Denoise a DWI dataset.
 
-    The caller's arrays are never written. Each full-size intermediate
-    is dropped after its last use, so a caller that hands over its only
-    reference to `dataset` lets the input be freed once it is
-    phase-stabilized.
+    Complex input is phase-stabilized first; real input is taken as
+    is. A given `noise_map` or `psd` replaces the estimate from the
+    data. The caller's arrays are never written. Each full-size
+    intermediate is dropped after its last use, so a caller that hands
+    over its only reference to `dataset` lets the input be freed once
+    it is phase-stabilized.
 
     Returns
     -------
     (denoised DwiDataset, NoiseMap, NoisePsd)
         The map and PSD actually used (the map after clamping).
     """
-    if options is None:
-        options = PipelineOptions()
-
-    if options.skip_phase_stabilization:
-        if dataset.is_complex:
-            raise ValueError(
-                "skip_phase_stabilization requires already-real input"
-            )
-        real = dataset
-    else:
-        real = stabilize_phase(dataset)
+    real = stabilize_phase(dataset) if dataset.is_complex else dataset
     del dataset
     bvals, bvecs = real.bvals, real.bvecs
 
     dims = real.dims
-    if any(d < b for d, b in zip(dims, StageParams().block)):
+    if any(d < b for d, b in zip(dims, HT_PARAMS.block)):
         raise ValueError("volume dims fall below the filtering block size")
 
-    sigma_map = options.provided_noise_map
-    psd = options.provided_psd
-    if sigma_map is None or psd is None:
+    if noise_map is None or psd is None:
         # estimation runs on the non-normalized real data
         est_map, est_psd = estimate_noise(real)
-        sigma_map = sigma_map if sigma_map is not None else est_map
+        noise_map = noise_map if noise_map is not None else est_map
         psd = psd if psd is not None else est_psd
-    if sigma_map.dims != dims or psd.dims != dims:
+    if noise_map.dims != dims or psd.dims != dims:
         raise ValueError("noise map and PSD dims must match the data")
 
-    clamped = clamp_sigma(sigma_map.data)
+    clamped = clamp_sigma(noise_map.data)
     normalized = real.data / clamped
     del real
     projected = forward_pca(normalized)

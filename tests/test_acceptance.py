@@ -7,13 +7,8 @@ checklist for the toolkit.
 
 import numpy as np
 
-from bm4dpc.bm4d import (
-    Bm4dProfile,
-    StageParams,
-    bm4d_stage,
-    coeff_variances,
-    group_transform,
-)
+from bm4dpc.bm4d import StageParams, bm4d_stage, coeff_variances
+from bm4dpc.bm4d.transforms import group_transform
 from bm4dpc.core import NoisePsd
 from bm4dpc.evaluate import fit_dti, rmse_map
 from bm4dpc.gpca import forward_pca, inverse_pca
@@ -139,9 +134,9 @@ def test_criterion_8_transform_and_pca_exactness():
     round_trip = np.linalg.norm(restored - matrix) / np.linalg.norm(matrix)
 
     channels = rng.standard_normal((1, 16, 16, 16))
-    profile = Bm4dProfile(ht=StageParams(threshold=0.0))
     out = bm4d_stage(
-        channels, NoisePsd(np.ones((16, 16, 16))), profile, stage=1
+        channels, NoisePsd(np.ones((16, 16, 16))), StageParams(threshold=0.0),
+        stage=1,
     )
     identity = np.max(np.abs(out - channels))
 

@@ -1,0 +1,60 @@
+"""The package's public names: what a user of the method calls."""
+
+import importlib.util
+import inspect
+
+import bm4dpc
+from bm4dpc import bm4d, pipeline
+from bm4dpc.bm4d import engine
+
+PUBLIC = [
+    "DwiDataset",
+    "MetricReport",
+    "NiftiError",
+    "NoiseMap",
+    "NoisePsd",
+    "NoiseSpec",
+    "PhantomSpec",
+    "ShellTable",
+    "SpatialKernel",
+    "Volume3",
+    "add_noise",
+    "attach_gradients",
+    "denoise_bm4dpc",
+    "estimate_noise",
+    "fibonacci_directions",
+    "fit_dti",
+    "group_shells",
+    "kernel_to_psd",
+    "make_colored_kernel",
+    "make_phantom",
+    "mppca_denoise",
+    "psnr",
+    "read_bvals_bvecs",
+    "read_nifti",
+    "report_metrics",
+    "rmse_map",
+    "ssim",
+    "stabilize_phase",
+    "write_nifti",
+]
+
+
+def test_public_names_pinned():
+    assert sorted(bm4dpc.__all__) == PUBLIC
+    assert len(PUBLIC) <= 30
+
+
+def test_every_public_name_resolves():
+    for name in bm4dpc.__all__:
+        assert getattr(bm4dpc, name) is not None, name
+
+
+def test_no_options_or_profile_objects():
+    """The input decides phase stabilization and the stages use the
+    standard settings, so no options or profile type exists."""
+    for module in (bm4dpc, pipeline, bm4d, engine):
+        assert not [n for n in dir(module) if n.endswith(("Options", "Profile"))]
+    assert importlib.util.find_spec("bm4dpc.bm4d.profile") is None
+    params = inspect.signature(bm4dpc.denoise_bm4dpc).parameters
+    assert list(params) == ["dataset", "noise_map", "psd", "threads"]

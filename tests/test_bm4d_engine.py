@@ -9,10 +9,12 @@ import numpy as np
 import pytest
 import scipy.ndimage
 
-from bm4dpc.bm4d import Bm4dProfile, StageParams, bm4d_multichannel, bm4d_stage
+from bm4dpc.bm4d import StageParams, bm4d_multichannel, bm4d_stage
 from bm4dpc.bm4d import engine
 from bm4dpc.bm4d.engine import (
+    HT_PARAMS,
     WEIGHT_FLOOR,
+    WIENER_PARAMS,
     _add_group,
     _channel_stack,
     _ht_core,
@@ -30,6 +32,12 @@ from bm4dpc.bm4d.variance import (
     working_dims,
 )
 from bm4dpc.core import NoisePsd, _starts
+
+
+def _use_params(monkeypatch, params):
+    """Run both stages of `bm4d_multichannel` with `params`."""
+    monkeypatch.setattr(engine, "HT_PARAMS", params)
+    monkeypatch.setattr(engine, "WIENER_PARAMS", params)
 
 
 def _match(data, ref, params):
@@ -281,16 +289,15 @@ def bm4d_noise_bench():
 @pytest.fixture(scope="module")
 def bm4d_bench_stage1(bm4d_noise_bench):
     _, noisy, psd = bm4d_noise_bench
-    return bm4d_stage(noisy, psd, Bm4dProfile(), stage=1)
+    return bm4d_stage(noisy, psd, HT_PARAMS, stage=1)
 
 
 class TestBm4dStage:
     def test_zero_threshold_is_identity(self):
         rng = np.random.default_rng(8)
         channels = rng.standard_normal((1, 16, 16, 16))
-        profile = Bm4dProfile(ht=StageParams(threshold=0.0))
         psd = NoisePsd(np.ones((16, 16, 16)))
-        out = bm4d_stage(channels, psd, profile, stage=1)
+        out = bm4d_stage(channels, psd, StageParams(threshold=0.0), stage=1)
         assert out.shape == channels.shape
         assert np.max(np.abs(out - channels)) <= 1e-6
 
@@ -316,7 +323,7 @@ class TestBm4dStage:
         threaded = bm4d_multichannel(noisy, psd, threads=4)
         assert np.array_equal(serial, threaded)
 
-    def test_odd_dims_clamped_starts(self):
+    def test_odd_dims_clamped_starts(self, monkeypatch):
         """Non-cubic odd dims end on clamped starts along x and z, and a
         unit search radius gives groups of 8 blocks at the corners."""
         rng = np.random.default_rng(11)
@@ -324,12 +331,12 @@ class TestBm4dStage:
         channels = rng.standard_normal((2,) + dims)
         psd = NoisePsd(np.ones(dims))
         small = StageParams(search_radius=(1, 1, 1))
-        identity = Bm4dProfile(ht=replace(small, threshold=0.0))
+        identity = replace(small, threshold=0.0)
         out = bm4d_stage(channels, psd, identity, stage=1)
         assert np.max(np.abs(out - channels)) <= 1e-6
-        profile = Bm4dProfile(ht=small, wiener=small)
-        serial = bm4d_multichannel(channels, psd, profile, threads=1)
-        threaded = bm4d_multichannel(channels, psd, profile, threads=3)
+        _use_params(monkeypatch, small)
+        serial = bm4d_multichannel(channels, psd, threads=1)
+        threaded = bm4d_multichannel(channels, psd, threads=3)
         assert np.array_equal(serial, threaded)
 
     def test_pool_shut_down_on_error(self, monkeypatch):
@@ -342,7 +349,7 @@ class TestBm4dStage:
         psd = NoisePsd(np.ones((16, 16, 16)))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="variance lookup failed"):
-            bm4d_stage(channels, psd, Bm4dProfile(), stage=1, threads=2)
+            bm4d_stage(channels, psd, HT_PARAMS, stage=1, threads=2)
         assert threading.active_count() == before
 
     def test_single_channel_supported(self):
@@ -357,54 +364,54 @@ class TestBm4dStage:
         channels = np.zeros((1, 8, 8, 8))
         psd = NoisePsd(np.ones((8, 8, 8)))
         with pytest.raises(ValueError, match="stage must be 1 or 2"):
-            bm4d_stage(channels, psd, Bm4dProfile(), stage=3)
+            bm4d_stage(channels, psd, HT_PARAMS, stage=3)
 
     def test_input_validation(self):
         psd = NoisePsd(np.ones((8, 8, 8)))
         with pytest.raises(ValueError, match="at least one channel"):
-            bm4d_stage(np.zeros((0, 8, 8, 8)), psd, Bm4dProfile(), stage=1)
+            bm4d_stage(np.zeros((0, 8, 8, 8)), psd, HT_PARAMS, stage=1)
         with pytest.raises(ValueError, match="at least one channel"):
-            bm4d_stage(np.zeros((8, 8, 8)), psd, Bm4dProfile(), stage=1)
+            bm4d_stage(np.zeros((8, 8, 8)), psd, HT_PARAMS, stage=1)
         with pytest.raises(ValueError, match="must be real"):
             bm4d_stage(
                 np.zeros((1, 8, 8, 8), dtype=np.complex128),
-                psd, Bm4dProfile(), stage=1,
+                psd, HT_PARAMS, stage=1,
             )
         nan = np.zeros((1, 8, 8, 8))
         nan[0, 1, 2, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            bm4d_stage(nan, psd, Bm4dProfile(), stage=1)
+            bm4d_stage(nan, psd, HT_PARAMS, stage=1)
         with pytest.raises(ValueError, match="smaller than the block"):
             bm4d_stage(
                 np.zeros((1, 3, 8, 8)),
-                NoisePsd(np.ones((3, 8, 8))), Bm4dProfile(), stage=1,
+                NoisePsd(np.ones((3, 8, 8))), HT_PARAMS, stage=1,
             )
         with pytest.raises(ValueError, match="PSD dims"):
             bm4d_stage(
                 np.zeros((1, 8, 8, 8)), NoisePsd(np.ones((8, 8, 4))),
-                Bm4dProfile(), stage=1,
+                HT_PARAMS, stage=1,
             )
 
     def test_pilot_validation(self):
         channels = np.zeros((1, 8, 8, 8))
         psd = NoisePsd(np.ones((8, 8, 8)))
         with pytest.raises(ValueError, match="needs a pilot"):
-            bm4d_stage(channels, psd, Bm4dProfile(), stage=2)
+            bm4d_stage(channels, psd, WIENER_PARAMS, stage=2)
         with pytest.raises(ValueError, match="pilot shape"):
             bm4d_stage(
-                channels, psd, Bm4dProfile(), stage=2,
+                channels, psd, WIENER_PARAMS, stage=2,
                 pilot_channels=np.zeros((2, 8, 8, 8)),
             )
         with pytest.raises(ValueError, match="stage 1 takes no pilot"):
-            bm4d_stage(channels, psd, Bm4dProfile(), stage=1, pilot_channels=channels)
+            bm4d_stage(channels, psd, HT_PARAMS, stage=1, pilot_channels=channels)
         with pytest.raises(ValueError, match="pilot shape"):
             bm4d_stage(
-                channels, psd, Bm4dProfile(), stage=2,
+                channels, psd, WIENER_PARAMS, stage=2,
                 pilot_channels=np.zeros((1, 8, 8, 4)),
             )
         with pytest.raises(ValueError, match="must be real"):
             bm4d_stage(
-                channels, psd, Bm4dProfile(), stage=2,
+                channels, psd, WIENER_PARAMS, stage=2,
                 pilot_channels=np.zeros((1, 8, 8, 8), dtype=np.complex128),
             )
 
@@ -426,15 +433,15 @@ class TestChannelLayout:
         assert not np.shares_memory(copied, c_ordered)
         assert np.array_equal(copied, rows)
 
-    def test_output_independent_of_input_layout(self):
+    def test_output_independent_of_input_layout(self, monkeypatch):
         rng = np.random.default_rng(14)
         dims = (10, 9, 8)
         c_ordered = rng.standard_normal((3,) + dims)
         voxel_major = np.moveaxis(np.moveaxis(c_ordered, 0, -1).copy(), -1, 0)
         psd = NoisePsd(np.ones(dims))
-        profile = Bm4dProfile(ht=self.SMALL, wiener=self.SMALL)
-        out = bm4d_multichannel(c_ordered, psd, profile)
-        assert np.array_equal(out, bm4d_multichannel(voxel_major, psd, profile))
+        _use_params(monkeypatch, self.SMALL)
+        out = bm4d_multichannel(c_ordered, psd)
+        assert np.array_equal(out, bm4d_multichannel(voxel_major, psd))
         assert out.shape == c_ordered.shape
         assert out.reshape(3, -1).T.flags.c_contiguous  # voxel-major
 
@@ -447,7 +454,7 @@ class TestChannelLayout:
         dims = (16, 16, 12)
         channels = np.moveaxis(rng.standard_normal(dims + (16,)), -1, 0)
         psd = NoisePsd(np.ones(dims))
-        profile = Bm4dProfile(ht=self.SMALL, wiener=self.SMALL)
+        _use_params(monkeypatch, self.SMALL)
         # the PSD fields are C-independent set-up, made before tracing
         work = working_dims(dims, self.SMALL.block, self.SMALL.search_radius)
         fields = basis_autocorr(fold_psd(psd.data, work), self.SMALL.block)
@@ -456,17 +463,16 @@ class TestChannelLayout:
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            bm4d_multichannel(channels, psd, profile)
+            bm4d_multichannel(channels, psd)
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
         assert peak < 4.5 * channels.nbytes
 
 
-def _reference_stage(channels, psd, profile, stage, pilot=None):
+def _reference_stage(channels, psd, params, stage, pilot=None):
     """The stage as it reads on paper: slice gathers, and per-block
     slice adds into (C, m, n, o) numerator and weight sums."""
-    params = profile.ht if stage == 1 else profile.wiener
     block = params.block
     dims = channels.shape[1:]
     guide = (channels if stage == 1 else pilot)[0]
@@ -520,30 +526,32 @@ class TestStageOracle:
         kernel = rng.random((3, 3, 3))
         spectrum = np.abs(np.fft.fftn(kernel, dims, axes=(0, 1, 2))) ** 2
         psd = NoisePsd(spectrum / spectrum.mean())
-        profile = Bm4dProfile()
 
-        pilot = bm4d_stage(channels, psd, profile, stage=1)
-        expected = _reference_stage(channels, psd, profile, 1)
+        pilot = bm4d_stage(channels, psd, HT_PARAMS, stage=1)
+        expected = _reference_stage(channels, psd, HT_PARAMS, 1)
         assert np.max(np.abs(pilot - expected)) <= 1e-12
-        final = bm4d_stage(channels, psd, profile, stage=2, pilot_channels=pilot)
-        expected = _reference_stage(channels, psd, profile, 2, pilot)
+        final = bm4d_stage(
+            channels, psd, WIENER_PARAMS, stage=2, pilot_channels=pilot
+        )
+        expected = _reference_stage(channels, psd, WIENER_PARAMS, 2, pilot)
         assert np.max(np.abs(final - expected)) <= 1e-12
 
         for threads in (1, 2, 3):
             assert np.array_equal(
-                bm4d_stage(channels, psd, profile, stage=1, threads=threads), pilot
+                bm4d_stage(channels, psd, HT_PARAMS, stage=1, threads=threads), pilot
             )
             assert np.array_equal(
-                bm4d_stage(channels, psd, profile, stage=2, pilot_channels=pilot,
-                           threads=threads),
+                bm4d_stage(channels, psd, WIENER_PARAMS, stage=2,
+                           pilot_channels=pilot, threads=threads),
                 final,
             )
 
 
 class TestProfiles:
     def test_standard_defaults(self):
-        assert Bm4dProfile().ht.max_group == 16
-        assert Bm4dProfile().wiener.max_group == 32
+        assert HT_PARAMS.max_group == 16
+        assert WIENER_PARAMS.max_group == 32
+        assert HT_PARAMS.block == WIENER_PARAMS.block
 
     def test_stage_params_validation(self):
         with pytest.raises(ValueError, match="block edges"):

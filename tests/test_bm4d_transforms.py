@@ -4,8 +4,13 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from bm4dpc.bm4d import group_inverse, group_transform, haar_matrix
-from bm4dpc.bm4d.transforms import block_basis, dct_matrix
+from bm4dpc.bm4d.transforms import (
+    block_basis,
+    dct_matrix,
+    group_inverse,
+    group_transform,
+    haar_matrix,
+)
 
 SQ2 = np.sqrt(2.0)
 

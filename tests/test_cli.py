@@ -111,6 +111,8 @@ class TestArgHandling:
         ]
         if "noise_map" in paths:
             argv += ["--noise-map", str(paths["noise_map"])]
+        if "psd" in paths:
+            argv += ["--psd", str(paths["psd"])]
         return run_cli(argv)
 
     def test_nan_voxel_is_io_error(self, small_sim, tmp_path, capsys):
@@ -138,6 +140,17 @@ class TestArgHandling:
         assert "noise map must be finite and nonnegative" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("flag,name", [
+        ("noise_map", "sigma_true.nii"), ("psd", "psd_true.nii"),
+    ])
+    def test_complex_noise_statistics_are_usage_errors(self, small_sim, tmp_path,
+                                                       capsys, flag, name):
+        real = read_nifti(str(small_sim / name))
+        path = tmp_path / f"complex_{name}"
+        write_nifti(Volume3(real.data * (1 + 1j)), path)
+        assert self._denoise(small_sim, tmp_path, **{flag: path}) == 2
+        assert "must be real" in capsys.readouterr().err
 
     def test_single_volume_input_rejected(self, small_sim, tmp_path, capsys):
         code = run_cli(

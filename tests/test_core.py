@@ -147,3 +147,17 @@ class TestNoiseTypes:
         with pytest.raises(ValueError):
             SpatialKernel(np.ones((3, 3, 1)), center=(3, 0, 0))
 
+    @pytest.mark.parametrize("make", [NoiseMap, NoisePsd, SpatialKernel])
+    def test_real_grids_reject_empty_complex_and_non_finite(self, make):
+        ones = np.ones((4, 4, 4))
+        with pytest.raises(ValueError, match="non-empty"):
+            make(np.ones((0, 4, 4)))
+        with pytest.raises(ValueError, match="must be real"):
+            make(ones.astype(np.complex64))
+        with pytest.raises(ValueError, match="must be 3D"):
+            make(np.ones((4, 4)))
+        bad = ones.copy()
+        bad[1, 2, 3] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            make(bad)
+

@@ -170,6 +170,11 @@ class TestNiftiRoundTrip:
         assert np.array_equal(back.data, sigma.data)
 
 
+    def test_plain_array_rejected(self, tmp_path):
+        with pytest.raises(TypeError, match="ndarray"):
+            write_nifti(np.zeros((2, 2, 2)), tmp_path / "x.nii")
+
+
 class TestNiftiErrors:
     def test_truncated_header(self, tmp_path):
         path = tmp_path / "short.nii"

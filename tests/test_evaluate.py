@@ -116,14 +116,6 @@ class TestSsim:
         expected = _reference_ssim(a, b, data_range)
         assert got == pytest.approx(expected, abs=1e-6)
 
-    def test_explicit_data_range(self):
-        rng = np.random.default_rng(4)
-        a = rng.standard_normal((10, 10, 10))
-        b = a + 0.2 * rng.standard_normal((10, 10, 10))
-        default = ssim(Volume3(a), Volume3(b))
-        explicit = ssim(Volume3(a), Volume3(b), data_range=float(a.max() - a.min()))
-        assert default == explicit
-
     def test_noise_lowers_similarity(self):
         rng = np.random.default_rng(5)
         a = rng.standard_normal((10, 10, 10))

@@ -7,7 +7,7 @@ matrices and hand the PCA their transpose.
 import numpy as np
 import pytest
 
-from bm4dpc import forward_pca, inverse_pca
+from bm4dpc.gpca import forward_pca, inverse_pca
 
 
 class TestForwardPca:

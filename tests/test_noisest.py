@@ -6,14 +6,12 @@ import pytest
 from bm4dpc import (
     DwiDataset,
     Volume3,
-    clamp_sigma,
     estimate_noise,
-    estimate_noise_map,
-    estimate_psd,
     kernel_to_psd,
     make_colored_kernel,
     noisest,
 )
+from bm4dpc.noisest import clamp_sigma, estimate_noise_map, estimate_psd
 from bm4dpc.simulate import default_gfactor
 
 from _util import pearson, radial_profile, rel_rmse, synth_colored

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from bm4dpc import pipeline
 from bm4dpc.core import DwiDataset, NoiseMap, NoisePsd
-from bm4dpc.pipeline import PipelineOptions, denoise_bm4dpc
+from bm4dpc.pipeline import denoise_bm4dpc
 
 from _util import shell_mean_psnr
 
@@ -14,12 +15,10 @@ class TestVanishingNoise:
         """With (sigma, psd) pinned to a vanishing noise level the
         filter must hand back the clean input almost untouched."""
         dims = gt_real.dims
-        opts = PipelineOptions(
-            provided_noise_map=NoiseMap(np.full(dims, 1e-6)),
-            provided_psd=NoisePsd(np.ones(dims)),
-            skip_phase_stabilization=True,
+        out, _, _ = denoise_bm4dpc(
+            gt_real, NoiseMap(np.full(dims, 1e-6)), NoisePsd(np.ones(dims)),
+            threads=4,
         )
-        out, _, _ = denoise_bm4dpc(gt_real, opts, threads=4)
         ref = gt_real.data
         diff = np.abs(out.data - ref)
         rel = np.max(diff) / np.max(np.abs(ref))
@@ -59,18 +58,14 @@ class TestDenoiseQuality:
         """Supplying the correct spectrum never loses to a deliberately
         wrong flat spectrum on correlated noise."""
         dims = gt_real.dims
-        right = PipelineOptions(
-            provided_noise_map=NoiseMap(colored_arm["sigma"].data),
-            provided_psd=NoisePsd(colored_arm["psd"].data),
-            skip_phase_stabilization=True,
+        sigma = NoiseMap(colored_arm["sigma"].data)
+        out_right, _, _ = denoise_bm4dpc(
+            colored_stabilized, sigma, NoisePsd(colored_arm["psd"].data),
+            threads=4,
         )
-        wrong = PipelineOptions(
-            provided_noise_map=NoiseMap(colored_arm["sigma"].data),
-            provided_psd=NoisePsd(np.ones(dims)),
-            skip_phase_stabilization=True,
+        out_wrong, _, _ = denoise_bm4dpc(
+            colored_stabilized, sigma, NoisePsd(np.ones(dims)), threads=4
         )
-        out_right, _, _ = denoise_bm4dpc(colored_stabilized, right, threads=4)
-        out_wrong, _, _ = denoise_bm4dpc(colored_stabilized, wrong, threads=4)
         for center in (1000.0, 2000.0):
             good = shell_mean_psnr(gt_real, out_right, center)
             bad = shell_mean_psnr(gt_real, out_wrong, center)
@@ -87,33 +82,45 @@ class TestCallerData:
         ds = DwiDataset(data, np.array([0.0, 1000.0, 1000.0, 1000.0]))
         before = ds.data.copy()
         dims = ds.dims
-        opts = PipelineOptions(
-            provided_noise_map=NoiseMap(np.full(dims, 0.5)),
-            provided_psd=NoisePsd(np.ones(dims)),
-            skip_phase_stabilization=not is_complex,
+        out, _, _ = denoise_bm4dpc(
+            ds, NoiseMap(np.full(dims, 0.5)), NoisePsd(np.ones(dims))
         )
-        out, _, _ = denoise_bm4dpc(ds, opts)
         assert np.array_equal(ds.data, before)
         assert not np.shares_memory(out.data, ds.data)
 
 
-class TestPipelineValidation:
-    def test_skip_stabilization_requires_real(self, phantom):
-        opts = PipelineOptions(skip_phase_stabilization=True)
-        with pytest.raises(ValueError, match="already-real"):
-            denoise_bm4dpc(phantom[0], opts)
+class TestPhaseStabilization:
+    @pytest.mark.parametrize("is_complex", [False, True])
+    def test_runs_exactly_for_complex_input(self, monkeypatch, is_complex):
+        calls = []
+        stabilize = pipeline.stabilize_phase
 
-    def test_prior_dims_checked(self, gt_real):
-        opts = PipelineOptions(
-            provided_noise_map=NoiseMap(np.ones((8, 8, 8))),
-            provided_psd=NoisePsd(np.ones((8, 8, 8))),
-            skip_phase_stabilization=True,
+        def spy(dataset):
+            calls.append(dataset.is_complex)
+            return stabilize(dataset)
+
+        monkeypatch.setattr(pipeline, "stabilize_phase", spy)
+        rng = np.random.default_rng(6)
+        data = 1.0 + rng.standard_normal((4, 8, 8, 6))
+        if is_complex:
+            data = data * np.exp(1j * rng.uniform(0, 2 * np.pi, data.shape))
+        ds = DwiDataset(data, np.array([0.0, 1000.0, 1000.0, 1000.0]))
+        dims = ds.dims
+        out, _, _ = denoise_bm4dpc(
+            ds, NoiseMap(np.full(dims, 0.5)), NoisePsd(np.ones(dims))
         )
+        assert calls == ([True] if is_complex else [])
+        assert not out.is_complex
+
+
+class TestPipelineValidation:
+    def test_prior_dims_checked(self, gt_real):
         with pytest.raises(ValueError, match="dims must match"):
-            denoise_bm4dpc(gt_real, opts)
+            denoise_bm4dpc(
+                gt_real, NoiseMap(np.ones((8, 8, 8))), NoisePsd(np.ones((8, 8, 8)))
+            )
 
     def test_tiny_volume_rejected(self):
         ds = DwiDataset(np.ones((4, 3, 8, 8)), np.array([0.0, 0.0, 1000.0, 1000.0]))
-        opts = PipelineOptions(skip_phase_stabilization=True)
         with pytest.raises(ValueError, match="below the filtering block"):
-            denoise_bm4dpc(ds, opts)
+            denoise_bm4dpc(ds)
