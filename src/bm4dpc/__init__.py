@@ -9,8 +9,8 @@ transform-domain noise variances, and maps the result back.
 The package exports what a user of the method calls: the pipeline and
 its two preprocessing steps, the data types, I/O, simulation and
 metrics. The layers' own functions (`gpca.forward_pca`,
-`noisest.estimate_psd`, `bm4d.bm4d_stage`, ...) are imported from
-their modules.
+`noisest.estimate_psd`, `bm4d.engine.bm4d_stage`, ...) are imported
+from their modules.
 """
 
 __version__ = "0.1.0"

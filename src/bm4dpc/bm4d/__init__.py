@@ -3,16 +3,14 @@
 Grouping of similar cubic blocks, separable orthonormal 4D transforms,
 PSD-exact coefficient variances, two-stage shrinkage, and the
 multichannel driver that filters every principal component with block
-positions matched once on the first. Transforms, variance helpers and
-shrinkage stay importable from `transforms`, `variance` and `engine`.
+positions matched once on the first. Transforms, variance helpers,
+the stage and shrinkage stay importable from `transforms`, `variance`
+and `engine`.
 """
 
-from .engine import StageParams, bm4d_multichannel, bm4d_stage
-from .variance import coeff_variances
+from .engine import bm4d_multichannel, coeff_variances
 
 __all__ = [
-    "StageParams",
     "bm4d_multichannel",
-    "bm4d_stage",
     "coeff_variances",
 ]

@@ -6,23 +6,28 @@ applies empirical Wiener gains. Multiple channels (principal
 components) ride along the same matched positions, so matching happens
 once per reference corner.
 
+The method's settings are the module constants below, read at call
+time. Both stages share the block geometry, so `bm4d_multichannel`
+checks its input, builds the PSD fields and takes the voxel rows once
+for both.
+
 The whole stage is channel-last. The channels (and the stage-2
 pilot) are read as a (V, C) array of voxel rows, which is a view when
-the stack is voxel-major, as the PCA and both stages produce it, and a
-copy otherwise. A block is addressed by one flat voxel index, its
-corner's raveled index plus `block_offsets`, so each group is one row
-take of shape (M, P, C). Groups are transformed as (M, b0, b1, b2, C)
-arrays, and the filtered blocks add into an (m, n, o, C) numerator
-without a layout change; group weights go into a corner field that
+the stack is voxel-major, as the PCA produces it, and a copy
+otherwise. A block is addressed by one flat voxel index, its corner's
+raveled index plus `block_offsets`, so each group is one row take of
+shape (M, P, C). Groups are transformed as (M, b0, b1, b2, C) arrays,
+and the filtered blocks add into an (m, n, o, C) numerator without a
+layout change; group weights go into a corner field that
 `_spread_weights` turns into the per-voxel weight sums. The stage
-returns its numerator as a voxel-major (C, m, n, o) view, so stage 2
-and the inverse PCA read it without a copy.
+returns its numerator as (V, C) rows: stage 2 reads them as its pilot,
+and `bm4d_multichannel` returns the stage-2 rows as a voxel-major
+(C, m, n, o) view, so neither copies them.
 """
 
 import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,34 +38,13 @@ from .variance import basis_autocorr, fold_psd, variances_from_fields, working_d
 WEIGHT_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
-class StageParams:
-    """Geometry and strength parameters for one filtering stage."""
-
-    block: tuple = (4, 4, 4)
-    max_group: int = 16
-    search_radius: tuple = (5, 5, 5)
-    step: int = 3
-    threshold: float = 2.7  # hard-threshold multiplier; unused by Wiener
-
-    def __post_init__(self):
-        if len(self.block) != 3 or any(int(e) != e or e < 2 for e in self.block):
-            raise ValueError("block edges must be integers >= 2")
-        if len(self.search_radius) != 3 or any(r < 1 for r in self.search_radius):
-            raise ValueError("search radii must be positive")
-        if self.max_group < 1:
-            raise ValueError("max_group must be >= 1")
-        if self.step < 1:
-            raise ValueError("step must be >= 1")
-        if self.step > min(self.block):  # reference blocks must tile the volume
-            raise ValueError("step must not exceed the smallest block edge")
-        if self.threshold < 0:
-            raise ValueError("threshold must be nonnegative")
-
-
 # the standard two-stage settings; both stages share the block geometry
-HT_PARAMS = StageParams(max_group=16)
-WIENER_PARAMS = StageParams(max_group=32)
+BLOCK = (4, 4, 4)
+SEARCH_RADIUS = (5, 5, 5)  # matching window half-width around a reference corner
+STEP = 3  # reference corner stride; at most min(BLOCK), so the blocks tile
+HT_THRESHOLD = 2.7  # hard-threshold multiplier of the coefficient deviation
+HT_MAX_GROUP = 16  # blocks per group in stage 1
+WIENER_MAX_GROUP = 32  # blocks per group in stage 2
 
 
 def block_offsets(dims, block) -> np.ndarray:
@@ -68,22 +52,20 @@ def block_offsets(dims, block) -> np.ndarray:
     return np.ravel_multi_index(np.indices(block).reshape(3, -1), dims)
 
 
-def _match_from_view(guide, dims, ref_pos, params: StageParams,
-                     offsets) -> np.ndarray:
+def _match_from_view(guide, dims, ref_pos, max_group, offsets) -> np.ndarray:
     """Corners of the blocks most similar to the reference block.
 
     `guide` is the real matching volume of shape `dims`, raveled in C
     order, `offsets` its `block_offsets`, and `ref_pos` a corner whose
     block lies inside the volume. Candidates are every corner in the
-    search window around it (clamped so blocks stay inside), ranked by
-    mean squared difference with lexicographic tie-breaking; the
-    reference is always first. The result length is the largest power
-    of two not exceeding min(candidate count, max group size).
+    SEARCH_RADIUS window around it (clamped so blocks stay inside),
+    ranked by mean squared difference with lexicographic tie-breaking;
+    the reference is always first. The result length is the largest
+    power of two not exceeding min(candidate count, max_group).
     """
-    lows = [max(r - s, 0) for r, s in zip(ref_pos, params.search_radius)]
+    lows = [max(r - s, 0) for r, s in zip(ref_pos, SEARCH_RADIUS)]
     highs = [
-        min(r + s, d - b)
-        for r, s, d, b in zip(ref_pos, params.search_radius, dims, params.block)
+        min(r + s, d - b) for r, s, d, b in zip(ref_pos, SEARCH_RADIUS, dims, BLOCK)
     ]
     shape = tuple(h - lo + 1 for lo, h in zip(lows, highs))
     x, y, z = (np.arange(lo, h + 1) for lo, h in zip(lows, highs))
@@ -95,7 +77,7 @@ def _match_from_view(guide, dims, ref_pos, params: StageParams,
     dist[ref_flat] = -np.inf  # reference always ranks first
     order = np.argsort(dist, kind="stable")  # ties fall back to corner order
 
-    count = min(order.size, params.max_group)
+    count = min(order.size, max_group)
     count = 1 << (count.bit_length() - 1)  # Haar needs a power of two
     picked = np.stack(np.unravel_index(order[:count], shape), axis=1)
     return picked + np.asarray(lows, dtype=np.int64)
@@ -184,65 +166,55 @@ def _voxel_rows(stacked) -> np.ndarray:
     return np.ascontiguousarray(stacked.reshape(len(stacked), -1).T)
 
 
-def bm4d_stage(
-    channels,
-    psd: NoisePsd,
-    params: StageParams,
-    stage: int,
-    pilot_channels=None,
-    threads: int = 1,
-) -> np.ndarray:
-    """One filtering pass over a real (C, m, n, o) channel stack.
+def _psd_fields(psd_data) -> np.ndarray:
+    """The per-basis autocorrelation fields of a PSD for the block geometry."""
+    work = working_dims(psd_data.shape, BLOCK, SEARCH_RADIUS)
+    return basis_autocorr(fold_psd(psd_data, work), BLOCK)
 
-    `params` are the settings of this stage (`HT_PARAMS` or
-    `WIENER_PARAMS` in the standard method). Stage 1 matches on
-    channel 0 of the noisy data and hard-thresholds; stage 2 matches on
-    channel 0 of `pilot_channels` (the stage-1 output, same shape) and
-    Wiener-filters every channel against its own pilot spectrum. Any
-    memory layout is accepted; voxel-major stacks are read without a
-    copy. Returns the filtered (C, m, n, o) array as a voxel-major view
-    of a C-contiguous (m, n, o, C) array.
+
+def coeff_variances(psd: NoisePsd, positions) -> np.ndarray:
+    """Exact noise variances (M, b0, b1, b2) of all 4D coefficients for one group.
+
+    `positions` are the member block corners, reference first, as
+    produced by the matcher. The variances are finite and nonnegative.
+    """
+    positions = np.asarray(positions, dtype=np.int64)
+    if positions.ndim != 2 or positions.shape[1] != 3:
+        raise ValueError("positions must be (M, 3) block corners")
+    highs = np.asarray(psd.dims) - np.asarray(BLOCK)
+    if np.any(positions < 0) or np.any(positions > highs):
+        raise ValueError("block corner falls outside the volume")
+    return variances_from_fields(_psd_fields(psd.data), positions - positions[0], BLOCK)
+
+
+def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
+               threads: int = 1) -> np.ndarray:
+    """One filtering pass over the (V, C) voxel rows of an (m, n, o) grid.
+
+    `fields` are the `_psd_fields` of the noise PSD. Stage 1 matches on
+    channel 0 of `rows` and hard-thresholds; stage 2 matches on channel
+    0 of `pilot_rows` (the stage-1 output) and Wiener-filters every
+    channel against its own pilot spectrum. The inputs are the ones
+    `bm4d_multichannel` checked. Returns the filtered C-contiguous
+    (V, C) rows.
     Identical output for any thread count: worker threads filter the
     groups, and the calling thread adds them up in corner order.
     """
-    if stage not in (1, 2):
-        raise ValueError("stage must be 1 or 2")
-    stacked = _channel_stack(channels)
-    nchan, dims = stacked.shape[0], stacked.shape[1:]
-    if any(b > d for b, d in zip(params.block, dims)):
-        raise ValueError("volume smaller than the block")
-    if psd.dims != dims:
-        raise ValueError("PSD dims must match the channels")
-    if stage == 2:
-        if pilot_channels is None:
-            raise ValueError("stage 2 needs a pilot")
-        pilot = _channel_stack(pilot_channels)
-        if pilot.shape != stacked.shape:
-            raise ValueError("pilot shape must match the channels")
-    elif pilot_channels is not None:
-        raise ValueError("stage 1 takes no pilot")
-
-    block = params.block
-    work = working_dims(dims, block, params.search_radius)
-    # the fields' FFT temporaries are freed before any (V, C) row copy exists
-    fields = basis_autocorr(fold_psd(psd.data, work), block)
-    offsets = block_offsets(dims, block)
-    guide = (stacked if stage == 1 else pilot)[0].ravel()
-    rows = _voxel_rows(stacked)
-    pilot_rows = _voxel_rows(pilot) if stage == 2 else None
-    corners = itertools.product(*(
-        _starts(d, b, params.step) for d, b in zip(dims, block)
-    ))
+    nchan = rows.shape[1]
+    offsets = block_offsets(dims, BLOCK)
+    guide = np.ascontiguousarray((rows if stage == 1 else pilot_rows)[:, 0])
+    max_group = HT_MAX_GROUP if stage == 1 else WIENER_MAX_GROUP
+    corners = itertools.product(*(_starts(d, b, STEP) for d, b in zip(dims, BLOCK)))
 
     def filter_group(ref):
-        positions = _match_from_view(guide, dims, ref, params, offsets)
-        var = variances_from_fields(fields, positions - positions[0], block)
+        positions = _match_from_view(guide, dims, ref, max_group, offsets)
+        var = variances_from_fields(fields, positions - positions[0], BLOCK)
         var = var[..., None]  # broadcast over the channels
         idx = np.ravel_multi_index(positions.T, dims)[:, None] + offsets
-        group_shape = (len(positions),) + block + (nchan,)
+        group_shape = (len(positions),) + BLOCK + (nchan,)
         coeffs = group_transform(np.take(rows, idx, axis=0).reshape(group_shape))
         if stage == 1:
-            shrunk, keep = _ht_core(coeffs, var, params.threshold)
+            shrunk, keep = _ht_core(coeffs, var, HT_THRESHOLD)
             weight = 1.0 / np.maximum(
                 (keep * var).sum(axis=(0, 1, 2, 3)), WEIGHT_FLOOR
             )
@@ -272,17 +244,31 @@ def bm4d_stage(
             for future in pending:
                 _add_group(num, corner_weight, *future.result())
 
-    den = _spread_weights(corner_weight, block)
+    den = _spread_weights(corner_weight, BLOCK)
     if not np.all(den > 0):
         raise AssertionError("aggregation left uncovered voxels")
     num /= den
-    return np.moveaxis(num, -1, 0)
+    return num.reshape(-1, nchan)
 
 
 def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
-    """Full two-stage filtering of a real (C, m, n, o) channel stack."""
-    pilots = bm4d_stage(channels, psd, HT_PARAMS, stage=1, threads=threads)
-    return bm4d_stage(
-        channels, psd, WIENER_PARAMS, stage=2, pilot_channels=pilots,
-        threads=threads,
+    """Full two-stage filtering of a real (C, m, n, o) channel stack.
+
+    Any memory layout is accepted; a voxel-major stack is read without
+    a copy. Returns the filtered (C, m, n, o) array as a voxel-major
+    view of a C-contiguous (m, n, o, C) array.
+    """
+    stacked = _channel_stack(channels)
+    dims = stacked.shape[1:]
+    if any(b > d for b, d in zip(BLOCK, dims)):
+        raise ValueError("volume smaller than the block")
+    if psd.dims != dims:
+        raise ValueError("PSD dims must match the channels")
+    # the fields' FFT temporaries are freed before any (V, C) row copy exists
+    fields = _psd_fields(psd.data)
+    rows = _voxel_rows(stacked)
+    pilot_rows = bm4d_stage(rows, dims, fields, stage=1, threads=threads)
+    out = bm4d_stage(
+        rows, dims, fields, stage=2, pilot_rows=pilot_rows, threads=threads
     )
+    return np.moveaxis(out.reshape(dims + (-1,)), -1, 0)

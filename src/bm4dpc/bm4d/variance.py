@@ -12,7 +12,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core import NoisePsd
+from ..core import _centered_lags
 from .transforms import block_basis, haar_matrix
 
 
@@ -44,11 +44,7 @@ def fold_psd(psd_data: np.ndarray, work: tuple) -> np.ndarray:
         return np.array(psd_data, dtype=np.float64)
 
     acorr = np.fft.ifftn(psd_data)
-    index = [
-        np.asarray([(t if t < (e + 1) // 2 else t - e) % d for t in range(e)])
-        for e, d in zip(work, dims)
-    ]
-    kept = acorr[np.ix_(*index)]
+    kept = acorr[np.ix_(*(_centered_lags(e, d) for e, d in zip(work, dims)))]
     return np.clip(np.fft.fftn(kept).real, 0.0, None)
 
 
@@ -99,22 +95,3 @@ def variances_from_fields(
     table = np.take(rows, lags.ravel(), axis=0)  # (M * M, P)
     var = _haar_pairs(m) @ table  # (M, P)
     return np.clip(var, 0.0, None).reshape((m,) + tuple(block))
-
-
-def coeff_variances(
-    psd: NoisePsd, positions, block=(4, 4, 4), search_radius=(5, 5, 5)
-) -> np.ndarray:
-    """Exact noise variances (M, b0, b1, b2) of all 4D coefficients for one group.
-
-    `positions` are the member block corners, reference first, as
-    produced by the matcher. The variances are finite and nonnegative.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ValueError("positions must be (M, 3) block corners")
-    highs = np.asarray(psd.dims) - np.asarray(block)
-    if np.any(positions < 0) or np.any(positions > highs):
-        raise ValueError("block corner falls outside the volume")
-    work = working_dims(psd.dims, block, search_radius)
-    fields = basis_autocorr(fold_psd(psd.data, work), block)
-    return variances_from_fields(fields, positions - positions[0], block)

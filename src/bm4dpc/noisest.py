@@ -9,7 +9,7 @@ chunks, to reject residual signal) give the in-plane power spectrum.
 import numpy as np
 from scipy import ndimage
 
-from .core import DwiDataset, NoiseMap, NoisePsd, _starts
+from .core import DwiDataset, NoiseMap, NoisePsd, _centered_lags, _starts
 from .dataio import group_shells
 from .gpca import forward_pca
 
@@ -69,6 +69,18 @@ def estimate_noise_map(tail_pcs) -> NoiseMap:
     return NoiseMap(np.mean(maps, axis=0))
 
 
+def _zero_pad_spectrum(local: np.ndarray, shape: tuple) -> np.ndarray:
+    """Upsample a 2D spectrum to `shape` by zero-padding its autocorrelation.
+
+    The known lags [-w/2, w/2) keep their values, all longer lags are
+    0; negative round-off is clipped.
+    """
+    full = np.zeros(shape, dtype=np.complex128)
+    index = np.ix_(*(_centered_lags(w, e) for w, e in zip(local.shape, shape)))
+    full[index] = np.fft.ifft2(local)
+    return np.clip(np.fft.fft2(full).real, 0.0, None)
+
+
 def _psd_for_pc(x: np.ndarray) -> np.ndarray:
     m, n, o = x.shape
     w = PSD_WINDOW
@@ -88,17 +100,7 @@ def _psd_for_pc(x: np.ndarray) -> np.ndarray:
         pgrams = np.abs(np.fft.fft2(wins)) ** 2 / (w * w)
         chunk_psds.append(pgrams.mean(axis=(0, 1, 2)))
     local = np.min(chunk_psds, axis=0)  # signal leaks inflate, so take min
-
-    # Upsample w x w -> m x n by zero-padding the autocorrelation: the
-    # known lags [-w/2, w/2) keep their values, all longer lags are 0.
-    acorr = np.fft.ifft2(local)
-    full = np.zeros((m, n), dtype=np.complex128)
-    half = w // 2
-    for dx in range(-half, w - half):
-        for dy in range(-half, w - half):
-            full[dx % m, dy % n] = acorr[dx % w, dy % w]
-    plane = np.clip(np.fft.fft2(full).real, 0.0, None)
-
+    plane = _zero_pad_spectrum(local, (m, n))
     psi = np.repeat(plane[:, :, None], o, axis=2)  # slice-independent noise
     return psi / psi.mean()
 

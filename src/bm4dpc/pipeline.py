@@ -13,7 +13,7 @@ noise statistics.
 
 from typing import Optional
 
-from .bm4d.engine import HT_PARAMS, bm4d_multichannel
+from .bm4d.engine import BLOCK, bm4d_multichannel
 from .core import DwiDataset, NoiseMap, NoisePsd
 from .gpca import forward_pca, inverse_pca
 from .noisest import clamp_sigma, estimate_noise
@@ -41,7 +41,7 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     bvals, bvecs = real.bvals, real.bvecs
 
     dims = real.dims
-    if any(d < b for d, b in zip(dims, HT_PARAMS.block)):
+    if any(d < b for d, b in zip(dims, BLOCK)):
         raise ValueError("volume dims fall below the filtering block size")
 
     if noise_map is None or psd is None:

@@ -3,6 +3,7 @@
 import numpy as np
 
 from bm4dpc import group_shells, psnr
+from bm4dpc.bm4d import engine
 
 
 def shell_mean_psnr(gt_dataset, test_dataset, center, tol=50.0):
@@ -13,6 +14,22 @@ def shell_mean_psnr(gt_dataset, test_dataset, center, tol=50.0):
             vals = [psnr(gt_dataset.data[i], test_dataset.data[i]) for i in members]
             return float(np.mean(vals))
     raise ValueError(f"no shell near b={center}")
+
+
+def run_stage(channels, psd, stage, pilot=None, threads=1):
+    """One engine stage on a (C, m, n, o) stack, given the inputs that
+    `bm4d_multichannel` prepares: its voxel rows and the PSD fields.
+
+    Returns the filtered (C, m, n, o) stack.
+    """
+    stacked = np.asarray(channels, dtype=np.float64)
+    dims = stacked.shape[1:]
+    pilot_rows = None if pilot is None else engine._voxel_rows(pilot)
+    rows = engine.bm4d_stage(
+        engine._voxel_rows(stacked), dims, engine._psd_fields(psd.data),
+        stage=stage, pilot_rows=pilot_rows, threads=threads,
+    )
+    return np.moveaxis(rows.reshape(dims + (-1,)), -1, 0)
 
 
 def pearson(a, b) -> float:

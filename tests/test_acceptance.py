@@ -7,14 +7,14 @@ checklist for the toolkit.
 
 import numpy as np
 
-from bm4dpc.bm4d import StageParams, bm4d_stage, coeff_variances
+from bm4dpc.bm4d import coeff_variances, engine
 from bm4dpc.bm4d.transforms import group_transform
 from bm4dpc.core import NoisePsd
 from bm4dpc.evaluate import fit_dti, rmse_map
 from bm4dpc.gpca import forward_pca, inverse_pca
 from bm4dpc.simulate import fibonacci_directions
 
-from _util import pearson, radial_profile, rel_rmse, shell_mean_psnr
+from _util import pearson, radial_profile, rel_rmse, run_stage, shell_mean_psnr
 
 
 def _report(k, ok, detail):
@@ -121,7 +121,7 @@ def test_criterion_7_variance_oracles(dog_variance_mc):
     )
 
 
-def test_criterion_8_transform_and_pca_exactness():
+def test_criterion_8_transform_and_pca_exactness(monkeypatch):
     rng = np.random.default_rng(80)
     group = rng.standard_normal((8, 4, 4, 4))
     parseval = abs(
@@ -134,10 +134,8 @@ def test_criterion_8_transform_and_pca_exactness():
     round_trip = np.linalg.norm(restored - matrix) / np.linalg.norm(matrix)
 
     channels = rng.standard_normal((1, 16, 16, 16))
-    out = bm4d_stage(
-        channels, NoisePsd(np.ones((16, 16, 16))), StageParams(threshold=0.0),
-        stage=1,
-    )
+    monkeypatch.setattr(engine, "HT_THRESHOLD", 0.0)
+    out = run_stage(channels, NoisePsd(np.ones((16, 16, 16))), stage=1)
     identity = np.max(np.abs(out - channels))
 
     ok = parseval <= 1e-10 and round_trip <= 1e-8 and identity <= 1e-6

@@ -43,6 +43,7 @@ PUBLIC = [
 def test_public_names_pinned():
     assert sorted(bm4dpc.__all__) == PUBLIC
     assert len(PUBLIC) <= 30
+    assert sorted(bm4d.__all__) == ["bm4d_multichannel", "coeff_variances"]
 
 
 def test_every_public_name_resolves():
@@ -52,9 +53,12 @@ def test_every_public_name_resolves():
 
 def test_no_options_or_profile_objects():
     """The input decides phase stabilization and the stages use the
-    standard settings, so no options or profile type exists."""
+    standard settings, the engine's module constants, so no options,
+    profile or parameter type exists."""
     for module in (bm4dpc, pipeline, bm4d, engine):
         assert not [n for n in dir(module) if n.endswith(("Options", "Profile"))]
+    for module in (bm4d, engine):
+        assert not [n for n in dir(module) if n.endswith("Params")]
     assert importlib.util.find_spec("bm4dpc.bm4d.profile") is None
     params = inspect.signature(bm4dpc.denoise_bm4dpc).parameters
     assert list(params) == ["dataset", "noise_map", "psd", "threads"]

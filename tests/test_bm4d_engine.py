@@ -3,18 +3,15 @@
 import itertools
 import threading
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.ndimage
 
-from bm4dpc.bm4d import StageParams, bm4d_multichannel, bm4d_stage
+from bm4dpc.bm4d import bm4d_multichannel
 from bm4dpc.bm4d import engine
 from bm4dpc.bm4d.engine import (
-    HT_PARAMS,
     WEIGHT_FLOOR,
-    WIENER_PARAMS,
     _add_group,
     _channel_stack,
     _ht_core,
@@ -33,27 +30,33 @@ from bm4dpc.bm4d.variance import (
 )
 from bm4dpc.core import NoisePsd, _starts
 
-
-def _use_params(monkeypatch, params):
-    """Run both stages of `bm4d_multichannel` with `params`."""
-    monkeypatch.setattr(engine, "HT_PARAMS", params)
-    monkeypatch.setattr(engine, "WIENER_PARAMS", params)
+from _util import run_stage
 
 
-def _match(data, ref, params):
-    """Run the stage's matcher on one raveled guide volume."""
-    offsets = block_offsets(data.shape, params.block)
-    return _match_from_view(data.ravel(), data.shape, tuple(ref), params, offsets)
+def _use_small_geometry(monkeypatch):
+    """Both stages of `bm4d_multichannel` search a unit radius and
+    group at most 4 blocks."""
+    monkeypatch.setattr(engine, "SEARCH_RADIUS", (1, 1, 1))
+    monkeypatch.setattr(engine, "HT_MAX_GROUP", 4)
+    monkeypatch.setattr(engine, "WIENER_MAX_GROUP", 4)
 
 
-def _brute_match(data, ref, params):
+def _match(data, ref):
+    """Run stage 1's matcher on one raveled guide volume."""
+    offsets = block_offsets(data.shape, engine.BLOCK)
+    return _match_from_view(
+        data.ravel(), data.shape, tuple(ref), engine.HT_MAX_GROUP, offsets
+    )
+
+
+def _brute_match(data, ref):
     """Reference matcher: exhaustive window scan, (distance, corner)
     sort with the reference forced first, power-of-two truncation."""
     dims = data.shape
-    block = params.block
+    block = engine.BLOCK
     ranges = [
         range(max(r - s, 0), min(r + s, d - b) + 1)
-        for r, s, d, b in zip(ref, params.search_radius, dims, block)
+        for r, s, d, b in zip(ref, engine.SEARCH_RADIUS, dims, block)
     ]
     ref_block = data[tuple(slice(r, r + b) for r, b in zip(ref, block))]
     scored = []
@@ -64,7 +67,7 @@ def _brute_match(data, ref, params):
             dist = -np.inf
         scored.append((dist, corner))
     scored.sort(key=lambda item: (item[0], item[1]))
-    count = min(len(scored), params.max_group)
+    count = min(len(scored), engine.HT_MAX_GROUP)
     count = 1 << (count.bit_length() - 1)
     return np.array([corner for _, corner in scored[:count]])
 
@@ -73,7 +76,7 @@ class TestMatchBlocks:
     def test_constant_volume_tie_order(self):
         """On a constant volume every distance ties, so the result is
         the reference followed by window corners in raster order."""
-        positions = _match(np.full((8, 8, 8), 3.7), (2, 2, 2), StageParams())
+        positions = _match(np.full((8, 8, 8), 3.7), (2, 2, 2))
         assert positions.shape == (16, 3)
         assert tuple(positions[0]) == (2, 2, 2)
         lex = [
@@ -86,7 +89,7 @@ class TestMatchBlocks:
     def test_reference_always_first(self):
         rng = np.random.default_rng(0)
         data = rng.standard_normal((10, 10, 10))
-        positions = _match(data, (3, 5, 2), StageParams())
+        positions = _match(data, (3, 5, 2))
         assert tuple(positions[0]) == (3, 5, 2)
 
     def test_planted_duplicate_ranks_second(self):
@@ -94,7 +97,7 @@ class TestMatchBlocks:
         data = rng.standard_normal((12, 12, 12))
         # exact copy of the reference block at a disjoint corner
         data[0:4, 4:8, 4:8] = data[4:8, 4:8, 4:8]
-        positions = _match(data, (4, 4, 4), StageParams())
+        positions = _match(data, (4, 4, 4))
         assert tuple(positions[0]) == (4, 4, 4)
         assert tuple(positions[1]) == (0, 4, 4)
 
@@ -102,14 +105,13 @@ class TestMatchBlocks:
         rng = np.random.default_rng(2)
         data = rng.standard_normal((12, 12, 12))
         data[0:4, 4:8, 4:8] = data[4:8, 4:8, 4:8]
-        params = StageParams()
-        got = _match(data, (4, 4, 4), params)
-        expected = _brute_match(data, (4, 4, 4), params)
+        got = _match(data, (4, 4, 4))
+        expected = _brute_match(data, (4, 4, 4))
         assert np.array_equal(got, expected)
 
     def test_truncates_to_power_of_two(self):
         # 2 * 3 * 1 = 6 candidate corners, so 4 blocks come back
-        positions = _match(np.zeros((5, 6, 4)), (0, 0, 0), StageParams())
+        positions = _match(np.zeros((5, 6, 4)), (0, 0, 0))
         assert positions.shape == (4, 3)
 
     def test_reference_inside_volume(self):
@@ -289,15 +291,16 @@ def bm4d_noise_bench():
 @pytest.fixture(scope="module")
 def bm4d_bench_stage1(bm4d_noise_bench):
     _, noisy, psd = bm4d_noise_bench
-    return bm4d_stage(noisy, psd, HT_PARAMS, stage=1)
+    return run_stage(noisy, psd, stage=1)
 
 
 class TestBm4dStage:
-    def test_zero_threshold_is_identity(self):
+    def test_zero_threshold_is_identity(self, monkeypatch):
+        monkeypatch.setattr(engine, "HT_THRESHOLD", 0.0)
         rng = np.random.default_rng(8)
         channels = rng.standard_normal((1, 16, 16, 16))
         psd = NoisePsd(np.ones((16, 16, 16)))
-        out = bm4d_stage(channels, psd, StageParams(threshold=0.0), stage=1)
+        out = run_stage(channels, psd, stage=1)
         assert out.shape == channels.shape
         assert np.max(np.abs(out - channels)) <= 1e-6
 
@@ -330,11 +333,11 @@ class TestBm4dStage:
         dims = (11, 13, 9)
         channels = rng.standard_normal((2,) + dims)
         psd = NoisePsd(np.ones(dims))
-        small = StageParams(search_radius=(1, 1, 1))
-        identity = replace(small, threshold=0.0)
-        out = bm4d_stage(channels, psd, identity, stage=1)
+        monkeypatch.setattr(engine, "SEARCH_RADIUS", (1, 1, 1))
+        with monkeypatch.context() as identity:
+            identity.setattr(engine, "HT_THRESHOLD", 0.0)
+            out = run_stage(channels, psd, stage=1)
         assert np.max(np.abs(out - channels)) <= 1e-6
-        _use_params(monkeypatch, small)
         serial = bm4d_multichannel(channels, psd, threads=1)
         threaded = bm4d_multichannel(channels, psd, threads=3)
         assert np.array_equal(serial, threaded)
@@ -349,7 +352,7 @@ class TestBm4dStage:
         psd = NoisePsd(np.ones((16, 16, 16)))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="variance lookup failed"):
-            bm4d_stage(channels, psd, HT_PARAMS, stage=1, threads=2)
+            run_stage(channels, psd, stage=1, threads=2)
         assert threading.active_count() == before
 
     def test_single_channel_supported(self):
@@ -360,67 +363,28 @@ class TestBm4dStage:
         assert out.shape == (1, 12, 12, 12)
         assert out.dtype == np.float64
 
-    def test_stage_argument_validated(self):
-        channels = np.zeros((1, 8, 8, 8))
-        psd = NoisePsd(np.ones((8, 8, 8)))
-        with pytest.raises(ValueError, match="stage must be 1 or 2"):
-            bm4d_stage(channels, psd, HT_PARAMS, stage=3)
-
     def test_input_validation(self):
+        """`bm4d_multichannel` checks its input once, for both stages."""
         psd = NoisePsd(np.ones((8, 8, 8)))
         with pytest.raises(ValueError, match="at least one channel"):
-            bm4d_stage(np.zeros((0, 8, 8, 8)), psd, HT_PARAMS, stage=1)
+            bm4d_multichannel(np.zeros((0, 8, 8, 8)), psd)
         with pytest.raises(ValueError, match="at least one channel"):
-            bm4d_stage(np.zeros((8, 8, 8)), psd, HT_PARAMS, stage=1)
+            bm4d_multichannel(np.zeros((8, 8, 8)), psd)
         with pytest.raises(ValueError, match="must be real"):
-            bm4d_stage(
-                np.zeros((1, 8, 8, 8), dtype=np.complex128),
-                psd, HT_PARAMS, stage=1,
-            )
+            bm4d_multichannel(np.zeros((1, 8, 8, 8), dtype=np.complex128), psd)
         nan = np.zeros((1, 8, 8, 8))
         nan[0, 1, 2, 3] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
-            bm4d_stage(nan, psd, HT_PARAMS, stage=1)
+            bm4d_multichannel(nan, psd)
         with pytest.raises(ValueError, match="smaller than the block"):
-            bm4d_stage(
-                np.zeros((1, 3, 8, 8)),
-                NoisePsd(np.ones((3, 8, 8))), HT_PARAMS, stage=1,
-            )
+            bm4d_multichannel(np.zeros((1, 3, 8, 8)), NoisePsd(np.ones((3, 8, 8))))
         with pytest.raises(ValueError, match="PSD dims"):
-            bm4d_stage(
-                np.zeros((1, 8, 8, 8)), NoisePsd(np.ones((8, 8, 4))),
-                HT_PARAMS, stage=1,
-            )
-
-    def test_pilot_validation(self):
-        channels = np.zeros((1, 8, 8, 8))
-        psd = NoisePsd(np.ones((8, 8, 8)))
-        with pytest.raises(ValueError, match="needs a pilot"):
-            bm4d_stage(channels, psd, WIENER_PARAMS, stage=2)
-        with pytest.raises(ValueError, match="pilot shape"):
-            bm4d_stage(
-                channels, psd, WIENER_PARAMS, stage=2,
-                pilot_channels=np.zeros((2, 8, 8, 8)),
-            )
-        with pytest.raises(ValueError, match="stage 1 takes no pilot"):
-            bm4d_stage(channels, psd, HT_PARAMS, stage=1, pilot_channels=channels)
-        with pytest.raises(ValueError, match="pilot shape"):
-            bm4d_stage(
-                channels, psd, WIENER_PARAMS, stage=2,
-                pilot_channels=np.zeros((1, 8, 8, 4)),
-            )
-        with pytest.raises(ValueError, match="must be real"):
-            bm4d_stage(
-                channels, psd, WIENER_PARAMS, stage=2,
-                pilot_channels=np.zeros((1, 8, 8, 8), dtype=np.complex128),
-            )
+            bm4d_multichannel(np.zeros((1, 8, 8, 8)), NoisePsd(np.ones((8, 8, 4))))
 
 
 class TestChannelLayout:
     """Voxel-major stacks, as the PCA and the stages return them, are
     read and handed on without copies."""
-
-    SMALL = StageParams(max_group=4, search_radius=(1, 1, 1))
 
     def test_voxel_rows_view_of_voxel_major_stack(self):
         rng = np.random.default_rng(13)
@@ -439,7 +403,7 @@ class TestChannelLayout:
         c_ordered = rng.standard_normal((3,) + dims)
         voxel_major = np.moveaxis(np.moveaxis(c_ordered, 0, -1).copy(), -1, 0)
         psd = NoisePsd(np.ones(dims))
-        _use_params(monkeypatch, self.SMALL)
+        _use_small_geometry(monkeypatch)
         out = bm4d_multichannel(c_ordered, psd)
         assert np.array_equal(out, bm4d_multichannel(voxel_major, psd))
         assert out.shape == c_ordered.shape
@@ -454,12 +418,10 @@ class TestChannelLayout:
         dims = (16, 16, 12)
         channels = np.moveaxis(rng.standard_normal(dims + (16,)), -1, 0)
         psd = NoisePsd(np.ones(dims))
-        _use_params(monkeypatch, self.SMALL)
+        _use_small_geometry(monkeypatch)
         # the PSD fields are C-independent set-up, made before tracing
-        work = working_dims(dims, self.SMALL.block, self.SMALL.search_radius)
-        fields = basis_autocorr(fold_psd(psd.data, work), self.SMALL.block)
-        monkeypatch.setattr(engine, "fold_psd", lambda psd, work: None)
-        monkeypatch.setattr(engine, "basis_autocorr", lambda psi, block: fields)
+        fields = engine._psd_fields(psd.data)
+        monkeypatch.setattr(engine, "_psd_fields", lambda psd_data: fields)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -470,14 +432,15 @@ class TestChannelLayout:
         assert peak < 4.5 * channels.nbytes
 
 
-def _reference_stage(channels, psd, params, stage, pilot=None):
+def _reference_stage(channels, psd, stage, pilot=None):
     """The stage as it reads on paper: slice gathers, and per-block
     slice adds into (C, m, n, o) numerator and weight sums."""
-    block = params.block
+    block = engine.BLOCK
     dims = channels.shape[1:]
     guide = (channels if stage == 1 else pilot)[0]
+    max_group = engine.HT_MAX_GROUP if stage == 1 else engine.WIENER_MAX_GROUP
     offsets = block_offsets(dims, block)
-    work = working_dims(dims, block, params.search_radius)
+    work = working_dims(dims, block, engine.SEARCH_RADIUS)
     fields = basis_autocorr(fold_psd(psd.data, work), block)
 
     def gather(stack, positions):
@@ -492,14 +455,14 @@ def _reference_stage(channels, psd, params, stage, pilot=None):
 
     num = np.zeros(channels.shape)
     den = np.zeros(channels.shape)
-    starts = [_starts(d, b, params.step) for d, b in zip(dims, block)]
+    starts = [_starts(d, b, engine.STEP) for d, b in zip(dims, block)]
     for ref in itertools.product(*starts):
-        positions = _match_from_view(guide.ravel(), dims, ref, params, offsets)
+        positions = _match_from_view(guide.ravel(), dims, ref, max_group, offsets)
         var = variances_from_fields(fields, positions - positions[0], block)
         var = var[..., None]
         coeffs = group_transform(gather(channels, positions))
         if stage == 1:
-            shrunk, keep = _ht_core(coeffs, var, params.threshold)
+            shrunk, keep = _ht_core(coeffs, var, engine.HT_THRESHOLD)
             weight = 1.0 / np.maximum((keep * var).sum(axis=(0, 1, 2, 3)), WEIGHT_FLOOR)
         else:
             pilot_coeffs = group_transform(gather(pilot, positions))
@@ -518,7 +481,8 @@ class TestStageOracle:
         """Flat-index gathers and the channel-last, corner-weighted
         aggregation reproduce the per-block reference on odd dims with
         clamped last starts, under a colored PSD, for both stages; every
-        thread count gives the same bytes."""
+        thread count gives the same bytes, and so does the two-stage
+        driver."""
         rng = np.random.default_rng(13)
         dims = (11, 13, 9)
         clean = np.stack([_smooth_signal(rng, dims, a) for a in (6.0, 3.0, 1.0)])
@@ -527,49 +491,34 @@ class TestStageOracle:
         spectrum = np.abs(np.fft.fftn(kernel, dims, axes=(0, 1, 2))) ** 2
         psd = NoisePsd(spectrum / spectrum.mean())
 
-        pilot = bm4d_stage(channels, psd, HT_PARAMS, stage=1)
-        expected = _reference_stage(channels, psd, HT_PARAMS, 1)
+        pilot = run_stage(channels, psd, stage=1)
+        expected = _reference_stage(channels, psd, 1)
         assert np.max(np.abs(pilot - expected)) <= 1e-12
-        final = bm4d_stage(
-            channels, psd, WIENER_PARAMS, stage=2, pilot_channels=pilot
-        )
-        expected = _reference_stage(channels, psd, WIENER_PARAMS, 2, pilot)
+        final = run_stage(channels, psd, stage=2, pilot=pilot)
+        expected = _reference_stage(channels, psd, 2, pilot)
         assert np.max(np.abs(final - expected)) <= 1e-12
 
         for threads in (1, 2, 3):
+            assert np.array_equal(run_stage(channels, psd, stage=1, threads=threads), pilot)
             assert np.array_equal(
-                bm4d_stage(channels, psd, HT_PARAMS, stage=1, threads=threads), pilot
+                run_stage(channels, psd, stage=2, pilot=pilot, threads=threads), final
             )
-            assert np.array_equal(
-                bm4d_stage(channels, psd, WIENER_PARAMS, stage=2,
-                           pilot_channels=pilot, threads=threads),
-                final,
-            )
+        assert np.array_equal(bm4d_multichannel(channels, psd, threads=2), final)
 
 
 class TestProfiles:
     def test_standard_defaults(self):
-        assert HT_PARAMS.max_group == 16
-        assert WIENER_PARAMS.max_group == 32
-        assert HT_PARAMS.block == WIENER_PARAMS.block
+        assert engine.BLOCK == (4, 4, 4)
+        assert engine.SEARCH_RADIUS == (5, 5, 5)
+        assert engine.STEP == 3
+        assert engine.HT_THRESHOLD == 2.7
+        assert engine.HT_MAX_GROUP == 16
+        assert engine.WIENER_MAX_GROUP == 32
 
-    def test_stage_params_validation(self):
-        with pytest.raises(ValueError, match="block edges"):
-            StageParams(block=(1, 4, 4))
-        with pytest.raises(ValueError, match="search radii"):
-            StageParams(search_radius=(0, 5, 5))
-        with pytest.raises(ValueError, match="max_group"):
-            StageParams(max_group=0)
-        with pytest.raises(ValueError, match="step"):
-            StageParams(step=0)
-        with pytest.raises(ValueError, match="threshold"):
-            StageParams(threshold=-0.1)
-
-    def test_step_beyond_block_rejected(self):
-        """A step past the block edge leaves voxels no reference block
-        covers; it is refused up front, not when aggregating."""
-        StageParams(step=4)  # equal to the edge: blocks still tile
-        with pytest.raises(ValueError, match="step must not exceed"):
-            StageParams(step=6, search_radius=(1, 1, 1))
-        with pytest.raises(ValueError, match="step must not exceed"):
-            StageParams(block=(4, 2, 4), step=3)
+    def test_reference_blocks_tile_the_volume(self):
+        """A step past the smallest block edge would leave voxels that
+        no reference block covers, and the search needs a positive
+        radius on every axis."""
+        assert 1 <= engine.STEP <= min(engine.BLOCK)
+        assert len(engine.SEARCH_RADIUS) == 3
+        assert all(r >= 1 for r in engine.SEARCH_RADIUS)

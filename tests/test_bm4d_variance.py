@@ -10,12 +10,8 @@ correlated, overlapping case.
 import numpy as np
 import pytest
 
-from bm4dpc.bm4d.variance import (
-    basis_autocorr,
-    coeff_variances,
-    fold_psd,
-    working_dims,
-)
+from bm4dpc.bm4d import coeff_variances
+from bm4dpc.bm4d.variance import basis_autocorr, fold_psd, working_dims
 from bm4dpc.core import NoisePsd
 
 
@@ -120,14 +116,15 @@ class TestCoeffVariances:
 
     def test_returns_finite_nonnegative_array(self):
         """The variances come back as a plain float64 array, finite and
-        nonnegative, here for an overlapping group on a folded PSD."""
+        nonnegative, here for an overlapping group on a folded PSD: the
+        working grid of the block geometry is 28 < 32 in-plane."""
         rng = np.random.default_rng(4)
-        raw = np.abs(rng.standard_normal((24, 24, 8))) + 0.5
+        raw = np.abs(rng.standard_normal((32, 32, 8))) + 0.5
         positions = np.array(
             [[4, 4, 2], [5, 4, 2], [4, 5, 2], [9, 6, 3]], dtype=np.intp
         )
         psd = NoisePsd(raw / raw.mean())
-        var = coeff_variances(psd, positions, search_radius=(3, 3, 3))
+        var = coeff_variances(psd, positions)
         assert type(var) is np.ndarray
         assert var.dtype == np.float64 and var.shape == (4, 4, 4, 4)
         assert np.all(np.isfinite(var)) and np.all(var >= 0.0)

@@ -11,7 +11,12 @@ from bm4dpc import (
     make_colored_kernel,
     noisest,
 )
-from bm4dpc.noisest import clamp_sigma, estimate_noise_map, estimate_psd
+from bm4dpc.noisest import (
+    _zero_pad_spectrum,
+    clamp_sigma,
+    estimate_noise_map,
+    estimate_psd,
+)
 from bm4dpc.simulate import default_gfactor
 
 from _util import pearson, radial_profile, rel_rmse, synth_colored
@@ -118,6 +123,16 @@ class TestPsd:
         rng = np.random.default_rng(27)
         psd = estimate_psd(_white_volumes(rng, 1, (32, 32, 12)))
         assert np.allclose(psd.data, psd.data[:, :, :1], atol=1e-12)
+
+    @pytest.mark.parametrize("w, m, n", [(16, 32, 32), (16, 17, 19), (15, 32, 20)])
+    def test_zero_padding_upsamples_exactly(self, w, m, n):
+        """A 3 x 3 kernel's autocorrelation spans lags -2..2, inside the
+        window's [-w/2, w/2), so zero-padding it gives the exact spectrum
+        of the kernel on the full grid."""
+        kernel = np.random.default_rng(29).random((3, 3))
+        local = np.abs(np.fft.fft2(kernel, (w, w))) ** 2
+        full = np.abs(np.fft.fft2(kernel, (m, n))) ** 2
+        assert np.max(np.abs(_zero_pad_spectrum(local, (m, n)) - full)) <= 1e-12
 
     def test_window_and_chunk_validation(self):
         rng = np.random.default_rng(28)

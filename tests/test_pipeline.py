@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bm4dpc import pipeline
+from bm4dpc.bm4d import engine
 from bm4dpc.core import DwiDataset, NoiseMap, NoisePsd
 from bm4dpc.pipeline import denoise_bm4dpc
 
@@ -111,6 +112,32 @@ class TestPhaseStabilization:
         )
         assert calls == ([True] if is_complex else [])
         assert not out.is_complex
+
+
+class TestPsdFields:
+    def test_built_once_for_both_stages(self, monkeypatch):
+        """Both stages share the block geometry, so one run checks the
+        PCs and builds the PSD fields once."""
+        calls = {"basis_autocorr": 0, "_channel_stack": 0}
+
+        def counted(name):
+            original = getattr(engine, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            monkeypatch.setattr(engine, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        rng = np.random.default_rng(7)
+        ds = DwiDataset(
+            1.0 + rng.standard_normal((4, 8, 8, 6)),
+            np.array([0.0, 1000.0, 1000.0, 1000.0]),
+        )
+        denoise_bm4dpc(ds, NoiseMap(np.full(ds.dims, 0.5)), NoisePsd(np.ones(ds.dims)))
+        assert calls == {"basis_autocorr": 1, "_channel_stack": 1}
 
 
 class TestPipelineValidation:
