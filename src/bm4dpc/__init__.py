@@ -15,7 +15,7 @@ from their modules.
 
 __version__ = "0.1.0"
 
-from .core import DwiDataset, NoiseMap, NoisePsd, SpatialKernel, Volume3
+from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
 from .dataio import (
     NiftiError,
     ShellTable,
@@ -56,7 +56,6 @@ __all__ = [
     "NoiseSpec",
     "PhantomSpec",
     "ShellTable",
-    "SpatialKernel",
     "Volume3",
     "add_noise",
     "attach_gradients",

@@ -83,7 +83,6 @@ def group_inverse(coeffs: np.ndarray) -> np.ndarray:
     return blocks.reshape(coeffs.shape)
 
 
-@lru_cache(maxsize=None)
 def block_basis(block: tuple) -> np.ndarray:
     """All 3D transform basis functions, shape (prod(block), b0, b1, b2).
 
@@ -93,6 +92,4 @@ def block_basis(block: tuple) -> np.ndarray:
     t0, t1, t2 = (dct_matrix(e) for e in block)
     basis = np.einsum("ai,bj,ck->abcijk", t0, t1, t2)
     size = int(np.prod(block))
-    basis = basis.reshape(size, *block)
-    basis.setflags(write=False)  # cached: every caller shares this array
-    return basis
+    return basis.reshape(size, *block)

@@ -59,7 +59,7 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
     work = psi_work.shape
     if any(b > e for b, e in zip(block, work)):
         raise ValueError("block does not fit in the working grid")
-    basis = block_basis(tuple(block))
+    basis = block_basis(block)
     pad = np.zeros((basis.shape[0],) + tuple(work))
     pad[:, : block[0], : block[1], : block[2]] = basis
     spectra = np.abs(np.fft.fftn(pad, axes=(1, 2, 3))) ** 2

@@ -117,8 +117,7 @@ def _cmd_denoise(args):
     if args.noise_map:
         provided_map = NoiseMap(_load_volume(args.noise_map).data)
     if args.psd:
-        data = _load_volume(args.psd).data
-        provided_psd = NoisePsd(data / data.mean())  # re-unitize after float32 I/O
+        provided_psd = NoisePsd(_load_volume(args.psd).data)
     if provided_map is not None and provided_psd is not None:
         print("noise estimation skipped (map and PSD provided)", file=sys.stderr)
 

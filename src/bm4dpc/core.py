@@ -10,13 +10,12 @@ copy. Every type here is immutable after construction and safe to
 share across workers.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
 import numpy as np
 
 BVEC_NORM_TOL = 1e-6
-PSD_MEAN_TOL = 1e-6
 
 
 def _starts(extent: int, size: int, step: int) -> list:
@@ -175,52 +174,24 @@ class NoiseMap:
 class NoisePsd:
     """Full-grid power spectral density of the stationary noise.
 
-    The density is stored so that its grid mean equals the noise
-    variance; with `unit_variance` set, mean(psi) == 1 within 1e-6 and
-    white unit-variance noise has psi identically 1.
+    Only the shape of the spectrum is kept: the density is scaled to
+    grid mean 1 on construction, so `NoisePsd(c * psi)` stores
+    psi / mean(psi) for every c > 0 and white noise has psi identically
+    1. The noise level belongs to the sigma map, which scales this
+    unit-variance noise voxel by voxel.
     """
 
     data: np.ndarray
-    unit_variance: bool = True
 
     def __post_init__(self):
         arr = _as_real_grid(self.data, "PSD")
         if np.any(arr < 0):
             raise ValueError("PSD must be finite and nonnegative")
-        if self.unit_variance and abs(arr.mean() - 1.0) > PSD_MEAN_TOL:
-            raise ValueError(
-                f"unit-variance PSD must have grid mean 1, got {arr.mean():.8f}"
-            )
-        object.__setattr__(self, "data", arr)
+        mean = arr.mean()
+        if not 0 < mean < np.inf:
+            raise ValueError("PSD must have a positive, finite grid mean")
+        object.__setattr__(self, "data", arr / mean)
 
     @property
     def dims(self) -> tuple:
         return self.data.shape
-
-
-@dataclass(frozen=True)
-class SpatialKernel:
-    """Small dense convolution kernel describing noise spatial correlation.
-
-    Depth-1 kernels model in-plane-only correlation. For unit-variance
-    colored noise the kernel must have unit l2 norm.
-    """
-
-    data: np.ndarray
-    center: tuple = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        arr = _as_real_grid(self.data, "kernel")  # depth 1 for in-plane
-        center = self.center
-        if center is None:
-            center = tuple(s // 2 for s in arr.shape)
-        center = tuple(int(c) for c in center)
-        if len(center) != 3 or any(c < 0 or c >= s for c, s in zip(center, arr.shape)):
-            raise ValueError("kernel center must index into the kernel")
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "center", center)
-
-    @property
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.data))
-

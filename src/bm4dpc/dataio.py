@@ -224,7 +224,6 @@ class ShellTable:
 
     centers: tuple
     members: tuple
-    tolerance: float
 
     def __post_init__(self):
         seen = [i for shell in self.members for i in shell]
@@ -264,4 +263,4 @@ def group_shells(bvals, tolerance: float = DEFAULT_SHELL_TOLERANCE) -> ShellTabl
     if cur_idx:
         centers.append(cur_sum / len(cur_idx))
         members.append(tuple(sorted(cur_idx)))
-    return ShellTable(tuple(centers), tuple(members), float(tolerance))
+    return ShellTable(tuple(centers), tuple(members))

@@ -20,6 +20,7 @@ SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 SSIM_WINDOW = 7
 SSIM_SIGMA = 1.5
+DTI_MAX_BVAL = 1000.0  # the tensor fit uses the volumes with b at most this
 
 
 def _data(x) -> np.ndarray:
@@ -99,10 +100,10 @@ def rmse_map(gt_map, test_map, mask) -> float:
     return float(np.sqrt(np.mean(diff * diff)))
 
 
-def fit_dti(dataset: DwiDataset, mask, max_bval: float = 1000.0):
+def fit_dti(dataset: DwiDataset, mask):
     """Weighted least-squares diffusion tensor fit (low-b subset).
 
-    Uses volumes with b <= max_bval. Per masked voxel the log-signal
+    Uses volumes with b <= DTI_MAX_BVAL. Per masked voxel the log-signal
     model ln S = ln S0 - b g^T D g is solved with weights S^2, the
     tensor eigenvalues are clipped at zero, and FA and MD follow from
     them. Masked voxels with nonpositive signals yield zeros. A design
@@ -118,7 +119,7 @@ def fit_dti(dataset: DwiDataset, mask, max_bval: float = 1000.0):
     mask = _data(mask).astype(bool)
     if mask.shape != dataset.dims:
         raise ValueError("mask dims mismatch")
-    sel = np.flatnonzero(dataset.bvals <= max_bval)
+    sel = np.flatnonzero(dataset.bvals <= DTI_MAX_BVAL)
     if sel.size < 7:
         raise ValueError("need at least 7 low-b volumes")
 
@@ -287,6 +288,11 @@ def report_metrics(
         raise ValueError("datasets must share volume count and dims")
     if not np.array_equal(gt.bvals, test.bvals):
         raise ValueError("datasets must share b-values")
+    mask_arr = (
+        _data(mask).astype(bool) if mask is not None else np.ones(gt.dims, bool)
+    )
+    if mask_arr.shape != gt.dims:
+        raise ValueError("mask dims mismatch")
 
     shells = group_shells(gt.bvals)
     shell_psnr, shell_ssim, shell_counts = {}, {}, {}
@@ -297,9 +303,6 @@ def report_metrics(
         shell_ssim[center] = float(np.mean(vals_s))
         shell_counts[center] = len(members)
 
-    mask_arr = (
-        _data(mask).astype(bool) if mask is not None else np.ones(gt.dims, bool)
-    )
     rmse_fa = rmse_md = None
     if gt.bvecs is not None and test.bvecs is not None:
         try:

@@ -113,11 +113,10 @@ def estimate_psd(tail_pcs_normalized) -> NoisePsd:
     chunks rejects residual signal, and autocorrelation zero-padding
     upsamples the window-sized spectrum to the full in-plane grid
     (constant along the through-slice frequency). The per-PC spectra
-    are averaged and scaled to unit grid mean.
+    are averaged, and NoisePsd scales the average to unit grid mean.
     """
     spectra = [_psd_for_pc(x) for x in _tail_array(tail_pcs_normalized)]
-    psi = np.mean(spectra, axis=0)
-    return NoisePsd(psi / psi.mean())
+    return NoisePsd(np.mean(spectra, axis=0))
 
 
 def estimate_noise(dataset: DwiDataset):

@@ -12,9 +12,12 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DwiDataset, NoiseMap, NoisePsd, SpatialKernel
+from .core import DwiDataset, NoiseMap, NoisePsd, _as_real_grid
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
+DOG_SIGMA_INNER = 0.8   # voxels, the colored kernel's narrow Gaussian
+DOG_SIGMA_OUTER = 2.0   # voxels, its wide Gaussian; the kernel is cut at 4x this
+GFACTOR_AMPLITUDE = 0.5  # height of the default g-factor bump above 1
 
 
 def fibonacci_directions(count: int, seed: int = 0) -> np.ndarray:
@@ -178,15 +181,13 @@ def make_phantom(spec: PhantomSpec = None):
     return DwiDataset(data, bvals, bvecs), tensors, support
 
 
-def make_colored_kernel(sigma_inner: float = 0.8, sigma_outer: float = 2.0) -> SpatialKernel:
+def make_colored_kernel() -> np.ndarray:
     """In-plane difference-of-Gaussians band-pass kernel, unit l2 norm.
 
-    Truncated at 4 * sigma_outer; depth 1, so no through-slice
-    correlation.
+    A real (17, 17, 1) array centered on its middle voxel, truncated at
+    4 * DOG_SIGMA_OUTER; depth 1, so no through-slice correlation.
     """
-    if not 0 < sigma_inner < sigma_outer:
-        raise ValueError("need 0 < sigma_inner < sigma_outer")
-    radius = int(math.ceil(4.0 * sigma_outer))
+    radius = int(math.ceil(4.0 * DOG_SIGMA_OUTER))
     x = np.arange(-radius, radius + 1, dtype=np.float64)
     xx, yy = np.meshgrid(x, x, indexing="ij")
     r2 = xx * xx + yy * yy
@@ -195,67 +196,70 @@ def make_colored_kernel(sigma_inner: float = 0.8, sigma_outer: float = 2.0) -> S
         g = np.exp(-0.5 * r2 / sigma**2)
         return g / g.sum()
 
-    dog = unit_sum_gaussian(sigma_inner) - unit_sum_gaussian(sigma_outer)
+    dog = unit_sum_gaussian(DOG_SIGMA_INNER) - unit_sum_gaussian(DOG_SIGMA_OUTER)
     dog /= np.linalg.norm(dog)
-    return SpatialKernel(dog[:, :, None], center=(radius, radius, 0))
+    return dog[:, :, None]
 
 
-def _embed_kernel(kernel: SpatialKernel, dims) -> np.ndarray:
-    """Zero-pad the kernel into `dims` with its center at the origin."""
-    if any(k > d for k, d in zip(kernel.data.shape, dims)):
+def _kernel_spectrum(kernel, dims) -> np.ndarray:
+    """DFT on `dims` of the kernel zero-padded with its middle voxel at the origin."""
+    kernel = _as_real_grid(kernel, "kernel")
+    if any(k > d for k, d in zip(kernel.shape, dims)):
         raise ValueError("kernel does not fit in the requested dims")
     pad = np.zeros(dims)
-    k0, k1, k2 = kernel.data.shape
-    pad[:k0, :k1, :k2] = kernel.data
-    return np.roll(pad, [-c for c in kernel.center], axis=(0, 1, 2))
+    k0, k1, k2 = kernel.shape
+    pad[:k0, :k1, :k2] = kernel
+    return np.fft.fftn(np.roll(pad, [-(k // 2) for k in kernel.shape], axis=(0, 1, 2)))
 
 
-def kernel_to_psd(kernel: SpatialKernel, dims) -> NoisePsd:
+def kernel_to_psd(kernel, dims) -> NoisePsd:
     """Exact PSD of noise colored by circular convolution with `kernel`.
 
-    psi(f) = |DFT(g)|^2 on the full grid; its grid mean equals the
-    squared l2 norm of the kernel (Parseval).
+    psi(f) = |DFT(g)|^2 on the full grid, for a real 3D kernel g
+    centered on its middle voxel; NoisePsd scales it to unit grid mean,
+    which divides by the squared l2 norm of the kernel (Parseval).
     """
-    spectrum = np.fft.fftn(_embed_kernel(kernel, dims))
-    psi = np.abs(spectrum) ** 2
-    unit = abs(psi.mean() - 1.0) <= 1e-6
-    return NoisePsd(psi, unit_variance=unit)
+    return NoisePsd(np.abs(_kernel_spectrum(kernel, dims)) ** 2)
 
 
-def default_gfactor(dims, amplitude: float = 0.5) -> np.ndarray:
-    """Smooth positive field: 1 + amplitude * centered 3D Gaussian bump."""
+def default_gfactor(dims) -> np.ndarray:
+    """Smooth positive field: 1 + GFACTOR_AMPLITUDE * centered 3D Gaussian bump."""
     grids = np.meshgrid(
         *(np.arange(d, dtype=np.float64) for d in dims), indexing="ij"
     )
     r2 = np.zeros(dims)
     for g, d in zip(grids, dims):
         r2 += ((g - 0.5 * (d - 1)) / (0.25 * d)) ** 2
-    return 1.0 + amplitude * np.exp(-0.5 * r2)
+    return 1.0 + GFACTOR_AMPLITUDE * np.exp(-0.5 * r2)
 
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Noise level, correlation kernel (None for white), spatial profile."""
+    """Noise level, correlation kernel (None for white), spatial profile.
+
+    The kernel is a real, finite 3D array centered on its middle voxel,
+    shape // 2, with unit l2 norm, so colored noise keeps the variance
+    the sigma map gives it.
+    """
 
     level: float
-    kernel: Optional[SpatialKernel] = None
+    kernel: Optional[np.ndarray] = None
     gfactor: Optional[np.ndarray] = None  # None -> default bump
     seed: int = 0
 
     def __post_init__(self):
         if self.level < 0:
             raise ValueError("noise level must be nonnegative")
-        if self.kernel is not None and abs(self.kernel.l2_norm - 1.0) > 1e-9:
-            raise ValueError("colored-noise kernel must have unit l2 norm")
+        if self.kernel is not None:
+            kernel = _as_real_grid(self.kernel, "kernel")
+            if abs(np.linalg.norm(kernel) - 1.0) > 1e-9:
+                raise ValueError("colored-noise kernel must have unit l2 norm")
+            object.__setattr__(self, "kernel", kernel)
         if self.gfactor is not None:
             gf = np.asarray(self.gfactor, dtype=np.float64)
             if np.any(gf <= 0):
                 raise ValueError("gfactor map must be positive")
             object.__setattr__(self, "gfactor", gf)
-
-    @property
-    def kind(self) -> str:
-        return "white" if self.kernel is None else "colored"
 
 
 def add_noise(dataset: DwiDataset, spec: NoiseSpec):
@@ -291,8 +295,8 @@ def add_noise(dataset: DwiDataset, spec: NoiseSpec):
         psd = NoisePsd(np.ones(dims))
         spectrum = None
     else:
-        psd = kernel_to_psd(spec.kernel, dims)
-        spectrum = np.fft.fftn(_embed_kernel(spec.kernel, dims))
+        spectrum = _kernel_spectrum(spec.kernel, dims)
+        psd = NoisePsd(np.abs(spectrum) ** 2)
 
     if spec.level == 0:
         return dataset, NoiseMap(sigma), psd

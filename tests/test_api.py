@@ -16,7 +16,6 @@ PUBLIC = [
     "NoiseSpec",
     "PhantomSpec",
     "ShellTable",
-    "SpatialKernel",
     "Volume3",
     "add_noise",
     "attach_gradients",

@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from bm4dpc.bm4d import coeff_variances
-from bm4dpc.bm4d.variance import basis_autocorr, fold_psd, working_dims
+from bm4dpc.bm4d.engine import BLOCK, _psd_fields
+from bm4dpc.bm4d.variance import (
+    basis_autocorr, fold_psd, variances_from_fields, working_dims,
+)
 from bm4dpc.core import NoisePsd
 
 
@@ -80,23 +83,21 @@ class TestCoeffVariances:
         assert var[0, 0, 0, 0] > 1.5
 
     def test_scaling_power_of_two(self):
+        """The variances are linear in the PSD. NoisePsd divides any
+        scale out, so raw arrays go through the engine's fields."""
         rng = np.random.default_rng(2)
         raw = np.abs(rng.standard_normal((24, 24, 8))) + 0.5
-        positions = np.array([[4, 4, 2], [9, 6, 3]], dtype=np.intp)
-        base = coeff_variances(NoisePsd(raw, unit_variance=False), positions)
-        scaled = coeff_variances(
-            NoisePsd(4.0 * raw, unit_variance=False), positions
-        )
+        offsets = np.array([[0, 0, 0], [5, 2, 1]], dtype=np.intp)
+        base = variances_from_fields(_psd_fields(raw), offsets, BLOCK)
+        scaled = variances_from_fields(_psd_fields(4.0 * raw), offsets, BLOCK)
         assert np.array_equal(scaled, 4.0 * base)
 
     def test_scaling_general_factor(self):
         rng = np.random.default_rng(3)
         raw = np.abs(rng.standard_normal((24, 24, 8))) + 0.5
-        positions = np.array([[4, 4, 2], [9, 6, 3]], dtype=np.intp)
-        base = coeff_variances(NoisePsd(raw, unit_variance=False), positions)
-        scaled = coeff_variances(
-            NoisePsd(2.5 * raw, unit_variance=False), positions
-        )
+        offsets = np.array([[0, 0, 0], [5, 2, 1]], dtype=np.intp)
+        base = variances_from_fields(_psd_fields(raw), offsets, BLOCK)
+        scaled = variances_from_fields(_psd_fields(2.5 * raw), offsets, BLOCK)
         assert np.allclose(scaled, 2.5 * base, rtol=1e-12)
 
     def test_monte_carlo_oracle(self, dog_variance_mc):

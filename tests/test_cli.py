@@ -285,6 +285,23 @@ class TestSubcommands:
         mask = read_nifti(str(small_sim / "mask.nii"))
         assert report["mask_voxels"] == int((mask.data > 0.5).sum())
 
+    def test_metrics_mask_dims_checked(self, small_sim, tmp_path, capsys):
+        mask = tmp_path / "mask4.nii"
+        write_nifti(Volume3(np.ones((4, 4, 4))), str(mask))
+        code = run_cli(
+            [
+                "metrics",
+                "--ref", str(small_sim / "gt.nii"),
+                "--test", str(small_sim / "noisy.nii"),
+                "--bval", str(small_sim / "bvals"),
+                "--mask", str(mask),
+                "--out", str(tmp_path / "report.json"),
+            ]
+        )
+        assert code == 2
+        assert "mask dims" in capsys.readouterr().err
+        assert not (tmp_path / "report.json").exists()
+
     def test_metrics_identical_data_is_strict_json(self, small_sim, tmp_path):
         import json
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from bm4dpc import DwiDataset, NoiseMap, NoisePsd, SpatialKernel, Volume3
+from bm4dpc import DwiDataset, NoiseMap, NoisePsd, Volume3
 
 
 def _volume(data):
@@ -123,31 +123,28 @@ class TestNoiseTypes:
             NoiseMap(-np.ones((2, 2, 2)))
 
     def test_psd_unit_variance_mean_enforced(self):
-        NoisePsd(np.ones((4, 4, 4)))
-        with pytest.raises(ValueError):
-            NoisePsd(2.0 * np.ones((4, 4, 4)))
-        # non-unit PSDs are allowed when flagged
-        NoisePsd(2.0 * np.ones((4, 4, 4)), unit_variance=False)
+        """Any positive scale is divided out: the stored PSD has grid mean 1."""
+        assert np.array_equal(NoisePsd(np.ones((4, 4, 4))).data, np.ones((4, 4, 4)))
+        rng = np.random.default_rng(3)
+        raw = np.abs(rng.standard_normal((6, 5, 4))) + 0.1
+        psi = NoisePsd(raw).data
+        assert np.array_equal(psi, raw / raw.mean())
+        # a power-of-two scale is exact, so the stored arrays agree bitwise
+        assert np.array_equal(NoisePsd(4.0 * raw).data, psi)
+        assert np.allclose(NoisePsd(2.5 * raw).data, psi, rtol=1e-13, atol=0)
+
+    def test_psd_rejects_zero_mean(self):
+        with pytest.raises(ValueError, match="positive"):
+            NoisePsd(np.zeros((4, 4, 4)))
 
     def test_psd_rejects_negative_entries(self):
         data = np.ones((4, 4, 4))
         data[0, 0, 0] = -0.5
         data[1, 0, 0] = 1.5
         with pytest.raises(ValueError):
-            NoisePsd(data, unit_variance=False)
+            NoisePsd(data)
 
-    def test_kernel_center_default_and_l2(self):
-        data = np.zeros((3, 5, 1))
-        data[1, 2, 0] = 2.0
-        kernel = SpatialKernel(data)
-        assert kernel.center == (1, 2, 0)
-        assert kernel.l2_norm == pytest.approx(2.0)
-
-    def test_kernel_center_must_index_kernel(self):
-        with pytest.raises(ValueError):
-            SpatialKernel(np.ones((3, 3, 1)), center=(3, 0, 0))
-
-    @pytest.mark.parametrize("make", [NoiseMap, NoisePsd, SpatialKernel])
+    @pytest.mark.parametrize("make", [NoiseMap, NoisePsd])
     def test_real_grids_reject_empty_complex_and_non_finite(self, make):
         ones = np.ones((4, 4, 4))
         with pytest.raises(ValueError, match="non-empty"):

@@ -394,3 +394,13 @@ class TestReportMetrics:
         other = DwiDataset(test.data, test.bvals * 2.0, test.bvecs)
         with pytest.raises(ValueError, match="share b-values"):
             report_metrics(gt, other)
+
+    def test_mask_dims_checked(self, pair):
+        """A mask on other dims is an error, with or without a tensor fit."""
+        gt, test = pair
+        mask = np.ones((4, 4, 4), bool)
+        with pytest.raises(ValueError, match="mask dims"):
+            report_metrics(gt, test, mask=mask)
+        with pytest.raises(ValueError, match="mask dims"):
+            report_metrics(DwiDataset(gt.data, gt.bvals),
+                           DwiDataset(test.data, test.bvals), mask=mask)

@@ -73,6 +73,23 @@ class TestDenoiseQuality:
             assert good >= bad
 
 
+class TestGivenPsd:
+    def test_psd_scale_does_not_change_output(self):
+        """The sigma map carries the noise scale: a PSD given at 4x (a
+        power of two, so the unit-mean scaling is exact) filters the
+        data to the same bytes."""
+        rng = np.random.default_rng(8)
+        data = 1.0 + rng.standard_normal((4, 8, 8, 6))
+        ds = DwiDataset(data, np.array([0.0, 1000.0, 1000.0, 1000.0]))
+        dims = ds.dims
+        sigma = NoiseMap(np.full(dims, 0.5))
+        psi = np.abs(rng.standard_normal(dims)) + 0.25
+        out, _, used = denoise_bm4dpc(ds, sigma, NoisePsd(psi))
+        out4, _, used4 = denoise_bm4dpc(ds, sigma, NoisePsd(4.0 * psi))
+        assert np.array_equal(used4.data, used.data)
+        assert np.array_equal(out4.data, out.data)
+
+
 class TestCallerData:
     @pytest.mark.parametrize("is_complex", [False, True])
     def test_input_left_unmodified(self, is_complex):

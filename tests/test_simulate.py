@@ -7,7 +7,6 @@ from scipy import ndimage
 from bm4dpc import (
     NoiseSpec,
     PhantomSpec,
-    SpatialKernel,
     add_noise,
     fibonacci_directions,
     kernel_to_psd,
@@ -118,36 +117,35 @@ class TestPhantom:
 class TestColoredKernel:
     def test_unit_l2_norm(self):
         kernel = make_colored_kernel()
-        assert abs(kernel.l2_norm - 1.0) <= 1e-9
+        assert abs(np.linalg.norm(kernel) - 1.0) <= 1e-9
 
     def test_band_pass_sum_near_zero(self):
         kernel = make_colored_kernel()
-        assert abs(kernel.data.sum()) <= 0.2
+        assert abs(kernel.sum()) <= 0.2
 
     def test_depth_one(self):
         kernel = make_colored_kernel()
-        assert kernel.data.shape[2] == 1
-        assert kernel.center == (8, 8, 0)
-
-    def test_degenerate_sigmas_rejected(self):
-        with pytest.raises(ValueError):
-            make_colored_kernel(1.0, 1.0)
-        with pytest.raises(ValueError):
-            make_colored_kernel(2.0, 0.8)
+        assert kernel.shape == (17, 17, 1)  # center (8, 8, 0), the middle voxel
+        assert np.unravel_index(np.argmax(kernel), kernel.shape) == (8, 8, 0)
 
 
 class TestKernelToPsd:
     def test_delta_kernel_gives_flat_psd(self):
-        delta = SpatialKernel(np.ones((1, 1, 1)))
-        psd = kernel_to_psd(delta, (8, 8, 4))
-        assert psd.unit_variance
+        psd = kernel_to_psd(np.ones((1, 1, 1)), (8, 8, 4))
         assert np.allclose(psd.data, 1.0, atol=1e-12)
 
     def test_parseval_mean(self):
+        """|DFT(g)|^2 has grid mean ||g||^2 (Parseval), which the
+        unit-mean PSD divides out."""
         rng = np.random.default_rng(0)
-        kernel = SpatialKernel(rng.standard_normal((3, 3, 1)))
-        psd = kernel_to_psd(kernel, (12, 10, 4))
-        assert psd.data.mean() == pytest.approx(kernel.l2_norm**2, rel=1e-12)
+        kernel = rng.standard_normal((3, 3, 1))
+        dims = (12, 10, 4)
+        psd = kernel_to_psd(kernel, dims)
+        pad = np.zeros(dims)
+        pad[:3, :3, :1] = kernel
+        raw = np.abs(np.fft.fftn(pad)) ** 2
+        assert raw.mean() == pytest.approx((kernel**2).sum(), rel=1e-12)
+        assert np.allclose(psd.data, raw / (kernel**2).sum(), rtol=1e-12, atol=1e-12)
 
     def test_kernel_must_fit(self):
         kernel = make_colored_kernel()  # 17 x 17 x 1
@@ -160,7 +158,7 @@ class TestKernelToPsd:
         dims2d = (24, 24)
         draws = 20000
         kernel = make_colored_kernel()
-        plane = kernel.data[:, :, 0]
+        plane = kernel[:, :, 0]
 
         # dense circulant operator built by convolving basis images
         size = dims2d[0] * dims2d[1]
@@ -248,9 +246,35 @@ class TestAddNoise:
         with pytest.raises(ValueError):
             NoiseSpec(level=-0.01)
         with pytest.raises(ValueError):
-            NoiseSpec(level=0.05, kernel=SpatialKernel(2.0 * np.ones((3, 3, 1))))
-        with pytest.raises(ValueError):
             NoiseSpec(level=0.05, gfactor=np.zeros((4, 4, 4)))
+
+    def test_noise_spec_rejects_bad_kernels(self):
+        unit = np.ones((3, 3, 1)) / 3.0
+        assert np.array_equal(NoiseSpec(level=0.05, kernel=unit).kernel, unit)
+        with pytest.raises(ValueError, match="unit l2 norm"):
+            NoiseSpec(level=0.05, kernel=2.0 * unit)
+        with pytest.raises(ValueError, match="must be real"):
+            NoiseSpec(level=0.05, kernel=unit.astype(np.complex128))
+        with pytest.raises(ValueError, match="must be 3D"):
+            NoiseSpec(level=0.05, kernel=unit[:, :, 0])
+        bad = unit.copy()
+        bad[1, 1, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            NoiseSpec(level=0.05, kernel=bad)
+        with pytest.raises(ValueError, match="non-empty"):
+            NoiseSpec(level=0.05, kernel=np.ones((0, 3, 1)))
+
+    def test_kernel_centered_on_middle_voxel(self, phantom):
+        """A one-hot kernel at shape // 2 is the identity convolution,
+        so it colors nothing: the noise equals the white draws."""
+        dataset, _, _ = phantom
+        delta = np.zeros((3, 5, 1))
+        delta[1, 2, 0] = 1.0
+        white, _, _ = add_noise(dataset, NoiseSpec(level=0.05, seed=6))
+        colored, _, _ = add_noise(
+            dataset, NoiseSpec(level=0.05, kernel=delta, seed=6)
+        )
+        assert np.allclose(colored.data, white.data, rtol=0, atol=1e-12)
 
     def test_gfactor_dims_checked(self, phantom):
         dataset, _, _ = phantom
