@@ -26,7 +26,6 @@ from .dataio import (
     write_nifti,
 )
 from .evaluate import (
-    MetricReport,
     fit_dti,
     mppca_denoise,
     psnr,
@@ -49,7 +48,6 @@ from .simulate import (
 
 __all__ = [
     "DwiDataset",
-    "MetricReport",
     "NiftiError",
     "NoiseMap",
     "NoisePsd",

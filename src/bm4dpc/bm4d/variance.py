@@ -12,7 +12,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from ..core import _centered_lags
 from .transforms import block_basis, haar_matrix
 
 
@@ -29,23 +28,42 @@ def working_dims(dims, block, search_radius) -> tuple:
     )
 
 
-def fold_psd(psd_data: np.ndarray, work: tuple) -> np.ndarray:
-    """Fold a full-grid PSD onto the working grid.
+def _centered_lags(size: int, extent: int) -> np.ndarray:
+    """Where the lags of a `size`-point circular grid sit on an `extent`-point one.
 
-    Implemented as centered truncation of the autocorrelation: short
-    lags keep their exact covariances and the zero lag (total power) is
-    preserved. Residual negative values from the truncation are clipped
-    to zero.
+    Entry t is lag t for t < (size + 1) // 2 and lag t - size above, so
+    the lags [-(size // 2), (size + 1) // 2) keep their values when an
+    autocorrelation moves between the two grids, modulo `extent`.
     """
-    dims = psd_data.shape
-    if any(e > d for e, d in zip(work, dims)):
-        raise ValueError("working grid cannot exceed the PSD grid")
-    if tuple(work) == tuple(dims):
+    t = np.arange(size)
+    return np.where(t < (size + 1) // 2, t, t - size) % extent
+
+
+def fold_psd(psd_data: np.ndarray, shape: tuple) -> np.ndarray:
+    """Resample a PSD onto a grid of `shape` through its autocorrelation.
+
+    Axis by axis, the centered lags of the smaller extent keep their
+    values: a shrinking axis drops the longer lags (truncation), a
+    growing one sets them to 0 (zero-padding). The zero lag, the mean
+    power, is kept; negative values from the cut are then clipped to
+    zero. An equal shape returns a float64 copy.
+    """
+    if len(shape) != psd_data.ndim:
+        raise ValueError("need one target extent per PSD axis")
+    if tuple(shape) == psd_data.shape:
         return np.array(psd_data, dtype=np.float64)
 
     acorr = np.fft.ifftn(psd_data)
-    kept = acorr[np.ix_(*(_centered_lags(e, d) for e, d in zip(work, dims)))]
-    return np.clip(np.fft.fftn(kept).real, 0.0, None)
+    for axis, (d, e) in enumerate(zip(psd_data.shape, shape)):
+        if e < d:
+            acorr = np.take(acorr, _centered_lags(e, d), axis=axis)
+        elif e > d:
+            grown = np.zeros(acorr.shape[:axis] + (e,) + acorr.shape[axis + 1:],
+                             dtype=acorr.dtype)
+            index = (slice(None),) * axis + (_centered_lags(d, e),)
+            grown[index] = acorr
+            acorr = grown
+    return np.clip(np.fft.fftn(acorr).real, 0.0, None)
 
 
 def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:

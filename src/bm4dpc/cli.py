@@ -150,10 +150,9 @@ def _cmd_estimate_noise(args):
 def _cmd_metrics(args):
     ref = _as_real(_load_dataset(args.ref, args.bval))
     test = _as_real(_load_dataset(args.test, args.bval))
-    mask = _load_volume(args.mask).data > 0.5 if args.mask else None
-    report = report_metrics(ref, test, mask)
+    report = report_metrics(ref, test)
     with open(args.out, "w") as fh:
-        json.dump(report.to_dict(), fh, indent=2, allow_nan=False)
+        json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
     _log(args, f"metrics written to {args.out}")
     return EXIT_OK
@@ -161,8 +160,6 @@ def _cmd_metrics(args):
 
 def _cmd_dti(args):
     dataset = _as_real(_load_dataset(args.input, args.bval, args.bvec))
-    if dataset.bvecs is None:
-        raise ValueError("dti requires --bvec")
     mask = (
         _load_volume(args.mask).data > 0.5
         if args.mask
@@ -176,7 +173,7 @@ def _cmd_dti(args):
 
 def _cmd_baseline_mppca(args):
     dataset = _load_dataset(args.input)
-    denoised = mppca_denoise(dataset, kernel=args.kernel, step=args.step)
+    denoised = mppca_denoise(dataset)
     write_nifti(denoised, args.out)
     return EXIT_OK
 
@@ -227,7 +224,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ref", required=True)
     p.add_argument("--test", required=True)
     p.add_argument("--bval", required=True)
-    p.add_argument("--mask")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_metrics)
 
@@ -243,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("baseline-mppca", help="patchwise PCA baseline")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--kernel", type=int, default=5)
-    p.add_argument("--step", type=int, default=3)
     p.set_defaults(func=_cmd_baseline_mppca)
 
     return parser

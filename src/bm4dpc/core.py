@@ -28,17 +28,6 @@ def _starts(extent: int, size: int, step: int) -> list:
     return starts
 
 
-def _centered_lags(size: int, extent: int) -> np.ndarray:
-    """Where the lags of a `size`-point circular grid sit on an `extent`-point one.
-
-    Entry t is lag t for t < (size + 1) // 2 and lag t - size above, so
-    the lags [-(size // 2), (size + 1) // 2) keep their values when an
-    autocorrelation moves between the two grids, modulo `extent`.
-    """
-    t = np.arange(size)
-    return np.where(t < (size + 1) // 2, t, t - size) % extent
-
-
 def _as_samples(data, ndim: int, what: str) -> np.ndarray:
     """Finite, non-empty float64 or complex128 C-contiguous samples."""
     arr = np.asarray(data)

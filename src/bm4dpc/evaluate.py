@@ -7,8 +7,7 @@ shrinkage baseline.
 """
 
 import math
-from dataclasses import dataclass, replace
-from typing import Optional
+from dataclasses import replace
 
 import numpy as np
 from scipy import ndimage
@@ -21,6 +20,8 @@ SSIM_K2 = 0.03
 SSIM_WINDOW = 7
 SSIM_SIGMA = 1.5
 DTI_MAX_BVAL = 1000.0  # the tensor fit uses the volumes with b at most this
+MPPCA_KERNEL = 5  # edge of the baseline's cubic patches
+MPPCA_STEP = 3    # stride between the baseline's patch corners
 
 
 def _data(x) -> np.ndarray:
@@ -106,7 +107,8 @@ def fit_dti(dataset: DwiDataset, mask):
     Uses volumes with b <= DTI_MAX_BVAL. Per masked voxel the log-signal
     model ln S = ln S0 - b g^T D g is solved with weights S^2, the
     tensor eigenvalues are clipped at zero, and FA and MD follow from
-    them. Masked voxels with nonpositive signals yield zeros. A design
+    them. Masked voxels with nonpositive signals yield zeros. Complex
+    data raises ValueError: phase-stabilize it first. A design
     that is numerically singular (condition number of the column-scaled
     design above 1/sqrt(eps)) raises ValueError.
 
@@ -116,6 +118,8 @@ def fit_dti(dataset: DwiDataset, mask):
     """
     if dataset.bvecs is None:
         raise ValueError("tensor fit needs b-vectors")
+    if dataset.is_complex:
+        raise ValueError("tensor fit expects real (phase-stabilized) data")
     mask = _data(mask).astype(bool)
     if mask.shape != dataset.dims:
         raise ValueError("mask dims mismatch")
@@ -144,7 +148,7 @@ def fit_dti(dataset: DwiDataset, mask):
             "rank-deficient design (need 6 well-spread, non-collinear directions)"
         )
 
-    signals = dataset.data.real[sel][:, mask].T.copy()  # (voxels, volumes)
+    signals = dataset.data[sel][:, mask].T.copy()  # (voxels, volumes)
     usable = signals.min(axis=1) > 0
     fa_flat = np.zeros(signals.shape[0])
     md_flat = np.zeros(signals.shape[0])
@@ -181,15 +185,17 @@ def fit_dti(dataset: DwiDataset, mask):
     return Volume3(fa_map), Volume3(md_map)
 
 
-def mppca_denoise(dataset: DwiDataset, kernel: int = 5, step: int = 3) -> DwiDataset:
+def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
     """Patchwise PCA denoising with an automatic eigenvalue cutoff.
 
-    Each kernel^3 patch forms a voxels-by-volumes matrix whose centered
-    covariance spectrum is cut where the tail becomes consistent with
-    pure-noise eigenvalue spread; only leading components are kept.
-    Overlapping patch estimates are averaged uniformly.
+    Each MPPCA_KERNEL^3 patch, with corners MPPCA_STEP apart, forms a
+    voxels-by-volumes matrix whose centered covariance spectrum is cut
+    where the tail becomes consistent with pure-noise eigenvalue
+    spread; only leading components are kept. Overlapping patch
+    estimates are averaged uniformly.
     """
     n = dataset.n_volumes
+    kernel, step = MPPCA_KERNEL, MPPCA_STEP
     if kernel**3 < n:
         raise ValueError("patch smaller than the volume count")
     dims = dataset.dims
@@ -237,88 +243,30 @@ def mppca_denoise(dataset: DwiDataset, kernel: int = 5, step: int = 3) -> DwiDat
     return replace(dataset, data=np.moveaxis(out, -1, 0))
 
 
-@dataclass(frozen=True)
-class MetricReport:
-    """Per-shell image metrics plus optional derived-map errors."""
+def report_metrics(gt: DwiDataset, test: DwiDataset) -> dict:
+    """Shell-wise PSNR/SSIM of `test` against `gt`, ready for JSON.
 
-    shell_psnr: dict
-    shell_ssim: dict
-    shell_counts: dict
-    mask_voxels: int
-    rmse_fa: Optional[float] = None
-    rmse_md: Optional[float] = None
-
-    def __post_init__(self):
-        for value in self.shell_ssim.values():
-            if not -1.0 <= value <= 1.0:
-                raise ValueError("SSIM out of [-1, 1]")
-
-    def to_dict(self) -> dict:
-        """JSON-ready fields; a non-finite PSNR (identical data) is None."""
-        def shell_key(center):
-            return f"{center:g}"
-
-        def finite(value):
-            return value if math.isfinite(value) else None
-
-        return {
-            "shells": {
-                shell_key(c): {
-                    "psnr_db": finite(self.shell_psnr[c]),
-                    "ssim": self.shell_ssim[c],
-                    "volumes": self.shell_counts[c],
-                }
-                for c in sorted(self.shell_psnr)
-            },
-            "mask_voxels": self.mask_voxels,
-            "rmse_fa": self.rmse_fa,
-            "rmse_md": self.rmse_md,
-        }
-
-
-def report_metrics(
-    gt: DwiDataset, test: DwiDataset, mask=None
-) -> MetricReport:
-    """Shell-wise PSNR/SSIM of `test` against `gt`.
-
-    When both datasets carry b-vectors, FA and MD maps are fitted on
-    each and their RMSE over the mask (or everywhere) is included.
+    Returns {"shells": {"<b>": {"psnr_db", "ssim", "volumes"}}}, one
+    entry per shell in ascending b, keyed by the shell center in %g
+    form, with the means over the shell's volumes. An infinite PSNR
+    (identical data) is None, so the dict serializes as strict JSON.
+    FA and MD errors come from fit_dti and rmse_map.
     """
     if gt.data.shape != test.data.shape:
         raise ValueError("datasets must share volume count and dims")
     if not np.array_equal(gt.bvals, test.bvals):
         raise ValueError("datasets must share b-values")
-    mask_arr = (
-        _data(mask).astype(bool) if mask is not None else np.ones(gt.dims, bool)
-    )
-    if mask_arr.shape != gt.dims:
-        raise ValueError("mask dims mismatch")
 
     shells = group_shells(gt.bvals)
-    shell_psnr, shell_ssim, shell_counts = {}, {}, {}
+    report = {}
     for center, members in zip(shells.centers, shells.members):
-        vals_p = [psnr(gt.data[i], test.data[i]) for i in members]
-        vals_s = [ssim(gt.data[i], test.data[i]) for i in members]
-        shell_psnr[center] = float(np.mean(vals_p))
-        shell_ssim[center] = float(np.mean(vals_s))
-        shell_counts[center] = len(members)
-
-    rmse_fa = rmse_md = None
-    if gt.bvecs is not None and test.bvecs is not None:
-        try:
-            fa_gt, md_gt = fit_dti(gt, mask_arr)
-            fa_t, md_t = fit_dti(test, mask_arr)
-        except ValueError:
-            pass  # too few low-b volumes for a tensor fit
-        else:
-            rmse_fa = rmse_map(fa_gt, fa_t, mask_arr)
-            rmse_md = rmse_map(md_gt, md_t, mask_arr)
-
-    return MetricReport(
-        shell_psnr=shell_psnr,
-        shell_ssim=shell_ssim,
-        shell_counts=shell_counts,
-        mask_voxels=int(mask_arr.sum()),
-        rmse_fa=rmse_fa,
-        rmse_md=rmse_md,
-    )
+        mean_psnr = float(np.mean([psnr(gt.data[i], test.data[i]) for i in members]))
+        mean_ssim = float(np.mean([ssim(gt.data[i], test.data[i]) for i in members]))
+        if not -1.0 <= mean_ssim <= 1.0:
+            raise ValueError("SSIM out of [-1, 1]")
+        report[f"{center:g}"] = {
+            "psnr_db": mean_psnr if math.isfinite(mean_psnr) else None,
+            "ssim": mean_ssim,
+            "volumes": len(members),
+        }
+    return {"shells": report}

@@ -9,7 +9,8 @@ chunks, to reject residual signal) give the in-plane power spectrum.
 import numpy as np
 from scipy import ndimage
 
-from .core import DwiDataset, NoiseMap, NoisePsd, _centered_lags, _starts
+from .bm4d.variance import fold_psd
+from .core import DwiDataset, NoiseMap, NoisePsd, _starts
 from .dataio import group_shells
 from .gpca import forward_pca
 
@@ -69,18 +70,6 @@ def estimate_noise_map(tail_pcs) -> NoiseMap:
     return NoiseMap(np.mean(maps, axis=0))
 
 
-def _zero_pad_spectrum(local: np.ndarray, shape: tuple) -> np.ndarray:
-    """Upsample a 2D spectrum to `shape` by zero-padding its autocorrelation.
-
-    The known lags [-w/2, w/2) keep their values, all longer lags are
-    0; negative round-off is clipped.
-    """
-    full = np.zeros(shape, dtype=np.complex128)
-    index = np.ix_(*(_centered_lags(w, e) for w, e in zip(local.shape, shape)))
-    full[index] = np.fft.ifft2(local)
-    return np.clip(np.fft.fft2(full).real, 0.0, None)
-
-
 def _psd_for_pc(x: np.ndarray) -> np.ndarray:
     m, n, o = x.shape
     w = PSD_WINDOW
@@ -100,7 +89,7 @@ def _psd_for_pc(x: np.ndarray) -> np.ndarray:
         pgrams = np.abs(np.fft.fft2(wins)) ** 2 / (w * w)
         chunk_psds.append(pgrams.mean(axis=(0, 1, 2)))
     local = np.min(chunk_psds, axis=0)  # signal leaks inflate, so take min
-    plane = _zero_pad_spectrum(local, (m, n))
+    plane = fold_psd(local, (m, n))
     psi = np.repeat(plane[:, :, None], o, axis=2)  # slice-independent noise
     return psi / psi.mean()
 

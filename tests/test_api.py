@@ -9,7 +9,6 @@ from bm4dpc.bm4d import engine
 
 PUBLIC = [
     "DwiDataset",
-    "MetricReport",
     "NiftiError",
     "NoiseMap",
     "NoisePsd",

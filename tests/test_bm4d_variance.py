@@ -50,6 +50,25 @@ class TestFoldPsd:
         assert np.all(out >= 0.0)
 
 
+    def test_growth_zero_pads_and_round_trips(self):
+        """A 3 x 3 x 3 kernel's autocorrelation spans lags -2..2, so
+        growing its spectrum by zero-padding gives the kernel's spectrum
+        on the larger grid, and folding back gives the original."""
+        kernel = np.random.default_rng(2).random((3, 3, 3))
+        psi = np.abs(np.fft.fftn(kernel, (12, 10, 6), axes=(0, 1, 2))) ** 2
+        grown = fold_psd(psi, (24, 17, 6))
+        full = np.abs(np.fft.fftn(kernel, (24, 17, 6), axes=(0, 1, 2))) ** 2
+        assert np.max(np.abs(grown - full)) <= 1e-12
+        assert np.max(np.abs(fold_psd(grown, psi.shape) - psi)) <= 1e-12
+
+    def test_mixed_axes_and_rank_checked(self):
+        psi = np.ones((16, 8, 4))
+        out = fold_psd(psi, (8, 12, 4))
+        assert np.max(np.abs(out - 1.0)) <= 1e-12
+        with pytest.raises(ValueError, match="one target extent per PSD axis"):
+            fold_psd(psi, (16, 8))
+
+
 class TestBasisAutocorr:
     def test_flat_psd_zero_lag(self):
         """For unit white noise every orthonormal basis coefficient has

@@ -8,7 +8,8 @@ import pytest
 
 from bm4dpc import Volume3, __version__
 from bm4dpc.cli import build_parser, run_cli
-from bm4dpc.dataio import read_nifti, write_nifti
+from bm4dpc.dataio import attach_gradients, read_bvals_bvecs, read_nifti, write_nifti
+from bm4dpc.evaluate import report_metrics
 
 
 @pytest.fixture(scope="module")
@@ -266,41 +267,24 @@ class TestSubcommands:
         out = read_nifti(str(tmp_path / "mppca.nii"))
         assert out.n_volumes == 10
 
-    def test_metrics_with_mask(self, small_sim, tmp_path):
-        import json
-
-        code = run_cli(
-            [
-                "metrics",
-                "--ref", str(small_sim / "gt.nii"),
-                "--test", str(small_sim / "noisy.nii"),
-                "--bval", str(small_sim / "bvals"),
-                "--mask", str(small_sim / "mask.nii"),
-                "--out", str(tmp_path / "report.json"),
-            ]
-        )
-        assert code == 0
-        report = json.loads((tmp_path / "report.json").read_text())
-        assert set(report["shells"]) == {"0", "1000"}
-        mask = read_nifti(str(small_sim / "mask.nii"))
-        assert report["mask_voxels"] == int((mask.data > 0.5).sum())
-
-    def test_metrics_mask_dims_checked(self, small_sim, tmp_path, capsys):
-        mask = tmp_path / "mask4.nii"
-        write_nifti(Volume3(np.ones((4, 4, 4))), str(mask))
-        code = run_cli(
-            [
-                "metrics",
-                "--ref", str(small_sim / "gt.nii"),
-                "--test", str(small_sim / "noisy.nii"),
-                "--bval", str(small_sim / "bvals"),
-                "--mask", str(mask),
-                "--out", str(tmp_path / "report.json"),
-            ]
-        )
-        assert code == 2
-        assert "mask dims" in capsys.readouterr().err
-        assert not (tmp_path / "report.json").exists()
+    @pytest.mark.parametrize("command, option", [
+        ("metrics", "--mask"),
+        ("baseline-mppca", "--kernel"),
+        ("baseline-mppca", "--step"),
+    ], ids=["metrics-mask", "mppca-kernel", "mppca-step"])
+    def test_removed_options_are_usage_errors(self, small_sim, tmp_path,
+                                              command, option):
+        """The report has no masked quantity and the baseline runs at its
+        fixed patch geometry, so neither takes these options."""
+        gt = str(small_sim / "gt.nii")
+        inputs = {
+            "metrics": ["--ref", gt, "--test", gt,
+                        "--bval", str(small_sim / "bvals")],
+            "baseline-mppca": ["--in", gt],
+        }[command]
+        out = tmp_path / "out"
+        assert run_cli([command, *inputs, "--out", str(out), option, "3"]) == 2
+        assert not out.exists()
 
     def test_metrics_identical_data_is_strict_json(self, small_sim, tmp_path):
         import json
@@ -336,7 +320,17 @@ class TestDeterminism:
         for shell in report["shells"].values():
             assert np.isfinite(shell["psnr_db"])
             assert -1.0 <= shell["ssim"] <= 1.0
-        assert report["mask_voxels"] == 32 * 32 * 16
+        assert list(report) == ["shells"]
+
+    def test_report_is_the_library_report(self, cli_chains):
+        """`bm4dpc metrics` writes report_metrics' dict as it is."""
+        out = cli_chains[1]["dir"]
+        bvals, _ = read_bvals_bvecs(str(out / "bvals"))
+        gt, test = (
+            attach_gradients(read_nifti(str(out / name)), bvals)
+            for name in ("gt.nii", "denoised.nii")
+        )
+        assert report_metrics(gt, test) == cli_chains[1]["report"]
 
     def test_thread_count_does_not_change_bytes(self, cli_chains):
         one, eight = cli_chains[1]["files"], cli_chains[8]["files"]

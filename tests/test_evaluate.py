@@ -5,9 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from bm4dpc import evaluate
 from bm4dpc.core import DwiDataset, Volume3
 from bm4dpc.evaluate import (
-    MetricReport,
     fit_dti,
     mppca_denoise,
     psnr,
@@ -15,7 +15,8 @@ from bm4dpc.evaluate import (
     rmse_map,
     ssim,
 )
-from bm4dpc.simulate import fibonacci_directions
+from bm4dpc.phasestab import stabilize_phase
+from bm4dpc.simulate import PhantomSpec, fibonacci_directions, make_phantom
 
 from _util import shell_mean_psnr
 
@@ -251,6 +252,18 @@ class TestFitDti:
         with pytest.raises(ValueError, match="rank-deficient"):
             fit_dti(ds2, np.ones(dims, bool))
 
+    def test_complex_input_rejected(self):
+        """Fitting the real part of this complex phantom gives FA 0 in
+        every support voxel; the fit refuses complex data, and the
+        phase-stabilized series gives a positive FA almost everywhere."""
+        spec = PhantomSpec(dims=(16, 16, 8), shells=((0.0, 2), (1000.0, 12)))
+        clean, _, support = make_phantom(spec)
+        assert clean.is_complex
+        with pytest.raises(ValueError, match="real"):
+            fit_dti(clean, support)
+        fa, _ = fit_dti(stabilize_phase(clean), support)
+        assert np.mean(fa.data[support] > 0.0) > 0.9
+
     def test_numerically_singular_design_rejected_at_any_b_unit(self):
         """Six full-sphere Fibonacci directions make a tensor design that
         is singular up to round-off. Rounded to 8 decimals, as a bvecs
@@ -306,42 +319,14 @@ class TestMppca:
         cleaned = shell_mean_psnr(gt_real, white_mppca, 1000.0)
         assert cleaned >= noisy + 5.0
 
-    def test_validation(self):
-        dims = (8, 8, 8)
-        ds = DwiDataset(np.zeros((10,) + dims), np.zeros(10))
-        with pytest.raises(ValueError, match="patch smaller than the volume count"):
-            mppca_denoise(ds, kernel=2)
+    def test_validation(self, monkeypatch):
         small = DwiDataset(np.zeros((10, 4, 8, 8)), np.zeros(10))
         with pytest.raises(ValueError, match="volume smaller than the patch"):
             mppca_denoise(small)
-
-
-class TestMetricReport:
-    def test_ssim_bounds_enforced(self):
-        with pytest.raises(ValueError, match="SSIM out of"):
-            MetricReport(
-                shell_psnr={0.0: 30.0},
-                shell_ssim={0.0: 1.5},
-                shell_counts={0.0: 3},
-                mask_voxels=10,
-            )
-
-    def test_to_dict_structure(self):
-        report = MetricReport(
-            shell_psnr={0.0: 31.0, 1000.0: 28.5},
-            shell_ssim={0.0: 0.95, 1000.0: 0.9},
-            shell_counts={0.0: 2, 1000.0: 15},
-            mask_voxels=100,
-            rmse_fa=0.05,
-            rmse_md=1e-5,
-        )
-        d = report.to_dict()
-        assert set(d) == {"shells", "mask_voxels", "rmse_fa", "rmse_md"}
-        assert set(d["shells"]) == {"0", "1000"}
-        assert d["shells"]["1000"] == {
-            "psnr_db": 28.5, "ssim": 0.9, "volumes": 15,
-        }
-        assert d["mask_voxels"] == 100
+        ds = DwiDataset(np.zeros((10, 8, 8, 8)), np.zeros(10))
+        monkeypatch.setattr(evaluate, "MPPCA_KERNEL", 2)  # 8 rows < 10 volumes
+        with pytest.raises(ValueError, match="patch smaller than the volume count"):
+            mppca_denoise(ds)
 
 
 @pytest.fixture(scope="module")
@@ -364,28 +349,23 @@ class TestReportMetrics:
     def test_full_report(self, pair):
         gt, test = pair
         report = report_metrics(gt, test)
-        assert set(report.shell_psnr) == {0.0, 1000.0}
-        assert report.shell_counts == {0.0: 2, 1000.0: 15}
-        assert report.mask_voxels == 512
-        assert report.rmse_fa is not None and report.rmse_fa > 0.0
-        assert report.rmse_md is not None and report.rmse_md > 0.0
-        assert 0.0 < report.shell_psnr[1000.0] < math.inf
-        assert report.shell_ssim[1000.0] < 1.0
+        assert list(report) == ["shells"]
+        assert list(report["shells"]) == ["0", "1000"]
+        b1000 = report["shells"]["1000"]
+        assert list(b1000) == ["psnr_db", "ssim", "volumes"]
+        assert report["shells"]["0"]["volumes"] == 2
+        assert b1000["volumes"] == 15
+        assert 0.0 < b1000["psnr_db"] < math.inf
+        assert b1000["ssim"] < 1.0
+        assert b1000["psnr_db"] == pytest.approx(
+            np.mean([psnr(gt.data[i], test.data[i]) for i in range(2, 17)])
+        )
 
-    def test_no_bvecs_skips_tensor_fit(self, pair):
+    def test_ssim_bounds_enforced(self, pair, monkeypatch):
         gt, test = pair
-        gt2 = DwiDataset(gt.data, gt.bvals)
-        test2 = DwiDataset(test.data, test.bvals)
-        report = report_metrics(gt2, test2)
-        assert report.rmse_fa is None
-        assert report.rmse_md is None
-
-    def test_mask_voxel_count(self, pair):
-        gt, test = pair
-        mask = np.zeros((8, 8, 8), bool)
-        mask[2:6, 2:6, 2:6] = True
-        report = report_metrics(gt, test, mask=mask)
-        assert report.mask_voxels == 64
+        monkeypatch.setattr(evaluate, "ssim", lambda a, b: 1.5)
+        with pytest.raises(ValueError, match="SSIM out of"):
+            report_metrics(gt, test)
 
     def test_validation(self, pair):
         gt, test = pair
@@ -394,13 +374,3 @@ class TestReportMetrics:
         other = DwiDataset(test.data, test.bvals * 2.0, test.bvecs)
         with pytest.raises(ValueError, match="share b-values"):
             report_metrics(gt, other)
-
-    def test_mask_dims_checked(self, pair):
-        """A mask on other dims is an error, with or without a tensor fit."""
-        gt, test = pair
-        mask = np.ones((4, 4, 4), bool)
-        with pytest.raises(ValueError, match="mask dims"):
-            report_metrics(gt, test, mask=mask)
-        with pytest.raises(ValueError, match="mask dims"):
-            report_metrics(DwiDataset(gt.data, gt.bvals),
-                           DwiDataset(test.data, test.bvals), mask=mask)

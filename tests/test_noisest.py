@@ -11,8 +11,8 @@ from bm4dpc import (
     make_colored_kernel,
     noisest,
 )
+from bm4dpc.bm4d.variance import fold_psd
 from bm4dpc.noisest import (
-    _zero_pad_spectrum,
     clamp_sigma,
     estimate_noise_map,
     estimate_psd,
@@ -132,7 +132,7 @@ class TestPsd:
         kernel = np.random.default_rng(29).random((3, 3))
         local = np.abs(np.fft.fft2(kernel, (w, w))) ** 2
         full = np.abs(np.fft.fft2(kernel, (m, n))) ** 2
-        assert np.max(np.abs(_zero_pad_spectrum(local, (m, n)) - full)) <= 1e-12
+        assert np.max(np.abs(fold_psd(local, (m, n)) - full)) <= 1e-12
 
     def test_window_and_chunk_validation(self):
         rng = np.random.default_rng(28)
