@@ -1,5 +1,6 @@
 """Metrics, tensor fitting and the patchwise PCA baseline."""
 
+import json
 import math
 
 import numpy as np
@@ -374,3 +375,18 @@ class TestReportMetrics:
         other = DwiDataset(test.data, test.bvals * 2.0, test.bvecs)
         with pytest.raises(ValueError, match="share b-values"):
             report_metrics(gt, other)
+
+
+class TestMetricReport:
+    """The layout of the dict that report_metrics returns."""
+
+    def test_to_dict_structure(self, pair):
+        gt, _ = pair
+        report = report_metrics(gt, gt)
+        assert report == {
+            "shells": {
+                "0": {"psnr_db": None, "ssim": 1.0, "volumes": 2},
+                "1000": {"psnr_db": None, "ssim": 1.0, "volumes": 15},
+            }
+        }
+        assert json.loads(json.dumps(report, allow_nan=False)) == report
