@@ -66,13 +66,6 @@ def _load_dataset(path, bval_path=None, bvec_path=None):
     return loaded
 
 
-def _as_real(dataset):
-    """Phase-stabilize complex input so metrics and fits see real data."""
-    if dataset.is_complex:
-        return stabilize_phase(dataset)
-    return dataset
-
-
 def _load_volume(path):
     loaded = read_nifti(path)
     if isinstance(loaded, DwiDataset):
@@ -123,7 +116,7 @@ def _cmd_denoise(args):
 
     # the pipeline holds the only reference to the input, so it can free it
     denoised, used_map, used_psd = denoise_bm4dpc(
-        _load_dataset(args.input, args.bval, args.bvec), provided_map,
+        _load_dataset(args.input, args.bval), provided_map,
         provided_psd, threads=args.threads,
     )
     write_nifti(denoised, args.out)
@@ -140,7 +133,7 @@ def _cmd_denoise(args):
 
 
 def _cmd_estimate_noise(args):
-    dataset = _as_real(_load_dataset(args.input, args.bval))
+    dataset = stabilize_phase(_load_dataset(args.input, args.bval))
     sigma, psd = estimate_noise(dataset)
     write_nifti(sigma, args.out_map)
     write_nifti(psd, args.out_psd)
@@ -148,8 +141,8 @@ def _cmd_estimate_noise(args):
 
 
 def _cmd_metrics(args):
-    ref = _as_real(_load_dataset(args.ref, args.bval))
-    test = _as_real(_load_dataset(args.test, args.bval))
+    ref = stabilize_phase(_load_dataset(args.ref, args.bval))
+    test = stabilize_phase(_load_dataset(args.test, args.bval))
     report = report_metrics(ref, test)
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, allow_nan=False)
@@ -159,7 +152,7 @@ def _cmd_metrics(args):
 
 
 def _cmd_dti(args):
-    dataset = _as_real(_load_dataset(args.input, args.bval, args.bvec))
+    dataset = stabilize_phase(_load_dataset(args.input, args.bval, args.bvec))
     mask = (
         _load_volume(args.mask).data > 0.5
         if args.mask
@@ -172,8 +165,7 @@ def _cmd_dti(args):
 
 
 def _cmd_baseline_mppca(args):
-    dataset = _load_dataset(args.input)
-    denoised = mppca_denoise(dataset)
+    denoised = mppca_denoise(stabilize_phase(_load_dataset(args.input)))
     write_nifti(denoised, args.out)
     return EXIT_OK
 
@@ -206,7 +198,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("denoise", help="run the full denoising pipeline")
     p.add_argument("--in", dest="input", required=True)
     p.add_argument("--bval", required=True)
-    p.add_argument("--bvec")
     p.add_argument("--out", required=True)
     p.add_argument("--noise-map", help="NIfTI sigma map overriding estimation")
     p.add_argument("--psd", help="NIfTI noise PSD overriding estimation")

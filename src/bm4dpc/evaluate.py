@@ -30,19 +30,27 @@ def _data(x) -> np.ndarray:
     return np.asarray(getattr(x, "data", x))
 
 
-def psnr(gt: Volume3, test: Volume3) -> float:
-    """Peak signal-to-noise ratio in dB; +inf when the volumes agree.
-
-    Peak = max of the reference volume; mean squared error over all
-    voxels.
-    """
+def _real_pair(gt, test):
+    """The two volumes' arrays, checked to share dims and to be real."""
     a, b = _data(gt), _data(test)
     if a.shape != b.shape:
         raise ValueError("dims mismatch")
+    if np.iscomplexobj(a) or np.iscomplexobj(b):
+        raise ValueError("metrics expect real volumes; phase-stabilize first")
+    return a, b
+
+
+def psnr(gt: Volume3, test: Volume3) -> float:
+    """Peak signal-to-noise ratio in dB; +inf when the volumes agree.
+
+    Peak = max |reference|; mean squared error over all voxels. Both
+    volumes must be real.
+    """
+    a, b = _real_pair(gt, test)
     peak = float(np.abs(a).max())
     if peak == 0:
         raise ValueError("reference volume is all zero")
-    mse = float(np.mean(np.abs(a - b) ** 2))
+    mse = float(np.mean((a - b) ** 2))
     if mse == 0:
         return math.inf
     return 10.0 * math.log10(peak * peak / mse)
@@ -58,13 +66,9 @@ def ssim(gt: Volume3, test: Volume3) -> float:
 
     Gaussian weighting (sigma 1.5), uncorrected local moments, dynamic
     range from the reference. Borders within half a window of the edge
-    are excluded from the mean.
+    are excluded from the mean. Both volumes must be real.
     """
-    a, b = _data(gt), _data(test)
-    if a.shape != b.shape:
-        raise ValueError("dims mismatch")
-    if np.iscomplexobj(a) or np.iscomplexobj(b):
-        raise ValueError("SSIM expects real volumes")
+    a, b = _real_pair(gt, test)
     data_range = float(a.max() - a.min())
     if data_range == 0:
         raise ValueError("reference has zero dynamic range")
@@ -192,8 +196,11 @@ def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
     voxels-by-volumes matrix whose centered covariance spectrum is cut
     where the tail becomes consistent with pure-noise eigenvalue
     spread; only leading components are kept. Overlapping patch
-    estimates are averaged uniformly.
+    estimates are averaged uniformly. Complex data raises ValueError:
+    phase-stabilize it first.
     """
+    if dataset.is_complex:
+        raise ValueError("MPPCA expects real (phase-stabilized) data")
     n = dataset.n_volumes
     kernel, step = MPPCA_KERNEL, MPPCA_STEP
     if kernel**3 < n:
@@ -203,7 +210,7 @@ def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
         raise ValueError("volume smaller than the patch")
 
     stack = np.moveaxis(dataset.data, 0, -1)  # (m, n, o, N)
-    num = np.zeros(dims + (n,), dtype=stack.dtype)
+    num = np.zeros(dims + (n,))
     den = np.zeros(dims)
     m_rows = kernel**3
 
@@ -218,7 +225,7 @@ def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
                 patch = stack[sl].reshape(m_rows, n)
                 means = patch.mean(axis=0, keepdims=True)
                 centered = patch - means
-                cov = centered.conj().T @ centered / m_rows
+                cov = centered.T @ centered / m_rows
                 evals, evecs = np.linalg.eigh(cov)
                 evals = evals[::-1]
                 evecs = evecs[:, ::-1]
@@ -234,7 +241,7 @@ def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
                     recon = patch
                 else:
                     top = evecs[:, :rank]
-                    recon = centered @ (top @ top.conj().T) + means
+                    recon = centered @ (top @ top.T) + means
 
                 num[sl] += recon.reshape(kernel, kernel, kernel, n)
                 den[sl] += 1.0

@@ -2,8 +2,9 @@
 
 The decomposition works on the N x N Gram matrix of the (N, ...) stack
 rather than a full SVD, which is cheaper since N << W, the voxel count.
-The unitary basis preserves noise statistics, so noise is uniformly
-distributed across all principal components.
+The orthonormal basis preserves white-noise statistics, so noise is
+uniformly distributed across all principal components. The data is
+real: complex series are phase-stabilized before they get here.
 """
 
 from dataclasses import dataclass
@@ -36,19 +37,9 @@ class PcStack:
 
 
 def _fix_signs(basis: np.ndarray) -> np.ndarray:
-    """Make the largest-magnitude entry of each column real-positive."""
-    fixed = basis.copy()
-    for j in range(basis.shape[1]):
-        col = fixed[:, j]
-        k = int(np.argmax(np.abs(col)))
-        pivot = col[k]
-        if np.iscomplexobj(basis):
-            mag = abs(pivot)
-            if mag > 0:
-                fixed[:, j] = col * (pivot.conj() / mag)
-        elif pivot < 0:
-            fixed[:, j] = -col
-    return fixed
+    """Make the largest-magnitude entry of each column positive."""
+    pivots = basis[np.argmax(np.abs(basis), axis=0), np.arange(basis.shape[1])]
+    return np.where(pivots < 0, -basis, basis)
 
 
 def forward_pca(stack: np.ndarray) -> PcStack:
@@ -57,15 +48,15 @@ def forward_pca(stack: np.ndarray) -> PcStack:
     Parameters
     ----------
     stack : ndarray (N, ...)
-        N volumes (or vectors) along the first axis, at least N voxels
-        each, finite entries.
+        N real volumes (or vectors) along the first axis, at least N
+        voxels each, finite entries; complex input raises ValueError.
 
     Returns
     -------
     PcStack
         PCs of the stack's shape ordered by descending eigenvalue,
         deterministic column signs (largest-magnitude entry of each
-        basis column made real-positive). The PCs are a view of one
+        basis column made positive). The PCs are a view of one
         (W, N) product, so the N values of a voxel sit side by side:
         the channel-last layout the filtering stages read without a
         copy.
@@ -77,12 +68,14 @@ def forward_pca(stack: np.ndarray) -> PcStack:
     X = stack.reshape(N, -1)
     if X.shape[1] < N:
         raise ValueError(f"need W >= N, got W={X.shape[1]}, N={N}")
+    if np.iscomplexobj(X):
+        raise ValueError("PCA expects real (phase-stabilized) data")
     if not np.all(np.isfinite(X)):
         raise ValueError("stack contains non-finite entries")
 
-    gram = X.conj() @ X.T
-    # symmetrize against round-off before the Hermitian eigensolver
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = X @ X.T
+    # symmetrize against round-off before the symmetric eigensolver
+    gram = 0.5 * (gram + gram.T)
     eigenvalues, basis = np.linalg.eigh(gram)
     order = np.arange(N - 1, -1, -1)
     eigenvalues = np.clip(eigenvalues[order], 0.0, None)
@@ -94,7 +87,7 @@ def forward_pca(stack: np.ndarray) -> PcStack:
 def inverse_pca(pcs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """Reconstruct the stack from (possibly filtered) PCs.
 
-    Volume i is sum_j conj(basis[i, j]) * pcs[j], returned C-contiguous
+    Volume i is sum_j basis[i, j] * pcs[j], returned C-contiguous
     in the shape of `pcs`; `basis` must be orthonormal within 1e-8.
     Voxel-major PCs, as `forward_pca` and the filtering stages return
     them, are read in place as a transposed matrix operand.
@@ -104,7 +97,7 @@ def inverse_pca(pcs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     n = basis.shape[0]
     if basis.shape != (n, n) or pcs.shape[0] != n:
         raise ValueError("basis must be N x N matching the PC count")
-    gram = basis.conj().T @ basis
+    gram = basis.T @ basis
     if np.max(np.abs(gram - np.eye(n))) > INVERSE_ORTHO_TOL:
         raise ValueError("basis is not orthonormal")
-    return (basis.conj() @ pcs.reshape(n, -1)).reshape(pcs.shape)
+    return (basis @ pcs.reshape(n, -1)).reshape(pcs.shape)

@@ -113,15 +113,12 @@ def estimate_noise(dataset: DwiDataset):
 
     The highest-shell volumes are decomposed by PCA; the last
     TAIL_COUNT PC images feed the map estimator, then, normalized by
-    the clamped map, the PSD estimator.
+    the clamped map, the PSD estimator. The PCA rejects complex data.
 
     Returns
     -------
     (NoiseMap, NoisePsd)
     """
-    if dataset.is_complex:
-        raise ValueError("noise estimation expects real (phase-stabilized) data")
-
     shells = group_shells(dataset.bvals)
     members = shells.highest
     if len(members) <= TAIL_COUNT:

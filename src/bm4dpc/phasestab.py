@@ -4,7 +4,9 @@ The slowly varying image phase is estimated per slice with a 2D
 Gaussian low-pass, the complex signal is rotated toward the real axis,
 and the imaginary part (noise only) is discarded. Output noise stays
 zero-mean Gaussian with the per-channel standard deviation of the
-input.
+input. This is the one layer that handles complex samples: every later
+layer works on the real series it returns, and real input passes
+through unchanged.
 """
 
 from dataclasses import replace
@@ -20,13 +22,15 @@ LOWPASS_SIGMA = 2.0  # in-plane sigma (voxels) of the phase-smoothing Gaussian
 def stabilize_phase(dataset: DwiDataset) -> DwiDataset:
     """Convert a complex dataset to real volumes with Gaussian noise.
 
-    For each slice s the phase estimate is arg(G_sigma (*) s) and the
+    A real dataset, such as a magnitude series or one stabilized
+    already, is returned as is, so a second call changes nothing. For
+    each slice s the phase estimate is arg(G_sigma (*) s) and the
     output is Re(s * exp(-i * phase)). Deterministic and independent
     per (volume, slice): the whole (N, m, n, o) stack is filtered at
     once with a zero sigma along the volume and slice axes.
     """
     if not dataset.is_complex:
-        raise ValueError("dataset is already real; skip phase stabilization")
+        return dataset
     x = dataset.data
     s = LOWPASS_SIGMA
     # replicate padding keeps the border phase estimate stable

@@ -36,7 +36,7 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     (denoised DwiDataset, NoiseMap, NoisePsd)
         The map and PSD actually used (the map after clamping).
     """
-    real = stabilize_phase(dataset) if dataset.is_complex else dataset
+    real = stabilize_phase(dataset)
     del dataset
     bvals, bvecs = real.bvals, real.bvecs
 

@@ -38,6 +38,17 @@ def fibonacci_directions(count: int, seed: int = 0) -> np.ndarray:
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
+def _normalized_r2(dims, center, semiaxes) -> np.ndarray:
+    """Per-voxel squared radius of an ellipsoid given in fractions of each dim."""
+    grids = np.meshgrid(
+        *(np.arange(d, dtype=np.float64) for d in dims), indexing="ij"
+    )
+    r2 = np.zeros(dims)
+    for g, d, c, a in zip(grids, dims, center, semiaxes):
+        r2 += ((g - c * (d - 1)) / (a * d)) ** 2
+    return r2
+
+
 def _rotation_z(angle: float) -> np.ndarray:
     c, s = math.cos(angle), math.sin(angle)
     return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
@@ -63,13 +74,7 @@ class Ellipsoid:
         object.__setattr__(self, "tensor", tensor)
 
     def mask(self, dims) -> np.ndarray:
-        grids = np.meshgrid(
-            *(np.arange(d, dtype=np.float64) for d in dims), indexing="ij"
-        )
-        r2 = np.zeros(dims)
-        for g, d, c, a in zip(grids, dims, self.center, self.semiaxes):
-            r2 += ((g - c * (d - 1)) / (a * d)) ** 2
-        return r2 <= 1.0
+        return _normalized_r2(dims, self.center, self.semiaxes) <= 1.0
 
 
 def _default_tissue() -> tuple:
@@ -224,12 +229,7 @@ def kernel_to_psd(kernel, dims) -> NoisePsd:
 
 def default_gfactor(dims) -> np.ndarray:
     """Smooth positive field: 1 + GFACTOR_AMPLITUDE * centered 3D Gaussian bump."""
-    grids = np.meshgrid(
-        *(np.arange(d, dtype=np.float64) for d in dims), indexing="ij"
-    )
-    r2 = np.zeros(dims)
-    for g, d in zip(grids, dims):
-        r2 += ((g - 0.5 * (d - 1)) / (0.25 * d)) ** 2
+    r2 = _normalized_r2(dims, (0.5, 0.5, 0.5), (0.25, 0.25, 0.25))
     return 1.0 + GFACTOR_AMPLITUDE * np.exp(-0.5 * r2)
 
 
@@ -248,8 +248,8 @@ class NoiseSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.level < 0:
-            raise ValueError("noise level must be nonnegative")
+        if not (math.isfinite(self.level) and self.level >= 0):
+            raise ValueError("noise level must be finite and nonnegative")
         if self.kernel is not None:
             kernel = _as_real_grid(self.kernel, "kernel")
             if abs(np.linalg.norm(kernel) - 1.0) > 1e-9:

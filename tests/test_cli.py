@@ -9,7 +9,8 @@ import pytest
 from bm4dpc import Volume3, __version__
 from bm4dpc.cli import build_parser, run_cli
 from bm4dpc.dataio import attach_gradients, read_bvals_bvecs, read_nifti, write_nifti
-from bm4dpc.evaluate import report_metrics
+from bm4dpc.evaluate import mppca_denoise, report_metrics
+from bm4dpc.phasestab import stabilize_phase
 
 
 @pytest.fixture(scope="module")
@@ -267,20 +268,39 @@ class TestSubcommands:
         out = read_nifti(str(tmp_path / "mppca.nii"))
         assert out.n_volumes == 10
 
+    def test_baseline_mppca_stabilizes_complex_input(self, small_sim, tmp_path):
+        """The baseline runs on the phase-stabilized series, as the
+        acceptance gate's MPPCA arm does, and writes it as float32."""
+        noisy = read_nifti(str(small_sim / "noisy.nii"))
+        assert noisy.is_complex
+        out_path = tmp_path / "mppca.nii"
+        code = run_cli(
+            ["baseline-mppca", "--in", str(small_sim / "noisy.nii"),
+             "--out", str(out_path)]
+        )
+        assert code == 0
+        out = read_nifti(str(out_path))
+        assert not out.is_complex
+        expected = mppca_denoise(stabilize_phase(noisy)).data
+        assert np.array_equal(out.data, expected.astype(np.float32))
+
     @pytest.mark.parametrize("command, option", [
         ("metrics", "--mask"),
         ("baseline-mppca", "--kernel"),
         ("baseline-mppca", "--step"),
-    ], ids=["metrics-mask", "mppca-kernel", "mppca-step"])
+        ("denoise", "--bvec"),
+    ], ids=["metrics-mask", "mppca-kernel", "mppca-step", "denoise-bvec"])
     def test_removed_options_are_usage_errors(self, small_sim, tmp_path,
                                               command, option):
-        """The report has no masked quantity and the baseline runs at its
-        fixed patch geometry, so neither takes these options."""
+        """The report has no masked quantity, the baseline runs at its
+        fixed patch geometry, and the denoiser never reads b-vectors, so
+        none of them takes these options."""
         gt = str(small_sim / "gt.nii")
+        bvals = str(small_sim / "bvals")
         inputs = {
-            "metrics": ["--ref", gt, "--test", gt,
-                        "--bval", str(small_sim / "bvals")],
+            "metrics": ["--ref", gt, "--test", gt, "--bval", bvals],
             "baseline-mppca": ["--in", gt],
+            "denoise": ["--in", gt, "--bval", bvals],
         }[command]
         out = tmp_path / "out"
         assert run_cli([command, *inputs, "--out", str(out), option, "3"]) == 2

@@ -101,6 +101,11 @@ class TestPsnr:
             psnr(Volume3(np.ones((4, 4, 4))), Volume3(np.ones((4, 4, 5))))
         with pytest.raises(ValueError, match="all zero"):
             psnr(Volume3(np.zeros((4, 4, 4))), Volume3(np.ones((4, 4, 4))))
+        real = Volume3(np.ones((4, 4, 4)))
+        phased = Volume3(np.full((4, 4, 4), 1j))
+        for gt, test in ((real, phased), (phased, real), (phased, phased)):
+            with pytest.raises(ValueError, match="real volumes"):
+                psnr(gt, test)
 
 
 class TestSsim:
@@ -324,6 +329,9 @@ class TestMppca:
         small = DwiDataset(np.zeros((10, 4, 8, 8)), np.zeros(10))
         with pytest.raises(ValueError, match="volume smaller than the patch"):
             mppca_denoise(small)
+        phased = DwiDataset(np.full((10, 8, 8, 8), 1j), np.zeros(10))
+        with pytest.raises(ValueError, match="phase-stabilized"):
+            mppca_denoise(phased)
         ds = DwiDataset(np.zeros((10, 8, 8, 8)), np.zeros(10))
         monkeypatch.setattr(evaluate, "MPPCA_KERNEL", 2)  # 8 rows < 10 volumes
         with pytest.raises(ValueError, match="patch smaller than the volume count"):

@@ -119,15 +119,19 @@ class TestInversePca:
         with pytest.raises(ValueError):
             inverse_pca(np.zeros((2, 10)), np.array([[1.0, 1.0], [0.0, 1.0]]))
 
-    def test_complex_round_trip(self):
+    def test_complex_input_rejected(self):
+        """Complex data is phase-stabilized before the PCA, which takes
+        real stacks only; a complex unitary basis fails the inverse's
+        orthonormality check."""
         rng = np.random.default_rng(10)
         matrix = (
             rng.standard_normal((40, 4)) + 1j * rng.standard_normal((40, 4))
         ).T
-        stack = forward_pca(matrix)
-        back = inverse_pca(stack.pcs, stack.basis)
-        rel = np.linalg.norm(back - matrix) / np.linalg.norm(matrix)
-        assert rel <= 1e-8
+        with pytest.raises(ValueError, match="real"):
+            forward_pca(matrix)
+        unitary, _ = np.linalg.qr(matrix[:, :4])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            inverse_pca(matrix, unitary)
 
 
 class TestStackLayout:

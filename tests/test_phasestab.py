@@ -1,7 +1,6 @@
 """Phase stabilization: rotation to the real axis, slice by slice."""
 
 import numpy as np
-import pytest
 from scipy.ndimage import gaussian_filter
 
 from bm4dpc import DwiDataset, stabilize_phase
@@ -19,12 +18,21 @@ def _complex_dataset(arrays):
 
 
 class TestStabilize:
-    def test_rejects_real_input(self):
+    def test_real_input_returned_unchanged(self):
         rng = np.random.default_rng(0)
         vols = [rng.standard_normal((8, 8, 4)) for _ in range(2)]
         ds = DwiDataset(np.stack(vols), np.zeros(2))
-        with pytest.raises(ValueError):
-            stabilize_phase(ds)
+        before = ds.data.copy()
+        assert stabilize_phase(ds) is ds
+        assert np.array_equal(ds.data, before)
+
+    def test_second_call_is_a_no_op(self):
+        rng = np.random.default_rng(0)
+        shape = (2, 10, 9, 4)
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        once = stabilize_phase(DwiDataset(x, np.zeros(2)))
+        twice = stabilize_phase(once)
+        assert np.array_equal(twice.data, once.data)
 
     def test_real_cast_to_complex_is_identity(self):
         rng = np.random.default_rng(1)

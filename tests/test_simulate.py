@@ -245,6 +245,9 @@ class TestAddNoise:
     def test_noise_spec_validation(self):
         with pytest.raises(ValueError):
             NoiseSpec(level=-0.01)
+        for level in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite and nonnegative"):
+                NoiseSpec(level=level)
         with pytest.raises(ValueError):
             NoiseSpec(level=0.05, gfactor=np.zeros((4, 4, 4)))
 
