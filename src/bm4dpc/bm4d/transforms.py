@@ -5,10 +5,11 @@ DCT-II of each block and by an orthonormal Haar transform of size M
 along the group axis. Groups are laid out group axis first, channels
 trailing: (M, b0, b1, b2, ...). The Haar transform is one (M, M) matrix
 product over all samples, and the 3D DCT is factored into a
-kron(dct(b1), dct(b2)) pass over the (b1 * b2) axis and a dct(b0) pass,
-which computes the values of the dense `block_basis` matrix at a
-fraction of its flops. Everything is real and orthonormal, so
-coefficient energies and the exact-variance formula stay simple.
+kron(dct(b1), dct(b2)) pass over the (b1 * b2) axis and a dct(b0) pass.
+`dct_matrix` is the one definition of the block DCT; the variance model
+takes its basis spectra from the same rows. Everything is real and
+orthonormal, so coefficient energies and the exact-variance formula
+stay simple.
 """
 
 from functools import lru_cache
@@ -81,15 +82,3 @@ def group_inverse(coeffs: np.ndarray) -> np.ndarray:
     grouped = _plane_dct(b1, b2).T @ planes.reshape(m * b0, b1 * b2, -1)
     blocks = haar_matrix(m).T @ grouped.reshape(m, -1)
     return blocks.reshape(coeffs.shape)
-
-
-def block_basis(block: tuple) -> np.ndarray:
-    """All 3D transform basis functions, shape (prod(block), b0, b1, b2).
-
-    Row-major over (k0, k1, k2): entry p = k0*b1*b2 + k1*b2 + k2 holds
-    the outer product of the k0-th, k1-th, k2-th DCT rows.
-    """
-    t0, t1, t2 = (dct_matrix(e) for e in block)
-    basis = np.einsum("ai,bj,ck->abcijk", t0, t1, t2)
-    size = int(np.prod(block))
-    return basis.reshape(size, *block)

@@ -5,14 +5,14 @@ coefficient of a block group has a closed form that accounts for
 inter-block correlation (blocks in a group overlap and share noise).
 Rewriting that form through the autocorrelation function reduces each
 group to table lookups at the pairwise block offsets, so the spectral
-work is done once per PSD rather than once per group.
+work is done once per PSD, from the 1D spectra of the block DCT.
 """
 
 from functools import lru_cache
 
 import numpy as np
 
-from .transforms import block_basis, haar_matrix
+from .transforms import dct_matrix, haar_matrix
 
 
 def working_dims(dims, block, search_radius) -> tuple:
@@ -71,18 +71,20 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
 
     Entry [..., p] is ifftn(psi_work * |DFT(basis_p)|^2).real: the
     covariance of the p-th 3D block coefficient between two blocks, as
-    a function of their corner offset. Shape (w0, w1, w2, P), lag axes
+    a function of their corner offset. |DFT(basis_p)|^2 at p = k0*b1*b2
+    + k1*b2 + k2 is the outer product of rows k0, k1, k2 of the per-axis
+    spectra |fft(dct_matrix(b), n=w)|^2. Shape (w0, w1, w2, P), lag axes
     first and C-contiguous, so one raveled lag picks a row of all P.
     """
     work = psi_work.shape
     if any(b > e for b, e in zip(block, work)):
         raise ValueError("block does not fit in the working grid")
-    basis = block_basis(block)
-    pad = np.zeros((basis.shape[0],) + tuple(work))
-    pad[:, : block[0], : block[1], : block[2]] = basis
-    spectra = np.abs(np.fft.fftn(pad, axes=(1, 2, 3))) ** 2
-    fields = np.fft.ifftn(spectra * psi_work, axes=(1, 2, 3)).real
-    return np.ascontiguousarray(np.moveaxis(fields, 0, -1))
+    s0, s1, s2 = (np.abs(np.fft.fft(dct_matrix(b), n=w)) ** 2
+                  for b, w in zip(block, work))
+    spectra = np.einsum("ax,by,cz,xyz->xyzabc", s0, s1, s2, psi_work)
+    spectra = spectra.reshape(work + (-1,))  # a copy: frees einsum's strided output
+    fields = np.fft.ifftn(spectra, axes=(0, 1, 2))
+    return np.ascontiguousarray(fields.real)
 
 
 @lru_cache(maxsize=None)

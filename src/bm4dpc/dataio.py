@@ -18,6 +18,7 @@ HEADER_SIZE = 348
 VOX_OFFSET = 352
 DT_FLOAT32 = 16
 DT_COMPLEX64 = 32
+DIM_MAX = 32767  # dim[] is int16
 
 DEFAULT_SHELL_TOLERANCE = 50.0  # s/mm^2, typical scanner b-value jitter
 
@@ -36,6 +37,9 @@ def _pack_header(dims, n_volumes, datatype, bitpix):
     if n_volumes is not None:
         dim[0] = 4
         dim[4] = n_volumes
+    if max(dim[1:5]) > DIM_MAX:
+        raise ValueError(f"NIfTI-1 dims and volume counts must not exceed "
+                         f"{DIM_MAX}, got {tuple(dim[1:dim[0] + 1])}")
     pixdim = [0.0, 1.0, 1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
 
     hdr = bytearray(HEADER_SIZE)

@@ -256,7 +256,7 @@ class NoiseSpec:
                 raise ValueError("colored-noise kernel must have unit l2 norm")
             object.__setattr__(self, "kernel", kernel)
         if self.gfactor is not None:
-            gf = np.asarray(self.gfactor, dtype=np.float64)
+            gf = _as_real_grid(self.gfactor, "gfactor map")
             if np.any(gf <= 0):
                 raise ValueError("gfactor map must be positive")
             object.__setattr__(self, "gfactor", gf)
@@ -287,7 +287,10 @@ def add_noise(dataset: DwiDataset, spec: NoiseSpec):
     if gfactor.shape != dims:
         raise ValueError("gfactor dims must match the dataset")
 
-    b0_max = float(np.abs(dataset.data[dataset.bvals == 0]).max())
+    b0 = dataset.bvals == 0
+    if not b0.any():
+        raise ValueError("noise synthesis needs a b=0 volume to set the level")
+    b0_max = float(np.abs(dataset.data[b0]).max())
     sigma0 = spec.level * b0_max
     sigma = sigma0 * gfactor
 

@@ -12,6 +12,7 @@ import pytest
 
 from bm4dpc.bm4d import coeff_variances
 from bm4dpc.bm4d.engine import BLOCK, _psd_fields
+from bm4dpc.bm4d.transforms import dct_matrix
 from bm4dpc.bm4d.variance import (
     basis_autocorr, fold_psd, variances_from_fields, working_dims,
 )
@@ -69,7 +70,34 @@ class TestFoldPsd:
             fold_psd(psi, (16, 8))
 
 
+def padded_basis_autocorr(psi_work, block):
+    """basis_autocorr the long way: every 3D basis function zero-padded
+    to the working grid, a forward 4D FFT of the (P, w0, w1, w2) stack,
+    and the inverse FFT of its power spectra times the PSD."""
+    t0, t1, t2 = (dct_matrix(e) for e in block)
+    basis = np.einsum("ai,bj,ck->abcijk", t0, t1, t2)
+    basis = basis.reshape((int(np.prod(block)),) + tuple(block))
+    pad = np.zeros((len(basis),) + psi_work.shape)
+    pad[:, : block[0], : block[1], : block[2]] = basis
+    spectra = np.abs(np.fft.fftn(pad, axes=(1, 2, 3))) ** 2
+    fields = np.fft.ifftn(spectra * psi_work, axes=(1, 2, 3)).real
+    return np.moveaxis(fields, 0, -1)
+
+
 class TestBasisAutocorr:
+    @pytest.mark.parametrize("block", [(4, 4, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("work", [(28, 28, 16), (17, 19, 9)])
+    def test_matches_padded_basis_reference(self, block, work):
+        """The outer product of the 1D DCT spectra gives the fields of
+        the padded-basis 4D FFT, in the same p = k0*b1*b2 + k1*b2 + k2
+        order, on even and odd working grids."""
+        psi = np.random.default_rng(5).random(work)
+        fields = basis_autocorr(psi, block)
+        assert fields.shape == work + (int(np.prod(block)),)
+        assert fields.flags.c_contiguous
+        ref = padded_basis_autocorr(psi, block)
+        assert np.max(np.abs(fields - ref)) <= 1e-12
+
     def test_flat_psd_zero_lag(self):
         """For unit white noise every orthonormal basis coefficient has
         unit variance, which is exactly the zero-lag autocorrelation."""

@@ -154,6 +154,17 @@ class TestArgHandling:
         assert self._denoise(small_sim, tmp_path, **{flag: path}) == 2
         assert "must be real" in capsys.readouterr().err
 
+    def test_simulate_beyond_nifti_dims_is_value_error(self, tmp_path, capsys):
+        """A 40000-voxel axis does not fit NIfTI-1's int16 dim: exit 2
+        with a message, not a traceback from the header packer."""
+        code = run_cli([
+            "simulate", "--out", str(tmp_path / "x"),
+            "--size", "40000", "1", "1", "--noise-type", "white",
+        ])
+        assert code == 2
+        assert "must not exceed 32767" in capsys.readouterr().err
+        assert not list((tmp_path / "x").glob("*.nii"))
+
     def test_single_volume_input_rejected(self, small_sim, tmp_path, capsys):
         code = run_cli(
             [

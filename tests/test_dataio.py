@@ -174,6 +174,22 @@ class TestNiftiRoundTrip:
         with pytest.raises(TypeError, match="ndarray"):
             write_nifti(np.zeros((2, 2, 2)), tmp_path / "x.nii")
 
+    def test_dims_beyond_int16_rejected_before_writing(self, tmp_path):
+        """NIfTI-1 stores dim[] as int16: 32767 samples per axis round
+        trip, one more on an axis or in the volume count is a ValueError
+        raised before the file is opened."""
+        edge = np.arange(32767.0).reshape(32767, 1, 1)
+        write_nifti(Volume3(edge), tmp_path / "edge.nii")
+        assert np.array_equal(read_nifti(tmp_path / "edge.nii").data, edge)
+        long_axis = Volume3(np.zeros((1, 32768, 1)))
+        many = DwiDataset(np.zeros((32768, 1, 1, 1)), np.zeros(32768))
+        for data, shape in ((long_axis, r"\(1, 32768, 1\)"),
+                            (many, r"\(1, 1, 1, 32768\)")):
+            path = tmp_path / "big.nii"
+            with pytest.raises(ValueError, match=f"32767, got {shape}"):
+                write_nifti(data, path)
+            assert not path.exists()
+
 
 class TestNiftiErrors:
     def test_truncated_header(self, tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from scipy import ndimage
 
 from bm4dpc import (
+    DwiDataset,
     NoiseSpec,
     PhantomSpec,
     add_noise,
@@ -250,6 +251,24 @@ class TestAddNoise:
                 NoiseSpec(level=level)
         with pytest.raises(ValueError):
             NoiseSpec(level=0.05, gfactor=np.zeros((4, 4, 4)))
+        for value in (np.nan, np.inf, -np.inf):
+            gfactor = np.ones((4, 4, 4))
+            gfactor[1, 2, 3] = value
+            with pytest.raises(ValueError, match="gfactor map contains non-finite"):
+                NoiseSpec(level=0.05, gfactor=gfactor)
+        with pytest.raises(ValueError, match="gfactor map must be real"):
+            NoiseSpec(level=0.05, gfactor=np.ones((4, 4, 4), dtype=np.complex128))
+        with pytest.raises(ValueError, match="gfactor map must be 3D"):
+            NoiseSpec(level=0.05, gfactor=np.ones((4, 4)))
+
+    def test_needs_a_b0_volume(self, phantom):
+        """The noise level is relative to the b=0 signal, so a series
+        without a b=0 volume is refused by name."""
+        dataset, _, _ = phantom
+        no_b0 = dataset.bvals > 0
+        weighted = DwiDataset(dataset.data[no_b0], dataset.bvals[no_b0])
+        with pytest.raises(ValueError, match="needs a b=0 volume"):
+            add_noise(weighted, NoiseSpec(level=0.05))
 
     def test_noise_spec_rejects_bad_kernels(self):
         unit = np.ones((3, 3, 1)) / 3.0
