@@ -3,14 +3,12 @@
 Grouping of similar cubic blocks, separable orthonormal 4D transforms,
 PSD-exact coefficient variances, two-stage shrinkage, and the
 multichannel driver that filters every principal component with block
-positions matched once on the first. Transforms, variance helpers,
-the stage and shrinkage stay importable from `transforms`, `variance`
-and `engine`.
+positions matched once on the first. The driver is the one entry
+point: it alone checks the block geometry and the PSD dims. The
+transforms, the variance helpers, the stage and the shrinkage stay
+importable from `transforms`, `variance` and `engine`.
 """
 
-from .engine import bm4d_multichannel, coeff_variances
+from .engine import bm4d_multichannel
 
-__all__ = [
-    "bm4d_multichannel",
-    "coeff_variances",
-]
+__all__ = ["bm4d_multichannel"]

@@ -7,9 +7,9 @@ components) ride along the same matched positions, so matching happens
 once per reference corner.
 
 The method's settings are the module constants below, read at call
-time. Both stages share the block geometry, so `bm4d_multichannel`
-checks its input, builds the PSD fields and takes the voxel rows once
-for both.
+time. Both stages share the block geometry, so `bm4d_multichannel`,
+the one entry point, checks its input against the block and the PSD
+dims, builds the PSD fields and takes the voxel rows once for both.
 
 The whole stage is channel-last. The channels (and the stage-2
 pilot) are read as a (V, C) array of voxel rows, which is a view when
@@ -170,21 +170,6 @@ def _psd_fields(psd_data) -> np.ndarray:
     """The per-basis autocorrelation fields of a PSD for the block geometry."""
     work = working_dims(psd_data.shape, BLOCK, SEARCH_RADIUS)
     return basis_autocorr(fold_psd(psd_data, work), BLOCK)
-
-
-def coeff_variances(psd: NoisePsd, positions) -> np.ndarray:
-    """Exact noise variances (M, b0, b1, b2) of all 4D coefficients for one group.
-
-    `positions` are the member block corners, reference first, as
-    produced by the matcher. The variances are finite and nonnegative.
-    """
-    positions = np.asarray(positions, dtype=np.int64)
-    if positions.ndim != 2 or positions.shape[1] != 3:
-        raise ValueError("positions must be (M, 3) block corners")
-    highs = np.asarray(psd.dims) - np.asarray(BLOCK)
-    if np.any(positions < 0) or np.any(positions > highs):
-        raise ValueError("block corner falls outside the volume")
-    return variances_from_fields(_psd_fields(psd.data), positions - positions[0], BLOCK)
 
 
 def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,

@@ -11,6 +11,7 @@ are JSON with stable key order.
 import argparse
 import json
 import os
+import shutil
 import sys
 from dataclasses import replace
 
@@ -29,11 +30,6 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
 EXIT_NUMERIC = 4
-
-
-def _log(args, message):
-    if args.verbose:
-        print(message, file=sys.stderr)
 
 
 def _err(message):
@@ -91,17 +87,25 @@ def _cmd_simulate(args):
         clean, NoiseSpec(level=args.noise_level, kernel=kernel, seed=args.seed)
     )
 
+    # the outermost directory this run makes, if any
+    created, parent = None, os.path.abspath(args.out)
+    while not os.path.exists(parent):
+        created, parent = parent, os.path.dirname(parent)
     os.makedirs(args.out, exist_ok=True)
-    magnitude = replace(clean, data=np.abs(clean.data))
-    write_nifti(magnitude, os.path.join(args.out, "gt.nii"))
-    write_nifti(noisy, os.path.join(args.out, "noisy.nii"))
-    write_nifti(sigma, os.path.join(args.out, "sigma_true.nii"))
-    write_nifti(psd, os.path.join(args.out, "psd_true.nii"))
-    write_nifti(
-        Volume3(support.astype(np.float64)), os.path.join(args.out, "mask.nii")
-    )
-    _write_gradients(args.out, clean.bvals, clean.bvecs)
-    _log(args, f"simulated {clean.n_volumes} volumes into {args.out}")
+    try:
+        magnitude = replace(clean, data=np.abs(clean.data))
+        write_nifti(magnitude, os.path.join(args.out, "gt.nii"))
+        write_nifti(noisy, os.path.join(args.out, "noisy.nii"))
+        write_nifti(sigma, os.path.join(args.out, "sigma_true.nii"))
+        write_nifti(psd, os.path.join(args.out, "psd_true.nii"))
+        write_nifti(
+            Volume3(support.astype(np.float64)), os.path.join(args.out, "mask.nii")
+        )
+        _write_gradients(args.out, clean.bvals, clean.bvecs)
+    except BaseException:
+        if created is not None:  # a failed run leaves no directory it made
+            shutil.rmtree(created, ignore_errors=True)
+        raise
     return EXIT_OK
 
 
@@ -128,7 +132,6 @@ def _cmd_denoise(args):
         write_nifti(
             used_psd, os.path.join(args.save_noise_estimates, "psd_est.nii")
         )
-    _log(args, f"denoised {denoised.n_volumes} volumes -> {args.out}")
     return EXIT_OK
 
 
@@ -147,7 +150,6 @@ def _cmd_metrics(args):
     with open(args.out, "w") as fh:
         json.dump(report, fh, indent=2, allow_nan=False)
         fh.write("\n")
-    _log(args, f"metrics written to {args.out}")
     return EXIT_OK
 
 
@@ -181,7 +183,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="worker threads (default: usable CPUs); results do not depend on it",
     )
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
-    parser.add_argument("--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate", help="synthesize a phantom acquisition")

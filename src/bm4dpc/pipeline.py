@@ -13,7 +13,7 @@ noise statistics.
 
 from typing import Optional
 
-from .bm4d.engine import BLOCK, bm4d_multichannel
+from .bm4d import bm4d_multichannel
 from .core import DwiDataset, NoiseMap, NoisePsd
 from .gpca import forward_pca, inverse_pca
 from .noisest import clamp_sigma, estimate_noise
@@ -29,7 +29,9 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     data. The caller's arrays are never written. Each full-size
     intermediate is dropped after its last use, so a caller that hands
     over its only reference to `dataset` lets the input be freed once
-    it is phase-stabilized.
+    it is phase-stabilized. A noise map of other dims is a
+    `ValueError` here; `bm4d_multichannel` raises one for a PSD of
+    other dims or a volume smaller than its block.
 
     Returns
     -------
@@ -40,17 +42,14 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     del dataset
     bvals, bvecs = real.bvals, real.bvecs
 
-    dims = real.dims
-    if any(d < b for d, b in zip(dims, BLOCK)):
-        raise ValueError("volume dims fall below the filtering block size")
-
     if noise_map is None or psd is None:
         # estimation runs on the non-normalized real data
         est_map, est_psd = estimate_noise(real)
         noise_map = noise_map if noise_map is not None else est_map
         psd = psd if psd is not None else est_psd
-    if noise_map.dims != dims or psd.dims != dims:
-        raise ValueError("noise map and PSD dims must match the data")
+    # a wrong-shaped map could broadcast in the division below
+    if noise_map.dims != real.dims:
+        raise ValueError("noise map dims must match the data")
 
     clamped = clamp_sigma(noise_map.data)
     normalized = real.data / clamped

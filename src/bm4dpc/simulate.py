@@ -106,6 +106,8 @@ class PhantomSpec:
             raise ValueError("need at least one tissue compartment")
         if not any(b == 0 and c > 0 for b, c in self.shells):
             raise ValueError("need at least one b=0 volume")
+        if self.seed < 0:
+            raise ValueError(f"phantom seed must be nonnegative, got {self.seed}")
 
 
 def _smooth_slice_phase(rng, m, n):
@@ -250,6 +252,8 @@ class NoiseSpec:
     def __post_init__(self):
         if not (math.isfinite(self.level) and self.level >= 0):
             raise ValueError("noise level must be finite and nonnegative")
+        if self.seed < 0:
+            raise ValueError(f"noise seed must be nonnegative, got {self.seed}")
         if self.kernel is not None:
             kernel = _as_real_grid(self.kernel, "kernel")
             if abs(np.linalg.norm(kernel) - 1.0) > 1e-9:

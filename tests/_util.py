@@ -4,6 +4,7 @@ import numpy as np
 
 from bm4dpc import group_shells, psnr
 from bm4dpc.bm4d import engine
+from bm4dpc.bm4d.variance import variances_from_fields
 
 
 def shell_mean_psnr(gt_dataset, test_dataset, center, tol=50.0):
@@ -30,6 +31,17 @@ def run_stage(channels, psd, stage, pilot=None, threads=1):
         stage=stage, pilot_rows=pilot_rows, threads=threads,
     )
     return np.moveaxis(rows.reshape(dims + (-1,)), -1, 0)
+
+
+def group_variances(psd, positions):
+    """Exact (M, b0, b1, b2) noise variances of one group's coefficients,
+    by the two calls every stage group makes: the PSD fields, then the
+    variances at the members' offsets from the reference (first) corner.
+    """
+    positions = np.asarray(positions)
+    return variances_from_fields(
+        engine._psd_fields(psd.data), positions - positions[0], engine.BLOCK
+    )
 
 
 def pearson(a, b) -> float:

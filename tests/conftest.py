@@ -23,11 +23,10 @@ from bm4dpc import (
     mppca_denoise,
     stabilize_phase,
 )
-from bm4dpc.bm4d import coeff_variances
 from bm4dpc.bm4d.transforms import group_transform
 from bm4dpc.cli import run_cli
 
-from _util import synth_colored_batch
+from _util import group_variances, synth_colored_batch
 
 NOISE_LEVEL = 0.05
 COLORED_SEED = 1
@@ -126,7 +125,7 @@ def dog_variance_mc():
     kernel = make_colored_kernel()
     psd = kernel_to_psd(kernel, dims)
     positions = np.array([[4, 4, 2], [5, 4, 2]])
-    predicted = coeff_variances(psd, positions)
+    predicted = group_variances(psd, positions)
 
     rng = np.random.default_rng(42)
     block = tuple(slice(0, 4) for _ in range(3))

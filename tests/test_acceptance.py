@@ -7,14 +7,16 @@ checklist for the toolkit.
 
 import numpy as np
 
-from bm4dpc.bm4d import coeff_variances, engine
+from bm4dpc.bm4d import engine
 from bm4dpc.bm4d.transforms import group_transform
 from bm4dpc.core import NoisePsd
 from bm4dpc.evaluate import fit_dti, rmse_map
 from bm4dpc.gpca import forward_pca, inverse_pca
 from bm4dpc.simulate import fibonacci_directions
 
-from _util import pearson, radial_profile, rel_rmse, run_stage, shell_mean_psnr
+from _util import (
+    group_variances, pearson, radial_profile, rel_rmse, run_stage, shell_mean_psnr,
+)
 
 
 def _report(k, ok, detail):
@@ -106,7 +108,7 @@ def test_criterion_7_variance_oracles(dog_variance_mc):
     positions = np.array(
         [[0, 0, 0], [4, 0, 0], [0, 4, 0], [4, 4, 0]], dtype=np.intp
     )
-    flat_dev = np.max(np.abs(coeff_variances(psd, positions) - 1.0))
+    flat_dev = np.max(np.abs(group_variances(psd, positions) - 1.0))
 
     predicted = dog_variance_mc["predicted"]
     empirical = dog_variance_mc["empirical"]

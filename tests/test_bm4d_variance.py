@@ -10,13 +10,14 @@ correlated, overlapping case.
 import numpy as np
 import pytest
 
-from bm4dpc.bm4d import coeff_variances
 from bm4dpc.bm4d.engine import BLOCK, _psd_fields
 from bm4dpc.bm4d.transforms import dct_matrix
 from bm4dpc.bm4d.variance import (
     basis_autocorr, fold_psd, variances_from_fields, working_dims,
 )
 from bm4dpc.core import NoisePsd
+
+from _util import group_variances
 
 
 class TestWorkingDims:
@@ -112,13 +113,13 @@ class TestCoeffVariances:
         positions = np.array(
             [[0, 0, 0], [4, 0, 0], [0, 4, 0], [4, 4, 0]], dtype=np.intp
         )
-        var = coeff_variances(psd, positions)
+        var = group_variances(psd, positions)
         assert var.shape == (4, 4, 4, 4)
         assert np.max(np.abs(var - 1.0)) <= 1e-9
 
     def test_flat_psd_single_block(self):
         psd = NoisePsd(np.ones((24, 24, 8)))
-        var = coeff_variances(psd, np.array([[3, 7, 2]], dtype=np.intp))
+        var = group_variances(psd, np.array([[3, 7, 2]], dtype=np.intp))
         assert np.max(np.abs(var - 1.0)) <= 1e-9
 
     def test_overlapping_blocks_share_noise(self):
@@ -126,7 +127,7 @@ class TestCoeffVariances:
         Haar DC coefficient variance exceeds the white-noise value."""
         psd = NoisePsd(np.ones((24, 24, 8)))
         positions = np.array([[4, 4, 2], [5, 4, 2]], dtype=np.intp)
-        var = coeff_variances(psd, positions)
+        var = group_variances(psd, positions)
         assert var[0, 0, 0, 0] > 1.5
 
     def test_scaling_power_of_two(self):
@@ -156,12 +157,6 @@ class TestCoeffVariances:
         rel = np.abs(empirical - predicted) / predicted
         assert np.max(rel) <= 0.05
 
-    def test_positions_validated(self):
-        psd = NoisePsd(np.ones((24, 24, 8)))
-        with pytest.raises(ValueError):
-            coeff_variances(psd, np.array([[21, 0, 0]], dtype=np.intp))
-
-
     def test_returns_finite_nonnegative_array(self):
         """The variances come back as a plain float64 array, finite and
         nonnegative, here for an overlapping group on a folded PSD: the
@@ -172,7 +167,7 @@ class TestCoeffVariances:
             [[4, 4, 2], [5, 4, 2], [4, 5, 2], [9, 6, 3]], dtype=np.intp
         )
         psd = NoisePsd(raw / raw.mean())
-        var = coeff_variances(psd, positions)
+        var = group_variances(psd, positions)
         assert type(var) is np.ndarray
         assert var.dtype == np.float64 and var.shape == (4, 4, 4, 4)
         assert np.all(np.isfinite(var)) and np.all(var >= 0.0)

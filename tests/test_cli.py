@@ -154,6 +154,15 @@ class TestArgHandling:
         assert self._denoise(small_sim, tmp_path, **{flag: path}) == 2
         assert "must be real" in capsys.readouterr().err
 
+    def test_psd_dims_checked(self, small_sim, tmp_path, capsys):
+        path = tmp_path / "psd_small.nii"
+        write_nifti(Volume3(np.ones((8, 8, 8))), path)
+        code = self._denoise(
+            small_sim, tmp_path, noise_map=small_sim / "sigma_true.nii", psd=path
+        )
+        assert code == 2
+        assert "PSD dims must match" in capsys.readouterr().err
+
     def test_simulate_beyond_nifti_dims_is_value_error(self, tmp_path, capsys):
         """A 40000-voxel axis does not fit NIfTI-1's int16 dim: exit 2
         with a message, not a traceback from the header packer."""
@@ -163,6 +172,26 @@ class TestArgHandling:
         ])
         assert code == 2
         assert "must not exceed 32767" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
+    def test_failed_simulate_leaves_out_dirs_as_they_were(self, tmp_path):
+        """A failed run removes every directory it made, and leaves a
+        directory that already existed with its contents."""
+        argv = ["--size", "40000", "1", "1", "--noise-type", "white"]
+        nested = tmp_path / "a" / "b"
+        assert run_cli(["simulate", "--out", str(nested), *argv]) == 2
+        assert list(tmp_path.iterdir()) == []
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "note.txt").write_text("keep")
+        assert run_cli(["simulate", "--out", str(kept), *argv]) == 2
+        assert [p.name for p in kept.iterdir()] == ["note.txt"]
+        assert (kept / "note.txt").read_text() == "keep"
+
+    def test_verbose_flag_removed(self, tmp_path):
+        out = tmp_path / "sim"
+        assert run_cli(["--verbose", "simulate", "--out", str(out)]) == 2
+        assert not out.exists()
         assert not list((tmp_path / "x").glob("*.nii"))
 
     def test_single_volume_input_rejected(self, small_sim, tmp_path, capsys):

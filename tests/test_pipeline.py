@@ -161,13 +161,31 @@ class TestPsdFields:
 
 
 class TestPipelineValidation:
-    def test_prior_dims_checked(self, gt_real):
-        with pytest.raises(ValueError, match="dims must match"):
+    @pytest.mark.parametrize("case, match", [
+        ("map", "noise map dims must match"),
+        ("psd", "PSD dims must match"),
+        ("sub_block", "smaller than the block"),
+    ], ids=["map", "psd", "sub_block"])
+    def test_prior_dims_checked(self, gt_real, case, match):
+        """The pipeline checks the noise map it divides by; the engine
+        checks the PSD dims and the block geometry."""
+        dataset = gt_real
+        if case == "sub_block":
+            dataset = DwiDataset(
+                np.random.default_rng(3).random((4, 3, 8, 8)) + 1.0,
+                np.array([0.0, 0.0, 1000.0, 1000.0]),
+            )
+        map_dims = (8, 8, 8) if case == "map" else dataset.dims
+        psd_dims = (8, 8, 8) if case == "psd" else dataset.dims
+        with pytest.raises(ValueError, match=match):
             denoise_bm4dpc(
-                gt_real, NoiseMap(np.ones((8, 8, 8))), NoisePsd(np.ones((8, 8, 8)))
+                dataset, NoiseMap(np.ones(map_dims)), NoisePsd(np.ones(psd_dims))
             )
 
     def test_tiny_volume_rejected(self):
-        ds = DwiDataset(np.ones((4, 3, 8, 8)), np.array([0.0, 0.0, 1000.0, 1000.0]))
-        with pytest.raises(ValueError, match="below the filtering block"):
+        """With no noise statistics given, the estimator's windows do not
+        fit a volume 3 voxels deep."""
+        bvals = np.array([0.0] + [1000.0] * 12)
+        ds = DwiDataset(np.ones((13, 3, 8, 8)), bvals)
+        with pytest.raises(ValueError, match="window larger than the volume"):
             denoise_bm4dpc(ds)

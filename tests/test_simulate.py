@@ -114,6 +114,10 @@ class TestPhantom:
         with pytest.raises(ValueError):
             PhantomSpec(shells=((1000.0, 15),))
 
+    def test_rejects_negative_seed(self):
+        with pytest.raises(ValueError, match="phantom seed must be nonnegative"):
+            PhantomSpec(seed=-1)
+
 
 class TestColoredKernel:
     def test_unit_l2_norm(self):
@@ -260,6 +264,8 @@ class TestAddNoise:
             NoiseSpec(level=0.05, gfactor=np.ones((4, 4, 4), dtype=np.complex128))
         with pytest.raises(ValueError, match="gfactor map must be 3D"):
             NoiseSpec(level=0.05, gfactor=np.ones((4, 4)))
+        with pytest.raises(ValueError, match="noise seed must be nonnegative"):
+            NoiseSpec(level=0.05, seed=-1)
 
     def test_needs_a_b0_volume(self, phantom):
         """The noise level is relative to the b=0 signal, so a series
