@@ -1,7 +1,7 @@
 """Collaborative nonlocal filtering under correlated noise.
 
 Grouping of similar cubic blocks, separable orthonormal 4D transforms,
-PSD-exact coefficient variances, two-stage shrinkage, and the
+PSD-exact coefficient variances, two-stage shrinkage by a gain, and the
 multichannel driver that filters every principal component with block
 positions matched once on the first. The driver is the one entry
 point: it alone checks the block geometry and the PSD dims. The

@@ -2,9 +2,12 @@
 
 Stage 1 hard-thresholds grouped 4D spectra against their exact noise
 variances; stage 2 re-runs the grouping on the stage-1 pilot and
-applies empirical Wiener gains. Multiple channels (principal
-components) ride along the same matched positions, so matching happens
-once per reference corner.
+applies empirical Wiener gains. Either stage is its gain: `_ht_core`
+returns the 0/1 keep mask and `wiener_shrink` the pilot^2 / (pilot^2 +
+var) gains, and the stage multiplies the group's coefficients by the
+gain and weights the group by 1 / sum(gain^2 * var), `_group_weight`.
+Multiple channels (principal components) ride along the same matched
+positions, so matching happens once per reference corner.
 
 The method's settings are the module constants below, read at call
 time. Both stages share the block geometry, so `bm4d_multichannel`,
@@ -84,32 +87,29 @@ def _match_from_view(guide, dims, ref_pos, max_group, offsets) -> np.ndarray:
 
 
 def _ht_core(coeffs, variances, lam):
-    """Zero coefficients within lam * sigma; returns (shrunk, kept mask)."""
+    """Hard-threshold gain: keep coefficients beyond lam * sigma (a mask)."""
     keep = np.abs(coeffs) > lam * np.sqrt(variances)
     keep[0, 0, 0, 0] = True  # group DC always survives
-    return np.where(keep, coeffs, 0.0), keep
+    return keep
 
 
-def wiener_shrink(noisy: np.ndarray, pilot: np.ndarray, variances: np.ndarray):
-    """Empirical Wiener gains from pilot energies.
+def wiener_shrink(pilot, variances):
+    """Empirical Wiener gain pilot^2 / (pilot^2 + var) of each coefficient.
 
-    gain = pilot^2 / (pilot^2 + var), applied to the noisy
-    coefficients of an (M, b0, b1, b2, ...) group; the returned weight
-    is 1 / sum(gain^2 * var) over the four group axes, floored to stay
-    finite, one weight per trailing channel. The variances are
-    nonnegative, so where pilot^2 + var is zero the gain is zero.
+    The variances are nonnegative, so where pilot^2 + var is zero the
+    gain is zero.
     """
-    noisy = np.asarray(noisy, dtype=np.float64)
-    pilot = np.asarray(pilot, dtype=np.float64)
-    var = np.asarray(variances, dtype=np.float64)
     energy = pilot * pilot
-    denom = energy + var
-    gain = np.divide(energy, denom, out=energy, where=denom > 0)
-    shrunk = gain * noisy
-    gain *= gain
-    gain *= var
-    weight = 1.0 / np.maximum(gain.sum(axis=(0, 1, 2, 3)), WEIGHT_FLOOR)
-    return shrunk, weight
+    denom = energy + variances
+    return np.divide(energy, denom, out=energy, where=denom > 0)
+
+
+def _group_weight(gain, variances):
+    """1 / sum(gain^2 * var) over the four group axes, one per channel:
+    the inverse residual noise of the filtered group, floored to stay
+    finite."""
+    residual = (gain * gain * variances).sum(axis=(0, 1, 2, 3))
+    return 1.0 / np.maximum(residual, WEIGHT_FLOOR)
 
 
 def _add_group(num, corner_weight, positions, blocks, weight) -> None:
@@ -199,16 +199,13 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
         group_shape = (len(positions),) + BLOCK + (nchan,)
         coeffs = group_transform(np.take(rows, idx, axis=0).reshape(group_shape))
         if stage == 1:
-            shrunk, keep = _ht_core(coeffs, var, HT_THRESHOLD)
-            weight = 1.0 / np.maximum(
-                (keep * var).sum(axis=(0, 1, 2, 3)), WEIGHT_FLOOR
-            )
+            gain = _ht_core(coeffs, var, HT_THRESHOLD)
         else:
-            pilot_coeffs = group_transform(
-                np.take(pilot_rows, idx, axis=0).reshape(group_shape)
-            )
-            shrunk, weight = wiener_shrink(coeffs, pilot_coeffs, var)
-        blocks = group_inverse(shrunk)
+            pilot = np.take(pilot_rows, idx, axis=0).reshape(group_shape)
+            gain = wiener_shrink(group_transform(pilot), var)
+        weight = _group_weight(gain, var)
+        coeffs *= gain
+        blocks = group_inverse(coeffs)
         blocks *= weight
         return positions, blocks, weight
 

@@ -52,21 +52,13 @@ def _plane_dct(b1: int, b2: int) -> np.ndarray:
     return mat
 
 
-def _checked(array: np.ndarray, what: str) -> np.ndarray:
-    array = np.asarray(array, dtype=np.float64)
-    if array.ndim < 4:
-        raise ValueError(f"expected (M, b0, b1, b2, ...) {what}")
-    return array
-
-
 def group_transform(samples: np.ndarray) -> np.ndarray:
     """Forward 4D transform of one group.
 
-    `samples` has shape (M, b0, b1, b2, ...); trailing axes (such as a
+    `samples` is float64 (M, b0, b1, b2, ...); trailing axes (such as a
     channel axis) are carried through untouched. M must be a power of
     two.
     """
-    samples = _checked(samples, "samples")
     m, b0, b1, b2 = samples.shape[:4]
     grouped = haar_matrix(m) @ samples.reshape(m, -1)  # (M, P * C)
     planes = _plane_dct(b1, b2) @ grouped.reshape(m * b0, b1 * b2, -1)
@@ -76,7 +68,6 @@ def group_transform(samples: np.ndarray) -> np.ndarray:
 
 def group_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of group_transform (transposes, transforms orthonormal)."""
-    coeffs = _checked(coeffs, "coefficients")
     m, b0, b1, b2 = coeffs.shape[:4]
     planes = dct_matrix(b0).T @ coeffs.reshape(m, b0, -1)
     grouped = _plane_dct(b1, b2).T @ planes.reshape(m * b0, b1 * b2, -1)

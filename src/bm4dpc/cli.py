@@ -46,9 +46,12 @@ def _parse_shells(text):
     shells = []
     for part in text.split(","):
         b, _, count = part.partition(":")
-        shells.append((float(b), int(count)))
-    if any(c < 1 for _, c in shells):
-        raise ValueError("shell volume counts must be positive")
+        try:
+            shells.append((float(b), int(count)))
+        except ValueError:
+            raise ValueError(f"--shells entry {part!r} is not b:count") from None
+        if shells[-1][1] < 1:
+            raise ValueError(f"--shells entry {part!r}: volume count must be positive")
     return tuple(shells)
 
 

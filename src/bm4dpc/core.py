@@ -104,7 +104,10 @@ class DwiDataset:
             raise ValueError("dataset needs at least 2 volumes")
         bvals = np.asarray(self.bvals, dtype=np.float64)
         if bvals.shape != (n,):
-            raise ValueError("bvals count must match volume count")
+            raise ValueError(
+                f"bvals count must match volume count: got {bvals.size} "
+                f"b-values for {n} volumes"
+            )
         if np.any(bvals < 0) or not np.all(np.isfinite(bvals)):
             raise ValueError("bvals must be finite and nonnegative")
         bvecs = self.bvecs

@@ -210,11 +210,6 @@ def read_bvals_bvecs(bval_path, bvec_path=None):
 
 def attach_gradients(dataset: DwiDataset, bvals, bvecs=None) -> DwiDataset:
     """Return the dataset with b-values (and optionally bvecs) attached."""
-    bvals = np.asarray(bvals, dtype=np.float64)
-    if bvals.shape != (dataset.n_volumes,):
-        raise ValueError(
-            f"got {bvals.size} b-values for {dataset.n_volumes} volumes"
-        )
     return replace(dataset, bvals=bvals, bvecs=bvecs)
 
 

@@ -14,6 +14,7 @@ from bm4dpc.bm4d.engine import (
     WEIGHT_FLOOR,
     _add_group,
     _channel_stack,
+    _group_weight,
     _ht_core,
     _match_from_view,
     _spread_weights,
@@ -128,88 +129,87 @@ class TestHardThreshold:
     def test_zero_lambda_keeps_values(self):
         rng = np.random.default_rng(3)
         coeffs = rng.standard_normal((4, 2, 2, 2))
-        shrunk, keep = _ht_core(coeffs, np.ones_like(coeffs), 0.0)
-        assert np.array_equal(shrunk, coeffs)
+        keep = _ht_core(coeffs, np.ones_like(coeffs), 0.0)
+        assert np.array_equal(coeffs * keep, coeffs)
         assert keep.sum() == coeffs.size
 
     def test_threshold_scales_with_sigma(self):
         coeffs = np.array([3.0, 1.0]).reshape(1, 2, 1, 1)
         var = np.ones_like(coeffs)
-        shrunk, keep = _ht_core(coeffs, var, 2.7)
-        assert np.array_equal(shrunk, [[[[3.0]], [[0.0]]]])
-        assert keep.sum() == 1
+        keep = _ht_core(coeffs, var, 2.7)
+        assert np.array_equal(keep, [[[[True]], [[False]]]])
         # same coefficients survive a 4x noisier spectrum only if they
         # clear the doubled deviate
-        shrunk4, keep4 = _ht_core(coeffs, 4.0 * var, 1.4)
-        assert np.array_equal(shrunk4, [[[[3.0]], [[0.0]]]])
-        assert keep4.sum() == 1
+        keep4 = _ht_core(coeffs, 4.0 * var, 1.4)
+        assert np.array_equal(keep4, [[[[True]], [[False]]]])
 
     def test_group_dc_always_kept(self):
         coeffs = np.full((2, 2, 2, 2), 0.01)
-        shrunk, keep = _ht_core(coeffs, np.ones_like(coeffs), 2.7)
-        assert shrunk[0, 0, 0, 0] == 0.01
+        var = np.ones_like(coeffs)
+        keep = _ht_core(coeffs, var, 2.7)
+        assert keep[0, 0, 0, 0]
         assert keep.sum() == 1
-        assert np.all(shrunk.ravel()[1:] == 0.0)
+        # the mask is a gain: only the DC's unit variance is left
+        assert _group_weight(keep, var) == 1.0
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
         coeffs = rng.standard_normal((4, 2, 2, 2))
         var = np.full_like(coeffs, 0.5)
-        once, _ = _ht_core(coeffs, var, 1.0)
-        twice, _ = _ht_core(once, var, 1.0)
+        once = coeffs * _ht_core(coeffs, var, 1.0)
+        twice = once * _ht_core(once, var, 1.0)
         assert np.array_equal(once, twice)
 
 
 class TestWienerShrink:
     def test_zero_pilot_kills_everything(self):
-        noisy = np.ones((2, 2, 2, 2))
-        shrunk, weight = wiener_shrink(noisy, np.zeros_like(noisy), np.ones_like(noisy))
-        assert np.all(shrunk == 0.0)
-        assert weight == pytest.approx(1.0 / WEIGHT_FLOOR)
+        pilot = np.zeros((2, 2, 2, 2))
+        var = np.ones_like(pilot)
+        gain = wiener_shrink(pilot, var)
+        assert np.all(gain == 0.0)
+        assert _group_weight(gain, var) == pytest.approx(1.0 / WEIGHT_FLOOR)
 
     def test_zero_variance_passes_through(self):
         rng = np.random.default_rng(5)
-        noisy = rng.standard_normal((2, 2, 2, 2))
         pilot = rng.standard_normal((2, 2, 2, 2))  # nonzero everywhere
-        shrunk, weight = wiener_shrink(noisy, pilot, np.zeros_like(noisy))
-        assert np.allclose(shrunk, noisy, atol=1e-12)
-        assert weight == pytest.approx(1.0 / WEIGHT_FLOOR)
+        var = np.zeros_like(pilot)
+        gain = wiener_shrink(pilot, var)
+        assert np.allclose(gain, 1.0, atol=1e-12)
+        assert _group_weight(gain, var) == pytest.approx(1.0 / WEIGHT_FLOOR)
 
     def test_half_gain_at_unit_snr(self):
-        noisy = np.full((1, 2, 2, 2), 3.0)
         pilot = np.full((1, 2, 2, 2), 2.0)
         var = np.full((1, 2, 2, 2), 4.0)  # pilot^2 == var
-        shrunk, weight = wiener_shrink(noisy, pilot, var)
-        assert np.allclose(shrunk, 1.5, atol=1e-12)
+        gain = wiener_shrink(pilot, var)
+        assert np.allclose(gain, 0.5, atol=1e-12)
         # weight = 1 / sum(gain^2 var) = 1 / (8 * 0.25 * 4)
-        assert weight == pytest.approx(1.0 / 8.0)
+        assert _group_weight(gain, var) == pytest.approx(1.0 / 8.0)
 
     def test_weight_per_channel(self):
         rng = np.random.default_rng(6)
-        noisy = rng.standard_normal((2, 2, 2, 2, 3))
         pilot = rng.standard_normal((2, 2, 2, 2, 3))
-        var = np.full_like(noisy, 0.7)
-        shrunk, weight = wiener_shrink(noisy, pilot, var)
-        assert shrunk.shape == noisy.shape
+        var = np.full_like(pilot, 0.7)
+        gain = wiener_shrink(pilot, var)
+        assert gain.shape == pilot.shape
+        weight = _group_weight(gain, var)
         assert weight.shape == (3,)
         for c in range(3):
-            _, wc = wiener_shrink(noisy[..., c], pilot[..., c], var[..., c])
+            wc = _group_weight(wiener_shrink(pilot[..., c], var[..., c]), var[..., c])
             assert weight[c] == pytest.approx(wc, rel=1e-12)
 
     def test_inputs_not_mutated(self):
         """The gain reuses a scratch buffer, never the caller's arrays,
         also when the variances broadcast over the channels."""
         rng = np.random.default_rng(16)
-        noisy = rng.standard_normal((4, 2, 2, 2, 3))
         pilot = rng.standard_normal((4, 2, 2, 2, 3))
         pilot[0, 0, 0, 0] = 0.0
         var = rng.random((4, 2, 2, 2, 1))
         var[0, 0, 0, 0] = 0.0  # pilot^2 + var == 0: the zero-gain branch
-        copies = [a.copy() for a in (noisy, pilot, var)]
-        shrunk, _ = wiener_shrink(noisy, pilot, var)
-        for given, kept in zip((noisy, pilot, var), copies):
+        copies = [a.copy() for a in (pilot, var)]
+        gain = wiener_shrink(pilot, var)
+        for given, kept in zip((pilot, var), copies):
             assert np.array_equal(given, kept)
-        assert np.all(shrunk[0, 0, 0, 0] == 0.0)
+        assert np.all(gain[0, 0, 0, 0] == 0.0)
 
 
 def _aggregate(groups, dims):
@@ -462,12 +462,12 @@ def _reference_stage(channels, psd, stage, pilot=None):
         var = var[..., None]
         coeffs = group_transform(gather(channels, positions))
         if stage == 1:
-            shrunk, keep = _ht_core(coeffs, var, engine.HT_THRESHOLD)
-            weight = 1.0 / np.maximum((keep * var).sum(axis=(0, 1, 2, 3)), WEIGHT_FLOOR)
+            gain = _ht_core(coeffs, var, engine.HT_THRESHOLD)
         else:
-            pilot_coeffs = group_transform(gather(pilot, positions))
-            shrunk, weight = wiener_shrink(coeffs, pilot_coeffs, var)
-        blocks = group_inverse(shrunk)
+            gain = wiener_shrink(group_transform(gather(pilot, positions)), var)
+        residual = (np.square(gain, dtype=np.float64) * var).sum(axis=(0, 1, 2, 3))
+        weight = 1.0 / np.maximum(residual, WEIGHT_FLOOR)
+        blocks = group_inverse(gain * coeffs)
         wcol = weight[:, None, None, None]
         for j, pos in enumerate(positions):
             sl = (slice(None),) + tuple(slice(p, p + b) for p, b in zip(pos, block))

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from bm4dpc import Volume3, __version__
+from bm4dpc import Volume3, __version__, cli
 from bm4dpc.cli import build_parser, run_cli
 from bm4dpc.dataio import attach_gradients, read_bvals_bvecs, read_nifti, write_nifti
 from bm4dpc.evaluate import mppca_denoise, report_metrics
@@ -41,6 +41,40 @@ class TestArgHandling:
     def test_version(self, capsys):
         assert run_cli(["--version"]) == 0
         assert __version__ in capsys.readouterr().out
+
+    def test_bad_shells_name_the_flag(self, tmp_path, capsys):
+        """A malformed, empty or zero-count --shells entry exits 2 with a
+        message that names the flag and the entry, and writes nothing."""
+        for shells, entry in [
+            ("1000", "'1000'"),
+            ("0:1,,1000:7", "''"),
+            ("0:1,1000:0", "'1000:0'"),
+        ]:
+            out = tmp_path / "x"
+            code = run_cli(["simulate", "--out", str(out), "--shells", shells])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert f"--shells entry {entry}" in err
+            assert not out.exists()
+
+    def test_numerical_failure_exit_code(self, small_sim, tmp_path, capsys,
+                                         monkeypatch):
+        """A solver failure (`np.linalg.LinAlgError`) exits 4."""
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("SVD did not converge")
+
+        monkeypatch.setattr(cli, "fit_dti", fail)
+        code = run_cli([
+            "dti",
+            "--in", str(small_sim / "gt.nii"),
+            "--bval", str(small_sim / "bvals"),
+            "--bvec", str(small_sim / "bvecs"),
+            "--out-fa", str(tmp_path / "fa.nii"),
+            "--out-md", str(tmp_path / "md.nii"),
+        ])
+        assert code == 4
+        assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+        assert not (tmp_path / "fa.nii").exists()
 
     def test_nonpositive_threads(self, tmp_path, capsys):
         code = run_cli(
@@ -85,10 +119,12 @@ class TestArgHandling:
     def test_corrupt_header_is_io_error(self, small_sim, tmp_path, capsys):
         blob = (small_sim / "noisy.nii").read_bytes()
         mutations = [
-            ("<5h", 40, (4, 32767, 32767, 32767, 32767)),  # exabyte dims
-            ("<f", 108, (float("nan"),)),  # vox_offset
+            ("<5h", 40, (4, 32767, 32767, 32767, 32767), "error:"),  # exabyte dims
+            ("<f", 108, (float("nan"),), "error:"),  # vox_offset
+            ("<h", 40, (5,), "unsupported dimensionality 5"),  # dim[0]
+            ("<h", 42, (0,), "invalid dims"),  # a zero dim[1]
         ]
-        for fmt, offset, values in mutations:
+        for fmt, offset, values, message in mutations:
             bad = bytearray(blob)
             struct.pack_into(fmt, bad, offset, *values)
             path = tmp_path / "bad.nii"
@@ -102,7 +138,7 @@ class TestArgHandling:
                 ]
             )
             assert code == 3
-            assert "error:" in capsys.readouterr().err
+            assert message in capsys.readouterr().err
 
     def _denoise(self, small_sim, tmp_path, **paths):
         argv = [
@@ -132,6 +168,9 @@ class TestArgHandling:
         path.write_text(" ".join(tokens) + "\n")
         assert self._denoise(small_sim, tmp_path, bvals=path) == 2
         assert "bvals must be finite" in capsys.readouterr().err
+        path.write_text("\n")
+        assert self._denoise(small_sim, tmp_path, bvals=path) == 2
+        assert "empty b-value file" in capsys.readouterr().err
 
     def test_negative_noise_map_is_usage_error(self, small_sim, tmp_path,
                                                capsys):
@@ -205,6 +244,12 @@ class TestArgHandling:
         )
         assert code == 2
         assert "need a 4D series" in capsys.readouterr().err
+        # and the mirror: a 4D series where a single volume is needed
+        code = self._denoise(
+            small_sim, tmp_path, noise_map=small_sim / "noisy.nii"
+        )
+        assert code == 2
+        assert "need a single volume" in capsys.readouterr().err
 
 
     def test_dti_on_singular_direction_set_is_value_error(self, tmp_path, capsys):

@@ -277,6 +277,9 @@ class TestGradients:
         bvec.write_text("0 1\n0 0\n")
         with pytest.raises(ValueError, match="3 rows"):
             read_bvals_bvecs(bval, bvec)
+        bvec.write_text("0 1\n0\n1 0\n")
+        with pytest.raises(ValueError, match="ragged rows"):
+            read_bvals_bvecs(bval, bvec)
 
     def test_bvec_normalization(self, tmp_path):
         bval = tmp_path / "bvals"
@@ -294,6 +297,11 @@ class TestGradients:
         bval.write_text("0 oops 2000\n")
         with pytest.raises(ValueError, match="non-numeric"):
             read_bvals_bvecs(bval)
+        bval.write_text("0 1000\n")
+        bvec = tmp_path / "bvecs"
+        bvec.write_text("0 1\n0 x\n1 0\n")
+        with pytest.raises(ValueError, match="non-numeric token"):
+            read_bvals_bvecs(bval, bvec)
 
     def test_count_mismatch_at_parse(self, tmp_path):
         bval = tmp_path / "bvals"
@@ -307,7 +315,7 @@ class TestGradients:
         ds = DwiDataset(np.zeros((3, 2, 2, 2)), np.zeros(3))
         out = attach_gradients(ds, [0.0, 1000.0, 2000.0])
         assert np.array_equal(out.bvals, [0.0, 1000.0, 2000.0])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="got 2 b-values for 3 volumes"):
             attach_gradients(ds, [0.0, 1000.0])
 
 

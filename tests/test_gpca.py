@@ -79,6 +79,8 @@ class TestForwardPca:
     def test_wide_matrix_rejected(self):
         with pytest.raises(ValueError):
             forward_pca(np.zeros((4, 3)))  # 4 volumes of 3 voxels
+        with pytest.raises(ValueError, match="expected an"):
+            forward_pca(np.zeros(5))  # no voxel axis
 
     def test_non_finite_rejected(self):
         bad = np.zeros((2, 5))
@@ -118,6 +120,8 @@ class TestInversePca:
     def test_non_orthonormal_basis_rejected(self):
         with pytest.raises(ValueError):
             inverse_pca(np.zeros((2, 10)), np.array([[1.0, 1.0], [0.0, 1.0]]))
+        with pytest.raises(ValueError, match="N x N"):
+            inverse_pca(np.zeros((2, 10)), np.eye(3)[:2])  # not square
 
     def test_complex_input_rejected(self):
         """Complex data is phase-stabilized before the PCA, which takes

@@ -114,6 +114,12 @@ class TestPhantom:
         with pytest.raises(ValueError):
             PhantomSpec(shells=((1000.0, 15),))
 
+    def test_rejects_empty_grid_or_tissue(self):
+        with pytest.raises(ValueError, match="three positive voxel counts"):
+            PhantomSpec(dims=(0, 4, 4))
+        with pytest.raises(ValueError, match="at least one tissue"):
+            PhantomSpec(tissue=())
+
     def test_rejects_negative_seed(self):
         with pytest.raises(ValueError, match="phantom seed must be nonnegative"):
             PhantomSpec(seed=-1)
