@@ -9,8 +9,9 @@ transform-domain noise variances, and maps the result back.
 The package exports what a user of the method calls: the pipeline and
 its two preprocessing steps, the data types, I/O, simulation and
 metrics. The layers' own functions (`gpca.forward_pca`,
-`noisest.estimate_psd`, `bm4d.engine.bm4d_stage`, ...) are imported
-from their modules.
+`bm4d.bm4d_multichannel`, `bm4d.engine.bm4d_stage`, ...) are imported
+from their modules, and `dataio.ShellTable`, the type `group_shells`
+returns, from `dataio`.
 """
 
 __version__ = "0.1.0"
@@ -18,7 +19,6 @@ __version__ = "0.1.0"
 from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
 from .dataio import (
     NiftiError,
-    ShellTable,
     attach_gradients,
     group_shells,
     read_bvals_bvecs,
@@ -53,7 +53,6 @@ __all__ = [
     "NoisePsd",
     "NoiseSpec",
     "PhantomSpec",
-    "ShellTable",
     "Volume3",
     "add_noise",
     "attach_gradients",

@@ -211,6 +211,7 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
 
     num = np.zeros(dims + (nchan,))
     corner_weight = np.zeros(dims + (nchan,))
+    # serial at one thread: a one-worker pool ran gate-colored slower (ROADMAP item 7)
     if threads <= 1:
         for ref in corners:
             _add_group(num, corner_weight, *filter_group(ref))

@@ -75,10 +75,10 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
     + k1*b2 + k2 is the outer product of rows k0, k1, k2 of the per-axis
     spectra |fft(dct_matrix(b), n=w)|^2. Shape (w0, w1, w2, P), lag axes
     first and C-contiguous, so one raveled lag picks a row of all P.
+    The block fits the working grid, as `working_dims` keeps every axis
+    at least the block of a volume the engine checked.
     """
     work = psi_work.shape
-    if any(b > e for b, e in zip(block, work)):
-        raise ValueError("block does not fit in the working grid")
     s0, s1, s2 = (np.abs(np.fft.fft(dct_matrix(b), n=w)) ** 2
                   for b, w in zip(block, work))
     spectra = np.einsum("ax,by,cz,xyz->xyzabc", s0, s1, s2, psi_work)

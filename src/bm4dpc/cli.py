@@ -2,10 +2,11 @@
 
 Exit codes follow the exception type: 0 success; 2 invalid arguments
 or input values (`ValueError`: bad b-values, a negative noise map, dims
-below the block size); 3 unreadable or malformed files (`OSError`,
-`NiftiError`, including non-finite NIfTI samples); 4 numerical failure
-(`np.linalg.LinAlgError`). All diagnostics go to stderr; metric reports
-are JSON with stable key order.
+below the block size or the noise estimator's windows); 3 unreadable
+or malformed files (`OSError`, `NiftiError`, including non-finite
+NIfTI samples); 4 numerical failure (`np.linalg.LinAlgError`). All
+diagnostics go to stderr; metric reports are JSON with stable key
+order.
 """
 
 import argparse

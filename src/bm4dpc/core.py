@@ -16,12 +16,14 @@ from typing import Optional, Sequence
 import numpy as np
 
 BVEC_NORM_TOL = 1e-6
+SHELL_TOLERANCE = 50.0  # s/mm^2, typical scanner b-value jitter
 
 
 def _starts(extent: int, size: int, step: int) -> list:
-    """Strided window starts plus a clamped final start covering the end."""
-    if size > extent:
-        raise ValueError("window does not fit in the extent")
+    """Strided window starts plus a clamped final start covering the end.
+
+    The caller checks that the window fits: size <= extent.
+    """
     starts = list(range(0, extent - size + 1, step))
     if starts[-1] != extent - size:
         starts.append(extent - size)
@@ -90,7 +92,8 @@ class DwiDataset:
         Nonnegative b-values in s/mm^2.
     bvecs : array (N, 3), optional
         Finite unit gradient directions; only required for tensor
-        fitting. Rows belonging to b=0 volumes may be zero vectors.
+        fitting. Rows of b=0 volumes may hold any vector, and rows with
+        b at most SHELL_TOLERANCE (the b=0 shell) may be zero vectors.
     """
 
     data: np.ndarray
@@ -116,7 +119,10 @@ class DwiDataset:
             if bvecs.shape != (n, 3) or not np.all(np.isfinite(bvecs)):
                 raise ValueError("bvecs must be a finite (N, 3) array")
             norms = np.linalg.norm(bvecs, axis=1)
-            bad = (np.abs(norms - 1.0) > BVEC_NORM_TOL) & (bvals > 0)
+            # scanners write b=5 or b=10 for a b=0 volume: in the b=0
+            # shell a zero vector is accepted, as `fit_dti` reads it as b=0
+            b0_row = (norms == 0) & (bvals <= SHELL_TOLERANCE)
+            bad = (np.abs(norms - 1.0) > BVEC_NORM_TOL) & (bvals > 0) & ~b0_row
             if np.any(bad):
                 raise ValueError("bvecs of weighted volumes must be unit length")
         object.__setattr__(self, "data", data)

@@ -1,8 +1,9 @@
 """File I/O: NIfTI-1 volumes, FSL bval/bvec text files, shell grouping.
 
 Only single-file little-endian NIfTI-1 (.nii) is supported, with
-float32 payloads for real data and complex64 for complex data. Noise
-maps and PSDs are serialized as plain volumes in the same format.
+float32 payloads for real data and complex64 for complex data, the
+rows of `DTYPES`. Noise maps and PSDs are serialized as plain volumes
+in the same format.
 """
 
 import math
@@ -12,15 +13,15 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
+from .core import SHELL_TOLERANCE, DwiDataset, NoiseMap, NoisePsd, Volume3
 
 HEADER_SIZE = 348
 VOX_OFFSET = 352
 DT_FLOAT32 = 16
 DT_COMPLEX64 = 32
+# payload dtype by datatype code, the one table the reader and writer share
+DTYPES = {DT_FLOAT32: np.dtype("<f4"), DT_COMPLEX64: np.dtype("<c8")}
 DIM_MAX = 32767  # dim[] is int16
-
-DEFAULT_SHELL_TOLERANCE = 50.0  # s/mm^2, typical scanner b-value jitter
 
 
 class NiftiError(ValueError):
@@ -31,7 +32,7 @@ class NiftiError(ValueError):
 # NIfTI-1
 # ---------------------------------------------------------------------------
 
-def _pack_header(dims, n_volumes, datatype, bitpix):
+def _pack_header(dims, n_volumes, datatype):
     """Build a minimal 348-byte NIfTI-1 header plus the 4-byte extender."""
     dim = [3, dims[0], dims[1], dims[2], 1, 1, 1, 1]
     if n_volumes is not None:
@@ -47,7 +48,7 @@ def _pack_header(dims, n_volumes, datatype, bitpix):
     struct.pack_into("<c", hdr, 38, b"r")                # regular
     struct.pack_into("<8h", hdr, 40, *dim)
     struct.pack_into("<h", hdr, 70, datatype)
-    struct.pack_into("<h", hdr, 72, bitpix)
+    struct.pack_into("<h", hdr, 72, 8 * DTYPES[datatype].itemsize)  # bitpix
     struct.pack_into("<8f", hdr, 76, *pixdim)
     struct.pack_into("<f", hdr, 108, float(VOX_OFFSET))  # vox_offset
     struct.pack_into("<f", hdr, 112, 1.0)                # scl_slope
@@ -76,14 +77,9 @@ def write_nifti(data, path) -> None:
     else:
         raise TypeError(f"cannot write a {type(data).__name__} as NIfTI")
 
-    if np.iscomplexobj(payload):
-        raw = np.asarray(payload, dtype=np.complex64)
-        datatype, bitpix = DT_COMPLEX64, 64
-    else:
-        raw = np.asarray(payload, dtype=np.float32)
-        datatype, bitpix = DT_FLOAT32, 32
-
-    header = _pack_header(raw.shape[:3], n_volumes, datatype, bitpix)
+    datatype = DT_COMPLEX64 if np.iscomplexobj(payload) else DT_FLOAT32
+    raw = np.asarray(payload, dtype=DTYPES[datatype])
+    header = _pack_header(raw.shape[:3], n_volumes, datatype)
     with open(path, "wb") as fh:
         fh.write(header)
         # NIfTI stores x fastest and the volume index slowest
@@ -123,12 +119,9 @@ def read_nifti(path):
         if min(m, n, o, n_volumes) < 1:
             raise NiftiError(f"{path}: invalid dims {dim[1:5]}")
 
-        if datatype == DT_FLOAT32:
-            dtype = np.dtype("<f4")
-        elif datatype == DT_COMPLEX64:
-            dtype = np.dtype("<c8")
-        else:
+        if datatype not in DTYPES:
             raise NiftiError(f"{path}: unsupported datatype code {datatype}")
+        dtype = DTYPES[datatype]
 
         if not math.isfinite(vox_offset) or vox_offset < VOX_OFFSET:
             raise NiftiError(f"{path}: invalid vox_offset {vox_offset}")
@@ -224,20 +217,13 @@ class ShellTable:
     centers: tuple
     members: tuple
 
-    def __post_init__(self):
-        seen = [i for shell in self.members for i in shell]
-        if len(seen) != len(set(seen)):
-            raise ValueError("a volume index appears in more than one shell")
-        if list(self.centers) != sorted(self.centers):
-            raise ValueError("shell centers must be ascending")
-
     @property
     def highest(self) -> tuple:
         """Member indices of the highest-b shell."""
         return self.members[-1]
 
 
-def group_shells(bvals, tolerance: float = DEFAULT_SHELL_TOLERANCE) -> ShellTable:
+def group_shells(bvals, tolerance: float = SHELL_TOLERANCE) -> ShellTable:
     """Greedy shell clustering of b-values.
 
     Values are scanned in ascending order; a new shell starts when a

@@ -4,6 +4,8 @@ The last few PCs of the highest shell carry almost no anatomy, so their
 local statistics expose the noise: a windowed standard deviation gives
 the spatial map, and windowed 2D periodograms (minimum across slice
 chunks, to reject residual signal) give the in-plane power spectrum.
+`estimate_noise` is the one entry: it checks the series before the
+PCA, and the two estimators trust the tail it hands them.
 """
 
 import numpy as np
@@ -23,16 +25,6 @@ WINDOW_STEP = 8   # in-plane step between periodogram windows
 SIGMA_CLAMP_FRACTION = 0.01  # sigma floor, relative to the median positive sigma
 
 
-def _tail_array(tail_pcs) -> np.ndarray:
-    """Validate a real (K, m, n, o) array of tail PCs, K >= 1."""
-    tail_pcs = np.asarray(tail_pcs)
-    if tail_pcs.ndim != 4 or len(tail_pcs) == 0:
-        raise ValueError("need a (K, m, n, o) array of at least one tail PC")
-    if np.iscomplexobj(tail_pcs):
-        raise ValueError("tail PCs must be real")
-    return tail_pcs
-
-
 def clamp_sigma(sigma: np.ndarray) -> np.ndarray:
     """Floor a sigma map at SIGMA_CLAMP_FRACTION of its median positive value.
 
@@ -46,19 +38,15 @@ def clamp_sigma(sigma: np.ndarray) -> np.ndarray:
     return np.maximum(sigma, SIGMA_CLAMP_FRACTION * np.median(positive))
 
 
-def estimate_noise_map(tail_pcs) -> NoiseMap:
+def _noise_map(tail_pcs) -> NoiseMap:
     """Voxel-wise noise sigma from windowed sample standard deviations.
 
-    `tail_pcs` is a real (K, m, n, o) array. Each tail PC yields a
-    local std map (MAP_WINDOW-cubed window, mean-subtracted, divisor
-    n-1, window shrunk at the borders); the final map is their
-    arithmetic mean.
+    `tail_pcs` is the real (K, m, n, o) tail `estimate_noise` checked.
+    Each tail PC yields a local std map (MAP_WINDOW-cubed window,
+    mean-subtracted, divisor n-1, window shrunk at the borders); the
+    final map is their arithmetic mean.
     """
-    tail_pcs = _tail_array(tail_pcs)
     dims = tail_pcs.shape[1:]
-    if MAP_WINDOW > min(dims):
-        raise ValueError("window larger than the volume")
-
     kernel = np.ones((MAP_WINDOW,) * 3)
     counts = ndimage.correlate(np.ones(dims), kernel, mode="constant", cval=0.0)
     maps = []
@@ -73,11 +61,6 @@ def estimate_noise_map(tail_pcs) -> NoiseMap:
 def _psd_for_pc(x: np.ndarray) -> np.ndarray:
     m, n, o = x.shape
     w = PSD_WINDOW
-    if w > min(m, n):
-        raise ValueError("psd window exceeds the slice dims")
-    if CHUNK_SIZE > o:
-        raise ValueError("fewer slices than one chunk")
-
     xs = _starts(m, w, WINDOW_STEP)
     ys = _starts(n, w, WINDOW_STEP)
     chunk_psds = []
@@ -94,8 +77,8 @@ def _psd_for_pc(x: np.ndarray) -> np.ndarray:
     return psi / psi.mean()
 
 
-def estimate_psd(tail_pcs_normalized) -> NoisePsd:
-    """Noise PSD from sigma-normalized tail PCs, a (K, m, n, o) array.
+def _noise_psd(tail_pcs_normalized) -> NoisePsd:
+    """Noise PSD from the sigma-normalized (K, m, n, o) tail PCs.
 
     Per PC: windowed mean-subtracted 2D periodograms are averaged
     within chunks of consecutive slices, the voxel-wise minimum across
@@ -104,29 +87,36 @@ def estimate_psd(tail_pcs_normalized) -> NoisePsd:
     (constant along the through-slice frequency). The per-PC spectra
     are averaged, and NoisePsd scales the average to unit grid mean.
     """
-    spectra = [_psd_for_pc(x) for x in _tail_array(tail_pcs_normalized)]
+    spectra = [_psd_for_pc(x) for x in tail_pcs_normalized]
     return NoisePsd(np.mean(spectra, axis=0))
 
 
 def estimate_noise(dataset: DwiDataset):
     """Estimate (sigma map, PSD) from the highest shell of a real dataset.
 
-    The highest-shell volumes are decomposed by PCA; the last
-    TAIL_COUNT PC images feed the map estimator, then, normalized by
-    the clamped map, the PSD estimator. The PCA rejects complex data.
+    The series is checked first: the estimators' windows must fit its
+    dims and its highest shell must hold more than TAIL_COUNT volumes,
+    or ValueError is raised before any PCA runs. The highest-shell
+    volumes are then decomposed by PCA; the last TAIL_COUNT PC images
+    feed the map estimator, then, normalized by the clamped map, the
+    PSD estimator. The PCA rejects complex data.
 
     Returns
     -------
     (NoiseMap, NoisePsd)
     """
-    shells = group_shells(dataset.bvals)
-    members = shells.highest
+    m, n, o = dataset.dims
+    if MAP_WINDOW > min(m, n, o):
+        raise ValueError("window larger than the volume")
+    if PSD_WINDOW > min(m, n):
+        raise ValueError("psd window exceeds the slice dims")
+    if CHUNK_SIZE > o:
+        raise ValueError("fewer slices than one chunk")
+    members = group_shells(dataset.bvals).highest
     if len(members) <= TAIL_COUNT:
         raise ValueError("highest shell has too few volumes for the tail")
 
-    stack = forward_pca(dataset.data[list(members)])
-    tail = stack.pcs[-TAIL_COUNT:]
-
-    sigma = estimate_noise_map(tail)
-    psd = estimate_psd(tail / clamp_sigma(sigma.data))
+    tail = forward_pca(dataset.data[list(members)]).pcs[-TAIL_COUNT:]
+    sigma = _noise_map(tail)
+    psd = _noise_psd(tail / clamp_sigma(sigma.data))
     return sigma, psd

@@ -14,7 +14,6 @@ PUBLIC = [
     "NoisePsd",
     "NoiseSpec",
     "PhantomSpec",
-    "ShellTable",
     "Volume3",
     "add_noise",
     "attach_gradients",

@@ -274,6 +274,31 @@ class TestArgHandling:
         assert code == 2
         assert "rank-deficient design" in capsys.readouterr().err
 
+    def test_series_too_small_for_estimation_is_usage_error(self, tmp_path,
+                                                            capsys):
+        """12 x 12 slices cannot hold the 16 x 16 periodogram window, and
+        a 3-volume highest shell leaves no volume beside the noise tail."""
+        cases = [
+            (["--size", "12", "12", "8"], "psd window"),
+            (["--size", "16", "16", "8", "--shells", "0:1,1000:7,2000:3"],
+             "too few volumes"),
+        ]
+        for k, (shape, message) in enumerate(cases):
+            out = tmp_path / f"small{k}"
+            code = run_cli(["simulate", "--out", str(out), "--noise-type", "white"]
+                           + shape)
+            assert code == 0
+            capsys.readouterr()
+            code = run_cli([
+                "estimate-noise",
+                "--in", str(out / "noisy.nii"),
+                "--bval", str(out / "bvals"),
+                "--out-map", str(tmp_path / "sigma.nii"),
+                "--out-psd", str(tmp_path / "psd.nii"),
+            ])
+            assert code == 2
+            assert message in capsys.readouterr().err
+
 
 class TestSubcommands:
     def test_simulate_outputs(self, small_sim):
@@ -340,6 +365,26 @@ class TestSubcommands:
         assert np.all(fa.data >= 0.0)
         assert np.all(fa.data <= 1.0 + 1e-6)
         assert np.all(md.data >= 0.0)
+
+    def test_dti_reads_b5_as_b0(self, small_sim, tmp_path):
+        """Scanners write b=5 for a b=0 volume with a zero b-vector: `dti`
+        accepts it and writes the same maps as for b=0."""
+        text = (small_sim / "bvals").read_text()
+        assert text.startswith("0 ")
+        (tmp_path / "bvals5").write_text("5" + text[1:])
+        for bval, tag in ((small_sim / "bvals", "b0"), (tmp_path / "bvals5", "b5")):
+            code = run_cli([
+                "dti",
+                "--in", str(small_sim / "gt.nii"),
+                "--bval", str(bval),
+                "--bvec", str(small_sim / "bvecs"),
+                "--out-fa", str(tmp_path / f"fa_{tag}.nii"),
+                "--out-md", str(tmp_path / f"md_{tag}.nii"),
+            ])
+            assert code == 0
+        for kind in ("fa", "md"):
+            assert ((tmp_path / f"{kind}_b0.nii").read_bytes()
+                    == (tmp_path / f"{kind}_b5.nii").read_bytes())
 
     def test_baseline_mppca_smoke(self, small_sim, tmp_path):
         code = run_cli(

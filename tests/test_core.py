@@ -83,10 +83,17 @@ class TestDwiDataset:
 
     def test_bvec_unit_norm_enforced_on_weighted_volumes(self):
         data = np.zeros((2, 2, 2, 2))
-        # zero bvec on the b=0 row is fine, non-unit on b>0 is not
-        DwiDataset(data, [0.0, 1000.0], [[0, 0, 0], [1, 0, 0]])
-        with pytest.raises(ValueError):
-            DwiDataset(data, [0.0, 1000.0], [[0, 0, 0], [2, 0, 0]])
+        # a zero bvec in the b=0 shell is fine (scanners write b=5 for
+        # b=0); a zero one above it, or a non-unit nonzero one, is not
+        for b0 in (0.0, 5.0):
+            DwiDataset(data, [b0, 1000.0], [[0, 0, 0], [1, 0, 0]])
+        for bvals, bvecs in [
+            ([0.0, 1000.0], [[0, 0, 0], [2, 0, 0]]),
+            ([0.0, 1000.0], [[0, 0, 0], [0, 0, 0]]),
+            ([5.0, 1000.0], [[2, 0, 0], [1, 0, 0]]),
+        ]:
+            with pytest.raises(ValueError, match="unit length"):
+                DwiDataset(data, bvals, bvecs)
 
     def test_rejects_non_finite_bvecs(self):
         data = np.zeros((2, 2, 2, 2))

@@ -12,11 +12,7 @@ from bm4dpc import (
     noisest,
 )
 from bm4dpc.bm4d.variance import fold_psd
-from bm4dpc.noisest import (
-    clamp_sigma,
-    estimate_noise_map,
-    estimate_psd,
-)
+from bm4dpc.noisest import _noise_map, _noise_psd, clamp_sigma
 from bm4dpc.simulate import default_gfactor
 
 from _util import pearson, radial_profile, rel_rmse, synth_colored
@@ -25,6 +21,12 @@ from _util import pearson, radial_profile, rel_rmse, synth_colored
 def _white_volumes(rng, count, dims):
     """A (count, *dims) stack of unit white noise."""
     return rng.standard_normal((count,) + dims)
+
+
+def _series(dims, count=5):
+    """A real series of `count` b=2000 volumes of unit white noise."""
+    rng = np.random.default_rng(30)
+    return DwiDataset(_white_volumes(rng, count, dims), np.full(count, 2000.0))
 
 
 class TestParams:
@@ -53,12 +55,12 @@ class TestClampSigma:
 
 class TestNoiseMap:
     def test_all_zero_pc(self):
-        out = estimate_noise_map(np.zeros((1, 8, 8, 8)))
+        out = _noise_map(np.zeros((1, 8, 8, 8)))
         assert np.all(out.data == 0.0)
 
     def test_iid_unit_noise_mean(self):
         rng = np.random.default_rng(20)
-        out = estimate_noise_map(rng.standard_normal((1, 32, 32, 32)))
+        out = _noise_map(rng.standard_normal((1, 32, 32, 32)))
         assert 0.95 <= out.data.mean() <= 1.05
 
     def test_bump_map_recovered(self):
@@ -67,44 +69,40 @@ class TestNoiseMap:
         truth = default_gfactor(dims)
         rng = np.random.default_rng(21)
         pcs = np.stack([rng.standard_normal(dims) * truth for _ in range(3)])
-        out = estimate_noise_map(pcs)
+        out = _noise_map(pcs)
         assert pearson(out.data, truth) >= 0.9
 
     def test_averages_tail_pcs(self):
         rng = np.random.default_rng(22)
         pcs = _white_volumes(rng, 3, (16, 16, 16))
-        separate = [estimate_noise_map(pc[None]).data for pc in pcs]
-        combined = estimate_noise_map(pcs).data
+        separate = [_noise_map(pc[None]).data for pc in pcs]
+        combined = _noise_map(pcs).data
         assert np.allclose(combined, np.mean(separate, axis=0), atol=1e-12)
 
     def test_scale_equivariance_exact(self):
         rng = np.random.default_rng(23)
         pc = rng.standard_normal((12, 12, 12))
-        base = estimate_noise_map(pc[None]).data
-        scaled = estimate_noise_map(2.0 * pc[None]).data
+        base = _noise_map(pc[None]).data
+        scaled = _noise_map(2.0 * pc[None]).data
         assert np.array_equal(scaled, 2.0 * base)
 
     def test_window_validation(self):
         with pytest.raises(ValueError, match="window larger"):
-            estimate_noise_map(np.zeros((1, 8, 4, 8)))  # 5-voxel window
-        with pytest.raises(ValueError):
-            estimate_noise_map(np.zeros((0, 8, 8, 8)))
-        with pytest.raises(ValueError, match="real"):
-            estimate_noise_map(np.zeros((1, 8, 8, 8), dtype=complex))
+            estimate_noise(_series((8, 4, 8)))  # 5-voxel window
 
 
 class TestPsd:
     def test_white_noise_stays_flat(self):
         rng = np.random.default_rng(24)
         pcs = _white_volumes(rng, 3, (64, 64, 16))
-        psd = estimate_psd(pcs)
+        psd = _noise_psd(pcs)
         rms_dev = np.sqrt(np.mean((psd.data - 1.0) ** 2))
         assert rms_dev <= 0.10
 
     def test_unit_mean_always(self):
         rng = np.random.default_rng(25)
         pcs = 3.0 * rng.standard_normal((1, 32, 32, 8))
-        psd = estimate_psd(pcs)
+        psd = _noise_psd(pcs)
         assert abs(psd.data.mean() - 1.0) <= 1e-6
 
     def test_colored_radial_profile_recovered(self):
@@ -113,7 +111,7 @@ class TestPsd:
         truth = kernel_to_psd(kernel, dims)
         rng = np.random.default_rng(26)
         pcs = np.stack([synth_colored(rng, dims, truth.data) for _ in range(3)])
-        est = estimate_psd(pcs)
+        est = _noise_psd(pcs)
 
         _, prof_est = radial_profile(est.data)
         _, prof_true = radial_profile(truth.data)
@@ -121,7 +119,7 @@ class TestPsd:
 
     def test_constant_along_slice_frequency(self):
         rng = np.random.default_rng(27)
-        psd = estimate_psd(_white_volumes(rng, 1, (32, 32, 12)))
+        psd = _noise_psd(_white_volumes(rng, 1, (32, 32, 12)))
         assert np.allclose(psd.data, psd.data[:, :, :1], atol=1e-12)
 
     @pytest.mark.parametrize("w, m, n", [(16, 32, 32), (16, 17, 19), (15, 32, 20)])
@@ -134,16 +132,14 @@ class TestPsd:
         full = np.abs(np.fft.fft2(kernel, (m, n))) ** 2
         assert np.max(np.abs(fold_psd(local, (m, n)) - full)) <= 1e-12
 
-    def test_window_and_chunk_validation(self):
-        rng = np.random.default_rng(28)
-        small = rng.standard_normal((1, 8, 8, 8))
-        with pytest.raises(ValueError):
-            estimate_psd(small)  # 16 x 16 window cannot fit
-        thin = rng.standard_normal((1, 32, 32, 3))
-        with pytest.raises(ValueError):
-            estimate_psd(thin)  # fewer slices than one chunk
-        with pytest.raises(ValueError):
-            estimate_psd(np.zeros((0, 32, 32, 8)))
+    def test_window_and_chunk_validation(self, monkeypatch):
+        with pytest.raises(ValueError, match="psd window exceeds the slice dims"):
+            estimate_noise(_series((8, 8, 8)))  # 16 x 16 window cannot fit
+        # at CHUNK_SIZE = MAP_WINDOW a series thinner than one chunk
+        # fails the map window first
+        monkeypatch.setattr(noisest, "CHUNK_SIZE", noisest.MAP_WINDOW + 1)
+        with pytest.raises(ValueError, match="fewer slices than one chunk"):
+            estimate_noise(_series((32, 32, noisest.MAP_WINDOW)))
 
 
 class TestEstimateNoise:
@@ -180,6 +176,20 @@ class TestEstimateNoise:
     def test_complex_input_rejected(self, colored_arm):
         with pytest.raises(ValueError):
             estimate_noise(colored_arm["noisy"])
+
+    @pytest.mark.parametrize("dims, match", [
+        ((12, 12, 8), "psd window exceeds the slice dims"),
+        ((32, 32, 4), "window larger than the volume"),
+    ])
+    def test_checked_before_pca(self, monkeypatch, dims, match):
+        """A series too small for the estimators' windows is refused
+        before any PCA runs."""
+        def no_pca(stack):
+            raise AssertionError("forward_pca ran on a refused series")
+
+        monkeypatch.setattr(noisest, "forward_pca", no_pca)
+        with pytest.raises(ValueError, match=match):
+            estimate_noise(_series(dims, 15))
 
     def test_small_highest_shell_rejected(self):
         rng = np.random.default_rng(29)
