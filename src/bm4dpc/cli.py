@@ -2,7 +2,8 @@
 
 Exit codes follow the exception type: 0 success; 2 invalid arguments
 or input values (`ValueError`: bad b-values, a negative noise map, dims
-below the block size or the noise estimator's windows); 3 unreadable
+below the block size, the noise estimator's windows, the SSIM window
+or the MPPCA patch); 3 unreadable
 or malformed files (`OSError`, `NiftiError`, including non-finite
 NIfTI samples); 4 numerical failure (`np.linalg.LinAlgError`). All
 diagnostics go to stderr; metric reports are JSON with stable key
@@ -20,7 +21,8 @@ import numpy as np
 
 from . import __version__
 from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
-from .dataio import NiftiError, attach_gradients, read_bvals_bvecs, read_nifti, write_nifti
+from .dataio import (NiftiError, attach_gradients, read_bvals_bvecs, read_nifti,
+                     write_bvals_bvecs, write_nifti)
 from .evaluate import fit_dti, mppca_denoise, report_metrics
 from .noisest import estimate_noise
 from .phasestab import stabilize_phase
@@ -73,14 +75,6 @@ def _load_volume(path):
     return loaded
 
 
-def _write_gradients(out_dir, bvals, bvecs):
-    with open(os.path.join(out_dir, "bvals"), "w") as fh:
-        fh.write(" ".join(f"{b:g}" for b in bvals) + "\n")
-    with open(os.path.join(out_dir, "bvecs"), "w") as fh:
-        for axis in range(3):
-            fh.write(" ".join(f"{v:.8f}" for v in bvecs[:, axis]) + "\n")
-
-
 def _cmd_simulate(args):
     spec = PhantomSpec(
         dims=tuple(args.size), shells=_parse_shells(args.shells), seed=args.seed
@@ -105,7 +99,8 @@ def _cmd_simulate(args):
         write_nifti(
             Volume3(support.astype(np.float64)), os.path.join(args.out, "mask.nii")
         )
-        _write_gradients(args.out, clean.bvals, clean.bvecs)
+        write_bvals_bvecs(os.path.join(args.out, "bvals"),
+                          os.path.join(args.out, "bvecs"), clean.bvals, clean.bvecs)
     except BaseException:
         if created is not None:  # a failed run leaves no directory it made
             shutil.rmtree(created, ignore_errors=True)

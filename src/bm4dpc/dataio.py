@@ -201,6 +201,15 @@ def read_bvals_bvecs(bval_path, bvec_path=None):
     return bvals, bvecs
 
 
+def write_bvals_bvecs(bval_path, bvec_path, bvals, bvecs) -> None:
+    """Write FSL bval and bvec files (%g b-values, 8-decimal directions)."""
+    with open(bval_path, "w") as fh:
+        fh.write(" ".join(f"{b:g}" for b in bvals) + "\n")
+    with open(bvec_path, "w") as fh:
+        for axis in range(3):
+            fh.write(" ".join(f"{v:.8f}" for v in bvecs[:, axis]) + "\n")
+
+
 def attach_gradients(dataset: DwiDataset, bvals, bvecs=None) -> DwiDataset:
     """Return the dataset with b-values (and optionally bvecs) attached."""
     return replace(dataset, bvals=bvals, bvecs=bvecs)

@@ -1,26 +1,29 @@
 """Quality metrics, a DTI fit, and the random-matrix baseline denoiser.
 
 PSNR and SSIM are reported per shell against a noise-free reference;
-FA and MD from a weighted least-squares tensor fit support derived-map
-error comparisons; mppca_denoise provides the patchwise eigenvalue
-shrinkage baseline.
+FA and MD from a weighted least-squares tensor fit of the shells up to
+DTI_MAX_BVAL support derived-map error comparisons; mppca_denoise
+provides the patchwise PCA baseline, a `gpca` round trip per patch with
+its noise tail zeroed. Shells are those of `dataio.group_shells`.
 """
 
+import itertools
 import math
 from dataclasses import replace
 
 import numpy as np
 from scipy import ndimage
 
-from .core import DwiDataset, Volume3, _starts
+from .core import SHELL_TOLERANCE, DwiDataset, Volume3, _starts
 from .dataio import group_shells
+from .gpca import forward_pca, inverse_pca
 
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
 SSIM_WINDOW = 7
 SSIM_SIGMA = 1.5
-DTI_MAX_BVAL = 1000.0  # the tensor fit uses the volumes with b at most this
-MPPCA_KERNEL = 5  # edge of the baseline's cubic patches
+DTI_MAX_BVAL = 1000.0  # the tensor fit uses the shells up to this b
+MPPCA_KERNEL = 5  # smallest edge of the baseline's cubic patches
 MPPCA_STEP = 3    # stride between the baseline's patch corners
 
 
@@ -57,8 +60,7 @@ def psnr(gt: Volume3, test: Volume3) -> float:
 
 
 def _ssim_window_filter(x: np.ndarray) -> np.ndarray:
-    # truncate=2.0 with sigma=1.5 gives a radius-3 (7-point) kernel
-    return ndimage.gaussian_filter(x, SSIM_SIGMA, truncate=2.0, mode="nearest")
+    return ndimage.gaussian_filter(x, SSIM_SIGMA, radius=SSIM_WINDOW // 2, mode="nearest")
 
 
 def ssim(gt: Volume3, test: Volume3) -> float:
@@ -69,6 +71,9 @@ def ssim(gt: Volume3, test: Volume3) -> float:
     are excluded from the mean. Both volumes must be real.
     """
     a, b = _real_pair(gt, test)
+    pad = SSIM_WINDOW // 2
+    if any(d <= 2 * pad for d in a.shape):
+        raise ValueError("volume too small for the SSIM window")
     data_range = float(a.max() - a.min())
     if data_range == 0:
         raise ValueError("reference has zero dynamic range")
@@ -86,9 +91,6 @@ def ssim(gt: Volume3, test: Volume3) -> float:
     smap = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / (
         (mu_a * mu_a + mu_b * mu_b + c1) * (var_a + var_b + c2)
     )
-    pad = SSIM_WINDOW // 2
-    if any(d <= 2 * pad for d in a.shape):
-        raise ValueError("volume too small for the SSIM window")
     core = smap[pad:-pad, pad:-pad, pad:-pad]
     return float(core.mean())
 
@@ -108,7 +110,9 @@ def rmse_map(gt_map, test_map, mask) -> float:
 def fit_dti(dataset: DwiDataset, mask):
     """Weighted least-squares diffusion tensor fit (low-b subset).
 
-    Uses volumes with b <= DTI_MAX_BVAL. Per masked voxel the log-signal
+    Uses the volumes of every `group_shells` shell whose center is at
+    most DTI_MAX_BVAL + SHELL_TOLERANCE, so a b=1000 shell written as
+    995 or 1005 is fitted whole. Per masked voxel the log-signal
     model ln S = ln S0 - b g^T D g is solved with weights S^2, the
     tensor eigenvalues are clipped at zero, and FA and MD follow from
     them. Masked voxels with nonpositive signals yield zeros. Complex
@@ -127,8 +131,10 @@ def fit_dti(dataset: DwiDataset, mask):
     mask = _data(mask).astype(bool)
     if mask.shape != dataset.dims:
         raise ValueError("mask dims mismatch")
-    sel = np.flatnonzero(dataset.bvals <= DTI_MAX_BVAL)
-    if sel.size < 7:
+    shells = group_shells(dataset.bvals)
+    sel = sorted(i for center, members in zip(shells.centers, shells.members)
+                 if center <= DTI_MAX_BVAL + SHELL_TOLERANCE for i in members)
+    if len(sel) < 7:
         raise ValueError("need at least 7 low-b volumes")
 
     bvals = dataset.bvals[sel]
@@ -192,62 +198,44 @@ def fit_dti(dataset: DwiDataset, mask):
 def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
     """Patchwise PCA denoising with an automatic eigenvalue cutoff.
 
-    Each MPPCA_KERNEL^3 patch, with corners MPPCA_STEP apart, forms a
-    voxels-by-volumes matrix whose centered covariance spectrum is cut
-    where the tail becomes consistent with pure-noise eigenvalue
-    spread; only leading components are kept. Overlapping patch
-    estimates are averaged uniformly. Complex data raises ValueError:
-    phase-stabilize it first.
+    The patch edge is MPPCA_KERNEL, grown by 2 until edge^3 >= N. Each
+    cubic patch, corners MPPCA_STEP apart, is centered and decomposed by
+    `gpca.forward_pca`; the PCs from the first one whose eigenvalue spread
+    fits pure noise (Marchenko-Pastur) on are zeroed and `gpca.inverse_pca`
+    rebuilds the patch. Overlapping patch estimates are averaged. Complex
+    data (phase-stabilize it first) and volumes smaller than the patch
+    raise ValueError.
     """
     if dataset.is_complex:
         raise ValueError("MPPCA expects real (phase-stabilized) data")
     n = dataset.n_volumes
-    kernel, step = MPPCA_KERNEL, MPPCA_STEP
-    if kernel**3 < n:
-        raise ValueError("patch smaller than the volume count")
+    edge = MPPCA_KERNEL
+    while edge**3 < n:
+        edge += 2
     dims = dataset.dims
-    if any(d < kernel for d in dims):
+    if any(d < edge for d in dims):
         raise ValueError("volume smaller than the patch")
 
-    stack = np.moveaxis(dataset.data, 0, -1)  # (m, n, o, N)
-    num = np.zeros(dims + (n,))
+    # the noise tail starts at the first PC p with evals[p] - evals[-1] <
+    # 4 sqrt((N - p) / edge^3) mean(evals[p:]); scale-free, so Gram eigenvalues serve
+    tail_counts = np.arange(n, 0, -1)
+    spread_scale = 4.0 * np.sqrt(tail_counts / edge**3) / tail_counts
+    num = np.zeros(dataset.data.shape)
     den = np.zeros(dims)
-    m_rows = kernel**3
-
-    for x0 in _starts(dims[0], kernel, step):
-        for y0 in _starts(dims[1], kernel, step):
-            for z0 in _starts(dims[2], kernel, step):
-                sl = (
-                    slice(x0, x0 + kernel),
-                    slice(y0, y0 + kernel),
-                    slice(z0, z0 + kernel),
-                )
-                patch = stack[sl].reshape(m_rows, n)
-                means = patch.mean(axis=0, keepdims=True)
-                centered = patch - means
-                cov = centered.T @ centered / m_rows
-                evals, evecs = np.linalg.eigh(cov)
-                evals = evals[::-1]
-                evecs = evecs[:, ::-1]
-
-                rank = n
-                for p in range(n):
-                    tail = evals[p:]
-                    spread = 4.0 * math.sqrt((n - p) / m_rows) * tail.mean()
-                    if evals[p] - evals[-1] < spread:
-                        rank = p
-                        break
-                if rank >= n:
-                    recon = patch
-                else:
-                    top = evecs[:, :rank]
-                    recon = centered @ (top @ top.T) + means
-
-                num[sl] += recon.reshape(kernel, kernel, kernel, n)
-                den[sl] += 1.0
-
-    out = num / den[..., None]
-    return replace(dataset, data=np.moveaxis(out, -1, 0))
+    corners = itertools.product(*(_starts(d, edge, MPPCA_STEP) for d in dims))
+    for corner in corners:
+        sl = (slice(None),) + tuple(slice(c, c + edge) for c in corner)
+        patch = dataset.data[sl]
+        means = patch.mean(axis=(1, 2, 3), keepdims=True)
+        pc = forward_pca(patch - means)
+        evals = pc.eigenvalues
+        noise = evals - evals[-1] < spread_scale * np.cumsum(evals[::-1])[::-1]
+        if noise.any():  # zero the noise tail
+            pc.pcs[np.argmax(noise):] = 0.0
+            patch = inverse_pca(pc.pcs, pc.basis) + means
+        num[sl] += patch
+        den[sl[1:]] += 1.0
+    return replace(dataset, data=num / den)
 
 
 def report_metrics(gt: DwiDataset, test: DwiDataset) -> dict:

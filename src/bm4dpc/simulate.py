@@ -12,7 +12,8 @@ from typing import Optional
 
 import numpy as np
 
-from .core import DwiDataset, NoiseMap, NoisePsd, _as_real_grid
+from .core import SHELL_TOLERANCE, DwiDataset, NoiseMap, NoisePsd, _as_real_grid
+from .dataio import group_shells
 
 GOLDEN_ANGLE = math.pi * (3.0 - math.sqrt(5.0))
 DOG_SIGMA_INNER = 0.8   # voxels, the colored kernel's narrow Gaussian
@@ -269,7 +270,9 @@ class NoiseSpec:
 def add_noise(dataset: DwiDataset, spec: NoiseSpec):
     """Add spatially varying (optionally colored) complex Gaussian noise.
 
-    The base level is sigma0 = level * max |b=0 signal|; the voxel-wise
+    The base level is sigma0 = level * max |b=0 signal|, read from the
+    b=0 shell: the lowest `group_shells` shell, whose center must be at
+    most SHELL_TOLERANCE (so b=5 labels count as b=0); the voxel-wise
     standard deviation sigma(x) = sigma0 * gfactor(x) applies to the
     real and imaginary channels independently. Colored noise is built
     by circularly convolving unit-variance white draws with the kernel,
@@ -291,10 +294,10 @@ def add_noise(dataset: DwiDataset, spec: NoiseSpec):
     if gfactor.shape != dims:
         raise ValueError("gfactor dims must match the dataset")
 
-    b0 = dataset.bvals == 0
-    if not b0.any():
+    shells = group_shells(dataset.bvals)
+    if shells.centers[0] > SHELL_TOLERANCE:
         raise ValueError("noise synthesis needs a b=0 volume to set the level")
-    b0_max = float(np.abs(dataset.data[b0]).max())
+    b0_max = float(np.abs(dataset.data[list(shells.members[0])]).max())
     sigma0 = spec.level * b0_max
     sigma = sigma0 * gfactor
 

@@ -386,6 +386,43 @@ class TestSubcommands:
             assert ((tmp_path / f"{kind}_b0.nii").read_bytes()
                     == (tmp_path / f"{kind}_b5.nii").read_bytes())
 
+    def test_dti_reads_b1005_as_b1000(self, small_sim, tmp_path):
+        """A b=1000 shell written as 1005 is still the fitted shell; with
+        one weighted shell, b only scales the tensor, so FA is unchanged."""
+        text = (small_sim / "bvals").read_text()
+        assert " 1000" in text
+        (tmp_path / "bvals1005").write_text(text.replace("1000", "1005"))
+        fa = {}
+        for bval, tag in ((small_sim / "bvals", "b1000"),
+                          (tmp_path / "bvals1005", "b1005")):
+            code = run_cli([
+                "dti",
+                "--in", str(small_sim / "gt.nii"),
+                "--bval", str(bval),
+                "--bvec", str(small_sim / "bvecs"),
+                "--out-fa", str(tmp_path / f"fa_{tag}.nii"),
+                "--out-md", str(tmp_path / f"md_{tag}.nii"),
+            ])
+            assert code == 0
+            fa[tag] = read_nifti(str(tmp_path / f"fa_{tag}.nii")).data
+        assert np.max(np.abs(fa["b1005"] - fa["b1000"])) <= 1e-6
+
+    def test_baseline_mppca_many_volumes(self, tmp_path):
+        """130 volumes outnumber the voxels of a 5^3 patch: the patch
+        edge grows instead of the run being refused."""
+        sim = tmp_path / "sim"
+        assert run_cli([
+            "simulate", "--out", str(sim), "--size", "12", "12", "8",
+            "--shells", "0:2,1000:64,2000:64", "--noise-type", "white",
+        ]) == 0
+        code = run_cli([
+            "baseline-mppca",
+            "--in", str(sim / "noisy.nii"),
+            "--out", str(tmp_path / "mppca.nii"),
+        ])
+        assert code == 0
+        assert read_nifti(str(tmp_path / "mppca.nii")).n_volumes == 130
+
     def test_baseline_mppca_smoke(self, small_sim, tmp_path):
         code = run_cli(
             [

@@ -11,11 +11,13 @@ from bm4dpc import (
     NoiseMap,
     Volume3,
     attach_gradients,
+    fibonacci_directions,
     group_shells,
     read_bvals_bvecs,
     read_nifti,
     write_nifti,
 )
+from bm4dpc.dataio import write_bvals_bvecs
 
 HEADER = 348
 
@@ -310,6 +312,15 @@ class TestGradients:
         bvec.write_text("0 1\n0 0\n1 0\n")
         with pytest.raises(ValueError, match="directions"):
             read_bvals_bvecs(bval, bvec)
+
+    def test_write_read_round_trip(self, tmp_path):
+        bvals = np.array([0.0, 5.0, 995.0, 1000.0, 1005.0, 2000.0, 3000.0])
+        bvecs = np.vstack([np.zeros((2, 3)), fibonacci_directions(5, seed=2)])
+        bval, bvec = tmp_path / "bvals", tmp_path / "bvecs"
+        write_bvals_bvecs(bval, bvec, bvals, bvecs)
+        got_bvals, got_bvecs = read_bvals_bvecs(bval, bvec)
+        assert np.array_equal(got_bvals, bvals)
+        assert np.max(np.abs(got_bvecs - bvecs)) <= 1e-8
 
     def test_attach_checks_count(self):
         ds = DwiDataset(np.zeros((3, 2, 2, 2)), np.zeros(3))

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -129,7 +130,7 @@ class TestSsim:
         b = a + rng.standard_normal((10, 10, 10))
         assert ssim(Volume3(a), Volume3(b)) < 0.9
 
-    def test_validation(self):
+    def test_validation(self, monkeypatch):
         flat = Volume3(np.ones((10, 10, 10)))
         with pytest.raises(ValueError, match="zero dynamic range"):
             ssim(flat, flat)
@@ -140,6 +141,12 @@ class TestSsim:
                 Volume3(np.ones((10, 10, 10), dtype=np.complex128)),
                 Volume3(np.ones((10, 10, 10), dtype=np.complex128)),
             )
+
+        def unreachable(x):
+            raise AssertionError("window filter ran")
+
+        # refused before the five window filters run
+        monkeypatch.setattr(evaluate, "_ssim_window_filter", unreachable)
         small = Volume3(np.linspace(0, 1, 6 * 10 * 10).reshape(6, 10, 10))
         with pytest.raises(ValueError, match="too small"):
             ssim(small, small)
@@ -201,18 +208,33 @@ class TestFitDti:
         dims = (6, 6, 3)
         tensors = _random_spd_field(rng, dims)
         s0 = 0.5 + 0.5 * rng.random(dims)
-        bvals, bvecs = _protocol(20)
-        ds = _tensor_dataset(tensors, s0, bvals, bvecs)
-        fa, md = fit_dti(ds, np.ones(dims, bool))
-
         evals = np.linalg.eigvalsh(tensors)
         md_true = evals.mean(axis=-1)
         dev2 = ((evals - md_true[..., None]) ** 2).sum(axis=-1)
         norm2 = (evals * evals).sum(axis=-1)
         fa_true = np.sqrt(1.5 * dev2 / norm2)
 
-        assert np.max(np.abs(fa.data - fa_true)) <= 1e-6
-        assert np.max(np.abs(md.data - md_true)) <= 1e-6
+        # a b=1000 shell written as 1005 is still the fitted shell
+        for bvals, bvecs in (_protocol(20), _protocol(20, bval=1005.0)):
+            ds = _tensor_dataset(tensors, s0, bvals, bvecs)
+            fa, md = fit_dti(ds, np.ones(dims, bool))
+            assert np.max(np.abs(fa.data - fa_true)) <= 1e-6
+            assert np.max(np.abs(md.data - md_true)) <= 1e-6
+
+    def test_jittered_shell_is_fitted_whole(self, gt_real, colored_stabilized,
+                                            support):
+        """Scanners jitter a shell's b-values: the b=1000 shell of the
+        colored arm written as 995 and 1005 alternately is fitted whole,
+        and its FA error against the truth stays within 1% of the
+        exact-label fit."""
+        fa_gt, _ = fit_dti(gt_real, support)
+        fa_exact, _ = fit_dti(colored_stabilized, support)
+        jittered = colored_stabilized.bvals.copy()
+        b1000 = np.flatnonzero(jittered == 1000.0)
+        jittered[b1000] += np.where(np.arange(b1000.size) % 2 == 0, -5.0, 5.0)
+        fa_jit, _ = fit_dti(replace(colored_stabilized, bvals=jittered), support)
+        exact = rmse_map(fa_gt, fa_exact, support)
+        assert rmse_map(fa_gt, fa_jit, support) == pytest.approx(exact, rel=0.01)
 
     def test_mask_and_nonpositive_handling(self):
         rng = np.random.default_rng(8)
@@ -296,15 +318,14 @@ class TestFitDti:
 
 class TestMppca:
     def test_pure_noise_variance_drops(self):
+        """130 volumes outnumber the 125 voxels of a 5^3 patch, so their
+        patch edge grows to 7."""
         rng = np.random.default_rng(9)
         dims = (16, 16, 16)
-        vols = [rng.standard_normal(dims) for _ in range(16)]
-        bvals = np.zeros(16)
-        ds = DwiDataset(np.stack(vols), bvals)
-        out = mppca_denoise(ds)
-        var_in = np.var(ds.data)
-        var_out = np.var(out.data)
-        assert var_out < 0.3 * var_in
+        for count in (16, 130):
+            ds = DwiDataset(rng.standard_normal((count,) + dims), np.zeros(count))
+            out = mppca_denoise(ds)
+            assert np.var(out.data) < 0.3 * np.var(ds.data)
 
     def test_noiseless_low_rank_preserved(self):
         rng = np.random.default_rng(10)
@@ -329,13 +350,19 @@ class TestMppca:
         small = DwiDataset(np.zeros((10, 4, 8, 8)), np.zeros(10))
         with pytest.raises(ValueError, match="volume smaller than the patch"):
             mppca_denoise(small)
+        grown = DwiDataset(np.zeros((130, 6, 8, 8)), np.zeros(130))  # edge 7
+        with pytest.raises(ValueError, match="volume smaller than the patch"):
+            mppca_denoise(grown)
         phased = DwiDataset(np.full((10, 8, 8, 8), 1j), np.zeros(10))
         with pytest.raises(ValueError, match="phase-stabilized"):
             mppca_denoise(phased)
-        ds = DwiDataset(np.zeros((10, 8, 8, 8)), np.zeros(10))
-        monkeypatch.setattr(evaluate, "MPPCA_KERNEL", 2)  # 8 rows < 10 volumes
-        with pytest.raises(ValueError, match="patch smaller than the volume count"):
-            mppca_denoise(ds)
+        rng = np.random.default_rng(12)
+        ds = DwiDataset(rng.standard_normal((10, 8, 8, 8)), np.zeros(10))
+        monkeypatch.setattr(evaluate, "MPPCA_KERNEL", 4)
+        edge4 = mppca_denoise(ds)
+        # 8 voxels < 10 volumes: the edge grows from 2 to 4
+        monkeypatch.setattr(evaluate, "MPPCA_KERNEL", 2)
+        assert np.array_equal(mppca_denoise(ds).data, edge4.data)
 
 
 @pytest.fixture(scope="module")

@@ -282,6 +282,19 @@ class TestAddNoise:
         with pytest.raises(ValueError, match="needs a b=0 volume"):
             add_noise(weighted, NoiseSpec(level=0.05))
 
+    def test_b0_shell_labelled_b5(self, phantom):
+        """Scanners write b=5 for b=0: the b=0 shell sets the level, so
+        such labels give the same noisy series as b=0 labels."""
+        dataset, _, _ = phantom
+        b5 = DwiDataset(
+            dataset.data, np.where(dataset.bvals == 0, 5.0, dataset.bvals),
+            dataset.bvecs,
+        )
+        spec = NoiseSpec(level=0.05, seed=4)
+        exact, _, _ = add_noise(dataset, spec)
+        relabelled, _, _ = add_noise(b5, spec)
+        assert np.array_equal(relabelled.data, exact.data)
+
     def test_noise_spec_rejects_bad_kernels(self):
         unit = np.ones((3, 3, 1)) / 3.0
         assert np.array_equal(NoiseSpec(level=0.05, kernel=unit).kernel, unit)
