@@ -202,9 +202,11 @@ def read_bvals_bvecs(bval_path, bvec_path=None):
 
 
 def write_bvals_bvecs(bval_path, bvec_path, bvals, bvecs) -> None:
-    """Write FSL bval and bvec files (%g b-values, 8-decimal directions)."""
+    """Write FSL bval and bvec files (shortest exact b-values, 8-decimal
+    directions)."""
     with open(bval_path, "w") as fh:
-        fh.write(" ".join(f"{b:g}" for b in bvals) + "\n")
+        exact = (np.format_float_positional(b, trim="-") for b in bvals)
+        fh.write(" ".join(exact) + "\n")
     with open(bvec_path, "w") as fh:
         for axis in range(3):
             fh.write(" ".join(f"{v:.8f}" for v in bvecs[:, axis]) + "\n")

@@ -94,17 +94,19 @@ def _noise_psd(tail_pcs_normalized) -> NoisePsd:
 def estimate_noise(dataset: DwiDataset):
     """Estimate (sigma map, PSD) from the highest shell of a real dataset.
 
-    The series is checked first: the estimators' windows must fit its
-    dims and its highest shell must hold more than TAIL_COUNT volumes,
-    or ValueError is raised before any PCA runs. The highest-shell
-    volumes are then decomposed by PCA; the last TAIL_COUNT PC images
-    feed the map estimator, then, normalized by the clamped map, the
-    PSD estimator. The PCA rejects complex data.
+    The series is checked first: it must be real (phase-stabilize it
+    first), the estimators' windows must fit its dims and its highest
+    shell must hold more than TAIL_COUNT volumes, or ValueError is
+    raised before any PCA runs. The highest-shell volumes are then
+    decomposed by PCA; the last TAIL_COUNT PC images feed the map
+    estimator, then, normalized by the clamped map, the PSD estimator.
 
     Returns
     -------
     (NoiseMap, NoisePsd)
     """
+    if dataset.is_complex:
+        raise ValueError("noise estimation expects real (phase-stabilized) data")
     m, n, o = dataset.dims
     if MAP_WINDOW > min(m, n, o):
         raise ValueError("window larger than the volume")

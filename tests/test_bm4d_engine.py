@@ -407,6 +407,23 @@ class TestChannelLayout:
         assert out.shape == c_ordered.shape
         assert out.reshape(3, -1).T.flags.c_contiguous  # voxel-major
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_channel_sign_flip_flips_its_output(self, monkeypatch, threads):
+        """The PCA's column signs are arbitrary: a channel given with
+        the opposite sign comes back as the exact negative, and the
+        other channels do not change."""
+        rng = np.random.default_rng(16)
+        dims = (10, 9, 8)
+        channels = rng.standard_normal((3,) + dims)
+        psd = NoisePsd(np.ones(dims))
+        _use_small_geometry(monkeypatch)
+        out = bm4d_multichannel(channels, psd, threads=threads)
+        flipped = channels.copy()
+        flipped[1] *= -1.0
+        out_flipped = bm4d_multichannel(flipped, psd, threads=threads)
+        assert np.array_equal(out_flipped[1], -out[1])
+        assert np.array_equal(out_flipped[[0, 2]], out[[0, 2]])
+
     def test_multichannel_peak_memory(self, monkeypatch):
         """Stage 2 holds three full-size (C, m, n, o) arrays: the pilot,
         the numerator and the weight field. A copy of the rows of the

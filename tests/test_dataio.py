@@ -314,8 +314,9 @@ class TestGradients:
             read_bvals_bvecs(bval, bvec)
 
     def test_write_read_round_trip(self, tmp_path):
-        bvals = np.array([0.0, 5.0, 995.0, 1000.0, 1005.0, 2000.0, 3000.0])
-        bvecs = np.vstack([np.zeros((2, 3)), fibonacci_directions(5, seed=2)])
+        bvals = np.array([0.0, 5.0, 995.0, 1000.0, 1005.0, 1234.567, 2000.0,
+                          3000.0])
+        bvecs = np.vstack([np.zeros((2, 3)), fibonacci_directions(6, seed=2)])
         bval, bvec = tmp_path / "bvals", tmp_path / "bvecs"
         write_bvals_bvecs(bval, bvec, bvals, bvecs)
         got_bvals, got_bvecs = read_bvals_bvecs(bval, bvec)

@@ -1,5 +1,7 @@
 """Noise map and PSD estimation from tail principal components."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -180,16 +182,20 @@ class TestEstimateNoise:
     @pytest.mark.parametrize("dims, match", [
         ((12, 12, 8), "psd window exceeds the slice dims"),
         ((32, 32, 4), "window larger than the volume"),
+        ((32, 32, 16), "expects real"),
     ])
     def test_checked_before_pca(self, monkeypatch, dims, match):
-        """A series too small for the estimators' windows is refused
-        before any PCA runs."""
+        """A series too small for the estimators' windows, or a complex
+        one, is refused before any PCA runs."""
         def no_pca(stack):
             raise AssertionError("forward_pca ran on a refused series")
 
         monkeypatch.setattr(noisest, "forward_pca", no_pca)
+        series = _series(dims, 15)
+        if match == "expects real":  # dims that fit, complex samples
+            series = replace(series, data=1j * series.data)
         with pytest.raises(ValueError, match=match):
-            estimate_noise(_series(dims, 15))
+            estimate_noise(series)
 
     def test_small_highest_shell_rejected(self):
         rng = np.random.default_rng(29)

@@ -89,6 +89,20 @@ class TestGivenPsd:
         assert np.array_equal(used4.data, used.data)
         assert np.array_equal(out4.data, out.data)
 
+    def test_fewer_voxels_than_volumes(self):
+        """65 volumes of 4x4x4 voxels: the PCA has more components than
+        voxels, and the trailing zero-eigenvalue PCs filter to finite
+        output."""
+        rng = np.random.default_rng(9)
+        bvals = np.repeat([0.0, 1000.0, 2000.0], [2, 31, 32])
+        ds = DwiDataset(1.0 + rng.standard_normal((65, 4, 4, 4)), bvals)
+        dims = ds.dims
+        out, _, _ = denoise_bm4dpc(
+            ds, NoiseMap(np.full(dims, 0.5)), NoisePsd(np.ones(dims))
+        )
+        assert out.data.shape == ds.data.shape
+        assert np.all(np.isfinite(out.data))
+
 
 class TestCallerData:
     @pytest.mark.parametrize("is_complex", [False, True])
