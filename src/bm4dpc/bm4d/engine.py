@@ -180,8 +180,9 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     channel 0 of `rows` and hard-thresholds; stage 2 matches on channel
     0 of `pilot_rows` (the stage-1 output) and Wiener-filters every
     channel against its own pilot spectrum. The inputs are the ones
-    `bm4d_multichannel` checked. Returns the filtered C-contiguous
-    (V, C) rows.
+    `bm4d_multichannel` checked; the stage checks nothing again, and
+    divides by the weight sums directly. Returns the filtered
+    C-contiguous (V, C) rows.
     Identical output for any thread count: worker threads filter the
     groups, and the calling thread adds them up in corner order.
     """
@@ -227,10 +228,8 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
             for future in pending:
                 _add_group(num, corner_weight, *future.result())
 
-    den = _spread_weights(corner_weight, BLOCK)
-    if not np.all(den > 0):
-        raise AssertionError("aggregation left uncovered voxels")
-    num /= den
+    # sums > 0: reference blocks tile, each leads its own group, group weights > 0
+    num /= _spread_weights(corner_weight, BLOCK)
     return num.reshape(-1, nchan)
 
 

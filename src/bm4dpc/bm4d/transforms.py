@@ -19,21 +19,18 @@ import numpy as np
 
 @lru_cache(maxsize=None)
 def dct_matrix(n: int) -> np.ndarray:
-    """Orthonormal DCT-II matrix of size n (rows are basis vectors)."""
-    if n < 1:
-        raise ValueError("transform size must be positive")
+    """Orthonormal DCT-II matrix of size n >= 1 (rows are basis vectors)."""
     j = np.arange(n)
     mat = np.cos(np.pi * np.outer(np.arange(n), 2 * j + 1) / (2 * n))
     mat *= np.sqrt(2.0 / n)
     mat[0] *= np.sqrt(0.5)
+    mat.setflags(write=False)  # cached: every caller shares this array
     return mat
 
 
 @lru_cache(maxsize=None)
 def haar_matrix(m: int) -> np.ndarray:
-    """Orthonormal Haar matrix of size m (power of two); row 0 is DC."""
-    if m < 1 or m & (m - 1):
-        raise ValueError("Haar size must be a power of two")
+    """Orthonormal Haar matrix of size m (a power of two, unchecked); row 0 is DC."""
     mat = np.ones((1, 1))
     while mat.shape[0] < m:
         n = mat.shape[0]
@@ -41,6 +38,7 @@ def haar_matrix(m: int) -> np.ndarray:
             np.kron(mat, [1.0, 1.0]),
             np.kron(np.eye(n), [1.0, -1.0]),
         ]) / np.sqrt(2.0)
+    mat.setflags(write=False)  # cached: every caller shares this array
     return mat
 
 
@@ -57,7 +55,7 @@ def group_transform(samples: np.ndarray) -> np.ndarray:
 
     `samples` is float64 (M, b0, b1, b2, ...); trailing axes (such as a
     channel axis) are carried through untouched. M must be a power of
-    two.
+    two, as the matched group sizes are; any other M raises ValueError.
     """
     m, b0, b1, b2 = samples.shape[:4]
     grouped = haar_matrix(m) @ samples.reshape(m, -1)  # (M, P * C)

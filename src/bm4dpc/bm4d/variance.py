@@ -46,10 +46,9 @@ def fold_psd(psd_data: np.ndarray, shape: tuple) -> np.ndarray:
     values: a shrinking axis drops the longer lags (truncation), a
     growing one sets them to 0 (zero-padding). The zero lag, the mean
     power, is kept; negative values from the cut are then clipped to
-    zero. An equal shape returns a float64 copy.
+    zero. An equal shape returns a float64 copy. `shape` has one
+    extent per axis of `psd_data`, as both callers build it.
     """
-    if len(shape) != psd_data.ndim:
-        raise ValueError("need one target extent per PSD axis")
     if tuple(shape) == psd_data.shape:
         return np.array(psd_data, dtype=np.float64)
 

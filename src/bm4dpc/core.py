@@ -6,8 +6,9 @@ phase stabilization, noise estimation and the forward PCA read. From
 the PCA projection to the inverse PCA the components keep that shape
 but are stored voxel-major, as views of (m, n, o, N) arrays, so the
 filtering stages read the N values of a voxel as one row without a
-copy. Every type here is immutable after construction and safe to
-share across workers.
+copy. The fields of every type here cannot be reassigned after
+construction, and no layer writes into the arrays they hold, so the
+types are safe to share across workers.
 """
 
 from dataclasses import dataclass, replace

@@ -210,8 +210,7 @@ def make_colored_kernel() -> np.ndarray:
 
 
 def _kernel_spectrum(kernel, dims) -> np.ndarray:
-    """DFT on `dims` of the kernel zero-padded with its middle voxel at the origin."""
-    kernel = _as_real_grid(kernel, "kernel")
+    """DFT on `dims` of a checked kernel, padded with its middle voxel at the origin."""
     if any(k > d for k, d in zip(kernel.shape, dims)):
         raise ValueError("kernel does not fit in the requested dims")
     pad = np.zeros(dims)
@@ -225,8 +224,11 @@ def kernel_to_psd(kernel, dims) -> NoisePsd:
 
     psi(f) = |DFT(g)|^2 on the full grid, for a real 3D kernel g
     centered on its middle voxel; NoisePsd scales it to unit grid mean,
-    which divides by the squared l2 norm of the kernel (Parseval).
+    which divides by the squared l2 norm of the kernel (Parseval). A
+    kernel that is not real, finite and 3D, or not inside `dims`, raises
+    ValueError.
     """
+    kernel = _as_real_grid(kernel, "kernel")
     return NoisePsd(np.abs(_kernel_spectrum(kernel, dims)) ** 2)
 
 

@@ -30,6 +30,7 @@ from bm4dpc.bm4d.variance import (
     working_dims,
 )
 from bm4dpc.core import NoisePsd, _starts
+from bm4dpc.simulate import kernel_to_psd, make_colored_kernel
 
 from _util import run_stage
 
@@ -352,6 +353,22 @@ class TestBm4dStage:
         with pytest.raises(RuntimeError, match="variance lookup failed"):
             run_stage(channels, psd, stage=1, threads=2)
         assert threading.active_count() == before
+
+    @pytest.mark.parametrize("colored", [False, True], ids=["white", "dog"])
+    def test_zero_slab_stays_finite(self, colored):
+        """Groups of blocks in an exactly zero slab get zero Wiener gains
+        and so the WEIGHT_FLOOR weight; every voxel's weight sum stays
+        positive, the output finite and the slab's far side zero."""
+        rng = np.random.default_rng(13)
+        dims = (17, 19, 9)
+        channels = 5.0 + rng.standard_normal((2,) + dims)
+        channels[:, :9] = 0.0
+        psd = NoisePsd(np.ones(dims))
+        if colored:
+            psd = kernel_to_psd(make_colored_kernel(), dims)
+        out = bm4d_multichannel(channels, psd, threads=2)
+        assert np.all(np.isfinite(out))
+        assert np.all(out[:, :5] == 0.0)
 
     def test_single_channel_supported(self):
         rng = np.random.default_rng(9)

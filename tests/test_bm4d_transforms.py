@@ -43,10 +43,6 @@ class TestDctMatrix:
         mat = dct_matrix(4)
         assert np.allclose(mat[0], 0.5, atol=1e-12)
 
-    def test_size_validated(self):
-        with pytest.raises(ValueError):
-            dct_matrix(0)
-
 
 class TestHaarMatrix:
     def test_known_small_sizes(self):
@@ -74,10 +70,20 @@ class TestHaarMatrix:
             assert np.allclose(haar_matrix(m)[0], 1.0 / np.sqrt(m), atol=1e-12)
 
     def test_power_of_two_required(self):
-        with pytest.raises(ValueError):
-            haar_matrix(3)
-        with pytest.raises(ValueError):
-            haar_matrix(0)
+        """haar_matrix trusts its size; a group of 3 (or 0) blocks still
+        fails in both group transforms."""
+        for m in (3, 0):
+            with pytest.raises(ValueError):
+                group_transform(np.zeros((m, 4, 4, 4, 2)))
+            with pytest.raises(ValueError):
+                group_inverse(np.zeros((m, 4, 4, 4, 2)))
+
+
+@pytest.mark.parametrize("matrix, size", [(dct_matrix, 4), (haar_matrix, 16)])
+def test_cached_matrix_is_read_only(matrix, size):
+    """Every caller shares the cached array, so no caller may write it."""
+    with pytest.raises(ValueError, match="read-only"):
+        matrix(size)[0, 0] *= 1.0000001
 
 
 class TestGroupTransform:
