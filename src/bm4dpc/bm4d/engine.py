@@ -14,18 +14,21 @@ time. Both stages share the block geometry, so `bm4d_multichannel`,
 the one entry point, checks its input against the block and the PSD
 dims, builds the PSD fields and takes the voxel rows once for both.
 
-The whole stage is channel-last. The channels (and the stage-2
-pilot) are read as a (V, C) array of voxel rows, which is a view when
-the stack is voxel-major, as the PCA produces it, and a copy
-otherwise. A block is addressed by one flat voxel index, its corner's
+The whole stage is channel-last and computes in the dtype of its rows.
+The channels (and the stage-2 pilot) are read as a (V, C) array of
+voxel rows; `bm4d_multichannel` casts the channels to float32 once
+(unless a sample is too large for float32 squares), keeping the
+voxel-major layout that the PCA produces, so the rows are a view of
+that one copy. The noise variances are computed in float64 and cast per
+group. A block is addressed by one flat voxel index, its corner's
 raveled index plus `block_offsets`, so each group is one row take of
 shape (M, P, C). Groups are transformed as (M, b0, b1, b2, C) arrays,
 and the filtered blocks add into an (m, n, o, C) numerator without a
 layout change; group weights go into a corner field that
 `_spread_weights` turns into the per-voxel weight sums. The stage
-returns its numerator as (V, C) rows: stage 2 reads them as its pilot,
-and `bm4d_multichannel` returns the stage-2 rows as a voxel-major
-(C, m, n, o) view, so neither copies them.
+returns its numerator as (V, C) rows: stage 2 reads them as its pilot
+without a copy, and `bm4d_multichannel` casts the stage-2 rows to a
+float64 voxel-major (C, m, n, o) array.
 """
 
 import itertools
@@ -39,6 +42,10 @@ from .transforms import group_inverse, group_transform
 from .variance import basis_autocorr, fold_psd, variances_from_fields, working_dims
 
 WEIGHT_FLOOR = 1e-12
+# Channels filter in float32 up to this magnitude. A group's coefficients
+# reach sqrt(M * P) = 45 times its largest sample, and their float32
+# squares overflow past 1.8e19; a larger sample keeps the stages float64.
+FLOAT32_MAX_SAMPLE = 1e15
 
 
 # the standard two-stage settings; both stages share the block geometry
@@ -181,8 +188,11 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     0 of `pilot_rows` (the stage-1 output) and Wiener-filters every
     channel against its own pilot spectrum. The inputs are the ones
     `bm4d_multichannel` checked; the stage checks nothing again, and
-    divides by the weight sums directly. Returns the filtered
-    C-contiguous (V, C) rows.
+    divides by the weight sums directly. The matching, the transforms,
+    the gains, the weights and the sums run in the dtype of `rows`:
+    float32 from `bm4d_multichannel`, unless a sample is beyond
+    FLOAT32_MAX_SAMPLE, and float64 otherwise. Returns the filtered
+    C-contiguous (V, C) rows, of that dtype.
     Identical output for any thread count: worker threads filter the
     groups, and the calling thread adds them up in corner order.
     """
@@ -195,7 +205,7 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     def filter_group(ref):
         positions = _match_from_view(guide, dims, ref, max_group, offsets)
         var = variances_from_fields(fields, positions - positions[0], BLOCK)
-        var = var[..., None]  # broadcast over the channels
+        var = var.astype(rows.dtype)[..., None]  # broadcast over the channels
         idx = np.ravel_multi_index(positions.T, dims)[:, None] + offsets
         group_shape = (len(positions),) + BLOCK + (nchan,)
         coeffs = group_transform(np.take(rows, idx, axis=0).reshape(group_shape))
@@ -210,8 +220,8 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
         blocks *= weight
         return positions, blocks, weight
 
-    num = np.zeros(dims + (nchan,))
-    corner_weight = np.zeros(dims + (nchan,))
+    num = np.zeros(dims + (nchan,), dtype=rows.dtype)
+    corner_weight = np.zeros(dims + (nchan,), dtype=rows.dtype)
     # serial at one thread: a one-worker pool ran gate-colored slower (ROADMAP item 7)
     if threads <= 1:
         for ref in corners:
@@ -236,9 +246,13 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
 def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
     """Full two-stage filtering of a real (C, m, n, o) channel stack.
 
-    Any memory layout is accepted; a voxel-major stack is read without
-    a copy. Returns the filtered (C, m, n, o) array as a voxel-major
-    view of a C-contiguous (m, n, o, C) array.
+    Any memory layout is accepted. Both stages filter in float32: the
+    stack is cast once, keeping a voxel-major layout, and the stages
+    read its voxel rows without a further copy. A stack with a sample
+    beyond FLOAT32_MAX_SAMPLE is filtered in float64 instead, as the
+    float32 squares could overflow. Returns the filtered float64
+    (C, m, n, o) array as a voxel-major view of a C-contiguous
+    (m, n, o, C) array.
     """
     stacked = _channel_stack(channels)
     dims = stacked.shape[1:]
@@ -248,9 +262,13 @@ def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
         raise ValueError("PSD dims must match the channels")
     # the fields' FFT temporaries are freed before any (V, C) row copy exists
     fields = _psd_fields(psd.data)
-    rows = _voxel_rows(stacked)
+    largest = max(stacked.max(), -stacked.min())
+    dtype = np.float32 if largest <= FLOAT32_MAX_SAMPLE else np.float64
+    rows = _voxel_rows(stacked.astype(dtype, copy=False))  # keeps the layout
     pilot_rows = bm4d_stage(rows, dims, fields, stage=1, threads=threads)
     out = bm4d_stage(
         rows, dims, fields, stage=2, pilot_rows=pilot_rows, threads=threads
     )
+    del rows, pilot_rows  # freed before the float64 output is made
+    out = out.astype(np.float64, copy=False)
     return np.moveaxis(out.reshape(dims + (-1,)), -1, 0)

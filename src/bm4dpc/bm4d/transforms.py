@@ -9,7 +9,9 @@ kron(dct(b1), dct(b2)) pass over the (b1 * b2) axis and a dct(b0) pass.
 `dct_matrix` is the one definition of the block DCT; the variance model
 takes its basis spectra from the same rows. Everything is real and
 orthonormal, so coefficient energies and the exact-variance formula
-stay simple.
+stay simple. The cached matrices are float64; a group transform casts
+them to its samples' dtype, so float32 groups are transformed in
+float32.
 """
 
 from functools import lru_cache
@@ -50,24 +52,38 @@ def _plane_dct(b1: int, b2: int) -> np.ndarray:
     return mat
 
 
-def group_transform(samples: np.ndarray) -> np.ndarray:
-    """Forward 4D transform of one group.
+def _group_matrices(shape, dtype):
+    """The Haar, plane-DCT and first-axis DCT matrices of a group shape,
+    cast to `dtype` (the cached float64 tables themselves when it is
+    float64)."""
+    m, b0, b1, b2 = shape[:4]
+    return tuple(
+        mat.astype(dtype, copy=False)
+        for mat in (haar_matrix(m), _plane_dct(b1, b2), dct_matrix(b0))
+    )
 
-    `samples` is float64 (M, b0, b1, b2, ...); trailing axes (such as a
-    channel axis) are carried through untouched. M must be a power of
-    two, as the matched group sizes are; any other M raises ValueError.
+
+def group_transform(samples: np.ndarray) -> np.ndarray:
+    """Forward 4D transform of one group, in the dtype of `samples`.
+
+    `samples` is float32 or float64 (M, b0, b1, b2, ...); trailing axes
+    (such as a channel axis) are carried through untouched. M must be a
+    power of two, as the matched group sizes are; any other M raises
+    ValueError.
     """
     m, b0, b1, b2 = samples.shape[:4]
-    grouped = haar_matrix(m) @ samples.reshape(m, -1)  # (M, P * C)
-    planes = _plane_dct(b1, b2) @ grouped.reshape(m * b0, b1 * b2, -1)
-    coeffs = dct_matrix(b0) @ planes.reshape(m, b0, -1)
+    haar, plane, first = _group_matrices(samples.shape, samples.dtype)
+    grouped = haar @ samples.reshape(m, -1)  # (M, P * C)
+    planes = plane @ grouped.reshape(m * b0, b1 * b2, -1)
+    coeffs = first @ planes.reshape(m, b0, -1)
     return coeffs.reshape(samples.shape)
 
 
 def group_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of group_transform (transposes, transforms orthonormal)."""
     m, b0, b1, b2 = coeffs.shape[:4]
-    planes = dct_matrix(b0).T @ coeffs.reshape(m, b0, -1)
-    grouped = _plane_dct(b1, b2).T @ planes.reshape(m * b0, b1 * b2, -1)
-    blocks = haar_matrix(m).T @ grouped.reshape(m, -1)
+    haar, plane, first = _group_matrices(coeffs.shape, coeffs.dtype)
+    planes = first.T @ coeffs.reshape(m, b0, -1)
+    grouped = plane.T @ planes.reshape(m * b0, b1 * b2, -1)
+    blocks = haar.T @ grouped.reshape(m, -1)
     return blocks.reshape(coeffs.shape)

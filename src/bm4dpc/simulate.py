@@ -225,10 +225,12 @@ def kernel_to_psd(kernel, dims) -> NoisePsd:
     psi(f) = |DFT(g)|^2 on the full grid, for a real 3D kernel g
     centered on its middle voxel; NoisePsd scales it to unit grid mean,
     which divides by the squared l2 norm of the kernel (Parseval). A
-    kernel that is not real, finite and 3D, or not inside `dims`, raises
-    ValueError.
+    kernel that is not real, finite and 3D, `dims` that are not 3
+    entries, or a kernel not inside `dims` raises ValueError.
     """
     kernel = _as_real_grid(kernel, "kernel")
+    if len(dims) != 3:
+        raise ValueError("dims must have 3 entries")
     return NoisePsd(np.abs(_kernel_spectrum(kernel, dims)) ** 2)
 
 

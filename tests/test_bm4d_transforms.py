@@ -98,6 +98,19 @@ class TestGroupTransform:
             back = group_inverse(group_transform(group))
             assert np.max(np.abs(back - group)) <= 1e-10
 
+    def test_float32_group_stays_float32(self):
+        """A float32 group is transformed in float32, within float32
+        rounding of the float64 transform; the cached matrices stay
+        float64."""
+        rng = np.random.default_rng(3)
+        group = rng.standard_normal((16, 4, 4, 4, 3))
+        coeffs = group_transform(group.astype(np.float32))
+        back = group_inverse(coeffs)
+        assert coeffs.dtype == back.dtype == np.float32
+        assert np.max(np.abs(coeffs - group_transform(group))) <= 1e-5
+        assert np.max(np.abs(back - group)) <= 1e-5
+        assert haar_matrix(16).dtype == dct_matrix(4).dtype == np.float64
+
     def test_parseval(self):
         rng = np.random.default_rng(2)
         group = rng.standard_normal((8, 4, 4, 4))

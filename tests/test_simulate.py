@@ -163,6 +163,11 @@ class TestKernelToPsd:
         with pytest.raises(ValueError):
             kernel_to_psd(kernel, (16, 16, 4))
 
+    @pytest.mark.parametrize("dims", [(8, 8), (8, 8, 8, 8)])
+    def test_dims_need_three_entries(self, dims):
+        with pytest.raises(ValueError, match="dims must have 3 entries"):
+            kernel_to_psd(np.ones((3, 3, 1)) / 3, dims)
+
     def test_monte_carlo_psd_oracle(self):
         """Empirical per-frequency variance of spatially convolved draws
         (independent wrap-mode spatial convolution) matches the PSD."""
