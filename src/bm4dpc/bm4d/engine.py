@@ -16,8 +16,11 @@ dims, builds the PSD fields and takes the voxel rows once for both.
 
 The whole stage is channel-last and computes in the dtype of its rows.
 The channels (and the stage-2 pilot) are read as a (V, C) array of
-voxel rows; `bm4d_multichannel` casts the channels to float32 once
-(unless a sample is too large for float32 squares), keeping the
+voxel rows. One function, `as_filter_dtype`, holds the dtype rule:
+float32, unless a sample is too large for float32 squares. The
+pipeline casts the PCs with it and drops the float64 PCs before it
+calls `bm4d_multichannel`; the driver applies it again for any other
+caller, and uses a float32 stack as it is. The cast keeps the
 voxel-major layout that the PCA produces, so the rows are a view of
 that one copy. The noise variances are computed in float64 and cast per
 group. A block is addressed by one flat voxel index, its corner's
@@ -150,19 +153,35 @@ def _spread_weights(corner_weight, block) -> np.ndarray:
 
 
 def _channel_stack(channels) -> np.ndarray:
-    """A real, finite (C, m, n, o) array with C >= 1, as float64.
+    """A real, finite (C, m, n, o) array with C >= 1, float32 or float64.
 
-    The memory layout is kept as given (no copy of a float64 array), so
-    a voxel-major stack stays voxel-major.
+    A float32 stack is kept as it is, any other dtype is cast to
+    float64, and the memory layout is kept as given (no copy of a
+    float32 or float64 array), so a voxel-major stack stays
+    voxel-major.
     """
     if np.iscomplexobj(channels):
         raise ValueError("channels must be real")
-    stacked = np.asarray(channels, dtype=np.float64)
+    stacked = np.asarray(channels)
+    if stacked.dtype != np.float32:
+        stacked = stacked.astype(np.float64, copy=False)
     if stacked.ndim != 4 or len(stacked) == 0:
         raise ValueError("need a (C, m, n, o) array of at least one channel")
     if not np.all(np.isfinite(stacked)):
         raise ValueError("channels contain non-finite samples")
     return stacked
+
+
+def as_filter_dtype(stack) -> np.ndarray:
+    """`stack` in the dtype the stages filter in, its layout kept.
+
+    Float32, unless a sample is beyond FLOAT32_MAX_SAMPLE or not
+    finite, as float32 squares could overflow; then float64. No copy
+    when the stack has that dtype already.
+    """
+    largest = max(stack.max(), -stack.min())
+    dtype = np.float32 if largest <= FLOAT32_MAX_SAMPLE else np.float64
+    return stack.astype(dtype, copy=False)
 
 
 def _voxel_rows(stacked) -> np.ndarray:
@@ -246,13 +265,14 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
 def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
     """Full two-stage filtering of a real (C, m, n, o) channel stack.
 
-    Any memory layout is accepted. Both stages filter in float32: the
-    stack is cast once, keeping a voxel-major layout, and the stages
-    read its voxel rows without a further copy. A stack with a sample
-    beyond FLOAT32_MAX_SAMPLE is filtered in float64 instead, as the
-    float32 squares could overflow. Returns the filtered float64
-    (C, m, n, o) array as a voxel-major view of a C-contiguous
-    (m, n, o, C) array.
+    Any memory layout is accepted. Both stages filter in the dtype of
+    `as_filter_dtype`, float32 for a stack with no sample beyond
+    FLOAT32_MAX_SAMPLE (float32 squares could overflow past it) and
+    float64 otherwise. A float32 stack, as the pipeline passes its PCs,
+    is used as it is; any other is cast once here, keeping a
+    voxel-major layout, and the stages read its voxel rows without a
+    further copy. Returns the filtered float64 (C, m, n, o) array as a
+    voxel-major view of a C-contiguous (m, n, o, C) array.
     """
     stacked = _channel_stack(channels)
     dims = stacked.shape[1:]
@@ -262,9 +282,7 @@ def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
         raise ValueError("PSD dims must match the channels")
     # the fields' FFT temporaries are freed before any (V, C) row copy exists
     fields = _psd_fields(psd.data)
-    largest = max(stacked.max(), -stacked.min())
-    dtype = np.float32 if largest <= FLOAT32_MAX_SAMPLE else np.float64
-    rows = _voxel_rows(stacked.astype(dtype, copy=False))  # keeps the layout
+    rows = _voxel_rows(as_filter_dtype(stacked))
     pilot_rows = bm4d_stage(rows, dims, fields, stage=1, threads=threads)
     out = bm4d_stage(
         rows, dims, fields, stage=2, pilot_rows=pilot_rows, threads=threads

@@ -76,14 +76,23 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
     first and C-contiguous, so one raveled lag picks a row of all P.
     The block fits the working grid, as `working_dims` keeps every axis
     at least the block of a volume the engine checked.
+
+    The fields are filled one slab of b1*b2 basis functions at a time,
+    one slab per row k0 of the first-axis spectra, so the transient
+    spectra and their complex transforms cover one slab, a b0-th of
+    the basis functions, at a time.
     """
     work = psi_work.shape
     s0, s1, s2 = (np.abs(np.fft.fft(dct_matrix(b), n=w)) ** 2
                   for b, w in zip(block, work))
-    spectra = np.einsum("ax,by,cz,xyz->xyzabc", s0, s1, s2, psi_work)
-    spectra = spectra.reshape(work + (-1,))  # a copy: frees einsum's strided output
-    fields = np.fft.ifftn(spectra, axes=(0, 1, 2))
-    return np.ascontiguousarray(fields.real)
+    slab = block[1] * block[2]
+    fields = np.empty(work + (block[0] * slab,))
+    spectra = np.empty(work + block[1:])
+    for k0, row in enumerate(s0):
+        np.einsum("x,by,cz,xyz->xyzbc", row, s1, s2, psi_work, out=spectra)
+        transformed = np.fft.ifftn(spectra.reshape(work + (slab,)), axes=(0, 1, 2))
+        fields[..., k0 * slab:(k0 + 1) * slab] = transformed.real
+    return fields
 
 
 @lru_cache(maxsize=None)

@@ -19,6 +19,7 @@ from bm4dpc.bm4d.engine import (
     _match_from_view,
     _spread_weights,
     _voxel_rows,
+    as_filter_dtype,
     block_offsets,
     wiener_shrink,
 )
@@ -450,6 +451,26 @@ class TestChannelLayout:
         copied = _voxel_rows(_channel_stack(c_ordered))
         assert not np.shares_memory(copied, c_ordered)
         assert np.array_equal(copied, rows)
+
+    def test_float32_stack_kept(self, monkeypatch):
+        """A float32 stack, as the pipeline hands over its PCs, is the
+        stages' one copy: checked, cast and read as rows without a
+        float64 or float32 copy, and filtered to the bytes of its
+        float64 values."""
+        rng = np.random.default_rng(15)
+        dims = (10, 9, 8)
+        voxel_major = np.moveaxis(rng.standard_normal(dims + (3,)), -1, 0)
+        single = as_filter_dtype(voxel_major)
+        assert single.dtype == np.float32
+        assert _channel_stack(single) is single
+        assert as_filter_dtype(single) is single
+        assert np.shares_memory(_voxel_rows(single), single)
+        _use_small_geometry(monkeypatch)
+        psd = NoisePsd(np.ones(dims))
+        out = bm4d_multichannel(single, psd)
+        assert np.array_equal(out, bm4d_multichannel(voxel_major, psd))
+        large = 2.0**60 * voxel_major
+        assert as_filter_dtype(large) is large
 
     def test_output_independent_of_input_layout(self, monkeypatch):
         rng = np.random.default_rng(14)

@@ -7,6 +7,8 @@ longer one even for white noise.  The Monte-Carlo oracle covers the
 correlated, overlapping case.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,33 @@ class TestBasisAutocorr:
         assert fields.flags.c_contiguous
         ref = padded_basis_autocorr(psi, block)
         assert np.max(np.abs(fields - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("block", [(4, 4, 4), (2, 3, 4)])
+    @pytest.mark.parametrize("work", [(28, 28, 16), (17, 19, 9)])
+    def test_matches_one_shot_build(self, block, work):
+        """Built one slab of basis functions at a time, the fields have
+        the bytes of one einsum over all basis functions followed by
+        one ifftn."""
+        psi = np.random.default_rng(6).random(work)
+        s0, s1, s2 = (np.abs(np.fft.fft(dct_matrix(b), n=w)) ** 2
+                      for b, w in zip(block, work))
+        spectra = np.einsum("ax,by,cz,xyz->xyzabc", s0, s1, s2, psi)
+        ref = np.fft.ifftn(spectra.reshape(work + (-1,)), axes=(0, 1, 2)).real
+        assert np.array_equal(basis_autocorr(psi, block), ref)
+
+    def test_peak_memory_below_three_fields(self):
+        """A slab's spectra and their complex transforms cover a b0-th
+        of the basis functions, so the build peaks below 3x its output;
+        the one-shot build peaked at 5x."""
+        psi = np.random.default_rng(7).random((28, 28, 16))
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            fields = basis_autocorr(psi, (4, 4, 4))
+            peak = tracemalloc.get_traced_memory()[1] - start
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.0 * fields.nbytes
 
     def test_flat_psd_zero_lag(self):
         """For unit white noise every orthonormal basis coefficient has

@@ -1,5 +1,7 @@
 """End-to-end denoising chain behavior."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -172,6 +174,37 @@ class TestPsdFields:
         )
         denoise_bm4dpc(ds, NoiseMap(np.full(ds.dims, 0.5)), NoisePsd(np.ones(ds.dims)))
         assert calls == {"basis_autocorr": 1, "_channel_stack": 1}
+
+
+class TestMemory:
+    def test_float64_pcs_dropped_before_stage_1(self, monkeypatch):
+        """The PCs are cast to the stages' float32 before filtering and
+        the float64 PCs dropped: at stage 1 the pipeline holds half a
+        series beyond the caller's, where the float64 PCs next to their
+        float32 rows made it 1.5 series."""
+        rng = np.random.default_rng(8)
+        ds = DwiDataset(1.0 + rng.standard_normal((32, 16, 16, 12)),
+                        np.array([0.0] * 4 + [1000.0] * 28))
+        noise_map, psd = NoiseMap(np.full(ds.dims, 0.5)), NoisePsd(np.ones(ds.dims))
+        # the PSD fields are PC-independent set-up, made before tracing
+        fields = engine._psd_fields(psd.data)
+        monkeypatch.setattr(engine, "_psd_fields", lambda psd_data: fields)
+        stage = engine.bm4d_stage
+        alive = []
+
+        def recorded(*args, **kwargs):
+            alive.append(tracemalloc.get_traced_memory()[0] - start)
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "bm4d_stage", recorded)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            denoise_bm4dpc(ds, noise_map, psd)
+        finally:
+            tracemalloc.stop()
+        assert len(alive) == 2
+        assert alive[0] < 0.75 * ds.data.nbytes
 
 
 class TestPipelineValidation:
