@@ -16,22 +16,21 @@ dims, builds the PSD fields and takes the voxel rows once for both.
 
 The whole stage is channel-last and computes in the dtype of its rows.
 The channels (and the stage-2 pilot) are read as a (V, C) array of
-voxel rows. One function, `as_filter_dtype`, holds the dtype rule:
-float32, unless a sample is too large for float32 squares. The
-pipeline casts the PCs with it and drops the float64 PCs before it
-calls `bm4d_multichannel`; the driver applies it again for any other
-caller, and uses a float32 stack as it is. The cast keeps the
-voxel-major layout that the PCA produces, so the rows are a view of
-that one copy. The noise variances are computed in float64 and cast per
-group. A block is addressed by one flat voxel index, its corner's
-raveled index plus `block_offsets`, so each group is one row take of
-shape (M, P, C). Groups are transformed as (M, b0, b1, b2, C) arrays,
+voxel rows, a view of the (m, n, o, C) stack. One function,
+`as_filter_dtype`, holds the dtype rule: float32, unless a sample is
+too large for float32 squares. The pipeline casts the PCs with it and
+drops the float64 PCs before it calls `bm4d_multichannel`; the driver
+applies it again for any other caller, and uses a float32 stack as it
+is. The noise variances are computed in float64 and cast per group. A
+block is addressed by one flat voxel index, its corner's raveled index
+plus `block_offsets`, so each group is one row take of shape
+(M, P, C). Groups are transformed as (M, b0, b1, b2, C) arrays,
 and the filtered blocks add into an (m, n, o, C) numerator without a
 layout change; group weights go into a corner field that
 `_spread_weights` turns into the per-voxel weight sums. The stage
 returns its numerator as (V, C) rows: stage 2 reads them as its pilot
 without a copy, and `bm4d_multichannel` casts the stage-2 rows to a
-float64 voxel-major (C, m, n, o) array.
+float64 (m, n, o, C) array.
 """
 
 import itertools
@@ -153,20 +152,18 @@ def _spread_weights(corner_weight, block) -> np.ndarray:
 
 
 def _channel_stack(channels) -> np.ndarray:
-    """A real, finite (C, m, n, o) array with C >= 1, float32 or float64.
+    """A real, finite (m, n, o, C) array with C >= 1, float32 or float64.
 
-    A float32 stack is kept as it is, any other dtype is cast to
-    float64, and the memory layout is kept as given (no copy of a
-    float32 or float64 array), so a voxel-major stack stays
-    voxel-major.
+    A float32 stack is kept as it is and any other dtype is cast to
+    float64; a float32 or float64 array is not copied.
     """
     if np.iscomplexobj(channels):
         raise ValueError("channels must be real")
     stacked = np.asarray(channels)
     if stacked.dtype != np.float32:
         stacked = stacked.astype(np.float64, copy=False)
-    if stacked.ndim != 4 or len(stacked) == 0:
-        raise ValueError("need a (C, m, n, o) array of at least one channel")
+    if stacked.ndim != 4 or stacked.shape[-1] == 0:
+        raise ValueError("need an (m, n, o, C) array of at least one channel")
     if not np.all(np.isfinite(stacked)):
         raise ValueError("channels contain non-finite samples")
     return stacked
@@ -182,14 +179,6 @@ def as_filter_dtype(stack) -> np.ndarray:
     largest = max(stack.max(), -stack.min())
     dtype = np.float32 if largest <= FLOAT32_MAX_SAMPLE else np.float64
     return stack.astype(dtype, copy=False)
-
-
-def _voxel_rows(stacked) -> np.ndarray:
-    """The C-contiguous (V, C) rows of a (C, m, n, o) stack, one per voxel.
-
-    A view of a voxel-major stack; any other layout is copied.
-    """
-    return np.ascontiguousarray(stacked.reshape(len(stacked), -1).T)
 
 
 def _psd_fields(psd_data) -> np.ndarray:
@@ -263,30 +252,28 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
 
 
 def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
-    """Full two-stage filtering of a real (C, m, n, o) channel stack.
+    """Full two-stage filtering of a real (m, n, o, C) channel stack.
 
-    Any memory layout is accepted. Both stages filter in the dtype of
-    `as_filter_dtype`, float32 for a stack with no sample beyond
-    FLOAT32_MAX_SAMPLE (float32 squares could overflow past it) and
-    float64 otherwise. A float32 stack, as the pipeline passes its PCs,
-    is used as it is; any other is cast once here, keeping a
-    voxel-major layout, and the stages read its voxel rows without a
-    further copy. Returns the filtered float64 (C, m, n, o) array as a
-    voxel-major view of a C-contiguous (m, n, o, C) array.
+    Both stages filter in the dtype of `as_filter_dtype`, float32 for a
+    stack with no sample beyond FLOAT32_MAX_SAMPLE (float32 squares
+    could overflow past it) and float64 otherwise. A float32 stack, as
+    the pipeline passes its PCs, is used as it is; any other is cast
+    once here. The stages read the stack's (V, C) voxel rows, a view of
+    a C-contiguous stack. Returns the filtered C-contiguous float64
+    (m, n, o, C) array.
     """
     stacked = _channel_stack(channels)
-    dims = stacked.shape[1:]
+    dims = stacked.shape[:3]
     if any(b > d for b, d in zip(BLOCK, dims)):
         raise ValueError("volume smaller than the block")
     if psd.dims != dims:
         raise ValueError("PSD dims must match the channels")
     # the fields' FFT temporaries are freed before any (V, C) row copy exists
     fields = _psd_fields(psd.data)
-    rows = _voxel_rows(as_filter_dtype(stacked))
+    rows = as_filter_dtype(stacked).reshape(-1, stacked.shape[-1])
     pilot_rows = bm4d_stage(rows, dims, fields, stage=1, threads=threads)
     out = bm4d_stage(
         rows, dims, fields, stage=2, pilot_rows=pilot_rows, threads=threads
     )
     del rows, pilot_rows  # freed before the float64 output is made
-    out = out.astype(np.float64, copy=False)
-    return np.moveaxis(out.reshape(dims + (-1,)), -1, 0)
+    return out.astype(np.float64, copy=False).reshape(dims + (-1,))

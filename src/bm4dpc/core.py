@@ -1,14 +1,10 @@
 """Shared domain types.
 
 A series of N volumes of dims (m, n, o) is one array of shape
-(N, m, n, o). `DwiDataset.data` stores it C-contiguous, the layout
-phase stabilization, noise estimation and the forward PCA read. From
-the PCA projection to the inverse PCA the components keep that shape
-but are stored voxel-major, as views of (m, n, o, N) arrays, so the
-filtering stages read the N values of a voxel as one row without a
-copy. The fields of every type here cannot be reassigned after
-construction, and no layer writes into the arrays they hold, so the
-types are safe to share across workers.
+(N, m, n, o), which `DwiDataset.data` stores C-contiguous. The fields
+of every type here cannot be reassigned after construction, and no
+layer writes into the arrays they hold, so the types are safe to share
+across workers.
 """
 
 from dataclasses import dataclass, replace

@@ -239,11 +239,16 @@ def group_shells(bvals, tolerance: float = SHELL_TOLERANCE) -> ShellTable:
 
     Values are scanned in ascending order; a new shell starts when a
     value exceeds the running shell center (mean of members so far) by
-    more than `tolerance`.
+    more than `tolerance`. The b-values must be a non-empty 1D list of
+    finite, nonnegative values and the tolerance finite and nonnegative.
     """
-    if tolerance < 0:
-        raise ValueError("tolerance must be nonnegative")
+    if not (np.isfinite(tolerance) and tolerance >= 0):
+        raise ValueError("tolerance must be finite and nonnegative")
     bvals = np.asarray(bvals, dtype=np.float64)
+    if bvals.ndim != 1 or bvals.size == 0:
+        raise ValueError("need a non-empty 1D list of b-values")
+    if not np.all(np.isfinite(bvals)) or np.any(bvals < 0):
+        raise ValueError("b-values must be finite and nonnegative")
     order = np.argsort(bvals, kind="stable")
 
     centers, members = [], []

@@ -33,21 +33,28 @@ def _data(x) -> np.ndarray:
     return np.asarray(getattr(x, "data", x))
 
 
+def _finite(what: str, samples: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(samples)):
+        raise ValueError(f"{what} contains non-finite samples")
+    return samples
+
+
 def _real_pair(gt, test):
-    """The two volumes' arrays, checked to share dims and to be real."""
+    """The two volumes' arrays, checked to share dims, to be real and
+    to be finite."""
     a, b = _data(gt), _data(test)
     if a.shape != b.shape:
         raise ValueError("dims mismatch")
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         raise ValueError("metrics expect real volumes; phase-stabilize first")
-    return a, b
+    return _finite("gt", a), _finite("test", b)
 
 
 def psnr(gt: Volume3, test: Volume3) -> float:
     """Peak signal-to-noise ratio in dB; +inf when the volumes agree.
 
     Peak = max |reference|; mean squared error over all voxels. Both
-    volumes must be real.
+    volumes must be real and finite.
     """
     a, b = _real_pair(gt, test)
     peak = float(np.abs(a).max())
@@ -68,7 +75,7 @@ def ssim(gt: Volume3, test: Volume3) -> float:
 
     Gaussian weighting (sigma 1.5), uncorrected local moments, dynamic
     range from the reference. Borders within half a window of the edge
-    are excluded from the mean. Both volumes must be real.
+    are excluded from the mean. Both volumes must be real and finite.
     """
     a, b = _real_pair(gt, test)
     pad = SSIM_WINDOW // 2
@@ -96,14 +103,15 @@ def ssim(gt: Volume3, test: Volume3) -> float:
 
 
 def rmse_map(gt_map, test_map, mask) -> float:
-    """Root mean squared difference over the masked voxels."""
+    """Root mean squared difference over the masked voxels, which must
+    be finite in both maps."""
     a, b = _data(gt_map), _data(test_map)
     m = _data(mask).astype(bool)
     if a.shape != b.shape or a.shape != m.shape:
         raise ValueError("dims mismatch")
     if not m.any():
         raise ValueError("empty mask")
-    diff = a[m] - b[m]
+    diff = _finite("gt_map", a[m]) - _finite("test_map", b[m])
     return float(np.sqrt(np.mean(diff * diff)))
 
 
@@ -225,7 +233,7 @@ def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
         evals = pc.eigenvalues
         noise = evals - evals[-1] < spread_scale * np.cumsum(evals[::-1])[::-1]
         if noise.any():  # zero the noise tail
-            pc.pcs[np.argmax(noise):] = 0.0
+            pc.pcs[..., np.argmax(noise):] = 0.0
             patch = inverse_pca(pc.pcs, pc.basis) + means
         num[sl] += patch
         den[sl[1:]] += 1.0

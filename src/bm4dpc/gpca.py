@@ -20,10 +20,9 @@ class PcStack:
 
     Attributes
     ----------
-    pcs : ndarray (N, ...)
-        PC j is sum_i basis[i, j] * stack[i], strongest first; same
-        shape as the input stack, stored voxel-major (the channel axis
-        is the fastest-varying one in memory).
+    pcs : ndarray (..., N)
+        PC j is pcs[..., j] = sum_i basis[i, j] * stack[i], strongest
+        first; C-contiguous, channel-last.
     basis : ndarray (N, N)
         Orthonormal eigenvector columns of the Gram matrix, each up to
         sign.
@@ -50,10 +49,8 @@ def forward_pca(stack: np.ndarray) -> PcStack:
     Returns
     -------
     PcStack
-        PCs of the stack's shape ordered by descending eigenvalue. The
-        PCs are a view of one (W, N) product, so the N values of a
-        voxel sit side by side: the channel-last layout the filtering
-        stages read without a copy.
+        PCs of shape stack.shape[1:] + (N,), ordered by descending
+        eigenvalue.
     """
     N = stack.shape[0]
     X = stack.reshape(N, -1)
@@ -62,17 +59,15 @@ def forward_pca(stack: np.ndarray) -> PcStack:
     eigenvalues = np.clip(eigenvalues[::-1], 0.0, None)
     basis = basis[:, ::-1].copy()  # C-contiguous, as BLAS takes it
     pcs = (X.T @ basis).reshape(stack.shape[1:] + (N,))
-    return PcStack(np.moveaxis(pcs, -1, 0), basis, eigenvalues)
+    return PcStack(pcs, basis, eigenvalues)
 
 
 def inverse_pca(pcs: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """Reconstruct the stack from (possibly filtered) PCs.
+    """Reconstruct the stack from (possibly filtered) (..., N) PCs.
 
-    Volume i is sum_j basis[i, j] * pcs[j], returned C-contiguous in
-    the shape of `pcs`; `basis` is the orthonormal N x N basis of
-    `forward_pca`. Voxel-major PCs, as `forward_pca` and the filtering
-    stages return them, are read in place as a transposed matrix
-    operand.
+    Volume i is sum_j basis[i, j] * pcs[..., j], returned as a
+    C-contiguous (N, ...) stack; `basis` is the orthonormal N x N basis
+    of `forward_pca`.
     """
     n = basis.shape[0]
-    return (basis @ pcs.reshape(n, -1)).reshape(pcs.shape)
+    return (basis @ pcs.reshape(-1, n).T).reshape((n,) + pcs.shape[:-1])

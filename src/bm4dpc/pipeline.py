@@ -4,9 +4,7 @@ The full chain: phase stabilization makes complex data real, the noise map
 and PSD are estimated from the highest shell (or taken from the
 caller), volumes are normalized by the clamped map, decorrelated by
 global PCA, every component is collaboratively filtered under the
-shared PSD, and the result is rotated and rescaled back. The volumes
-travel as one (N, m, n, o) array, the layout `DwiDataset.data` stores.
-The method's fixed settings are module constants of the layer that
+shared PSD, and the result is rotated and rescaled back. The method's fixed settings are module constants of the layer that
 uses them; the caller supplies only the data and, optionally, the
 noise statistics.
 """

@@ -18,19 +18,19 @@ def shell_mean_psnr(gt_dataset, test_dataset, center, tol=50.0):
 
 
 def run_stage(channels, psd, stage, pilot=None, threads=1):
-    """One engine stage on a (C, m, n, o) stack, given the inputs that
+    """One engine stage on an (m, n, o, C) stack, given the inputs that
     `bm4d_multichannel` prepares: its voxel rows and the PSD fields.
 
-    Returns the filtered (C, m, n, o) stack.
+    Returns the filtered (m, n, o, C) stack.
     """
     stacked = np.asarray(channels, dtype=np.float64)
-    dims = stacked.shape[1:]
-    pilot_rows = None if pilot is None else engine._voxel_rows(pilot)
+    dims, nchan = stacked.shape[:3], stacked.shape[-1]
+    pilot_rows = None if pilot is None else pilot.reshape(-1, nchan)
     rows = engine.bm4d_stage(
-        engine._voxel_rows(stacked), dims, engine._psd_fields(psd.data),
+        stacked.reshape(-1, nchan), dims, engine._psd_fields(psd.data),
         stage=stage, pilot_rows=pilot_rows, threads=threads,
     )
-    return np.moveaxis(rows.reshape(dims + (-1,)), -1, 0)
+    return rows.reshape(stacked.shape)
 
 
 def group_variances(psd, positions):

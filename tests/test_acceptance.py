@@ -135,7 +135,7 @@ def test_criterion_8_transform_and_pca_exactness(monkeypatch):
     restored = inverse_pca(stack.pcs, stack.basis)
     round_trip = np.linalg.norm(restored - matrix) / np.linalg.norm(matrix)
 
-    channels = rng.standard_normal((1, 16, 16, 16))
+    channels = rng.standard_normal((16, 16, 16, 1))
     monkeypatch.setattr(engine, "HT_THRESHOLD", 0.0)
     out = run_stage(channels, NoisePsd(np.ones((16, 16, 16))), stage=1)
     identity = np.max(np.abs(out - channels))

@@ -18,7 +18,6 @@ from bm4dpc.bm4d.engine import (
     _ht_core,
     _match_from_view,
     _spread_weights,
-    _voxel_rows,
     as_filter_dtype,
     block_offsets,
     wiener_shrink,
@@ -128,7 +127,7 @@ class TestMatchBlocks:
         float64 guide's corners in the same order at every reference
         corner."""
         normalized = colored_stabilized.data / clamp_sigma(colored_arm["sigma"].data)
-        guide = forward_pca(normalized).pcs[0]
+        guide = forward_pca(normalized).pcs[..., 0]
         dims = guide.shape
         offsets = block_offsets(dims, engine.BLOCK)
         exact, rounded = guide.ravel(), guide.astype(np.float32).ravel()
@@ -238,7 +237,7 @@ def _aggregate(groups, dims):
     """(num, den) after adding (positions, blocks, weights) groups.
 
     `blocks` are (M, b0, b1, b2, C), channel-last like the stage's, and
-    unweighted; the channel-last sums come back as (C, m, n, o) views.
+    unweighted; the sums are (m, n, o, C).
     """
     nchan = groups[0][1].shape[-1]
     num = np.zeros(dims + (nchan,))
@@ -246,8 +245,7 @@ def _aggregate(groups, dims):
     for positions, blocks, weights in groups:
         weights = np.asarray(weights)
         _add_group(num, corner_weight, np.asarray(positions), blocks * weights, weights)
-    den = _spread_weights(corner_weight, blocks.shape[1:4])
-    return np.moveaxis(num, -1, 0), np.moveaxis(den, -1, 0)
+    return num, _spread_weights(corner_weight, blocks.shape[1:4])
 
 
 class TestAggregate:
@@ -255,7 +253,7 @@ class TestAggregate:
         rng = np.random.default_rng(7)
         blocks = rng.standard_normal((1, 4, 4, 4, 1))
         num, den = _aggregate([([[2, 3, 1]], blocks, [1.0])], (8, 8, 8))
-        inside = (0, slice(2, 6), slice(3, 7), slice(1, 5))
+        inside = (slice(2, 6), slice(3, 7), slice(1, 5), 0)
         assert np.allclose(num[inside] / den[inside], blocks[0, ..., 0], atol=1e-12)
         num[inside] = 0.0
         den[inside] = 0.0
@@ -272,10 +270,10 @@ class TestAggregate:
             (6, 4, 4),
         )
         out = num / den
-        assert np.allclose(out[:, 0:2], 2.0, atol=1e-12)
-        assert np.allclose(out[0, 2:4], 3.5, atol=1e-12)  # (3*2 + 1*8) / 4
-        assert np.allclose(out[1, 2:4], 5.0, atol=1e-12)
-        assert np.allclose(out[:, 4:6], 8.0, atol=1e-12)
+        assert np.allclose(out[0:2], 2.0, atol=1e-12)
+        assert np.allclose(out[2:4, ..., 0], 3.5, atol=1e-12)  # (3*2 + 1*8) / 4
+        assert np.allclose(out[2:4, ..., 1], 5.0, atol=1e-12)
+        assert np.allclose(out[4:6], 8.0, atol=1e-12)
 
     def test_spread_equals_block_coverage_non_cubic(self):
         """The box sum of corner weights equals adding each weight over
@@ -304,10 +302,10 @@ def bm4d_noise_bench():
     """Two smooth channels plus unit white noise on a 16^3 grid."""
     rng = np.random.default_rng(10)
     dims = (16, 16, 16)
-    clean = np.stack([_smooth_signal(rng, dims, 6.0), _smooth_signal(rng, dims, 3.0)])
-    noisy = np.stack([c + rng.standard_normal(dims) for c in clean])
+    clean = [_smooth_signal(rng, dims, 6.0), _smooth_signal(rng, dims, 3.0)]
+    noisy = np.stack([c + rng.standard_normal(dims) for c in clean], axis=-1)
     psd = NoisePsd(np.ones(dims))
-    return clean, noisy, psd
+    return np.stack(clean, axis=-1), noisy, psd
 
 
 @pytest.fixture(scope="module")
@@ -320,7 +318,7 @@ class TestBm4dStage:
     def test_zero_threshold_is_identity(self, monkeypatch):
         monkeypatch.setattr(engine, "HT_THRESHOLD", 0.0)
         rng = np.random.default_rng(8)
-        channels = rng.standard_normal((1, 16, 16, 16))
+        channels = rng.standard_normal((16, 16, 16, 1))
         psd = NoisePsd(np.ones((16, 16, 16)))
         out = run_stage(channels, psd, stage=1)
         assert out.shape == channels.shape
@@ -329,17 +327,17 @@ class TestBm4dStage:
     def test_stage1_reduces_noise(self, bm4d_noise_bench, bm4d_bench_stage1):
         clean, noisy, _ = bm4d_noise_bench
         pilots = bm4d_bench_stage1
-        for c in range(len(clean)):
-            mse_in = np.mean((noisy[c] - clean[c]) ** 2)
-            mse_out = np.mean((pilots[c] - clean[c]) ** 2)
+        for c in range(clean.shape[-1]):
+            mse_in = np.mean((noisy[..., c] - clean[..., c]) ** 2)
+            mse_out = np.mean((pilots[..., c] - clean[..., c]) ** 2)
             assert mse_out < 0.5 * mse_in
 
     def test_two_stage_beats_stage1(self, bm4d_noise_bench, bm4d_bench_stage1):
         clean, noisy, psd = bm4d_noise_bench
         pilots = bm4d_bench_stage1
         final = bm4d_multichannel(noisy, psd)
-        mse_pilot = np.mean((pilots[0] - clean[0]) ** 2)
-        mse_final = np.mean((final[0] - clean[0]) ** 2)
+        mse_pilot = np.mean((pilots[..., 0] - clean[..., 0]) ** 2)
+        mse_final = np.mean((final[..., 0] - clean[..., 0]) ** 2)
         assert mse_final < mse_pilot
 
     def test_thread_count_does_not_change_output(self, bm4d_noise_bench):
@@ -353,7 +351,7 @@ class TestBm4dStage:
         unit search radius gives groups of 8 blocks at the corners."""
         rng = np.random.default_rng(11)
         dims = (11, 13, 9)
-        channels = rng.standard_normal((2,) + dims)
+        channels = rng.standard_normal(dims + (2,))
         psd = NoisePsd(np.ones(dims))
         monkeypatch.setattr(engine, "SEARCH_RADIUS", (1, 1, 1))
         with monkeypatch.context() as identity:
@@ -370,7 +368,7 @@ class TestBm4dStage:
 
         monkeypatch.setattr(engine, "variances_from_fields", fail)
         rng = np.random.default_rng(12)
-        channels = rng.standard_normal((1, 16, 16, 16))
+        channels = rng.standard_normal((16, 16, 16, 1))
         psd = NoisePsd(np.ones((16, 16, 16)))
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="variance lookup failed"):
@@ -384,14 +382,14 @@ class TestBm4dStage:
         positive, the output finite and the slab's far side zero."""
         rng = np.random.default_rng(13)
         dims = (17, 19, 9)
-        channels = 5.0 + rng.standard_normal((2,) + dims)
-        channels[:, :9] = 0.0
+        channels = 5.0 + rng.standard_normal(dims + (2,))
+        channels[:9] = 0.0
         psd = NoisePsd(np.ones(dims))
         if colored:
             psd = kernel_to_psd(make_colored_kernel(), dims)
         out = bm4d_multichannel(channels, psd, threads=2)
         assert np.all(np.isfinite(out))
-        assert np.all(out[:, :5] == 0.0)
+        assert np.all(out[:5] == 0.0)
 
     def test_large_samples_filter_in_float64(self):
         """Components of noise-free data under a near-zero noise map
@@ -401,7 +399,7 @@ class TestBm4dStage:
         in this suite)."""
         rng = np.random.default_rng(17)
         dims = (12, 12, 12)
-        channels = 2.0**60 * (5.0 + rng.standard_normal((2,) + dims))
+        channels = 2.0**60 * (5.0 + rng.standard_normal(dims + (2,)))
         psd = NoisePsd(np.ones(dims))
         pilot = run_stage(channels, psd, stage=1)
         expected = run_stage(channels, psd, stage=2, pilot=pilot)
@@ -411,78 +409,94 @@ class TestBm4dStage:
 
     def test_single_channel_supported(self):
         rng = np.random.default_rng(9)
-        channels = _smooth_signal(rng, (12, 12, 12), 5.0)[None]
+        channels = _smooth_signal(rng, (12, 12, 12), 5.0)[..., None]
         psd = NoisePsd(np.ones((12, 12, 12)))
         out = bm4d_multichannel(channels, psd)
-        assert out.shape == (1, 12, 12, 12)
+        assert out.shape == (12, 12, 12, 1)
         assert out.dtype == np.float64
 
     def test_input_validation(self):
         """`bm4d_multichannel` checks its input once, for both stages."""
         psd = NoisePsd(np.ones((8, 8, 8)))
         with pytest.raises(ValueError, match="at least one channel"):
-            bm4d_multichannel(np.zeros((0, 8, 8, 8)), psd)
+            bm4d_multichannel(np.zeros((8, 8, 8, 0)), psd)
         with pytest.raises(ValueError, match="at least one channel"):
             bm4d_multichannel(np.zeros((8, 8, 8)), psd)
         with pytest.raises(ValueError, match="must be real"):
-            bm4d_multichannel(np.zeros((1, 8, 8, 8), dtype=np.complex128), psd)
-        nan = np.zeros((1, 8, 8, 8))
-        nan[0, 1, 2, 3] = np.nan
+            bm4d_multichannel(np.zeros((8, 8, 8, 1), dtype=np.complex128), psd)
+        nan = np.zeros((8, 8, 8, 1))
+        nan[1, 2, 3, 0] = np.nan
         with pytest.raises(ValueError, match="non-finite"):
             bm4d_multichannel(nan, psd)
         with pytest.raises(ValueError, match="smaller than the block"):
-            bm4d_multichannel(np.zeros((1, 3, 8, 8)), NoisePsd(np.ones((3, 8, 8))))
+            bm4d_multichannel(np.zeros((3, 8, 8, 1)), NoisePsd(np.ones((3, 8, 8))))
         with pytest.raises(ValueError, match="PSD dims"):
-            bm4d_multichannel(np.zeros((1, 8, 8, 8)), NoisePsd(np.ones((8, 8, 4))))
+            bm4d_multichannel(np.zeros((8, 8, 8, 1)), NoisePsd(np.ones((8, 8, 4))))
 
 
 class TestChannelLayout:
-    """Voxel-major stacks, as the PCA and the stages return them, keep
-    their layout through the driver's one float32 copy and are read
-    and handed on without further copies."""
+    """Channel-last stacks, as the PCA returns its PCs, are read as voxel
+    rows and handed on without copies."""
 
-    def test_voxel_rows_view_of_voxel_major_stack(self):
+    def test_stages_read_rows_of_the_stack(self, monkeypatch):
+        """A C-contiguous float32 stack is the stages' one copy: both
+        stages read its (V, C) rows as a view of it."""
         rng = np.random.default_rng(13)
-        voxel_major = np.moveaxis(rng.standard_normal((6, 5, 4, 3)), -1, 0)
-        rows = _voxel_rows(_channel_stack(voxel_major))
-        assert rows.flags.c_contiguous
-        assert np.shares_memory(rows, voxel_major)
-        c_ordered = np.ascontiguousarray(voxel_major)
-        copied = _voxel_rows(_channel_stack(c_ordered))
-        assert not np.shares_memory(copied, c_ordered)
-        assert np.array_equal(copied, rows)
+        dims = (6, 5, 4)
+        single = rng.standard_normal(dims + (3,)).astype(np.float32)
+        _use_small_geometry(monkeypatch)
+        stage = engine.bm4d_stage
+        seen = []
+
+        def recorded(rows, *args, **kwargs):
+            seen.append(rows)
+            return stage(rows, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "bm4d_stage", recorded)
+        bm4d_multichannel(single, NoisePsd(np.ones(dims)))
+        assert len(seen) == 2
+        for rows in seen:
+            assert rows.shape == (120, 3)
+            assert np.shares_memory(rows, single)
 
     def test_float32_stack_kept(self, monkeypatch):
-        """A float32 stack, as the pipeline hands over its PCs, is the
-        stages' one copy: checked, cast and read as rows without a
-        float64 or float32 copy, and filtered to the bytes of its
-        float64 values."""
+        """A float32 stack, as the pipeline hands over its PCs, is
+        checked and cast without a float64 or float32 copy, and filtered
+        to the bytes of its float64 values."""
         rng = np.random.default_rng(15)
         dims = (10, 9, 8)
-        voxel_major = np.moveaxis(rng.standard_normal(dims + (3,)), -1, 0)
-        single = as_filter_dtype(voxel_major)
+        double = rng.standard_normal(dims + (3,))
+        single = as_filter_dtype(double)
         assert single.dtype == np.float32
         assert _channel_stack(single) is single
         assert as_filter_dtype(single) is single
-        assert np.shares_memory(_voxel_rows(single), single)
         _use_small_geometry(monkeypatch)
         psd = NoisePsd(np.ones(dims))
         out = bm4d_multichannel(single, psd)
-        assert np.array_equal(out, bm4d_multichannel(voxel_major, psd))
-        large = 2.0**60 * voxel_major
+        assert np.array_equal(out, bm4d_multichannel(double, psd))
+        large = 2.0**60 * double
         assert as_filter_dtype(large) is large
 
     def test_output_independent_of_input_layout(self, monkeypatch):
+        """The output is a C-contiguous float64 (m, n, o, C) array, and
+        non-contiguous views of the same values (channel-first memory,
+        or every other channel of a wider float32 stack) filter to the
+        same bytes."""
         rng = np.random.default_rng(14)
         dims = (10, 9, 8)
-        c_ordered = rng.standard_normal((3,) + dims)
-        voxel_major = np.moveaxis(np.moveaxis(c_ordered, 0, -1).copy(), -1, 0)
+        c_ordered = rng.standard_normal(dims + (3,))
+        channel_first = np.moveaxis(np.moveaxis(c_ordered, -1, 0).copy(), 0, -1)
+        wide = np.zeros(dims + (6,), dtype=np.float32)
+        wide[..., ::2] = c_ordered
         psd = NoisePsd(np.ones(dims))
         _use_small_geometry(monkeypatch)
         out = bm4d_multichannel(c_ordered, psd)
-        assert np.array_equal(out, bm4d_multichannel(voxel_major, psd))
         assert out.shape == c_ordered.shape
-        assert out.reshape(3, -1).T.flags.c_contiguous  # voxel-major
+        assert out.dtype == np.float64
+        assert out.flags.c_contiguous
+        for view in (channel_first, wide[..., ::2]):
+            assert not view.flags.c_contiguous
+            assert np.array_equal(bm4d_multichannel(view, psd), out)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_channel_sign_flip_flips_its_output(self, monkeypatch, threads):
@@ -491,15 +505,15 @@ class TestChannelLayout:
         other channels do not change."""
         rng = np.random.default_rng(16)
         dims = (10, 9, 8)
-        channels = rng.standard_normal((3,) + dims)
+        channels = rng.standard_normal(dims + (3,))
         psd = NoisePsd(np.ones(dims))
         _use_small_geometry(monkeypatch)
         out = bm4d_multichannel(channels, psd, threads=threads)
         flipped = channels.copy()
-        flipped[1] *= -1.0
+        flipped[..., 1] *= -1.0
         out_flipped = bm4d_multichannel(flipped, psd, threads=threads)
-        assert np.array_equal(out_flipped[1], -out[1])
-        assert np.array_equal(out_flipped[[0, 2]], out[[0, 2]])
+        assert np.array_equal(out_flipped[..., 1], -out[..., 1])
+        assert np.array_equal(out_flipped[..., [0, 2]], out[..., [0, 2]])
 
     def test_multichannel_peak_memory(self, monkeypatch):
         """The stages hold float32 arrays of half the float64 channels'
@@ -509,7 +523,7 @@ class TestChannelLayout:
         kept stage output would each add half a channel stack or more."""
         rng = np.random.default_rng(15)
         dims = (16, 16, 12)
-        channels = np.moveaxis(rng.standard_normal(dims + (16,)), -1, 0)
+        channels = rng.standard_normal(dims + (16,))
         psd = NoisePsd(np.ones(dims))
         _use_small_geometry(monkeypatch)
         # the PSD fields are C-independent set-up, made before tracing
@@ -527,24 +541,17 @@ class TestChannelLayout:
 
 def _reference_stage(channels, psd, stage, pilot=None):
     """The stage as it reads on paper: slice gathers, and per-block
-    slice adds into (C, m, n, o) numerator and weight sums."""
+    slice adds into (m, n, o, C) numerator and weight sums."""
     block = engine.BLOCK
-    dims = channels.shape[1:]
-    guide = (channels if stage == 1 else pilot)[0]
+    dims = channels.shape[:3]
+    guide = (channels if stage == 1 else pilot)[..., 0]
     max_group = engine.HT_MAX_GROUP if stage == 1 else engine.WIENER_MAX_GROUP
     offsets = block_offsets(dims, block)
     work = working_dims(dims, block, engine.SEARCH_RADIUS)
     fields = basis_autocorr(fold_psd(psd.data, work), block)
 
-    def gather(stack, positions):
-        """(M, b0, b1, b2, C): the group axis first, channels trailing."""
-        return np.stack([
-            np.moveaxis(
-                stack[(slice(None),) + tuple(slice(p, p + b) for p, b in zip(pos, block))],
-                0, -1,
-            )
-            for pos in positions
-        ])
+    def block_at(pos):
+        return tuple(slice(p, p + b) for p, b in zip(pos, block))
 
     num = np.zeros(channels.shape)
     den = np.zeros(channels.shape)
@@ -553,19 +560,19 @@ def _reference_stage(channels, psd, stage, pilot=None):
         positions = _match_from_view(guide.ravel(), dims, ref, max_group, offsets)
         var = variances_from_fields(fields, positions - positions[0], block)
         var = var[..., None]
-        coeffs = group_transform(gather(channels, positions))
+        # (M, b0, b1, b2, C): the group axis first, channels trailing
+        coeffs = group_transform(np.stack([channels[block_at(p)] for p in positions]))
         if stage == 1:
             gain = _ht_core(coeffs, var, engine.HT_THRESHOLD)
         else:
-            gain = wiener_shrink(group_transform(gather(pilot, positions)), var)
+            pilots = np.stack([pilot[block_at(p)] for p in positions])
+            gain = wiener_shrink(group_transform(pilots), var)
         residual = (np.square(gain, dtype=np.float64) * var).sum(axis=(0, 1, 2, 3))
         weight = 1.0 / np.maximum(residual, WEIGHT_FLOOR)
         blocks = group_inverse(gain * coeffs)
-        wcol = weight[:, None, None, None]
         for j, pos in enumerate(positions):
-            sl = (slice(None),) + tuple(slice(p, p + b) for p, b in zip(pos, block))
-            num[sl] += wcol * np.moveaxis(blocks[j], -1, 0)
-            den[sl] += wcol
+            num[block_at(pos)] += weight * blocks[j]
+            den[block_at(pos)] += weight
     return num / den
 
 
@@ -580,7 +587,7 @@ class TestStageOracle:
         at every thread count."""
         rng = np.random.default_rng(13)
         dims = (11, 13, 9)
-        clean = np.stack([_smooth_signal(rng, dims, a) for a in (6.0, 3.0, 1.0)])
+        clean = np.stack([_smooth_signal(rng, dims, a) for a in (6.0, 3.0, 1.0)], axis=-1)
         channels = clean + rng.standard_normal(clean.shape)
         kernel = rng.random((3, 3, 3))
         spectrum = np.abs(np.fft.fftn(kernel, dims, axes=(0, 1, 2))) ** 2

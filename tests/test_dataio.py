@@ -363,6 +363,17 @@ class TestShellGrouping:
         seen = sorted(i for shell in table.members for i in shell)
         assert seen == list(range(40))
 
-    def test_negative_tolerance_rejected(self):
-        with pytest.raises(ValueError):
-            group_shells([0.0, 1000.0], -1.0)
+    @pytest.mark.parametrize("bvals, tolerance, match", [
+        ([0.0, 1000.0], -1.0, "tolerance"),
+        ([0.0, 1000.0], np.nan, "tolerance"),
+        ([0.0, 1000.0], np.inf, "tolerance"),
+        ([0.0, np.nan], 50.0, "b-values must be finite"),
+        ([0.0, np.inf], 50.0, "b-values must be finite"),
+        ([0.0, -5.0, 1000.0], 50.0, "b-values must be finite"),
+        ([], 50.0, "non-empty"),
+    ], ids=["negative-tolerance", "nan-tolerance", "inf-tolerance", "nan-bval",
+            "inf-bval", "negative-bval", "empty"])
+    def test_negative_tolerance_rejected(self, bvals, tolerance, match):
+        """A bad tolerance or b-value list is refused, not clustered."""
+        with pytest.raises(ValueError, match=match):
+            group_shells(bvals, tolerance)

@@ -107,6 +107,13 @@ class TestPsnr:
         for gt, test in ((real, phased), (phased, real), (phased, phased)):
             with pytest.raises(ValueError, match="real volumes"):
                 psnr(gt, test)
+        for bad in (np.nan, np.inf):
+            sample = np.ones((8, 8, 8))
+            sample[1, 2, 3] = bad
+            with pytest.raises(ValueError, match="gt contains non-finite"):
+                psnr(sample, np.ones((8, 8, 8)))
+            with pytest.raises(ValueError, match="test contains non-finite"):
+                psnr(np.ones((8, 8, 8)), sample)
 
 
 class TestSsim:
@@ -150,6 +157,14 @@ class TestSsim:
         small = Volume3(np.linspace(0, 1, 6 * 10 * 10).reshape(6, 10, 10))
         with pytest.raises(ValueError, match="too small"):
             ssim(small, small)
+        ramp = np.linspace(0, 1, 1000).reshape(10, 10, 10)
+        for bad in (np.nan, np.inf):
+            sample = ramp.copy()
+            sample[4, 5, 6] = bad
+            with pytest.raises(ValueError, match="gt contains non-finite"):
+                ssim(sample, ramp)
+            with pytest.raises(ValueError, match="test contains non-finite"):
+                ssim(ramp, sample)
 
 
 class TestRmseMap:
@@ -179,6 +194,18 @@ class TestRmseMap:
             rmse_map(a, a, np.zeros((5, 5, 5), bool))
         with pytest.raises(ValueError, match="dims mismatch"):
             rmse_map(a, np.zeros((5, 5, 4)), np.ones((5, 5, 5), bool))
+        mask = np.ones((5, 5, 5), bool)
+        for bad in (np.nan, np.inf):
+            sample = np.zeros((5, 5, 5))
+            sample[1, 2, 3] = bad
+            with pytest.raises(ValueError, match="gt_map contains non-finite"):
+                rmse_map(sample, a, mask)
+            with pytest.raises(ValueError, match="test_map contains non-finite"):
+                rmse_map(a, sample, mask)
+            # outside the mask a non-finite sample does not count
+            mask[1, 2, 3] = False
+            assert rmse_map(sample, a, mask) == 0.0
+            mask[1, 2, 3] = True
 
 
 class TestFitDti:

@@ -1,7 +1,8 @@
 """Global PCA against an independent SVD oracle.
 
-Stacks are (N, ...) arrays, volumes first. The oracles draw W x N
-matrices and hand the PCA their transpose.
+Stacks are (N, ...) arrays, volumes first, and PCs (..., N) arrays,
+components last. The oracles draw W x N matrices and hand the PCA
+their transpose.
 """
 
 import numpy as np
@@ -24,7 +25,7 @@ class TestForwardPca:
         matrix = np.stack([q, 2.0 * q])
         stack = forward_pca(matrix)
         assert stack.eigenvalues[1] <= 1e-10 * stack.eigenvalues[0]
-        second = stack.pcs[1]
+        second = stack.pcs[..., 1]
         assert np.linalg.norm(second) <= 1e-6 * np.linalg.norm(matrix)
 
     def test_svd_oracle(self):
@@ -37,7 +38,7 @@ class TestForwardPca:
         u, s, _ = np.linalg.svd(matrix, full_matrices=False)
         assert np.allclose(stack.eigenvalues, s**2, rtol=1e-8)
 
-        A = stack.pcs.T
+        A = stack.pcs
         us = u * s
         for j in range(8):
             sign = np.sign(A[:, j] @ us[:, j])
@@ -66,7 +67,7 @@ class TestForwardPca:
     def test_dims_reshape(self):
         rng = np.random.default_rng(6)
         stack = forward_pca(rng.standard_normal((3, 2, 3, 4)))
-        assert stack.pcs.shape == (3, 2, 3, 4)
+        assert stack.pcs.shape == (2, 3, 4, 3)
         assert stack.basis.shape == (3, 3)
 
 
@@ -84,8 +85,8 @@ class TestInversePca:
 
     def test_identity_basis_passthrough(self):
         rng = np.random.default_rng(8)
-        s_hat = rng.standard_normal((30, 4)).T
-        assert np.array_equal(inverse_pca(s_hat, np.eye(4)), s_hat)
+        s_hat = rng.standard_normal((30, 4))
+        assert np.array_equal(inverse_pca(s_hat, np.eye(4)), s_hat.T)
 
     def test_zeroed_last_pc_matches_truncated_svd(self):
         rng = np.random.default_rng(9)
@@ -93,7 +94,7 @@ class TestInversePca:
         stack = forward_pca(matrix.T)
 
         pcs = stack.pcs.copy()
-        pcs[-1] = 0.0
+        pcs[..., -1] = 0.0
         recon = inverse_pca(pcs, stack.basis)
 
         u, s, vh = np.linalg.svd(matrix, full_matrices=False)
@@ -109,29 +110,42 @@ class TestStackLayout:
         rng = np.random.default_rng(11)
         stack = rng.standard_normal((5, 3, 4, 6))
         pcs = forward_pca(stack)
-        assert pcs.pcs.shape == stack.shape
+        assert pcs.pcs.shape == stack.shape[1:] + (5,)
         for j in range(5):
             expected = sum(pcs.basis[i, j] * stack[i] for i in range(5))
-            assert np.max(np.abs(pcs.pcs[j] - expected)) <= 1e-12
+            assert np.max(np.abs(pcs.pcs[..., j] - expected)) <= 1e-12
         back = inverse_pca(pcs.pcs, pcs.basis)
         assert back.shape == stack.shape
         assert np.max(np.abs(back - stack)) <= 1e-12
 
-    def test_pcs_voxel_major(self):
-        """The PCs are stored voxel-major, so the (V, N) rows the
-        filtering stages read are a C-contiguous view."""
+    def test_pcs_c_contiguous_channel_last(self):
+        """The PCs are one C-contiguous (m, n, o, N) array, so the
+        (V, N) rows the filtering stages read are a view of it."""
         rng = np.random.default_rng(12)
         stack = rng.standard_normal((5, 3, 4, 6))
-        pcs = forward_pca(stack)
-        rows = pcs.pcs.reshape(5, -1).T
-        assert rows.flags.c_contiguous
-        expected = (pcs.basis.T @ stack.reshape(5, -1)).T
+        result = forward_pca(stack)
+        pcs = result.pcs
+        assert pcs.shape == (3, 4, 6, 5)
+        assert pcs.flags.c_contiguous
+        rows = pcs.reshape(-1, 5)
+        assert np.shares_memory(rows, pcs)
+        expected = stack.reshape(5, -1).T @ result.basis
         assert np.max(np.abs(rows - expected)) <= 1e-12
 
     def test_inverse_reads_any_layout(self):
+        """Non-contiguous channel-last views (components first in
+        memory, or every other component of a wider array) give the
+        contiguous PCs' volumes, C-contiguous."""
         rng = np.random.default_rng(13)
         pcs = forward_pca(rng.standard_normal((5, 3, 4, 6)))
-        c_ordered = np.ascontiguousarray(pcs.pcs)
         back = inverse_pca(pcs.pcs, pcs.basis)
+        assert back.shape == (5, 3, 4, 6)
         assert back.flags.c_contiguous
-        assert np.max(np.abs(back - inverse_pca(c_ordered, pcs.basis))) <= 1e-12
+        channel_first = np.moveaxis(np.moveaxis(pcs.pcs, -1, 0).copy(), 0, -1)
+        wide = np.zeros((3, 4, 6, 10))
+        wide[..., ::2] = pcs.pcs
+        for view in (channel_first, wide[..., ::2]):
+            assert not view.flags.c_contiguous
+            got = inverse_pca(view, pcs.basis)
+            assert got.flags.c_contiguous
+            assert np.max(np.abs(got - back)) <= 1e-12
