@@ -7,12 +7,16 @@ returns the 0/1 keep mask and `wiener_shrink` the pilot^2 / (pilot^2 +
 var) gains, and the stage multiplies the group's coefficients by the
 gain and weights the group by 1 / sum(gain^2 * var), `_group_weight`.
 Multiple channels (principal components) ride along the same matched
-positions, so matching happens once per reference corner.
+positions, so matching happens once per reference corner. It takes two
+steps with the exact result of one: `_shortlists` narrows the search
+windows of a tile of reference corners with one float64 distance
+product, and `_match_from_view` ranks each reference's shortlist
+exactly.
 
 The method's settings are the module constants below, read at call
 time. Both stages share the block geometry, so `bm4d_multichannel`,
 the one entry point, checks its input against the block and the PSD
-dims, builds the PSD fields and takes the voxel rows once for both.
+dims, builds the PSD lag table and takes the voxel rows once for both.
 
 The whole stage is channel-last and computes in the dtype of its rows.
 The channels (and the stage-2 pilot) are read as a (V, C) array of
@@ -57,6 +61,9 @@ STEP = 3  # reference corner stride; at most min(BLOCK), so the blocks tile
 HT_THRESHOLD = 2.7  # hard-threshold multiplier of the coefficient deviation
 HT_MAX_GROUP = 16  # blocks per group in stage 1
 WIENER_MAX_GROUP = 32  # blocks per group in stage 2
+# reference starts matched per distance product: one x-plane, TILE[0]
+# consecutive y starts by TILE[1] consecutive z starts
+TILE = (3, 5)
 
 
 def block_offsets(dims, block) -> np.ndarray:
@@ -64,35 +71,109 @@ def block_offsets(dims, block) -> np.ndarray:
     return np.ravel_multi_index(np.indices(block).reshape(3, -1), dims)
 
 
-def _match_from_view(guide, dims, ref_pos, max_group, offsets) -> np.ndarray:
-    """Corners of the blocks most similar to the reference block.
+def _match_from_view(guide, dims, ref, candidates, count, offsets) -> np.ndarray:
+    """Corners of the `count` blocks most similar to the reference block.
 
     `guide` is the real matching volume of shape `dims`, raveled in C
-    order, `offsets` its `block_offsets`, and `ref_pos` a corner whose
-    block lies inside the volume. Candidates are every corner in the
-    SEARCH_RADIUS window around it (clamped so blocks stay inside),
-    ranked by mean squared difference with lexicographic tie-breaking;
-    the reference is always first. The result length is the largest
-    power of two not exceeding min(candidate count, max_group).
+    order, and `offsets` its `block_offsets`. `ref` is the raveled
+    corner of the reference block and `candidates` the raveled corners
+    of a shortlist of its SEARCH_RADIUS window, ascending (raster
+    order), that holds the reference and the whole result. The
+    candidates are ranked by mean squared difference in the guide's
+    dtype, ties in raster order, and the reference always comes first.
+    Returns the (count, 3) corners.
     """
-    lows = [max(r - s, 0) for r, s in zip(ref_pos, SEARCH_RADIUS)]
-    highs = [
-        min(r + s, d - b) for r, s, d, b in zip(ref_pos, SEARCH_RADIUS, dims, BLOCK)
-    ]
-    shape = tuple(h - lo + 1 for lo, h in zip(lows, highs))
-    x, y, z = (np.arange(lo, h + 1) for lo, h in zip(lows, highs))
-    base = ((x[:, None, None] * dims[1] + y[:, None]) * dims[2] + z).ravel()
-    candidates = guide[base[:, None] + offsets]  # (K, block voxels)
+    blocks = guide[candidates[:, None] + offsets]  # (K, block voxels)
+    dist = ((blocks - guide[ref + offsets]) ** 2).mean(axis=1)
+    dist[candidates == ref] = -np.inf  # reference always ranks first
+    order = np.argsort(dist, kind="stable")[:count]  # ties fall back to corner order
+    return np.stack(np.unravel_index(candidates[order], dims), axis=1)
 
-    ref_flat = np.ravel_multi_index([r - lo for r, lo in zip(ref_pos, lows)], shape)
-    dist = ((candidates - candidates[ref_flat]) ** 2).mean(axis=1)
-    dist[ref_flat] = -np.inf  # reference always ranks first
-    order = np.argsort(dist, kind="stable")  # ties fall back to corner order
 
-    count = min(order.size, max_group)
-    count = 1 << (count.bit_length() - 1)  # Haar needs a power of two
-    picked = np.stack(np.unravel_index(order[:count], shape), axis=1)
-    return picked + np.asarray(lows, dtype=np.int64)
+def _shortlists(guide, dims, max_group, offsets):
+    """Yield (ref, candidates, count) for every reference block, in corner
+    order: `_match_from_view`'s arguments for the reference's group.
+
+    A reference's group is the exact ranking of its SEARCH_RADIUS window
+    cut to `count` blocks, the largest power of two of at most
+    min(window candidates, max_group) (Haar needs a power of two). The
+    references are shortlisted in tiles of one x-plane of starts and
+    TILE consecutive (y, z) starts: one matrix product of the tile's
+    reference blocks with every block in the union of their windows
+    gives the distances |r|^2 + |c|^2 - 2 r.c in float64, and a
+    candidate of a reference's window is shortlisted when it is within a
+    rounding bound of the count-th smallest distance there. The bound
+    covers the float64 expansion's error and that of the exact distance
+    in the guide's dtype, so the shortlist holds the exact group, the
+    reference (at distance 0 up to rounding) among it; where that
+    distance could overflow, the shortlist is the whole window. A
+    tile's candidate blocks are one (P, K) float64 array, within one
+    x-slab of the candidate blocks.
+    """
+    size = len(offsets)
+    # float64 blocks, scaled by a power of two (exact) so no square overflows
+    shift = max(int(np.frexp(max(guide.max(), -guide.min()))[1]), 0)
+    volume = guide.astype(np.float64).reshape(dims)
+    np.ldexp(volume, -shift, out=volume)
+    blocks = np.lib.stride_tricks.sliding_window_view(volume, BLOCK)
+    # the bound: the expansion's error per unit of |r|^2 + |c|^2, the guide
+    # dtype's error per unit of distance, and a floor for squares that
+    # underflow; past `ceiling` (scaled) a distance could overflow
+    info = np.finfo(guide.dtype)
+    expansion = 8 * (size + 2) * np.finfo(np.float64).eps
+    relative = 2 * (size + 2) * info.eps
+    floor = 16 * size * info.smallest_subnormal
+    ceiling = np.ldexp(info.max, -2 * shift - 1)
+
+    def shortlist_tile(corners):
+        """The shortlists of the (T, 3) reference corners of one tile."""
+        lows = np.maximum(corners - SEARCH_RADIUS, 0)
+        highs = np.minimum(corners + SEARCH_RADIUS, np.subtract(dims, BLOCK))
+        box_lo, box_hi = lows.min(axis=0), highs.max(axis=0)
+        box = tuple(slice(lo, hi + 1) for lo, hi in zip(box_lo, box_hi))
+        box_shape = tuple(box_hi - box_lo + 1)
+        cands = np.moveaxis(blocks[box], (3, 4, 5), (0, 1, 2)).reshape(size, -1)
+        norms = np.einsum("pk,pk->k", cands, cands)
+        refs = np.ravel_multi_index((corners - box_lo).T, box_shape)
+        dist = cands[:, refs].T @ cands  # (T, K)
+        dist *= -2.0
+        dist += norms
+        dist += norms[refs, None]
+        # each reference's window, as one (T, box extent) mask per axis
+        along = []
+        for a, (lo, hi) in enumerate(zip(box_lo, box_hi)):
+            axis = np.arange(lo, hi + 1)
+            along.append((axis >= lows[:, [a]]) & (axis <= highs[:, [a]]))
+        inside = (along[0][:, :, None, None] & along[1][:, None, :, None]
+                  & along[2][:, None, None, :]).reshape(len(refs), -1)
+        np.copyto(dist, np.inf, where=~inside)
+        counts = np.minimum((highs - lows + 1).prod(axis=1), max_group)
+        counts = [1 << (int(n).bit_length() - 1) for n in counts]
+        ranks = np.array(counts) - 1
+        kth = np.partition(dist, np.unique(ranks), axis=1)[np.arange(len(refs)), ranks]
+        limit = (kth + relative * np.abs(kth) + floor
+                 + expansion * (norms[refs] + norms.max()))
+        limit[limit >= ceiling] = np.inf
+        shortlist = inside & (dist <= limit[:, None])
+        raveled = np.ravel_multi_index(
+            np.indices(box_shape).reshape(3, -1) + box_lo[:, None], dims
+        )
+        ref_raveled = np.ravel_multi_index(corners.T, dims)
+        return [(ref, raveled[row], count)
+                for ref, row, count in zip(ref_raveled, shortlist, counts)]
+
+    xs, ys, zs = (_starts(d, b, STEP) for d, b in zip(dims, BLOCK))
+    for x in xs:
+        for i in range(0, len(ys), TILE[0]):
+            band = ys[i:i + TILE[0]]
+            found = {}
+            for k in range(0, len(zs), TILE[1]):
+                tile = list(itertools.product([x], band, zs[k:k + TILE[1]]))
+                found.update(zip(tile, shortlist_tile(np.array(tile))))
+            # corner order: each y start of the band with every z start
+            for y in band:
+                for z in zs:
+                    yield found[x, y, z]
 
 
 def _ht_core(coeffs, variances, lam):
@@ -182,36 +263,39 @@ def as_filter_dtype(stack) -> np.ndarray:
 
 
 def _psd_fields(psd_data) -> np.ndarray:
-    """The per-basis autocorrelation fields of a PSD for the block geometry."""
+    """The signed-lag table of a PSD's per-basis autocorrelation fields
+    for the block geometry and the search radius."""
     work = working_dims(psd_data.shape, BLOCK, SEARCH_RADIUS)
-    return basis_autocorr(fold_psd(psd_data, work), BLOCK)
+    return basis_autocorr(fold_psd(psd_data, work), BLOCK, SEARCH_RADIUS)
 
 
 def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
                threads: int = 1) -> np.ndarray:
     """One filtering pass over the (V, C) voxel rows of an (m, n, o) grid.
 
-    `fields` are the `_psd_fields` of the noise PSD. Stage 1 matches on
-    channel 0 of `rows` and hard-thresholds; stage 2 matches on channel
-    0 of `pilot_rows` (the stage-1 output) and Wiener-filters every
-    channel against its own pilot spectrum. The inputs are the ones
+    `fields` is the `_psd_fields` lag table of the noise PSD. Stage 1
+    matches on channel 0 of `rows` and hard-thresholds; stage 2 matches
+    on channel 0 of `pilot_rows` (the stage-1 output) and Wiener-filters
+    every channel against its own pilot spectrum. The inputs are the ones
     `bm4d_multichannel` checked; the stage checks nothing again, and
     divides by the weight sums directly. The matching, the transforms,
     the gains, the weights and the sums run in the dtype of `rows`:
     float32 from `bm4d_multichannel`, unless a sample is beyond
     FLOAT32_MAX_SAMPLE, and float64 otherwise. Returns the filtered
     C-contiguous (V, C) rows, of that dtype.
-    Identical output for any thread count: worker threads filter the
-    groups, and the calling thread adds them up in corner order.
+    Identical output for any thread count: the calling thread
+    shortlists each reference's candidates (`_shortlists`), worker
+    threads rank them exactly and filter the groups, and the calling
+    thread adds the groups up in corner order.
     """
     nchan = rows.shape[1]
     offsets = block_offsets(dims, BLOCK)
     guide = np.ascontiguousarray((rows if stage == 1 else pilot_rows)[:, 0])
     max_group = HT_MAX_GROUP if stage == 1 else WIENER_MAX_GROUP
-    corners = itertools.product(*(_starts(d, b, STEP) for d, b in zip(dims, BLOCK)))
+    shortlists = _shortlists(guide, dims, max_group, offsets)
 
-    def filter_group(ref):
-        positions = _match_from_view(guide, dims, ref, max_group, offsets)
+    def filter_group(shortlist):
+        positions = _match_from_view(guide, dims, *shortlist, offsets)
         var = variances_from_fields(fields, positions - positions[0], BLOCK)
         var = var.astype(rows.dtype)[..., None]  # broadcast over the channels
         idx = np.ravel_multi_index(positions.T, dims)[:, None] + offsets
@@ -232,15 +316,15 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     corner_weight = np.zeros(dims + (nchan,), dtype=rows.dtype)
     # serial at one thread: a one-worker pool ran gate-colored slower (ROADMAP item 7)
     if threads <= 1:
-        for ref in corners:
-            _add_group(num, corner_weight, *filter_group(ref))
+        for shortlist in shortlists:
+            _add_group(num, corner_weight, *filter_group(shortlist))
     else:
         # a bounded queue keeps finished groups from piling up, and the
         # corner-order sum makes the output independent of the thread count
         with ThreadPoolExecutor(max_workers=threads) as executor:
             pending = deque()
-            for ref in corners:
-                pending.append(executor.submit(filter_group, ref))
+            for shortlist in shortlists:
+                pending.append(executor.submit(filter_group, shortlist))
                 if len(pending) == 2 * threads:
                     _add_group(num, corner_weight, *pending.popleft().result())
             for future in pending:
@@ -268,7 +352,7 @@ def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
         raise ValueError("volume smaller than the block")
     if psd.dims != dims:
         raise ValueError("PSD dims must match the channels")
-    # the fields' FFT temporaries are freed before any (V, C) row copy exists
+    # the lag table's FFT temporaries are freed before any (V, C) row copy exists
     fields = _psd_fields(psd.data)
     rows = as_filter_dtype(stacked).reshape(-1, stacked.shape[-1])
     pilot_rows = bm4d_stage(rows, dims, fields, stage=1, threads=threads)

@@ -9,9 +9,9 @@ kron(dct(b1), dct(b2)) pass over the (b1 * b2) axis and a dct(b0) pass.
 `dct_matrix` is the one definition of the block DCT; the variance model
 takes its basis spectra from the same rows. Everything is real and
 orthonormal, so coefficient energies and the exact-variance formula
-stay simple. The cached matrices are float64; a group transform casts
-them to its samples' dtype, so float32 groups are transformed in
-float32.
+stay simple. The cached matrices are float64; a group transform uses
+them cast to its samples' dtype, cached per group shape and dtype, so
+float32 groups are transformed in float32.
 """
 
 from functools import lru_cache
@@ -52,15 +52,18 @@ def _plane_dct(b1: int, b2: int) -> np.ndarray:
     return mat
 
 
-def _group_matrices(shape, dtype):
+@lru_cache(maxsize=None)
+def _group_matrices(m, b0, b1, b2, dtype):
     """The Haar, plane-DCT and first-axis DCT matrices of a group shape,
     cast to `dtype` (the cached float64 tables themselves when it is
-    float64)."""
-    m, b0, b1, b2 = shape[:4]
-    return tuple(
+    float64); cached, and read-only as those are."""
+    mats = tuple(
         mat.astype(dtype, copy=False)
         for mat in (haar_matrix(m), _plane_dct(b1, b2), dct_matrix(b0))
     )
+    for mat in mats:
+        mat.setflags(write=False)  # cached: every caller shares this array
+    return mats
 
 
 def group_transform(samples: np.ndarray) -> np.ndarray:
@@ -72,7 +75,7 @@ def group_transform(samples: np.ndarray) -> np.ndarray:
     ValueError.
     """
     m, b0, b1, b2 = samples.shape[:4]
-    haar, plane, first = _group_matrices(samples.shape, samples.dtype)
+    haar, plane, first = _group_matrices(m, b0, b1, b2, samples.dtype)
     grouped = haar @ samples.reshape(m, -1)  # (M, P * C)
     planes = plane @ grouped.reshape(m * b0, b1 * b2, -1)
     coeffs = first @ planes.reshape(m, b0, -1)
@@ -82,7 +85,7 @@ def group_transform(samples: np.ndarray) -> np.ndarray:
 def group_inverse(coeffs: np.ndarray) -> np.ndarray:
     """Inverse of group_transform (transposes, transforms orthonormal)."""
     m, b0, b1, b2 = coeffs.shape[:4]
-    haar, plane, first = _group_matrices(coeffs.shape, coeffs.dtype)
+    haar, plane, first = _group_matrices(m, b0, b1, b2, coeffs.dtype)
     planes = first.T @ coeffs.reshape(m, b0, -1)
     grouped = plane.T @ planes.reshape(m * b0, b1 * b2, -1)
     blocks = haar.T @ grouped.reshape(m, -1)

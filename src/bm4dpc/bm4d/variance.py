@@ -8,6 +8,7 @@ group to table lookups at the pairwise block offsets, so the spectral
 work is done once per PSD, from the 1D spectra of the block DCT.
 """
 
+import itertools
 from functools import lru_cache
 
 import numpy as np
@@ -65,34 +66,40 @@ def fold_psd(psd_data: np.ndarray, shape: tuple) -> np.ndarray:
     return np.clip(np.fft.fftn(acorr).real, 0.0, None)
 
 
-def basis_autocorr(psi_work: np.ndarray, block: tuple) -> np.ndarray:
-    """Per-basis noise autocorrelation fields on the working grid.
+def basis_autocorr(psi_work: np.ndarray, block: tuple, radius: tuple) -> np.ndarray:
+    """Per-basis noise autocorrelation at the lags a group can hold.
 
-    Entry [..., p] is ifftn(psi_work * |DFT(basis_p)|^2).real: the
-    covariance of the p-th 3D block coefficient between two blocks, as
-    a function of their corner offset. |DFT(basis_p)|^2 at p = k0*b1*b2
-    + k1*b2 + k2 is the outer product of rows k0, k1, k2 of the per-axis
-    spectra |fft(dct_matrix(b), n=w)|^2. Shape (w0, w1, w2, P), lag axes
-    first and C-contiguous, so one raveled lag picks a row of all P.
-    The block fits the working grid, as `working_dims` keeps every axis
-    at least the block of a volume the engine checked.
+    The field of basis p on the working grid is ifftn(psi_work *
+    |DFT(basis_p)|^2).real: the covariance of the p-th 3D block
+    coefficient between two blocks, as a function of their corner
+    offset. |DFT(basis_p)|^2 at p = k0*b1*b2 + k1*b2 + k2 is the outer
+    product of rows k0, k1, k2 of the per-axis spectra
+    |fft(dct_matrix(b), n=w)|^2. The corners of a group lie within
+    `radius` of its reference, so two of them are at most 2 * radius
+    apart; the result is the signed-lag table of the fields at lags
+    -2r..2r per axis (the lag modulo w on the working grid), shape
+    (4 r0 + 1, 4 r1 + 1, 4 r2 + 1, P), lag axes first and
+    C-contiguous, so one raveled lag picks a row of all P. The block
+    fits the working grid, as `working_dims` keeps every axis at least
+    the block of a volume the engine checked.
 
-    The fields are filled one slab of b1*b2 basis functions at a time,
-    one slab per row k0 of the first-axis spectra, so the transient
-    spectra and their complex transforms cover one slab, a b0-th of
-    the basis functions, at a time.
+    The fields are built b2 basis functions at a time, one slab per
+    pair of rows (k0, k1) of the first two axes' spectra, and only the
+    slab's table rows are kept: the full fields never exist, and the
+    transient spectra and their complex transforms cover a (b0*b1)-th
+    of the basis functions.
     """
     work = psi_work.shape
     s0, s1, s2 = (np.abs(np.fft.fft(dct_matrix(b), n=w)) ** 2
                   for b, w in zip(block, work))
-    slab = block[1] * block[2]
-    fields = np.empty(work + (block[0] * slab,))
-    spectra = np.empty(work + block[1:])
-    for k0, row in enumerate(s0):
-        np.einsum("x,by,cz,xyz->xyzbc", row, s1, s2, psi_work, out=spectra)
-        transformed = np.fft.ifftn(spectra.reshape(work + (slab,)), axes=(0, 1, 2))
-        fields[..., k0 * slab:(k0 + 1) * slab] = transformed.real
-    return fields
+    lags = np.ix_(*(np.arange(-2 * r, 2 * r + 1) % w for r, w in zip(radius, work)))
+    table = np.empty(tuple(4 * r + 1 for r in radius) + (int(np.prod(block)),))
+    spectra = np.empty(work + block[2:])
+    for k, (row0, row1) in enumerate(itertools.product(s0, s1)):
+        np.einsum("x,y,cz,xyz->xyzc", row0, row1, s2, psi_work, out=spectra)
+        transformed = np.fft.ifftn(spectra, axes=(0, 1, 2))
+        table[..., k * block[2]:(k + 1) * block[2]] = transformed.real[lags]
+    return table
 
 
 @lru_cache(maxsize=None)
@@ -105,21 +112,25 @@ def _haar_pairs(m: int) -> np.ndarray:
 
 
 def variances_from_fields(
-    c_fields: np.ndarray, offsets: np.ndarray, block: tuple
+    table: np.ndarray, offsets: np.ndarray, block: tuple
 ) -> np.ndarray:
-    """Coefficient variances (M, b0, b1, b2) from precomputed autocorr fields.
+    """Coefficient variances (M, b0, b1, b2) from the signed-lag table.
 
     var(c_{k,p}) = sum_{i,j} haar[k,i] * haar[k,j] * c_p[off_i - off_j],
     the quadratic form of the k-th row of the size-M Haar matrix over
     the pairwise-offset covariance table of basis p; round-off
-    negatives are clipped to zero. The (M * M, P) table is one row take
-    at the raveled lags, and all M * P forms are one matrix product.
+    negatives are clipped to zero. `table` is `basis_autocorr`'s, and
+    the offsets are the members' corners less the reference's, each
+    within the table's radius. The raveled lags are one subtraction of
+    the raveled offsets, the (M * M, P) covariances one row take at
+    them, and all M * P forms one matrix product.
     """
     m = offsets.shape[0]
-    work = c_fields.shape[:3]
-    diff = (offsets[:, None, :] - offsets[None, :, :]) % np.asarray(work)
-    lags = np.ravel_multi_index(np.moveaxis(diff, -1, 0), work)  # (M, M)
-    rows = c_fields.reshape(-1, c_fields.shape[3])
-    table = np.take(rows, lags.ravel(), axis=0)  # (M * M, P)
-    var = _haar_pairs(m) @ table  # (M, P)
+    lags = table.shape[:3]
+    raveled = offsets @ np.array([lags[1] * lags[2], lags[2], 1])
+    rows = table.reshape(-1, table.shape[3])
+    center = len(rows) // 2  # the zero lag, the middle of an odd-edged box
+    pairs = (raveled[:, None] - raveled[None, :] + center).ravel()
+    covariances = np.take(rows, pairs, axis=0)  # (M * M, P)
+    var = _haar_pairs(m) @ covariances  # (M, P)
     return np.clip(var, 0.0, None).reshape((m,) + tuple(block))

@@ -7,6 +7,7 @@ data.
 """
 
 import math
+import numbers
 from dataclasses import dataclass, field, replace
 from typing import Optional
 
@@ -226,11 +227,13 @@ def kernel_to_psd(kernel, dims) -> NoisePsd:
     centered on its middle voxel; NoisePsd scales it to unit grid mean,
     which divides by the squared l2 norm of the kernel (Parseval). A
     kernel that is not real, finite and 3D, `dims` that are not 3
-    entries, or a kernel not inside `dims` raises ValueError.
+    positive integers, or a kernel not inside `dims` raises ValueError.
     """
     kernel = _as_real_grid(kernel, "kernel")
     if len(dims) != 3:
         raise ValueError("dims must have 3 entries")
+    if not all(isinstance(d, numbers.Integral) and d > 0 for d in dims):
+        raise ValueError(f"dims must be positive integers, got {tuple(dims)}")
     return NoisePsd(np.abs(_kernel_spectrum(kernel, dims)) ** 2)
 
 

@@ -17,6 +17,7 @@ from bm4dpc.bm4d.engine import (
     _group_weight,
     _ht_core,
     _match_from_view,
+    _shortlists,
     _spread_weights,
     as_filter_dtype,
     block_offsets,
@@ -46,34 +47,101 @@ def _use_small_geometry(monkeypatch):
 
 
 def _match(data, ref):
-    """Run stage 1's matcher on one raveled guide volume."""
-    offsets = block_offsets(data.shape, engine.BLOCK)
+    """Stage 1's exact ranking on one raveled guide volume, over the whole
+    search window of any corner `ref` whose block fits."""
+    dims = data.shape
+    x, y, z = (
+        np.arange(max(r - s, 0), min(r + s, d - b) + 1)
+        for r, s, d, b in zip(ref, engine.SEARCH_RADIUS, dims, engine.BLOCK)
+    )
+    window = ((x[:, None, None] * dims[1] + y[:, None]) * dims[2] + z).ravel()
+    count = min(window.size, engine.HT_MAX_GROUP)
+    count = 1 << (count.bit_length() - 1)
     return _match_from_view(
-        data.ravel(), data.shape, tuple(ref), engine.HT_MAX_GROUP, offsets
+        data.ravel(), dims, np.ravel_multi_index(ref, dims), window, count,
+        block_offsets(dims, engine.BLOCK),
     )
 
 
-def _brute_match(data, ref):
-    """Reference matcher: exhaustive window scan, (distance, corner)
-    sort with the reference forced first, power-of-two truncation."""
+def _tile_groups(data, max_group):
+    """The stage's matched groups of every reference corner of a guide
+    volume, in corner order: the tiles' shortlists re-ranked exactly."""
+    dims = data.shape
+    guide = data.ravel()
+    offsets = block_offsets(dims, engine.BLOCK)
+    return [
+        _match_from_view(guide, dims, *shortlist, offsets)
+        for shortlist in _shortlists(guide, dims, max_group, offsets)
+    ]
+
+
+def _reference_corners(dims):
+    return itertools.product(
+        *(_starts(d, b, engine.STEP) for d, b in zip(dims, engine.BLOCK))
+    )
+
+
+def _brute_match(data, ref, max_group=None):
+    """Reference matcher: every corner of the window scored by the mean
+    squared difference of its block to the reference block, a
+    (distance, corner) sort with the reference forced first, and
+    power-of-two truncation."""
+    if max_group is None:
+        max_group = engine.HT_MAX_GROUP
     dims = data.shape
     block = engine.BLOCK
     ranges = [
-        range(max(r - s, 0), min(r + s, d - b) + 1)
+        np.arange(max(r - s, 0), min(r + s, d - b) + 1)
         for r, s, d, b in zip(ref, engine.SEARCH_RADIUS, dims, block)
     ]
+    windows = np.lib.stride_tricks.sliding_window_view(data, block)
+    cands = windows[np.ix_(*ranges)]  # (nx, ny, nz) + block
     ref_block = data[tuple(slice(r, r + b) for r, b in zip(ref, block))]
-    scored = []
-    for corner in itertools.product(*ranges):
-        cand = data[tuple(slice(c, c + b) for c, b in zip(corner, block))]
-        dist = np.mean((cand - ref_block) ** 2)
-        if corner == tuple(ref):
-            dist = -np.inf
-        scored.append((dist, corner))
-    scored.sort(key=lambda item: (item[0], item[1]))
-    count = min(len(scored), engine.HT_MAX_GROUP)
+    dist = ((cands - ref_block) ** 2).mean(axis=(3, 4, 5)).ravel()
+    corners = np.stack(np.meshgrid(*ranges, indexing="ij"), axis=-1).reshape(-1, 3)
+    dist[(corners == ref).all(axis=1)] = -np.inf
+    order = np.lexsort((corners[:, 2], corners[:, 1], corners[:, 0], dist))
+    count = min(len(order), max_group)
     count = 1 << (count.bit_length() - 1)
-    return np.array([corner for _, corner in scored[:count]])
+    return corners[order[:count]]
+
+
+def _oracle_guide(kind):
+    """Guides whose distances are generic, nearly tied, exactly tied,
+    beyond float32, or on odd and small grids."""
+    rng = np.random.default_rng(21)
+    dims = (32, 32, 16)
+    if kind == "noise":
+        return rng.standard_normal(dims).astype(np.float32)
+    if kind == "ramp":
+        ramp = np.arange(np.prod(dims)).reshape(dims) * 0.01 + 1e4
+        return ramp.astype(np.float32)
+    if kind == "ties":
+        guide = np.where(rng.random(dims) < 0.9, 1.0, rng.standard_normal(dims))
+        return guide.astype(np.float32)
+    if kind == "quantized":
+        return np.round(2.0 * rng.standard_normal(dims)).astype(np.float32)
+    if kind == "float64":
+        guide = 2.0**60 * (5.0 + rng.standard_normal(dims))
+        assert guide.max() > engine.FLOAT32_MAX_SAMPLE
+        return guide
+    if kind == "near_ties":
+        # symmetric under x <-> y, so transposed candidates of a reference
+        # on the diagonal tie; a one-ulp nudge of a fifth of the samples
+        # leaves gaps that float32 rounding can reverse
+        noise = rng.standard_normal(dims).astype(np.float32)
+        guide = noise + noise.transpose(1, 0, 2)
+        nudged = rng.random(dims) < 0.2
+        guide[nudged] = np.nextafter(guide[nudged], np.float32(np.inf))
+        return guide
+    if kind == "offset":  # distances tiny against |r|^2 + |c|^2
+        return 0.37 * np.indices(dims).sum(axis=0) + 1e12
+    if kind == "underflow":  # float32 squares below the subnormals
+        return (1e-25 * rng.standard_normal(dims)).astype(np.float32)
+    if kind == "overflow":  # float64 squares past the largest float64
+        return 1e200 * rng.standard_normal(dims)
+    shapes = {"odd": (17, 19, 9), "few": (5, 6, 7), "one": (4, 4, 4)}
+    return rng.standard_normal(shapes[kind]).astype(np.float32)
 
 
 class TestMatchBlocks:
@@ -115,8 +183,47 @@ class TestMatchBlocks:
 
     def test_truncates_to_power_of_two(self):
         # 2 * 3 * 1 = 6 candidate corners, so 4 blocks come back
-        positions = _match(np.zeros((5, 6, 4)), (0, 0, 0))
+        positions = _tile_groups(np.zeros((5, 6, 4)), engine.HT_MAX_GROUP)[0]
         assert positions.shape == (4, 3)
+
+    @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
+    @pytest.mark.parametrize("kind", [
+        "noise", "ramp", "ties", "quantized", "near_ties", "offset", "float64",
+        "underflow", "overflow", "odd", "few", "one",
+    ])
+    def test_tiles_match_exhaustive_scan(self, kind, max_group):
+        """The tiles' distance products and exact re-ranking pick the
+        exhaustive scan's group at every reference corner: on noise, on
+        a ramp at 1e4 (near ties), on a 90% constant guide (exact ties),
+        on quantized values, on ties that float32 rounding breaks, on a
+        float64 ramp at 1e12 (the expansion's error dwarfs the
+        distances), on a float64 guide beyond float32's range, on guides
+        whose exact distances underflow or overflow (and so tie), on odd
+        dims, and on windows with fewer candidates than a group (5x6x7
+        and 4x4x4). Each part of the rounding bound is needed by one of
+        these guides."""
+        guide = _oracle_guide(kind)
+        with np.errstate(over="ignore"):  # the exact rule's inf distances
+            groups = _tile_groups(guide, max_group)
+            expected = [_brute_match(guide, ref, max_group)
+                        for ref in _reference_corners(guide.shape)]
+        assert len(groups) == len(expected)
+        for got, want in zip(groups, expected):
+            assert np.array_equal(got, want), want[0]
+
+    @pytest.mark.parametrize("max_group", [4, 16])
+    def test_tiles_match_exhaustive_scan_unit_radius(self, monkeypatch, max_group):
+        """The search radius is read at call time: under a unit radius,
+        windows of at most 27 corners, the tiles pick the exhaustive
+        scan's groups on odd dims."""
+        monkeypatch.setattr(engine, "SEARCH_RADIUS", (1, 1, 1))
+        guide = _oracle_guide("odd")
+        groups = _tile_groups(guide, max_group)
+        expected = [_brute_match(guide, ref, max_group)
+                    for ref in _reference_corners(guide.shape)]
+        assert len(groups) == len(expected)
+        for got, want in zip(groups, expected):
+            assert np.array_equal(got, want), want[0]
 
     @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
     def test_float32_guide_picks_the_same_corners(self, colored_arm,
@@ -128,15 +235,12 @@ class TestMatchBlocks:
         corner."""
         normalized = colored_stabilized.data / clamp_sigma(colored_arm["sigma"].data)
         guide = forward_pca(normalized).pcs[..., 0]
-        dims = guide.shape
-        offsets = block_offsets(dims, engine.BLOCK)
-        exact, rounded = guide.ravel(), guide.astype(np.float32).ravel()
-        starts = [_starts(d, b, engine.STEP) for d, b in zip(dims, engine.BLOCK)]
-        for ref in itertools.product(*starts):
-            assert np.array_equal(
-                _match_from_view(rounded, dims, ref, max_group, offsets),
-                _match_from_view(exact, dims, ref, max_group, offsets),
-            ), ref
+        exact = _tile_groups(guide, max_group)
+        rounded = _tile_groups(guide.astype(np.float32), max_group)
+        corners = list(_reference_corners(guide.shape))
+        assert len(exact) == len(rounded) == len(corners)
+        for ref, a, b in zip(corners, rounded, exact):
+            assert np.array_equal(a, b), ref
 
     def test_reference_inside_volume(self):
         """Reference corners are strided starts whose last start is
@@ -540,24 +644,23 @@ class TestChannelLayout:
 
 
 def _reference_stage(channels, psd, stage, pilot=None):
-    """The stage as it reads on paper: slice gathers, and per-block
-    slice adds into (m, n, o, C) numerator and weight sums."""
+    """The stage as it reads on paper: the exhaustive matcher, slice
+    gathers, and per-block slice adds into (m, n, o, C) numerator and
+    weight sums."""
     block = engine.BLOCK
     dims = channels.shape[:3]
     guide = (channels if stage == 1 else pilot)[..., 0]
     max_group = engine.HT_MAX_GROUP if stage == 1 else engine.WIENER_MAX_GROUP
-    offsets = block_offsets(dims, block)
     work = working_dims(dims, block, engine.SEARCH_RADIUS)
-    fields = basis_autocorr(fold_psd(psd.data, work), block)
+    fields = basis_autocorr(fold_psd(psd.data, work), block, engine.SEARCH_RADIUS)
 
     def block_at(pos):
         return tuple(slice(p, p + b) for p, b in zip(pos, block))
 
     num = np.zeros(channels.shape)
     den = np.zeros(channels.shape)
-    starts = [_starts(d, b, engine.STEP) for d, b in zip(dims, block)]
-    for ref in itertools.product(*starts):
-        positions = _match_from_view(guide.ravel(), dims, ref, max_group, offsets)
+    for ref in _reference_corners(dims):
+        positions = _brute_match(guide, ref, max_group)
         var = variances_from_fields(fields, positions - positions[0], block)
         var = var[..., None]
         # (M, b0, b1, b2, C): the group axis first, channels trailing

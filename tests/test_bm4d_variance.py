@@ -15,7 +15,7 @@ import pytest
 from bm4dpc.bm4d.engine import BLOCK, _psd_fields
 from bm4dpc.bm4d.transforms import dct_matrix
 from bm4dpc.bm4d.variance import (
-    basis_autocorr, fold_psd, variances_from_fields, working_dims,
+    _haar_pairs, basis_autocorr, fold_psd, variances_from_fields, working_dims,
 )
 from bm4dpc.core import NoisePsd
 
@@ -71,10 +71,29 @@ class TestFoldPsd:
         assert np.max(np.abs(out - 1.0)) <= 1e-12
 
 
-def padded_basis_autocorr(psi_work, block):
+def _signed_lags(fields, radius):
+    """Working-grid fields re-indexed at the lags -2r..2r of each axis,
+    modulo the grid."""
+    work = fields.shape[:3]
+    return fields[np.ix_(*(np.arange(-2 * r, 2 * r + 1) % w for r, w in zip(radius, work)))]
+
+
+def one_shot_fields(psi_work, block):
+    """The working-grid fields as one einsum over all basis functions
+    followed by one ifftn: ifftn(psi * |DFT(basis_p)|^2).real, (w0, w1,
+    w2, P)."""
+    work = psi_work.shape
+    s0, s1, s2 = (np.abs(np.fft.fft(dct_matrix(b), n=w)) ** 2
+                  for b, w in zip(block, work))
+    spectra = np.einsum("ax,by,cz,xyz->xyzabc", s0, s1, s2, psi_work)
+    return np.fft.ifftn(spectra.reshape(work + (-1,)), axes=(0, 1, 2)).real
+
+
+def padded_basis_autocorr(psi_work, block, radius):
     """basis_autocorr the long way: every 3D basis function zero-padded
     to the working grid, a forward 4D FFT of the (P, w0, w1, w2) stack,
-    and the inverse FFT of its power spectra times the PSD."""
+    the inverse FFT of its power spectra times the PSD, and the fields
+    read at the signed lags."""
     t0, t1, t2 = (dct_matrix(e) for e in block)
     basis = np.einsum("ai,bj,ck->abcijk", t0, t1, t2)
     basis = basis.reshape((int(np.prod(block)),) + tuple(block))
@@ -82,56 +101,94 @@ def padded_basis_autocorr(psi_work, block):
     pad[:, : block[0], : block[1], : block[2]] = basis
     spectra = np.abs(np.fft.fftn(pad, axes=(1, 2, 3))) ** 2
     fields = np.fft.ifftn(spectra * psi_work, axes=(1, 2, 3)).real
-    return np.moveaxis(fields, 0, -1)
+    return _signed_lags(np.moveaxis(fields, 0, -1), radius)
+
+
+def fields_variances(fields, offsets, block):
+    """The variances read from working-grid fields at the pairwise
+    offsets modulo the grid: one row take, one Haar pair product."""
+    m = offsets.shape[0]
+    work = fields.shape[:3]
+    diff = (offsets[:, None, :] - offsets[None, :, :]) % np.asarray(work)
+    lags = np.ravel_multi_index(np.moveaxis(diff, -1, 0), work)
+    table = np.take(fields.reshape(-1, fields.shape[3]), lags.ravel(), axis=0)
+    return np.clip(_haar_pairs(m) @ table, 0.0, None).reshape((m,) + tuple(block))
+
+
+# (28, 28, 16) has in-plane axes past the 21 signed lags of radius 5 and a
+# z axis below them, as the gate's 32x32x16 grid does
+WORK_GRIDS = [(28, 28, 16), (17, 19, 9)]
 
 
 class TestBasisAutocorr:
     @pytest.mark.parametrize("block", [(4, 4, 4), (2, 3, 4)])
-    @pytest.mark.parametrize("work", [(28, 28, 16), (17, 19, 9)])
+    @pytest.mark.parametrize("work", WORK_GRIDS)
     def test_matches_padded_basis_reference(self, block, work):
         """The outer product of the 1D DCT spectra gives the fields of
         the padded-basis 4D FFT, in the same p = k0*b1*b2 + k1*b2 + k2
         order, on even and odd working grids."""
         psi = np.random.default_rng(5).random(work)
-        fields = basis_autocorr(psi, block)
-        assert fields.shape == work + (int(np.prod(block)),)
-        assert fields.flags.c_contiguous
-        ref = padded_basis_autocorr(psi, block)
-        assert np.max(np.abs(fields - ref)) <= 1e-12
+        table = basis_autocorr(psi, block, (5, 5, 5))
+        assert table.shape == (21, 21, 21, int(np.prod(block)))
+        assert table.flags.c_contiguous
+        ref = padded_basis_autocorr(psi, block, (5, 5, 5))
+        assert np.max(np.abs(table - ref)) <= 1e-12
 
     @pytest.mark.parametrize("block", [(4, 4, 4), (2, 3, 4)])
-    @pytest.mark.parametrize("work", [(28, 28, 16), (17, 19, 9)])
+    @pytest.mark.parametrize("work", WORK_GRIDS)
     def test_matches_one_shot_build(self, block, work):
-        """Built one slab of basis functions at a time, the fields have
-        the bytes of one einsum over all basis functions followed by
-        one ifftn."""
+        """Built one slab of basis functions at a time, the signed-lag
+        table has the bytes of the one-shot working-grid fields read at
+        the lags -2r..2r modulo the grid, on axes longer and shorter
+        than the 21 lags of radius 5, and at radius 1."""
         psi = np.random.default_rng(6).random(work)
-        s0, s1, s2 = (np.abs(np.fft.fft(dct_matrix(b), n=w)) ** 2
-                      for b, w in zip(block, work))
-        spectra = np.einsum("ax,by,cz,xyz->xyzabc", s0, s1, s2, psi)
-        ref = np.fft.ifftn(spectra.reshape(work + (-1,)), axes=(0, 1, 2)).real
-        assert np.array_equal(basis_autocorr(psi, block), ref)
+        fields = one_shot_fields(psi, block)
+        for radius in ((5, 5, 5), (1, 1, 1)):
+            table = basis_autocorr(psi, block, radius)
+            assert np.array_equal(table, _signed_lags(fields, radius))
+
+    @pytest.mark.parametrize("work", WORK_GRIDS)
+    @pytest.mark.parametrize("m", [1, 2, 16, 32])
+    def test_variances_match_working_grid_fields(self, work, m):
+        """Groups of corners within the search radius of their reference
+        get the bytes of the variances read from the working-grid fields
+        modulo the grid."""
+        rng = np.random.default_rng(8)
+        psi = rng.random(work)
+        block = (4, 4, 4)
+        fields = one_shot_fields(psi, block)
+        table = basis_autocorr(psi, block, (5, 5, 5))
+        for _ in range(5):
+            offsets = rng.integers(-5, 6, size=(m, 3))
+            offsets[0] = 0  # the reference
+            expected = fields_variances(fields, offsets, block)
+            assert np.array_equal(variances_from_fields(table, offsets, block), expected)
 
     def test_peak_memory_below_three_fields(self):
-        """A slab's spectra and their complex transforms cover a b0-th
-        of the basis functions, so the build peaks below 3x its output;
-        the one-shot build peaked at 5x."""
+        """Only the signed-lag rows of a slab's fields are kept, and a
+        slab is b2 basis functions, so the build holds the table
+        (21^3 * 64 float64, 4.7 MB) and one slab's spectra and complex
+        transforms: below 2x the table, and below 1.25x the (28, 28, 16,
+        64) working-grid fields (6.4 MB) it never builds. Keeping the
+        fields and building 16 basis functions at a time peaked at 2.75x
+        those fields."""
         psi = np.random.default_rng(7).random((28, 28, 16))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            fields = basis_autocorr(psi, (4, 4, 4))
+            table = basis_autocorr(psi, (4, 4, 4), (5, 5, 5))
             peak = tracemalloc.get_traced_memory()[1] - start
         finally:
             tracemalloc.stop()
-        assert peak < 3.0 * fields.nbytes
+        assert peak < 2.0 * table.nbytes
+        assert peak < 1.25 * psi.nbytes * 64
 
     def test_flat_psd_zero_lag(self):
         """For unit white noise every orthonormal basis coefficient has
         unit variance, which is exactly the zero-lag autocorrelation."""
-        fields = basis_autocorr(np.ones((24, 24, 8)), (4, 4, 4))
-        assert fields.shape == (24, 24, 8, 64)
-        assert np.max(np.abs(fields[0, 0, 0] - 1.0)) <= 1e-9
+        table = basis_autocorr(np.ones((24, 24, 8)), (4, 4, 4), (5, 5, 5))
+        assert table.shape == (21, 21, 21, 64)
+        assert np.max(np.abs(table[10, 10, 10] - 1.0)) <= 1e-9
 
 
 class TestCoeffVariances:

@@ -168,6 +168,17 @@ class TestKernelToPsd:
         with pytest.raises(ValueError, match="dims must have 3 entries"):
             kernel_to_psd(np.ones((3, 3, 1)) / 3, dims)
 
+    @pytest.mark.parametrize("dims", [(8, -2, 8), (8, 0, 8), (8.0, 8, 8), ("8", 8, 8)])
+    def test_dims_need_positive_integers(self, dims):
+        """A negative or zero extent is not reported as a kernel that
+        does not fit, and a float or string extent is not a TypeError."""
+        with pytest.raises(ValueError, match="dims must be positive integers"):
+            kernel_to_psd(np.ones((3, 3, 1)) / 3, dims)
+
+    def test_numpy_integer_dims(self):
+        dims = tuple(np.array([8, 8, 4]))
+        assert kernel_to_psd(np.ones((3, 3, 1)) / 3, dims).dims == (8, 8, 4)
+
     def test_monte_carlo_psd_oracle(self):
         """Empirical per-frequency variance of spatially convolved draws
         (independent wrap-mode spatial convolution) matches the PSD."""
