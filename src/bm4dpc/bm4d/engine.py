@@ -7,34 +7,35 @@ returns the 0/1 keep mask and `wiener_shrink` the pilot^2 / (pilot^2 +
 var) gains, and the stage multiplies the group's coefficients by the
 gain and weights the group by 1 / sum(gain^2 * var), `_group_weight`.
 Multiple channels (principal components) ride along the same matched
-positions, so matching happens once per reference corner. It takes two
-steps with the exact result of one: `_shortlists` narrows the search
-windows of a tile of reference corners with one float64 distance
-product, and `_match_from_view` ranks each reference's shortlist
-exactly.
+positions, so matching happens once per reference corner. It reads one
+float64 copy of the guide, `_matching_guide`, in two steps with the
+exact result of one: `_shortlists` narrows the search windows of a tile
+of reference corners with one distance product, and `_match_from_view`
+ranks each reference's shortlist exactly. A guide's groups do not
+depend on its dtype.
 
 The method's settings are the module constants below, read at call
 time. Both stages share the block geometry, so `bm4d_multichannel`,
 the one entry point, checks its input against the block and the PSD
 dims, builds the PSD lag table and takes the voxel rows once for both.
 
-The whole stage is channel-last and computes in the dtype of its rows.
+The whole stage is channel-last and filters in the dtype of its rows.
 The channels (and the stage-2 pilot) are read as a (V, C) array of
 voxel rows, a view of the (m, n, o, C) stack. One function,
-`as_filter_dtype`, holds the dtype rule: float32, unless a sample is
-too large for float32 squares. The pipeline casts the PCs with it and
-drops the float64 PCs before it calls `bm4d_multichannel`; the driver
-applies it again for any other caller, and uses a float32 stack as it
-is. The noise variances are computed in float64 and cast per group. A
-block is addressed by one flat voxel index, its corner's raveled index
-plus `block_offsets`, so each group is one row take of shape
-(M, P, C). Groups are transformed as (M, b0, b1, b2, C) arrays,
-and the filtered blocks add into an (m, n, o, C) numerator without a
-layout change; group weights go into a corner field that
-`_spread_weights` turns into the per-voxel weight sums. The stage
-returns its numerator as (V, C) rows: stage 2 reads them as its pilot
-without a copy, and `bm4d_multichannel` casts the stage-2 rows to a
-float64 (m, n, o, C) array.
+`as_filter_dtype`, holds the dtype rule and is the one cast: float32,
+unless a sample is too large for float32 squares. The pipeline casts
+the PCs with it and drops the float64 PCs before it calls
+`bm4d_multichannel`; the driver applies it again for any other caller,
+and uses a float32 stack as it is. The noise variances are computed in
+float64 and cast per group. A block is addressed by one flat voxel
+index, its corner's raveled index plus `block_offsets`, so each group
+is one row take of shape (M, P, C). Groups are transformed as
+(M, b0, b1, b2, C) arrays, and the filtered blocks add into an
+(m, n, o, C) numerator without a layout change; group weights go into
+a corner field that `_spread_weights` turns into the per-voxel weight
+sums. The stage returns its numerator as (V, C) rows: stage 2 reads
+them as its pilot without a copy, and `bm4d_multichannel` casts the
+stage-2 rows to a float64 (m, n, o, C) array.
 """
 
 import itertools
@@ -71,16 +72,25 @@ def block_offsets(dims, block) -> np.ndarray:
     return np.ravel_multi_index(np.indices(block).reshape(3, -1), dims)
 
 
+def _matching_guide(column) -> np.ndarray:
+    """The float64 volume both matching passes read: `column` scaled by
+    a power of two (exact for samples above 2^-1021 times the largest)
+    so that no sample exceeds 1 in magnitude and no square overflows."""
+    guide = column.astype(np.float64)
+    np.ldexp(guide, -int(np.frexp(max(guide.max(), -guide.min()))[1]), out=guide)
+    return guide
+
+
 def _match_from_view(guide, dims, ref, candidates, count, offsets) -> np.ndarray:
     """Corners of the `count` blocks most similar to the reference block.
 
-    `guide` is the real matching volume of shape `dims`, raveled in C
-    order, and `offsets` its `block_offsets`. `ref` is the raveled
+    `guide` is the `_matching_guide` volume of shape `dims`, raveled in
+    C order, and `offsets` its `block_offsets`. `ref` is the raveled
     corner of the reference block and `candidates` the raveled corners
     of a shortlist of its SEARCH_RADIUS window, ascending (raster
     order), that holds the reference and the whole result. The
-    candidates are ranked by mean squared difference in the guide's
-    dtype, ties in raster order, and the reference always comes first.
+    candidates are ranked by float64 mean squared difference, ties in
+    raster order, and the reference always comes first.
     Returns the (count, 3) corners.
     """
     blocks = guide[candidates[:, None] + offsets]  # (K, block voxels)
@@ -102,28 +112,19 @@ def _shortlists(guide, dims, max_group, offsets):
     reference blocks with every block in the union of their windows
     gives the distances |r|^2 + |c|^2 - 2 r.c in float64, and a
     candidate of a reference's window is shortlisted when it is within a
-    rounding bound of the count-th smallest distance there. The bound
-    covers the float64 expansion's error and that of the exact distance
-    in the guide's dtype, so the shortlist holds the exact group, the
-    reference (at distance 0 up to rounding) among it; where that
-    distance could overflow, the shortlist is the whole window. A
-    tile's candidate blocks are one (P, K) float64 array, within one
+    rounding bound of the count-th smallest distance there. Both passes
+    read the `_matching_guide` volume, and the bound covers the
+    product's error and that of the exact distance, so the shortlist
+    holds the exact group, the reference (at distance 0 up to rounding)
+    among it. A tile's candidate blocks are one (P, K) array, within one
     x-slab of the candidate blocks.
     """
     size = len(offsets)
-    # float64 blocks, scaled by a power of two (exact) so no square overflows
-    shift = max(int(np.frexp(max(guide.max(), -guide.min()))[1]), 0)
-    volume = guide.astype(np.float64).reshape(dims)
-    np.ldexp(volume, -shift, out=volume)
-    blocks = np.lib.stride_tricks.sliding_window_view(volume, BLOCK)
-    # the bound: the expansion's error per unit of |r|^2 + |c|^2, the guide
-    # dtype's error per unit of distance, and a floor for squares that
-    # underflow; past `ceiling` (scaled) a distance could overflow
-    info = np.finfo(guide.dtype)
-    expansion = 8 * (size + 2) * np.finfo(np.float64).eps
-    relative = 2 * (size + 2) * info.eps
-    floor = 16 * size * info.smallest_subnormal
-    ceiling = np.ldexp(info.max, -2 * shift - 1)
+    blocks = np.lib.stride_tricks.sliding_window_view(guide.reshape(dims), BLOCK)
+    # the bound: the float64 error of the product and of the exact distance
+    # per unit of |r|^2 + |c|^2, and a floor for squares that underflow
+    slack = 16 * (size + 2) * np.finfo(np.float64).eps
+    floor = 16 * size * np.finfo(np.float64).smallest_subnormal
 
     def shortlist_tile(corners):
         """The shortlists of the (T, 3) reference corners of one tile."""
@@ -151,9 +152,7 @@ def _shortlists(guide, dims, max_group, offsets):
         counts = [1 << (int(n).bit_length() - 1) for n in counts]
         ranks = np.array(counts) - 1
         kth = np.partition(dist, np.unique(ranks), axis=1)[np.arange(len(refs)), ranks]
-        limit = (kth + relative * np.abs(kth) + floor
-                 + expansion * (norms[refs] + norms.max()))
-        limit[limit >= ceiling] = np.inf
+        limit = kth + floor + slack * (norms[refs] + norms.max())
         shortlist = inside & (dist <= limit[:, None])
         raveled = np.ravel_multi_index(
             np.indices(box_shape).reshape(3, -1) + box_lo[:, None], dims
@@ -233,16 +232,11 @@ def _spread_weights(corner_weight, block) -> np.ndarray:
 
 
 def _channel_stack(channels) -> np.ndarray:
-    """A real, finite (m, n, o, C) array with C >= 1, float32 or float64.
-
-    A float32 stack is kept as it is and any other dtype is cast to
-    float64; a float32 or float64 array is not copied.
-    """
+    """`channels` as an array, checked to be a real, finite (m, n, o, C)
+    stack with C >= 1. An array is not copied."""
     if np.iscomplexobj(channels):
         raise ValueError("channels must be real")
     stacked = np.asarray(channels)
-    if stacked.dtype != np.float32:
-        stacked = stacked.astype(np.float64, copy=False)
     if stacked.ndim != 4 or stacked.shape[-1] == 0:
         raise ValueError("need an (m, n, o, C) array of at least one channel")
     if not np.all(np.isfinite(stacked)):
@@ -257,7 +251,7 @@ def as_filter_dtype(stack) -> np.ndarray:
     finite, as float32 squares could overflow; then float64. No copy
     when the stack has that dtype already.
     """
-    largest = max(stack.max(), -stack.min())
+    largest = max(float(stack.max()), -float(stack.min()))  # no integer wrap
     dtype = np.float32 if largest <= FLOAT32_MAX_SAMPLE else np.float64
     return stack.astype(dtype, copy=False)
 
@@ -278,11 +272,12 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     on channel 0 of `pilot_rows` (the stage-1 output) and Wiener-filters
     every channel against its own pilot spectrum. The inputs are the ones
     `bm4d_multichannel` checked; the stage checks nothing again, and
-    divides by the weight sums directly. The matching, the transforms,
-    the gains, the weights and the sums run in the dtype of `rows`:
-    float32 from `bm4d_multichannel`, unless a sample is beyond
-    FLOAT32_MAX_SAMPLE, and float64 otherwise. Returns the filtered
-    C-contiguous (V, C) rows, of that dtype.
+    divides by the weight sums directly. Matching reads a float64 copy
+    of the guide (`_matching_guide`); the transforms, the gains, the
+    weights and the sums run in the dtype of `rows`: float32 from
+    `bm4d_multichannel`, unless a sample is beyond FLOAT32_MAX_SAMPLE,
+    and float64 otherwise. Returns the filtered C-contiguous (V, C)
+    rows, of that dtype.
     Identical output for any thread count: the calling thread
     shortlists each reference's candidates (`_shortlists`), worker
     threads rank them exactly and filter the groups, and the calling
@@ -290,7 +285,7 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     """
     nchan = rows.shape[1]
     offsets = block_offsets(dims, BLOCK)
-    guide = np.ascontiguousarray((rows if stage == 1 else pilot_rows)[:, 0])
+    guide = _matching_guide((rows if stage == 1 else pilot_rows)[:, 0])
     max_group = HT_MAX_GROUP if stage == 1 else WIENER_MAX_GROUP
     shortlists = _shortlists(guide, dims, max_group, offsets)
 
@@ -340,11 +335,12 @@ def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
 
     Both stages filter in the dtype of `as_filter_dtype`, float32 for a
     stack with no sample beyond FLOAT32_MAX_SAMPLE (float32 squares
-    could overflow past it) and float64 otherwise. A float32 stack, as
-    the pipeline passes its PCs, is used as it is; any other is cast
-    once here. The stages read the stack's (V, C) voxel rows, a view of
-    a C-contiguous stack. Returns the filtered C-contiguous float64
-    (m, n, o, C) array.
+    could overflow past it) and float64 otherwise; both match in
+    float64. A float32 stack, as the pipeline passes its PCs, is
+    used as it is; any other, integer stacks too, is cast once, by
+    `as_filter_dtype`. The stages read the stack's (V, C) voxel rows, a
+    view of a C-contiguous stack. Returns the filtered C-contiguous
+    float64 (m, n, o, C) array.
     """
     stacked = _channel_stack(channels)
     dims = stacked.shape[:3]

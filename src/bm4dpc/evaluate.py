@@ -40,14 +40,15 @@ def _finite(what: str, samples: np.ndarray) -> np.ndarray:
 
 
 def _real_pair(gt, test):
-    """The two volumes' arrays, checked to share dims, to be real and
-    to be finite."""
+    """The two volumes' arrays as float64, so integer samples do not
+    wrap, checked to share dims, to be real and to be finite."""
     a, b = _data(gt), _data(test)
     if a.shape != b.shape:
         raise ValueError("dims mismatch")
     if np.iscomplexobj(a) or np.iscomplexobj(b):
         raise ValueError("metrics expect real volumes; phase-stabilize first")
-    return _finite("gt", a), _finite("test", b)
+    return (_finite("gt", a.astype(np.float64, copy=False)),
+            _finite("test", b.astype(np.float64, copy=False)))
 
 
 def psnr(gt: Volume3, test: Volume3) -> float:
@@ -84,8 +85,6 @@ def ssim(gt: Volume3, test: Volume3) -> float:
     data_range = float(a.max() - a.min())
     if data_range == 0:
         raise ValueError("reference has zero dynamic range")
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
 
     c1 = (SSIM_K1 * data_range) ** 2
     c2 = (SSIM_K2 * data_range) ** 2
@@ -111,7 +110,8 @@ def rmse_map(gt_map, test_map, mask) -> float:
         raise ValueError("dims mismatch")
     if not m.any():
         raise ValueError("empty mask")
-    diff = _finite("gt_map", a[m]) - _finite("test_map", b[m])
+    diff = np.subtract(_finite("gt_map", a[m]), _finite("test_map", b[m]),
+                       dtype=np.float64)
     return float(np.sqrt(np.mean(diff * diff)))
 
 

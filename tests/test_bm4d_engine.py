@@ -17,6 +17,7 @@ from bm4dpc.bm4d.engine import (
     _group_weight,
     _ht_core,
     _match_from_view,
+    _matching_guide,
     _shortlists,
     _spread_weights,
     as_filter_dtype,
@@ -47,8 +48,8 @@ def _use_small_geometry(monkeypatch):
 
 
 def _match(data, ref):
-    """Stage 1's exact ranking on one raveled guide volume, over the whole
-    search window of any corner `ref` whose block fits."""
+    """Stage 1's exact ranking on one guide volume, over the whole search
+    window of any corner `ref` whose block fits."""
     dims = data.shape
     x, y, z = (
         np.arange(max(r - s, 0), min(r + s, d - b) + 1)
@@ -58,8 +59,8 @@ def _match(data, ref):
     count = min(window.size, engine.HT_MAX_GROUP)
     count = 1 << (count.bit_length() - 1)
     return _match_from_view(
-        data.ravel(), dims, np.ravel_multi_index(ref, dims), window, count,
-        block_offsets(dims, engine.BLOCK),
+        _matching_guide(data.ravel()), dims, np.ravel_multi_index(ref, dims),
+        window, count, block_offsets(dims, engine.BLOCK),
     )
 
 
@@ -67,7 +68,7 @@ def _tile_groups(data, max_group):
     """The stage's matched groups of every reference corner of a guide
     volume, in corner order: the tiles' shortlists re-ranked exactly."""
     dims = data.shape
-    guide = data.ravel()
+    guide = _matching_guide(data.ravel())
     offsets = block_offsets(dims, engine.BLOCK)
     return [
         _match_from_view(guide, dims, *shortlist, offsets)
@@ -82,12 +83,15 @@ def _reference_corners(dims):
 
 
 def _brute_match(data, ref, max_group=None):
-    """Reference matcher: every corner of the window scored by the mean
-    squared difference of its block to the reference block, a
-    (distance, corner) sort with the reference forced first, and
-    power-of-two truncation."""
+    """Reference matcher: every corner of the window scored by the float64
+    mean squared difference of its block to the reference block, the
+    samples scaled by the power of two that brings the largest magnitude
+    into [1/2, 1), a (distance, corner) sort with the reference forced
+    first, and power-of-two truncation."""
     if max_group is None:
         max_group = engine.HT_MAX_GROUP
+    _, exponent = np.frexp(np.abs(data).max())
+    data = np.ldexp(data.astype(np.float64), -int(exponent))
     dims = data.shape
     block = engine.BLOCK
     ranges = [
@@ -108,7 +112,8 @@ def _brute_match(data, ref, max_group=None):
 
 def _oracle_guide(kind):
     """Guides whose distances are generic, nearly tied, exactly tied,
-    beyond float32, or on odd and small grids."""
+    beyond float32, in the float64 subnormals, or on odd, small and
+    long grids."""
     rng = np.random.default_rng(21)
     dims = (32, 32, 16)
     if kind == "noise":
@@ -140,7 +145,13 @@ def _oracle_guide(kind):
         return (1e-25 * rng.standard_normal(dims)).astype(np.float32)
     if kind == "overflow":  # float64 squares past the largest float64
         return 1e200 * rng.standard_normal(dims)
-    shapes = {"odd": (17, 19, 9), "few": (5, 6, 7), "one": (4, 4, 4)}
+    if kind.startswith("subnormal"):  # squares below float64's normals
+        guide = 10.0 ** -int(kind[len("subnormal"):]) * rng.standard_normal(dims)
+        guide[0, 0, 0] = 1.0  # so the scaling does not lift the rest
+        return guide
+    # more z starts than TILE[1]: a band's tiles span several z chunks
+    shapes = {"odd": (17, 19, 9), "few": (5, 6, 7), "one": (4, 4, 4),
+              "long_z": (12, 12, 24), "odd_long_z": (9, 20, 31)}
     return rng.standard_normal(shapes[kind]).astype(np.float32)
 
 
@@ -189,24 +200,26 @@ class TestMatchBlocks:
     @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
     @pytest.mark.parametrize("kind", [
         "noise", "ramp", "ties", "quantized", "near_ties", "offset", "float64",
-        "underflow", "overflow", "odd", "few", "one",
+        "underflow", "overflow", "subnormal160", "subnormal161", "odd", "few",
+        "one", "long_z", "odd_long_z",
     ])
     def test_tiles_match_exhaustive_scan(self, kind, max_group):
         """The tiles' distance products and exact re-ranking pick the
-        exhaustive scan's group at every reference corner: on noise, on
-        a ramp at 1e4 (near ties), on a 90% constant guide (exact ties),
-        on quantized values, on ties that float32 rounding breaks, on a
-        float64 ramp at 1e12 (the expansion's error dwarfs the
-        distances), on a float64 guide beyond float32's range, on guides
-        whose exact distances underflow or overflow (and so tie), on odd
-        dims, and on windows with fewer candidates than a group (5x6x7
-        and 4x4x4). Each part of the rounding bound is needed by one of
-        these guides."""
+        exhaustive scan's group at every reference corner, each once: on
+        noise, on a ramp at 1e4 (near ties), on a 90% constant guide
+        (exact ties), on quantized values, on near ties, on a float64
+        ramp at 1e12 (the expansion's error dwarfs the distances), on a
+        float64 guide beyond float32's range, on float32 guides at 1e-25
+        and float64 ones at 1e200 (the scaling gives both real rankings,
+        not ties of underflowed or overflowed distances), on float64
+        noise at 1e-160 and 1e-161 beside one unit sample (squares in
+        the subnormals: the bound's floor), on odd dims, on windows with
+        fewer candidates than a group (5x6x7 and 4x4x4), and on grids of
+        more z starts than a tile holds (12x12x24 and 9x20x31)."""
         guide = _oracle_guide(kind)
-        with np.errstate(over="ignore"):  # the exact rule's inf distances
-            groups = _tile_groups(guide, max_group)
-            expected = [_brute_match(guide, ref, max_group)
-                        for ref in _reference_corners(guide.shape)]
+        groups = _tile_groups(guide, max_group)
+        expected = [_brute_match(guide, ref, max_group)
+                    for ref in _reference_corners(guide.shape)]
         assert len(groups) == len(expected)
         for got, want in zip(groups, expected):
             assert np.array_equal(got, want), want[0]
@@ -223,6 +236,18 @@ class TestMatchBlocks:
                     for ref in _reference_corners(guide.shape)]
         assert len(groups) == len(expected)
         for got, want in zip(groups, expected):
+            assert np.array_equal(got, want), want[0]
+
+    @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
+    @pytest.mark.parametrize("kind", ["near_ties", "ties", "underflow"])
+    def test_groups_independent_of_guide_dtype(self, kind, max_group):
+        """A float32 guide is matched as its float64 values: on near and
+        exact ties and on squares below float32's subnormals, the groups
+        of every reference corner are those of the float64 guide."""
+        guide = _oracle_guide(kind)
+        assert guide.dtype == np.float32
+        exact = _tile_groups(guide.astype(np.float64), max_group)
+        for got, want in zip(_tile_groups(guide, max_group), exact, strict=True):
             assert np.array_equal(got, want), want[0]
 
     @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
@@ -450,6 +475,18 @@ class TestBm4dStage:
         threaded = bm4d_multichannel(noisy, psd, threads=4)
         assert np.array_equal(serial, threaded)
 
+    @pytest.mark.parametrize("dims", [(12, 12, 24), (9, 20, 31)])
+    def test_threads_agree_across_z_chunks(self, dims):
+        """On grids of more z starts than a tile holds, each band's
+        shortlists come from several z chunks, and every thread count
+        gives the same bytes."""
+        rng = np.random.default_rng(18)
+        channels = rng.standard_normal(dims + (2,))
+        psd = NoisePsd(np.ones(dims))
+        serial = bm4d_multichannel(channels, psd, threads=1)
+        for threads in (2, 3):
+            assert np.array_equal(bm4d_multichannel(channels, psd, threads=threads), serial)
+
     def test_odd_dims_clamped_starts(self, monkeypatch):
         """Non-cubic odd dims end on clamped starts along x and z, and a
         unit search radius gives groups of 8 blocks at the corners."""
@@ -566,7 +603,7 @@ class TestChannelLayout:
     def test_float32_stack_kept(self, monkeypatch):
         """A float32 stack, as the pipeline hands over its PCs, is
         checked and cast without a float64 or float32 copy, and filtered
-        to the bytes of its float64 values."""
+        to the bytes of its float64 values; so is an int16 stack."""
         rng = np.random.default_rng(15)
         dims = (10, 9, 8)
         double = rng.standard_normal(dims + (3,))
@@ -578,6 +615,9 @@ class TestChannelLayout:
         psd = NoisePsd(np.ones(dims))
         out = bm4d_multichannel(single, psd)
         assert np.array_equal(out, bm4d_multichannel(double, psd))
+        integers = np.round(1000.0 * double).astype(np.int16)
+        assert np.array_equal(bm4d_multichannel(integers, psd),
+                              bm4d_multichannel(integers.astype(np.float64), psd))
         large = 2.0**60 * double
         assert as_filter_dtype(large) is large
 

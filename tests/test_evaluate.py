@@ -208,6 +208,21 @@ class TestRmseMap:
             mask[1, 2, 3] = True
 
 
+@pytest.mark.parametrize("dtype", [np.int16, np.uint8])
+def test_integer_samples_do_not_wrap(dtype):
+    """Integer volumes score as their float64 values: no difference,
+    square, peak or range wraps around in the integer dtype."""
+    rng = np.random.default_rng(7)
+    info = np.iinfo(dtype)
+    gt, test = rng.integers(info.min, info.max, (2, 8, 8, 8), endpoint=True,
+                            dtype=dtype)
+    mask = np.ones((8, 8, 8), bool)
+    exact = gt.astype(np.float64), test.astype(np.float64)
+    assert psnr(gt, test) == psnr(*exact)
+    assert ssim(gt, test) == ssim(*exact)
+    assert rmse_map(gt, test, mask) == rmse_map(*exact, mask)
+
+
 class TestFitDti:
     def test_isotropic_tensor(self):
         dims = (6, 6, 3)
