@@ -9,10 +9,10 @@ gain and weights the group by 1 / sum(gain^2 * var), `_group_weight`.
 Multiple channels (principal components) ride along the same matched
 positions, so matching happens once per reference corner. It reads one
 float64 copy of the guide, `_matching_guide`, in two steps with the
-exact result of one: `_shortlists` narrows the search windows of a tile
-of reference corners with one distance product, and `_match_from_view`
-ranks each reference's shortlist exactly. A guide's groups do not
-depend on its dtype.
+exact result of one: `_shortlist_row` narrows the search windows of a
+row of reference corners, those at one (x, y) start, with one distance
+product, and `_match_from_view` ranks each reference's shortlist
+exactly. A guide's groups do not depend on its dtype.
 
 The method's settings are the module constants below, read at call
 time. Both stages share the block geometry, so `bm4d_multichannel`,
@@ -38,7 +38,6 @@ them as its pilot without a copy, and `bm4d_multichannel` casts the
 stage-2 rows to a float64 (m, n, o, C) array.
 """
 
-import itertools
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -62,9 +61,6 @@ STEP = 3  # reference corner stride; at most min(BLOCK), so the blocks tile
 HT_THRESHOLD = 2.7  # hard-threshold multiplier of the coefficient deviation
 HT_MAX_GROUP = 16  # blocks per group in stage 1
 WIENER_MAX_GROUP = 32  # blocks per group in stage 2
-# reference starts matched per distance product: one x-plane, TILE[0]
-# consecutive y starts by TILE[1] consecutive z starts
-TILE = (3, 5)
 
 
 def block_offsets(dims, block) -> np.ndarray:
@@ -100,79 +96,72 @@ def _match_from_view(guide, dims, ref, candidates, count, offsets) -> np.ndarray
     return np.stack(np.unravel_index(candidates[order], dims), axis=1)
 
 
-def _shortlists(guide, dims, max_group, offsets):
-    """Yield (ref, candidates, count) for every reference block, in corner
-    order: `_match_from_view`'s arguments for the reference's group.
+def _shortlist_row(blocks, index, x, y, zs, max_group):
+    """`_match_from_view`'s (ref, candidates, count) for the references of
+    one row: the T corners (x, y, z) for z in the ascending `zs`.
 
-    A reference's group is the exact ranking of its SEARCH_RADIUS window
-    cut to `count` blocks, the largest power of two of at most
-    min(window candidates, max_group) (Haar needs a power of two). The
-    references are shortlisted in tiles of one x-plane of starts and
-    TILE consecutive (y, z) starts: one matrix product of the tile's
-    reference blocks with every block in the union of their windows
-    gives the distances |r|^2 + |c|^2 - 2 r.c in float64, and a
-    candidate of a reference's window is shortlisted when it is within a
-    rounding bound of the count-th smallest distance there. Both passes
-    read the `_matching_guide` volume, and the bound covers the
-    product's error and that of the exact distance, so the shortlist
-    holds the exact group, the reference (at distance 0 up to rounding)
-    among it. A tile's candidate blocks are one (P, K) array, within one
-    x-slab of the candidate blocks.
+    `blocks` is the sliding block view of the `_matching_guide` volume
+    and `index` the raveled index of each of its voxels. A reference's
+    group is the exact ranking of its SEARCH_RADIUS window cut to
+    `count` blocks, the largest power of two of at most min(window
+    candidates, max_group) (Haar needs a power of two). The references
+    share their x and y windows, so the row's candidates are one box,
+    those windows by the union of the z windows, and each reference's
+    window is a z interval of it. One matrix product of the references'
+    blocks with the box's gives the distances |r|^2 + |c|^2 - 2 r.c in
+    float64, and a candidate of a reference's window is shortlisted when
+    it is within a rounding bound of the count-th smallest distance
+    there. The bound covers the product's error and that of the exact
+    distance, so the shortlist holds the exact group, the reference (at
+    distance 0 up to rounding) among it.
     """
-    size = len(offsets)
-    blocks = np.lib.stride_tricks.sliding_window_view(guide.reshape(dims), BLOCK)
+    dims = index.shape
+    size = int(np.prod(BLOCK))
     # the bound: the float64 error of the product and of the exact distance
     # per unit of |r|^2 + |c|^2, and a floor for squares that underflow
     slack = 16 * (size + 2) * np.finfo(np.float64).eps
     floor = 16 * size * np.finfo(np.float64).smallest_subnormal
+    (x_lo, x_hi), (y_lo, y_hi) = (
+        (max(c - r, 0), min(c + r, d - b))
+        for c, r, d, b in zip((x, y), SEARCH_RADIUS, dims, BLOCK)
+    )
+    lows = np.maximum(zs - SEARCH_RADIUS[2], 0)
+    highs = np.minimum(zs + SEARCH_RADIUS[2], dims[2] - BLOCK[2])
+    box = (slice(x_lo, x_hi + 1), slice(y_lo, y_hi + 1), slice(lows[0], highs[-1] + 1))
+    corners = index[box]  # the box's raveled corners, ascending
+    cands = np.moveaxis(blocks[box], (3, 4, 5), (0, 1, 2)).reshape(size, -1)
+    norms = np.einsum("pk,pk->k", cands, cands)
+    refs = np.ravel_multi_index((x - x_lo, y - y_lo, zs - lows[0]), corners.shape)
+    dist = cands[:, refs].T @ cands  # (T, K): the references by the box's corners
+    dist *= -2.0
+    dist += norms
+    dist += norms[refs, None]
+    # each reference's window: a (T, depth) z mask over the box's (x, y) columns
+    z = np.arange(lows[0], highs[-1] + 1)
+    inside = (z >= lows[:, None]) & (z <= highs[:, None])
+    np.copyto(dist.reshape(len(zs), -1, len(z)), np.inf, where=~inside[:, None, :])
+    counts = np.minimum(corners[..., 0].size * (highs - lows + 1), max_group)
+    counts = [1 << (int(n).bit_length() - 1) for n in counts]
+    ranks = np.array(counts) - 1
+    kth = np.partition(dist, np.unique(ranks), axis=1)[np.arange(len(zs)), ranks]
+    limit = kth + floor + slack * (norms[refs] + norms.max())
+    corners = corners.ravel()
+    # a distance outside the window is inf, beyond every (finite) limit
+    return [(corners[ref], corners[row], count)
+            for ref, row, count in zip(refs, dist <= limit[:, None], counts)]
 
-    def shortlist_tile(corners):
-        """The shortlists of the (T, 3) reference corners of one tile."""
-        lows = np.maximum(corners - SEARCH_RADIUS, 0)
-        highs = np.minimum(corners + SEARCH_RADIUS, np.subtract(dims, BLOCK))
-        box_lo, box_hi = lows.min(axis=0), highs.max(axis=0)
-        box = tuple(slice(lo, hi + 1) for lo, hi in zip(box_lo, box_hi))
-        box_shape = tuple(box_hi - box_lo + 1)
-        cands = np.moveaxis(blocks[box], (3, 4, 5), (0, 1, 2)).reshape(size, -1)
-        norms = np.einsum("pk,pk->k", cands, cands)
-        refs = np.ravel_multi_index((corners - box_lo).T, box_shape)
-        dist = cands[:, refs].T @ cands  # (T, K)
-        dist *= -2.0
-        dist += norms
-        dist += norms[refs, None]
-        # each reference's window, as one (T, box extent) mask per axis
-        along = []
-        for a, (lo, hi) in enumerate(zip(box_lo, box_hi)):
-            axis = np.arange(lo, hi + 1)
-            along.append((axis >= lows[:, [a]]) & (axis <= highs[:, [a]]))
-        inside = (along[0][:, :, None, None] & along[1][:, None, :, None]
-                  & along[2][:, None, None, :]).reshape(len(refs), -1)
-        np.copyto(dist, np.inf, where=~inside)
-        counts = np.minimum((highs - lows + 1).prod(axis=1), max_group)
-        counts = [1 << (int(n).bit_length() - 1) for n in counts]
-        ranks = np.array(counts) - 1
-        kth = np.partition(dist, np.unique(ranks), axis=1)[np.arange(len(refs)), ranks]
-        limit = kth + floor + slack * (norms[refs] + norms.max())
-        shortlist = inside & (dist <= limit[:, None])
-        raveled = np.ravel_multi_index(
-            np.indices(box_shape).reshape(3, -1) + box_lo[:, None], dims
-        )
-        ref_raveled = np.ravel_multi_index(corners.T, dims)
-        return [(ref, raveled[row], count)
-                for ref, row, count in zip(ref_raveled, shortlist, counts)]
 
+def _shortlists(guide, dims, max_group):
+    """Yield (ref, candidates, count) for every reference block, in corner
+    order: `_match_from_view`'s arguments for the reference's group, one
+    `_shortlist_row` per (x, y) start in raster order."""
+    blocks = np.lib.stride_tricks.sliding_window_view(guide.reshape(dims), BLOCK)
+    index = np.arange(guide.size).reshape(dims)
     xs, ys, zs = (_starts(d, b, STEP) for d, b in zip(dims, BLOCK))
+    zs = np.array(zs)
     for x in xs:
-        for i in range(0, len(ys), TILE[0]):
-            band = ys[i:i + TILE[0]]
-            found = {}
-            for k in range(0, len(zs), TILE[1]):
-                tile = list(itertools.product([x], band, zs[k:k + TILE[1]]))
-                found.update(zip(tile, shortlist_tile(np.array(tile))))
-            # corner order: each y start of the band with every z start
-            for y in band:
-                for z in zs:
-                    yield found[x, y, z]
+        for y in ys:
+            yield from _shortlist_row(blocks, index, x, y, zs, max_group)
 
 
 def _ht_core(coeffs, variances, lam):
@@ -279,15 +268,15 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     and float64 otherwise. Returns the filtered C-contiguous (V, C)
     rows, of that dtype.
     Identical output for any thread count: the calling thread
-    shortlists each reference's candidates (`_shortlists`), worker
-    threads rank them exactly and filter the groups, and the calling
-    thread adds the groups up in corner order.
+    shortlists the references row by row (`_shortlists`), worker
+    threads rank each reference's shortlist exactly and filter its
+    group, and the calling thread adds the groups up in corner order.
     """
     nchan = rows.shape[1]
     offsets = block_offsets(dims, BLOCK)
     guide = _matching_guide((rows if stage == 1 else pilot_rows)[:, 0])
     max_group = HT_MAX_GROUP if stage == 1 else WIENER_MAX_GROUP
-    shortlists = _shortlists(guide, dims, max_group, offsets)
+    shortlists = _shortlists(guide, dims, max_group)
 
     def filter_group(shortlist):
         positions = _match_from_view(guide, dims, *shortlist, offsets)

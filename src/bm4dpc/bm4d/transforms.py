@@ -45,21 +45,15 @@ def haar_matrix(m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _plane_dct(b1: int, b2: int) -> np.ndarray:
-    """kron(dct(b1), dct(b2)): the 2D DCT over a raveled (b1, b2) plane."""
-    mat = np.kron(dct_matrix(b1), dct_matrix(b2))
-    mat.setflags(write=False)  # cached: every caller shares this array
-    return mat
-
-
-@lru_cache(maxsize=None)
 def _group_matrices(m, b0, b1, b2, dtype):
-    """The Haar, plane-DCT and first-axis DCT matrices of a group shape,
-    cast to `dtype` (the cached float64 tables themselves when it is
+    """The Haar, plane-DCT (kron(dct(b1), dct(b2)), the 2D DCT over a
+    raveled (b1, b2) plane) and first-axis DCT matrices of a group shape,
+    cast to `dtype` (the Haar and DCT tables themselves when it is
     float64); cached, and read-only as those are."""
+    plane = np.kron(dct_matrix(b1), dct_matrix(b2))
     mats = tuple(
         mat.astype(dtype, copy=False)
-        for mat in (haar_matrix(m), _plane_dct(b1, b2), dct_matrix(b0))
+        for mat in (haar_matrix(m), plane, dct_matrix(b0))
     )
     for mat in mats:
         mat.setflags(write=False)  # cached: every caller shares this array

@@ -109,6 +109,8 @@ def _cmd_simulate(args):
 
 
 def _cmd_denoise(args):
+    if args.save_noise_estimates:  # a directory that cannot be made fails first
+        os.makedirs(args.save_noise_estimates, exist_ok=True)
     provided_map = provided_psd = None
     if args.noise_map:
         provided_map = NoiseMap(_load_volume(args.noise_map).data)
@@ -124,7 +126,6 @@ def _cmd_denoise(args):
     )
     write_nifti(denoised, args.out)
     if args.save_noise_estimates:
-        os.makedirs(args.save_noise_estimates, exist_ok=True)
         write_nifti(
             used_map, os.path.join(args.save_noise_estimates, "sigma_est.nii")
         )

@@ -64,15 +64,15 @@ def _match(data, ref):
     )
 
 
-def _tile_groups(data, max_group):
+def _row_groups(data, max_group):
     """The stage's matched groups of every reference corner of a guide
-    volume, in corner order: the tiles' shortlists re-ranked exactly."""
+    volume, in corner order: the rows' shortlists re-ranked exactly."""
     dims = data.shape
     guide = _matching_guide(data.ravel())
     offsets = block_offsets(dims, engine.BLOCK)
     return [
         _match_from_view(guide, dims, *shortlist, offsets)
-        for shortlist in _shortlists(guide, dims, max_group, offsets)
+        for shortlist in _shortlists(guide, dims, max_group)
     ]
 
 
@@ -113,7 +113,7 @@ def _brute_match(data, ref, max_group=None):
 def _oracle_guide(kind):
     """Guides whose distances are generic, nearly tied, exactly tied,
     beyond float32, in the float64 subnormals, or on odd, small and
-    long grids."""
+    long grids, and on a grid of one z start per row."""
     rng = np.random.default_rng(21)
     dims = (32, 32, 16)
     if kind == "noise":
@@ -149,9 +149,10 @@ def _oracle_guide(kind):
         guide = 10.0 ** -int(kind[len("subnormal"):]) * rng.standard_normal(dims)
         guide[0, 0, 0] = 1.0  # so the scaling does not lift the rest
         return guide
-    # more z starts than TILE[1]: a band's tiles span several z chunks
+    # rows of many z starts (long_z, odd_long_z) and of one (one_z)
     shapes = {"odd": (17, 19, 9), "few": (5, 6, 7), "one": (4, 4, 4),
-              "long_z": (12, 12, 24), "odd_long_z": (9, 20, 31)}
+              "long_z": (12, 12, 24), "odd_long_z": (9, 20, 31),
+              "one_z": (12, 12, 4)}
     return rng.standard_normal(shapes[kind]).astype(np.float32)
 
 
@@ -194,17 +195,17 @@ class TestMatchBlocks:
 
     def test_truncates_to_power_of_two(self):
         # 2 * 3 * 1 = 6 candidate corners, so 4 blocks come back
-        positions = _tile_groups(np.zeros((5, 6, 4)), engine.HT_MAX_GROUP)[0]
+        positions = _row_groups(np.zeros((5, 6, 4)), engine.HT_MAX_GROUP)[0]
         assert positions.shape == (4, 3)
 
     @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
     @pytest.mark.parametrize("kind", [
         "noise", "ramp", "ties", "quantized", "near_ties", "offset", "float64",
         "underflow", "overflow", "subnormal160", "subnormal161", "odd", "few",
-        "one", "long_z", "odd_long_z",
+        "one", "long_z", "odd_long_z", "one_z",
     ])
     def test_tiles_match_exhaustive_scan(self, kind, max_group):
-        """The tiles' distance products and exact re-ranking pick the
+        """The rows' distance products and exact re-ranking pick the
         exhaustive scan's group at every reference corner, each once: on
         noise, on a ramp at 1e4 (near ties), on a 90% constant guide
         (exact ties), on quantized values, on near ties, on a float64
@@ -214,10 +215,11 @@ class TestMatchBlocks:
         not ties of underflowed or overflowed distances), on float64
         noise at 1e-160 and 1e-161 beside one unit sample (squares in
         the subnormals: the bound's floor), on odd dims, on windows with
-        fewer candidates than a group (5x6x7 and 4x4x4), and on grids of
-        more z starts than a tile holds (12x12x24 and 9x20x31)."""
+        fewer candidates than a group (5x6x7 and 4x4x4), on grids of
+        long rows (12x12x24 and 9x20x31) and on one of one z start per
+        row (12x12x4)."""
         guide = _oracle_guide(kind)
-        groups = _tile_groups(guide, max_group)
+        groups = _row_groups(guide, max_group)
         expected = [_brute_match(guide, ref, max_group)
                     for ref in _reference_corners(guide.shape)]
         assert len(groups) == len(expected)
@@ -227,16 +229,36 @@ class TestMatchBlocks:
     @pytest.mark.parametrize("max_group", [4, 16])
     def test_tiles_match_exhaustive_scan_unit_radius(self, monkeypatch, max_group):
         """The search radius is read at call time: under a unit radius,
-        windows of at most 27 corners, the tiles pick the exhaustive
+        windows of at most 27 corners, the rows pick the exhaustive
         scan's groups on odd dims."""
         monkeypatch.setattr(engine, "SEARCH_RADIUS", (1, 1, 1))
         guide = _oracle_guide("odd")
-        groups = _tile_groups(guide, max_group)
+        groups = _row_groups(guide, max_group)
         expected = [_brute_match(guide, ref, max_group)
                     for ref in _reference_corners(guide.shape)]
         assert len(groups) == len(expected)
         for got, want in zip(groups, expected):
             assert np.array_equal(got, want), want[0]
+
+    @pytest.mark.parametrize("kind", ["odd_long_z", "one_z"])
+    def test_one_row_call_per_xy_start(self, monkeypatch, kind):
+        """A `_shortlists` pass calls `_shortlist_row` once per (x, y)
+        start, in raster order, and a wrapped row function leaves every
+        group as it is."""
+        guide = _oracle_guide(kind)
+        expected = _row_groups(guide, engine.HT_MAX_GROUP)
+        row, calls = engine._shortlist_row, []
+
+        def counting(blocks, index, x, y, zs, max_group):
+            calls.append((x, y))
+            return row(blocks, index, x, y, zs, max_group)
+
+        monkeypatch.setattr(engine, "_shortlist_row", counting)
+        got = _row_groups(guide, engine.HT_MAX_GROUP)
+        xs, ys, _ = (_starts(d, b, engine.STEP) for d, b in zip(guide.shape, engine.BLOCK))
+        assert calls == list(itertools.product(xs, ys))
+        for a, b in zip(got, expected, strict=True):
+            assert np.array_equal(a, b), b[0]
 
     @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
     @pytest.mark.parametrize("kind", ["near_ties", "ties", "underflow"])
@@ -246,8 +268,8 @@ class TestMatchBlocks:
         of every reference corner are those of the float64 guide."""
         guide = _oracle_guide(kind)
         assert guide.dtype == np.float32
-        exact = _tile_groups(guide.astype(np.float64), max_group)
-        for got, want in zip(_tile_groups(guide, max_group), exact, strict=True):
+        exact = _row_groups(guide.astype(np.float64), max_group)
+        for got, want in zip(_row_groups(guide, max_group), exact, strict=True):
             assert np.array_equal(got, want), want[0]
 
     @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
@@ -260,8 +282,8 @@ class TestMatchBlocks:
         corner."""
         normalized = colored_stabilized.data / clamp_sigma(colored_arm["sigma"].data)
         guide = forward_pca(normalized).pcs[..., 0]
-        exact = _tile_groups(guide, max_group)
-        rounded = _tile_groups(guide.astype(np.float32), max_group)
+        exact = _row_groups(guide, max_group)
+        rounded = _row_groups(guide.astype(np.float32), max_group)
         corners = list(_reference_corners(guide.shape))
         assert len(exact) == len(rounded) == len(corners)
         for ref, a, b in zip(corners, rounded, exact):
@@ -475,11 +497,10 @@ class TestBm4dStage:
         threaded = bm4d_multichannel(noisy, psd, threads=4)
         assert np.array_equal(serial, threaded)
 
-    @pytest.mark.parametrize("dims", [(12, 12, 24), (9, 20, 31)])
-    def test_threads_agree_across_z_chunks(self, dims):
-        """On grids of more z starts than a tile holds, each band's
-        shortlists come from several z chunks, and every thread count
-        gives the same bytes."""
+    @pytest.mark.parametrize("dims", [(12, 12, 24), (9, 20, 31), (12, 12, 4)])
+    def test_threads_agree_across_rows(self, dims):
+        """On grids of long rows (many z starts per (x, y) start) and of
+        one z start per row, every thread count gives the same bytes."""
         rng = np.random.default_rng(18)
         channels = rng.standard_normal(dims + (2,))
         psd = NoisePsd(np.ones(dims))

@@ -202,6 +202,32 @@ class TestArgHandling:
         assert code == 2
         assert "PSD dims must match" in capsys.readouterr().err
 
+    def test_noise_estimates_dir_made_before_denoising(self, small_sim, tmp_path,
+                                                        monkeypatch, capsys):
+        """A --save-noise-estimates path that is a regular file fails with
+        exit 3 before the series is read or denoised, and no --out is
+        written."""
+        def never(*args, **kwargs):
+            raise AssertionError("input read before the directory was made")
+
+        monkeypatch.setattr(cli, "denoise_bm4dpc", never)
+        monkeypatch.setattr(cli, "read_nifti", never)
+        taken = tmp_path / "taken"
+        taken.write_text("a regular file\n")
+        code = run_cli([
+            "denoise",
+            "--in", str(small_sim / "noisy.nii"),
+            "--bval", str(small_sim / "bvals"),
+            "--noise-map", str(small_sim / "sigma_true.nii"),
+            "--psd", str(small_sim / "psd_true.nii"),
+            "--save-noise-estimates", str(taken),
+            "--out", str(tmp_path / "out.nii"),
+        ])
+        assert code == 3
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out.nii").exists()
+        assert taken.read_text() == "a regular file\n"
+
     def test_simulate_beyond_nifti_dims_is_value_error(self, tmp_path, capsys):
         """A 40000-voxel axis does not fit NIfTI-1's int16 dim: exit 2
         with a message, not a traceback from the header packer."""
