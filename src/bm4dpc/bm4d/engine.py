@@ -337,7 +337,7 @@ def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
         raise ValueError("volume smaller than the block")
     if psd.dims != dims:
         raise ValueError("PSD dims must match the channels")
-    # the lag table's FFT temporaries are freed before any (V, C) row copy exists
+    # the lag table's build temporaries are freed before any (V, C) row copy exists
     fields = _psd_fields(psd.data)
     rows = as_filter_dtype(stacked).reshape(-1, stacked.shape[-1])
     pilot_rows = bm4d_stage(rows, dims, fields, stage=1, threads=threads)

@@ -7,7 +7,7 @@ trailing: (M, b0, b1, b2, ...). The Haar transform is one (M, M) matrix
 product over all samples, and the 3D DCT is factored into a
 kron(dct(b1), dct(b2)) pass over the (b1 * b2) axis and a dct(b0) pass.
 `dct_matrix` is the one definition of the block DCT; the variance model
-takes its basis spectra from the same rows. Everything is real and
+takes its basis autocorrelations from the same rows. Everything is real and
 orthonormal, so coefficient energies and the exact-variance formula
 stay simple. The cached matrices are float64; a group transform uses
 them cast to its samples' dtype, cached per group shape and dtype, so

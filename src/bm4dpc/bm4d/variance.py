@@ -5,13 +5,14 @@ coefficient of a block group has a closed form that accounts for
 inter-block correlation (blocks in a group overlap and share noise).
 Rewriting that form through the autocorrelation function reduces each
 group to table lookups at the pairwise block offsets, so the spectral
-work is done once per PSD, from the 1D spectra of the block DCT.
+work is one inverse FFT of the PSD, correlated once per axis with the
+1D autocorrelations of the block DCT rows.
 """
 
-import itertools
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .transforms import dct_matrix, haar_matrix
 
@@ -69,37 +70,29 @@ def fold_psd(psd_data: np.ndarray, shape: tuple) -> np.ndarray:
 def basis_autocorr(psi_work: np.ndarray, block: tuple, radius: tuple) -> np.ndarray:
     """Per-basis noise autocorrelation at the lags a group can hold.
 
-    The field of basis p on the working grid is ifftn(psi_work *
-    |DFT(basis_p)|^2).real: the covariance of the p-th 3D block
-    coefficient between two blocks, as a function of their corner
-    offset. |DFT(basis_p)|^2 at p = k0*b1*b2 + k1*b2 + k2 is the outer
-    product of rows k0, k1, k2 of the per-axis spectra
-    |fft(dct_matrix(b), n=w)|^2. The corners of a group lie within
-    `radius` of its reference, so two of them are at most 2 * radius
-    apart; the result is the signed-lag table of the fields at lags
-    -2r..2r per axis (the lag modulo w on the working grid), shape
-    (4 r0 + 1, 4 r1 + 1, 4 r2 + 1, P), lag axes first and
-    C-contiguous, so one raveled lag picks a row of all P. The block
-    fits the working grid, as `working_dims` keeps every axis at least
-    the block of a volume the engine checked.
-
-    The fields are built b2 basis functions at a time, one slab per
-    pair of rows (k0, k1) of the first two axes' spectra, and only the
-    slab's table rows are kept: the full fields never exist, and the
-    transient spectra and their complex transforms cover a (b0*b1)-th
-    of the basis functions.
+    The covariance of coefficient p between two blocks at corner offset
+    d is sum_s a_p(s) * R(d + s), for the noise autocorrelation R =
+    ifftn(psi_work).real and the autocorrelation a_p of basis p. The
+    block DCT is separable: at p = k0*b1*b2 + k1*b2 + k2, a_p is the
+    outer product of the (2b - 1)-tap autocorrelations of rows k0, k1,
+    k2 of `dct_matrix(b)`, so the sum is one matrix product per axis.
+    Two corners of a group are at most 2 * radius apart: the result is
+    the table at lags -2r..2r per axis (modulo the working grid), shape
+    (4 r0 + 1, 4 r1 + 1, 4 r2 + 1, P), C-contiguous, so one raveled lag
+    picks a row of all P.
     """
-    work = psi_work.shape
-    s0, s1, s2 = (np.abs(np.fft.fft(dct_matrix(b), n=w)) ** 2
-                  for b, w in zip(block, work))
-    lags = np.ix_(*(np.arange(-2 * r, 2 * r + 1) % w for r, w in zip(radius, work)))
-    table = np.empty(tuple(4 * r + 1 for r in radius) + (int(np.prod(block)),))
-    spectra = np.empty(work + block[2:])
-    for k, (row0, row1) in enumerate(itertools.product(s0, s1)):
-        np.einsum("x,y,cz,xyz->xyzc", row0, row1, s2, psi_work, out=spectra)
-        transformed = np.fft.ifftn(spectra, axes=(0, 1, 2))
-        table[..., k * block[2]:(k + 1) * block[2]] = transformed.real[lags]
-    return table
+    # allocated before the temporaries, so that freeing them trims the heap top
+    table = np.empty(tuple(4 * r + 1 for r in radius) + block)
+    acorr = np.fft.ifftn(psi_work).real
+    # R at the lags -(2r + b - 1)..(2r + b - 1) per axis, modulo the grid
+    acorr = acorr[np.ix_(*(np.arange(-2 * r - b + 1, 2 * r + b) % w
+                           for r, b, w in zip(radius, block, psi_work.shape)))]
+    for axis, b in enumerate(block):
+        taps = np.array([np.correlate(row, row, "full") for row in dct_matrix(b)])
+        # each axis's basis index goes last, after those of the earlier axes
+        acorr = np.matmul(sliding_window_view(acorr, 2 * b - 1, axis=axis), taps.T,
+                          out=table if axis == 2 else None)
+    return table.reshape(table.shape[:3] + (-1,))
 
 
 @lru_cache(maxsize=None)

@@ -11,6 +11,7 @@ order.
 """
 
 import argparse
+import contextlib
 import json
 import os
 import shutil
@@ -75,6 +76,22 @@ def _load_volume(path):
     return loaded
 
 
+@contextlib.contextmanager
+def _output_dir(path):
+    """Make the directory `path`; if the block then fails, remove the
+    outermost directory this made, and keep one that already existed."""
+    created, parent = None, os.path.abspath(path)
+    while not os.path.exists(parent):
+        created, parent = parent, os.path.dirname(parent)
+    os.makedirs(path, exist_ok=True)
+    try:
+        yield
+    except BaseException:
+        if created is not None:
+            shutil.rmtree(created, ignore_errors=True)
+        raise
+
+
 def _cmd_simulate(args):
     spec = PhantomSpec(
         dims=tuple(args.size), shells=_parse_shells(args.shells), seed=args.seed
@@ -85,12 +102,7 @@ def _cmd_simulate(args):
         clean, NoiseSpec(level=args.noise_level, kernel=kernel, seed=args.seed)
     )
 
-    # the outermost directory this run makes, if any
-    created, parent = None, os.path.abspath(args.out)
-    while not os.path.exists(parent):
-        created, parent = parent, os.path.dirname(parent)
-    os.makedirs(args.out, exist_ok=True)
-    try:
+    with _output_dir(args.out):
         magnitude = replace(clean, data=np.abs(clean.data))
         write_nifti(magnitude, os.path.join(args.out, "gt.nii"))
         write_nifti(noisy, os.path.join(args.out, "noisy.nii"))
@@ -101,37 +113,30 @@ def _cmd_simulate(args):
         )
         write_bvals_bvecs(os.path.join(args.out, "bvals"),
                           os.path.join(args.out, "bvecs"), clean.bvals, clean.bvecs)
-    except BaseException:
-        if created is not None:  # a failed run leaves no directory it made
-            shutil.rmtree(created, ignore_errors=True)
-        raise
     return EXIT_OK
 
 
 def _cmd_denoise(args):
-    if args.save_noise_estimates:  # a directory that cannot be made fails first
-        os.makedirs(args.save_noise_estimates, exist_ok=True)
-    provided_map = provided_psd = None
-    if args.noise_map:
-        provided_map = NoiseMap(_load_volume(args.noise_map).data)
-    if args.psd:
-        provided_psd = NoisePsd(_load_volume(args.psd).data)
-    if provided_map is not None and provided_psd is not None:
-        print("noise estimation skipped (map and PSD provided)", file=sys.stderr)
+    estimates = args.save_noise_estimates
+    # a directory that cannot be made fails before the input is read
+    with _output_dir(estimates) if estimates else contextlib.nullcontext():
+        provided_map = provided_psd = None
+        if args.noise_map:
+            provided_map = NoiseMap(_load_volume(args.noise_map).data)
+        if args.psd:
+            provided_psd = NoisePsd(_load_volume(args.psd).data)
+        if provided_map is not None and provided_psd is not None:
+            print("noise estimation skipped (map and PSD provided)", file=sys.stderr)
 
-    # the pipeline holds the only reference to the input, so it can free it
-    denoised, used_map, used_psd = denoise_bm4dpc(
-        _load_dataset(args.input, args.bval), provided_map,
-        provided_psd, threads=args.threads,
-    )
-    write_nifti(denoised, args.out)
-    if args.save_noise_estimates:
-        write_nifti(
-            used_map, os.path.join(args.save_noise_estimates, "sigma_est.nii")
+        # the pipeline holds the only reference to the input, so it can free it
+        denoised, used_map, used_psd = denoise_bm4dpc(
+            _load_dataset(args.input, args.bval), provided_map,
+            provided_psd, threads=args.threads,
         )
-        write_nifti(
-            used_psd, os.path.join(args.save_noise_estimates, "psd_est.nii")
-        )
+        write_nifti(denoised, args.out)
+        if estimates:
+            write_nifti(used_map, os.path.join(estimates, "sigma_est.nii"))
+            write_nifti(used_psd, os.path.join(estimates, "psd_est.nii"))
     return EXIT_OK
 
 

@@ -123,7 +123,8 @@ def read_nifti(path):
             raise NiftiError(f"{path}: unsupported datatype code {datatype}")
         dtype = DTYPES[datatype]
 
-        if not math.isfinite(vox_offset) or vox_offset < VOX_OFFSET:
+        # a byte offset: NaN, infinities and fractions are all malformed
+        if not vox_offset.is_integer() or vox_offset < VOX_OFFSET:
             raise NiftiError(f"{path}: invalid vox_offset {vox_offset}")
         count = m * n * o * n_volumes
         needed = int(vox_offset) + count * dtype.itemsize

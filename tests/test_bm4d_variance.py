@@ -116,48 +116,40 @@ def fields_variances(fields, offsets, block):
 
 
 # (28, 28, 16) has in-plane axes past the 21 signed lags of radius 5 and a
-# z axis below them, as the gate's 32x32x16 grid does
-WORK_GRIDS = [(28, 28, 16), (17, 19, 9)]
+# z axis below them, as the gate's 32x32x16 grid does; on (4, 4, 4) the
+# lags wrap several times
+WORK_GRIDS = [(28, 28, 16), (17, 19, 9), (4, 4, 4)]
 
 
 class TestBasisAutocorr:
     @pytest.mark.parametrize("block", [(4, 4, 4), (2, 3, 4)])
     @pytest.mark.parametrize("work", WORK_GRIDS)
     def test_matches_padded_basis_reference(self, block, work):
-        """The outer product of the 1D DCT spectra gives the fields of
-        the padded-basis 4D FFT, in the same p = k0*b1*b2 + k1*b2 + k2
-        order, on even and odd working grids."""
+        """The per-axis correlations of the noise autocorrelation give
+        the fields of the padded-basis 4D FFT, in the same p = k0*b1*b2 +
+        k1*b2 + k2 order, on even and odd working grids, on axes longer
+        and shorter than the signed lags, at radius 5 and 1."""
         psi = np.random.default_rng(5).random(work)
-        table = basis_autocorr(psi, block, (5, 5, 5))
-        assert table.shape == (21, 21, 21, int(np.prod(block)))
-        assert table.flags.c_contiguous
-        ref = padded_basis_autocorr(psi, block, (5, 5, 5))
-        assert np.max(np.abs(table - ref)) <= 1e-12
-
-    @pytest.mark.parametrize("block", [(4, 4, 4), (2, 3, 4)])
-    @pytest.mark.parametrize("work", WORK_GRIDS)
-    def test_matches_one_shot_build(self, block, work):
-        """Built one slab of basis functions at a time, the signed-lag
-        table has the bytes of the one-shot working-grid fields read at
-        the lags -2r..2r modulo the grid, on axes longer and shorter
-        than the 21 lags of radius 5, and at radius 1."""
-        psi = np.random.default_rng(6).random(work)
-        fields = one_shot_fields(psi, block)
         for radius in ((5, 5, 5), (1, 1, 1)):
             table = basis_autocorr(psi, block, radius)
-            assert np.array_equal(table, _signed_lags(fields, radius))
+            edges = tuple(4 * r + 1 for r in radius)
+            assert table.shape == edges + (int(np.prod(block)),)
+            assert table.flags.c_contiguous
+            ref = padded_basis_autocorr(psi, block, radius)
+            assert np.max(np.abs(table - ref)) <= 1e-12
 
     @pytest.mark.parametrize("work", WORK_GRIDS)
     @pytest.mark.parametrize("m", [1, 2, 16, 32])
     def test_variances_match_working_grid_fields(self, work, m):
         """Groups of corners within the search radius of their reference
         get the bytes of the variances read from the working-grid fields
-        modulo the grid."""
+        modulo the grid. The table is those fields' signed-lag rows, so
+        this checks the lookup alone."""
         rng = np.random.default_rng(8)
         psi = rng.random(work)
         block = (4, 4, 4)
         fields = one_shot_fields(psi, block)
-        table = basis_autocorr(psi, block, (5, 5, 5))
+        table = _signed_lags(fields, (5, 5, 5))
         for _ in range(5):
             offsets = rng.integers(-5, 6, size=(m, 3))
             offsets[0] = 0  # the reference
@@ -165,13 +157,13 @@ class TestBasisAutocorr:
             assert np.array_equal(variances_from_fields(table, offsets, block), expected)
 
     def test_peak_memory_below_three_fields(self):
-        """Only the signed-lag rows of a slab's fields are kept, and a
-        slab is b2 basis functions, so the build holds the table
-        (21^3 * 64 float64, 4.7 MB) and one slab's spectra and complex
-        transforms: below 2x the table, and below 1.25x the (28, 28, 16,
-        64) working-grid fields (6.4 MB) it never builds. Keeping the
-        fields and building 16 basis functions at a time peaked at 2.75x
-        those fields."""
+        """The build never holds the (28, 28, 16, 64) working-grid fields
+        (6.4 MB): it correlates the autocorrelation's 27^3 lag box one
+        axis at a time, so it peaks at the table (21^3 * 64 float64, 4.7
+        MB) and the product before it (21 * 21 * 27 * 16 float64, 1.5
+        MB), about 1.32x the table: below 2x the table, and below 1.25x
+        those fields. The same products by np.tensordot copy the windows
+        and peak at about 3.1x the table."""
         psi = np.random.default_rng(7).random((28, 28, 16))
         tracemalloc.start()
         try:

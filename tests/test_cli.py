@@ -228,6 +228,28 @@ class TestArgHandling:
         assert not (tmp_path / "out.nii").exists()
         assert taken.read_text() == "a regular file\n"
 
+    def test_failed_denoise_leaves_estimates_dirs_as_they_were(self, tmp_path,
+                                                                capsys):
+        """A denoise run that fails after making its --save-noise-estimates
+        directory removes every directory it made, and leaves one that
+        already existed with its contents."""
+        argv = [
+            "denoise",
+            "--in", str(tmp_path / "absent.nii"),
+            "--bval", str(tmp_path / "absent.bval"),
+            "--out", str(tmp_path / "out.nii"),
+            "--save-noise-estimates",
+        ]
+        assert run_cli([*argv, str(tmp_path / "est" / "sub")]) == 3
+        assert "error:" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+        kept = tmp_path / "kept"
+        kept.mkdir()
+        (kept / "note.txt").write_text("keep")
+        assert run_cli([*argv, str(kept / "sub")]) == 3
+        assert [p.name for p in tmp_path.iterdir()] == ["kept"]
+        assert [p.name for p in kept.iterdir()] == ["note.txt"]
+
     def test_simulate_beyond_nifti_dims_is_value_error(self, tmp_path, capsys):
         """A 40000-voxel axis does not fit NIfTI-1's int16 dim: exit 2
         with a message, not a traceback from the header packer."""

@@ -241,6 +241,18 @@ class TestNiftiErrors:
             with pytest.raises(NiftiError, match="vox_offset"):
                 read_nifti(path)
 
+    def test_fractional_vox_offset_rejected(self, tmp_path):
+        """A vox_offset of 353.5 is no byte offset. Even with the payload
+        padded to fit from byte 353, the reader refuses it rather than
+        returning samples read one byte off."""
+        data = np.arange(8, dtype=np.float32).reshape(2, 2, 2)
+        blob = bytearray(_reference_nifti_bytes(data)) + b"\x00" * 4
+        struct.pack_into("<f", blob, 108, 353.5)
+        path = tmp_path / "half.nii"
+        path.write_bytes(bytes(blob))
+        with pytest.raises(NiftiError, match="vox_offset 353.5"):
+            read_nifti(path)
+
     def test_non_finite_payload(self, tmp_path):
         data = np.zeros((2, 2, 2, 3), np.float32)
         data[1, 0, 1, 2] = np.nan
