@@ -18,6 +18,8 @@ The method's settings are the module constants below, read at call
 time. Both stages share the block geometry, so `bm4d_multichannel`,
 the one entry point, checks its input against the block and the PSD
 dims, builds the PSD lag table and takes the voxel rows once for both.
+The table is `basis_autocorr` of the PSD on its full grid, exact for
+the PSD the caller passes.
 
 The whole stage is channel-last and filters in the dtype of its rows.
 The channels (and the stage-2 pilot) are read as a (V, C) array of
@@ -45,7 +47,8 @@ import numpy as np
 
 from ..core import NoisePsd, _starts
 from .transforms import group_inverse, group_transform
-from .variance import basis_autocorr, fold_psd, variances_from_fields, working_dims
+# fold_psd is unused here: bench/layers.py wraps engine.fold_psd until ROADMAP item 11
+from .variance import basis_autocorr, fold_psd, variances_from_fields
 
 WEIGHT_FLOOR = 1e-12
 # Channels filter in float32 up to this magnitude. A group's coefficients
@@ -245,18 +248,11 @@ def as_filter_dtype(stack) -> np.ndarray:
     return stack.astype(dtype, copy=False)
 
 
-def _psd_fields(psd_data) -> np.ndarray:
-    """The signed-lag table of a PSD's per-basis autocorrelation fields
-    for the block geometry and the search radius."""
-    work = working_dims(psd_data.shape, BLOCK, SEARCH_RADIUS)
-    return basis_autocorr(fold_psd(psd_data, work), BLOCK, SEARCH_RADIUS)
-
-
 def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
                threads: int = 1) -> np.ndarray:
     """One filtering pass over the (V, C) voxel rows of an (m, n, o) grid.
 
-    `fields` is the `_psd_fields` lag table of the noise PSD. Stage 1
+    `fields` is the `basis_autocorr` lag table of the noise PSD. Stage 1
     matches on channel 0 of `rows` and hard-thresholds; stage 2 matches
     on channel 0 of `pilot_rows` (the stage-1 output) and Wiener-filters
     every channel against its own pilot spectrum. The inputs are the ones
@@ -338,7 +334,7 @@ def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
     if psd.dims != dims:
         raise ValueError("PSD dims must match the channels")
     # the lag table's build temporaries are freed before any (V, C) row copy exists
-    fields = _psd_fields(psd.data)
+    fields = basis_autocorr(psd.data, BLOCK, SEARCH_RADIUS)
     rows = as_filter_dtype(stacked).reshape(-1, stacked.shape[-1])
     pilot_rows = bm4d_stage(rows, dims, fields, stage=1, threads=threads)
     out = bm4d_stage(

@@ -5,8 +5,11 @@ coefficient of a block group has a closed form that accounts for
 inter-block correlation (blocks in a group overlap and share noise).
 Rewriting that form through the autocorrelation function reduces each
 group to table lookups at the pairwise block offsets, so the spectral
-work is one inverse FFT of the PSD, correlated once per axis with the
-1D autocorrelations of the block DCT rows.
+work is one inverse FFT of the PSD on its own grid, correlated once per
+axis with the 1D autocorrelations of the block DCT rows. The table is
+exact for the PSD the caller passes: nothing resamples or clips the
+PSD first. `fold_psd` serves the noise estimator alone, which grows a
+window-sized spectrum to the slice grid.
 """
 
 from functools import lru_cache
@@ -17,54 +20,33 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .transforms import dct_matrix, haar_matrix
 
 
-def working_dims(dims, block, search_radius) -> tuple:
-    """Aliased grid edges: min(dim, 2 * (2 * radius + block)) per axis.
-
-    Large enough that every lag reachable within one group (offsets up
-    to 2 * radius plus the block extent) stays unaliased; axes already
-    at or below that size keep their true extent, which makes the fold
-    exact there.
-    """
-    return tuple(
-        min(d, 2 * (2 * r + b)) for d, b, r in zip(dims, block, search_radius)
-    )
-
-
 def _centered_lags(size: int, extent: int) -> np.ndarray:
-    """Where the lags of a `size`-point circular grid sit on an `extent`-point one.
+    """Where the lags of a `size`-point circular grid sit on a larger
+    `extent`-point one.
 
     Entry t is lag t for t < (size + 1) // 2 and lag t - size above, so
     the lags [-(size // 2), (size + 1) // 2) keep their values when an
-    autocorrelation moves between the two grids, modulo `extent`.
+    autocorrelation grows onto the larger grid, modulo `extent`.
     """
     t = np.arange(size)
     return np.where(t < (size + 1) // 2, t, t - size) % extent
 
 
 def fold_psd(psd_data: np.ndarray, shape: tuple) -> np.ndarray:
-    """Resample a PSD onto a grid of `shape` through its autocorrelation.
+    """Grow a PSD onto a grid of `shape` by zero-padding its autocorrelation.
 
-    Axis by axis, the centered lags of the smaller extent keep their
-    values: a shrinking axis drops the longer lags (truncation), a
-    growing one sets them to 0 (zero-padding). The zero lag, the mean
-    power, is kept; negative values from the cut are then clipped to
-    zero. An equal shape returns a float64 copy. `shape` has one
-    extent per axis of `psd_data`, as both callers build it.
+    The noise estimator's one use: a window-sized periodogram grown to
+    the slice grid. The centered lags of `psd_data`'s grid keep their
+    values, every longer lag is 0, and negative values of the grown
+    spectrum are clipped to zero. An equal shape returns a float64
+    copy. `shape` has one extent per axis of `psd_data`, none smaller.
     """
     if tuple(shape) == psd_data.shape:
         return np.array(psd_data, dtype=np.float64)
-
-    acorr = np.fft.ifftn(psd_data)
-    for axis, (d, e) in enumerate(zip(psd_data.shape, shape)):
-        if e < d:
-            acorr = np.take(acorr, _centered_lags(e, d), axis=axis)
-        elif e > d:
-            grown = np.zeros(acorr.shape[:axis] + (e,) + acorr.shape[axis + 1:],
-                             dtype=acorr.dtype)
-            index = (slice(None),) * axis + (_centered_lags(d, e),)
-            grown[index] = acorr
-            acorr = grown
-    return np.clip(np.fft.fftn(acorr).real, 0.0, None)
+    grown = np.zeros(shape, dtype=np.complex128)
+    grown[np.ix_(*(_centered_lags(d, e) for d, e in zip(psd_data.shape, shape)))] = (
+        np.fft.ifftn(psd_data))
+    return np.clip(np.fft.fftn(grown).real, 0.0, None)
 
 
 def basis_autocorr(psi_work: np.ndarray, block: tuple, radius: tuple) -> np.ndarray:
@@ -77,9 +59,11 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple, radius: tuple) -> np.ndar
     outer product of the (2b - 1)-tap autocorrelations of rows k0, k1,
     k2 of `dct_matrix(b)`, so the sum is one matrix product per axis.
     Two corners of a group are at most 2 * radius apart: the result is
-    the table at lags -2r..2r per axis (modulo the working grid), shape
-    (4 r0 + 1, 4 r1 + 1, 4 r2 + 1, P), C-contiguous, so one raveled lag
-    picks a row of all P.
+    the table at lags -2r..2r per axis, modulo the grid of `psi_work`,
+    shape (4 r0 + 1, 4 r1 + 1, 4 r2 + 1, P), C-contiguous, so one
+    raveled lag picks a row of all P. `bm4d_multichannel` passes the
+    noise PSD on the full grid, once per run; the one full-grid complex
+    inverse FFT is the build's largest transient.
     """
     # allocated before the temporaries, so that freeing them trims the heap top
     table = np.empty(tuple(4 * r + 1 for r in radius) + block)

@@ -161,7 +161,9 @@ def read_bvals_bvecs(bval_path, bvec_path=None):
 
     The bval file is whitespace-separated b-values; the bvec file has
     three rows of direction components. Directions with norm > 1e-8
-    are normalized to unit length, others are left as zero vectors.
+    are normalized to unit length, others are left as zero vectors. A
+    non-finite value (nan, inf) in either file is a ValueError that
+    names the file.
 
     Returns
     -------
@@ -176,6 +178,8 @@ def read_bvals_bvecs(bval_path, bvec_path=None):
         raise ValueError(f"{bval_path}: non-numeric b-value token: {exc}") from exc
     if bvals.size == 0:
         raise ValueError(f"{bval_path}: empty b-value file")
+    if not np.all(np.isfinite(bvals)):
+        raise ValueError(f"{bval_path}: non-finite b-value")
 
     if bvec_path is None:
         return bvals, None
@@ -194,6 +198,8 @@ def read_bvals_bvecs(bval_path, bvec_path=None):
         bvecs = np.array([[float(t) for t in r] for r in rows], dtype=np.float64).T
     except ValueError as exc:
         raise ValueError(f"{bvec_path}: non-numeric token: {exc}") from exc
+    if not np.all(np.isfinite(bvecs)):
+        raise ValueError(f"{bvec_path}: non-finite direction component")
 
     norms = np.linalg.norm(bvecs, axis=1)
     keep = norms > 1e-8

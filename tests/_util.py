@@ -19,7 +19,7 @@ def shell_mean_psnr(gt_dataset, test_dataset, center, tol=50.0):
 
 def run_stage(channels, psd, stage, pilot=None, threads=1):
     """One engine stage on an (m, n, o, C) stack, given the inputs that
-    `bm4d_multichannel` prepares: its voxel rows and the PSD fields.
+    `bm4d_multichannel` prepares: its voxel rows and the PSD lag table.
 
     Returns the filtered (m, n, o, C) stack.
     """
@@ -27,7 +27,8 @@ def run_stage(channels, psd, stage, pilot=None, threads=1):
     dims, nchan = stacked.shape[:3], stacked.shape[-1]
     pilot_rows = None if pilot is None else pilot.reshape(-1, nchan)
     rows = engine.bm4d_stage(
-        stacked.reshape(-1, nchan), dims, engine._psd_fields(psd.data),
+        stacked.reshape(-1, nchan), dims,
+        engine.basis_autocorr(psd.data, engine.BLOCK, engine.SEARCH_RADIUS),
         stage=stage, pilot_rows=pilot_rows, threads=threads,
     )
     return rows.reshape(stacked.shape)
@@ -35,13 +36,13 @@ def run_stage(channels, psd, stage, pilot=None, threads=1):
 
 def group_variances(psd, positions):
     """Exact (M, b0, b1, b2) noise variances of one group's coefficients,
-    by the two calls every stage group makes: the PSD fields, then the
-    variances at the members' offsets from the reference (first) corner.
+    by the engine's two calls: the PSD lag table a run builds once, then
+    the variances at the members' offsets from the reference (first)
+    corner that every stage group reads.
     """
     positions = np.asarray(positions)
-    return variances_from_fields(
-        engine._psd_fields(psd.data), positions - positions[0], engine.BLOCK
-    )
+    table = engine.basis_autocorr(psd.data, engine.BLOCK, engine.SEARCH_RADIUS)
+    return variances_from_fields(table, positions - positions[0], engine.BLOCK)
 
 
 def pearson(a, b) -> float:

@@ -25,12 +25,7 @@ from bm4dpc.bm4d.engine import (
     wiener_shrink,
 )
 from bm4dpc.bm4d.transforms import group_inverse, group_transform
-from bm4dpc.bm4d.variance import (
-    basis_autocorr,
-    fold_psd,
-    variances_from_fields,
-    working_dims,
-)
+from bm4dpc.bm4d.variance import basis_autocorr, variances_from_fields
 from bm4dpc.core import NoisePsd, _starts
 from bm4dpc.gpca import forward_pca
 from bm4dpc.noisest import clamp_sigma
@@ -691,9 +686,9 @@ class TestChannelLayout:
         channels = rng.standard_normal(dims + (16,))
         psd = NoisePsd(np.ones(dims))
         _use_small_geometry(monkeypatch)
-        # the PSD fields are C-independent set-up, made before tracing
-        fields = engine._psd_fields(psd.data)
-        monkeypatch.setattr(engine, "_psd_fields", lambda psd_data: fields)
+        # the PSD lag table is C-independent set-up, made before tracing
+        fields = engine.basis_autocorr(psd.data, engine.BLOCK, engine.SEARCH_RADIUS)
+        monkeypatch.setattr(engine, "basis_autocorr", lambda *args: fields)
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
@@ -712,8 +707,7 @@ def _reference_stage(channels, psd, stage, pilot=None):
     dims = channels.shape[:3]
     guide = (channels if stage == 1 else pilot)[..., 0]
     max_group = engine.HT_MAX_GROUP if stage == 1 else engine.WIENER_MAX_GROUP
-    work = working_dims(dims, block, engine.SEARCH_RADIUS)
-    fields = basis_autocorr(fold_psd(psd.data, work), block, engine.SEARCH_RADIUS)
+    fields = basis_autocorr(psd.data, block, engine.SEARCH_RADIUS)
 
     def block_at(pos):
         return tuple(slice(p, p + b) for p, b in zip(pos, block))

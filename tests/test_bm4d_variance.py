@@ -12,23 +12,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bm4dpc.bm4d.engine import BLOCK, _psd_fields
+from bm4dpc.bm4d import engine
+from bm4dpc.bm4d.engine import BLOCK, SEARCH_RADIUS, bm4d_multichannel
 from bm4dpc.bm4d.transforms import dct_matrix
 from bm4dpc.bm4d.variance import (
-    _haar_pairs, basis_autocorr, fold_psd, variances_from_fields, working_dims,
+    _centered_lags, _haar_pairs, basis_autocorr, fold_psd, variances_from_fields,
 )
 from bm4dpc.core import NoisePsd
+from bm4dpc.simulate import kernel_to_psd, make_colored_kernel
 
 from _util import group_variances
-
-
-class TestWorkingDims:
-    def test_caps_each_axis(self):
-        # 2 * (2 * 5 + 4) = 28 with the default block and search radius
-        assert working_dims((64, 64, 16), (4, 4, 4), (5, 5, 5)) == (28, 28, 16)
-
-    def test_small_volume_unchanged(self):
-        assert working_dims((24, 24, 8), (4, 4, 4), (5, 5, 5)) == (24, 24, 8)
 
 
 class TestFoldPsd:
@@ -39,35 +32,25 @@ class TestFoldPsd:
         out = fold_psd(psi, (24, 24, 8))
         assert np.array_equal(out, psi)
 
-    def test_flat_stays_flat(self):
-        psi = np.ones((64, 64, 16))
-        out = fold_psd(psi, (28, 28, 16))
-        assert out.shape == (28, 28, 16)
-        assert np.max(np.abs(out - 1.0)) <= 1e-10
-
-    def test_mean_preserved(self):
-        rng = np.random.default_rng(1)
-        raw = np.abs(rng.standard_normal((64, 64, 16))) + 0.5
-        psi = raw / raw.mean()
-        out = fold_psd(psi, (28, 28, 16))
-        assert out.mean() == pytest.approx(1.0, abs=1e-10)
-        assert np.all(out >= 0.0)
-
-
     def test_growth_zero_pads_and_round_trips(self):
         """A 3 x 3 x 3 kernel's autocorrelation spans lags -2..2, so
         growing its spectrum by zero-padding gives the kernel's spectrum
-        on the larger grid, and folding back gives the original."""
+        on the larger grid, and the grown spectrum's autocorrelation
+        holds the original's at the original grid's centered lags."""
         kernel = np.random.default_rng(2).random((3, 3, 3))
         psi = np.abs(np.fft.fftn(kernel, (12, 10, 6), axes=(0, 1, 2))) ** 2
         grown = fold_psd(psi, (24, 17, 6))
         full = np.abs(np.fft.fftn(kernel, (24, 17, 6), axes=(0, 1, 2))) ** 2
         assert np.max(np.abs(grown - full)) <= 1e-12
-        assert np.max(np.abs(fold_psd(grown, psi.shape) - psi)) <= 1e-12
+        lags = np.ix_(*(_centered_lags(d, e) for d, e in zip(psi.shape, grown.shape)))
+        back = np.fft.ifftn(grown)[lags].real
+        assert np.max(np.abs(back - np.fft.ifftn(psi).real)) <= 1e-12
 
     def test_mixed_axes_and_rank_checked(self):
+        """Axes that grow and axes that keep their extent, in one call."""
         psi = np.ones((16, 8, 4))
-        out = fold_psd(psi, (8, 12, 4))
+        out = fold_psd(psi, (16, 12, 4))
+        assert out.shape == (16, 12, 4)
         assert np.max(np.abs(out - 1.0)) <= 1e-12
 
 
@@ -76,6 +59,12 @@ def _signed_lags(fields, radius):
     modulo the grid."""
     work = fields.shape[:3]
     return fields[np.ix_(*(np.arange(-2 * r, 2 * r + 1) % w for r, w in zip(radius, work)))]
+
+
+def _table(psi):
+    """The lag table the engine builds for `psi`: the standard block and
+    search radius, on the PSD's own grid."""
+    return basis_autocorr(psi, BLOCK, SEARCH_RADIUS)
 
 
 def one_shot_fields(psi_work, block):
@@ -183,6 +172,30 @@ class TestBasisAutocorr:
         assert np.max(np.abs(table[10, 10, 10] - 1.0)) <= 1e-9
 
 
+class TestEngineTable:
+    @pytest.mark.parametrize("dims", [(32, 32, 16), (37, 30, 9)])
+    def test_table_is_the_given_psds_autocorrelation(self, monkeypatch, dims):
+        """`bm4d_multichannel` builds one lag table per run, from the PSD
+        it was given on its full grid: the padded-basis reference of that
+        PSD, on grids with in-plane axes longer than 28 = 2 * (2R + b),
+        even and odd. The stages are stubbed out, as only the table is
+        read."""
+        psd = kernel_to_psd(make_colored_kernel(), dims)
+        build = engine.basis_autocorr
+        tables = []
+
+        def recorded(*args):
+            tables.append(build(*args))
+            return tables[-1]
+
+        monkeypatch.setattr(engine, "basis_autocorr", recorded)
+        monkeypatch.setattr(engine, "bm4d_stage", lambda rows, *args, **kwargs: rows)
+        bm4d_multichannel(np.zeros(dims + (1,)), psd)
+        assert len(tables) == 1
+        ref = padded_basis_autocorr(psd.data, BLOCK, SEARCH_RADIUS)
+        assert np.max(np.abs(tables[0] - ref)) <= 1e-12
+
+
 class TestCoeffVariances:
     def test_flat_psd_unit_variance(self):
         psd = NoisePsd(np.ones((24, 24, 8)))
@@ -208,20 +221,20 @@ class TestCoeffVariances:
 
     def test_scaling_power_of_two(self):
         """The variances are linear in the PSD. NoisePsd divides any
-        scale out, so raw arrays go through the engine's fields."""
+        scale out, so raw arrays go straight to the lag table."""
         rng = np.random.default_rng(2)
         raw = np.abs(rng.standard_normal((24, 24, 8))) + 0.5
         offsets = np.array([[0, 0, 0], [5, 2, 1]], dtype=np.intp)
-        base = variances_from_fields(_psd_fields(raw), offsets, BLOCK)
-        scaled = variances_from_fields(_psd_fields(4.0 * raw), offsets, BLOCK)
+        base = variances_from_fields(_table(raw), offsets, BLOCK)
+        scaled = variances_from_fields(_table(4.0 * raw), offsets, BLOCK)
         assert np.array_equal(scaled, 4.0 * base)
 
     def test_scaling_general_factor(self):
         rng = np.random.default_rng(3)
         raw = np.abs(rng.standard_normal((24, 24, 8))) + 0.5
         offsets = np.array([[0, 0, 0], [5, 2, 1]], dtype=np.intp)
-        base = variances_from_fields(_psd_fields(raw), offsets, BLOCK)
-        scaled = variances_from_fields(_psd_fields(2.5 * raw), offsets, BLOCK)
+        base = variances_from_fields(_table(raw), offsets, BLOCK)
+        scaled = variances_from_fields(_table(2.5 * raw), offsets, BLOCK)
         assert np.allclose(scaled, 2.5 * base, rtol=1e-12)
 
     def test_monte_carlo_oracle(self, dog_variance_mc):
@@ -235,8 +248,8 @@ class TestCoeffVariances:
 
     def test_returns_finite_nonnegative_array(self):
         """The variances come back as a plain float64 array, finite and
-        nonnegative, here for an overlapping group on a folded PSD: the
-        working grid of the block geometry is 28 < 32 in-plane."""
+        nonnegative, here for an overlapping group on a 32 x 32 x 8 PSD,
+        whose in-plane axes are longer than the table's lag box."""
         rng = np.random.default_rng(4)
         raw = np.abs(rng.standard_normal((32, 32, 8))) + 0.5
         positions = np.array(

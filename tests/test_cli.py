@@ -167,7 +167,7 @@ class TestArgHandling:
         path = tmp_path / "bvals"
         path.write_text(" ".join(tokens) + "\n")
         assert self._denoise(small_sim, tmp_path, bvals=path) == 2
-        assert "bvals must be finite" in capsys.readouterr().err
+        assert f"{path}: non-finite b-value" in capsys.readouterr().err
         path.write_text("\n")
         assert self._denoise(small_sim, tmp_path, bvals=path) == 2
         assert "empty b-value file" in capsys.readouterr().err

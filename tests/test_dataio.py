@@ -1,5 +1,6 @@
 """NIfTI-1 round trips, FSL gradient parsing, shell grouping."""
 
+import re
 import struct
 
 import numpy as np
@@ -316,6 +317,23 @@ class TestGradients:
         bvec.write_text("0 1\n0 x\n1 0\n")
         with pytest.raises(ValueError, match="non-numeric token"):
             read_bvals_bvecs(bval, bvec)
+
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+    def test_non_finite_value_names_the_file(self, tmp_path, token):
+        """A nan or inf in either file is refused with the file's name:
+        in a b=0 column it would read as a zero direction, and in a
+        weighted one fail later as a direction not of unit length."""
+        bval, bvec = tmp_path / "bvals", tmp_path / "bvecs"
+        bval.write_text("0 1000\n")
+        for column in (0, 1):
+            rows = [["1", "0"], ["0", "1"], ["0", "0"]]
+            rows[1][column] = token
+            bvec.write_text("".join(" ".join(r) + "\n" for r in rows))
+            with pytest.raises(ValueError, match=re.escape(f"{bvec}: non-finite")):
+                read_bvals_bvecs(bval, bvec)
+        bval.write_text(f"0 {token}\n")
+        with pytest.raises(ValueError, match=re.escape(f"{bval}: non-finite")):
+            read_bvals_bvecs(bval)
 
     def test_count_mismatch_at_parse(self, tmp_path):
         bval = tmp_path / "bvals"

@@ -186,9 +186,9 @@ class TestMemory:
         ds = DwiDataset(1.0 + rng.standard_normal((32, 16, 16, 12)),
                         np.array([0.0] * 4 + [1000.0] * 28))
         noise_map, psd = NoiseMap(np.full(ds.dims, 0.5)), NoisePsd(np.ones(ds.dims))
-        # the PSD fields are PC-independent set-up, made before tracing
-        fields = engine._psd_fields(psd.data)
-        monkeypatch.setattr(engine, "_psd_fields", lambda psd_data: fields)
+        # the PSD lag table is PC-independent set-up, made before tracing
+        fields = engine.basis_autocorr(psd.data, engine.BLOCK, engine.SEARCH_RADIUS)
+        monkeypatch.setattr(engine, "basis_autocorr", lambda *args: fields)
         stage = engine.bm4d_stage
         alive = []
 
