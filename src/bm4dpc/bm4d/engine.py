@@ -8,9 +8,9 @@ var) gains, and the stage multiplies the group's coefficients by the
 gain and weights the group by 1 / sum(gain^2 * var), `_group_weight`.
 Multiple channels (principal components) ride along the same matched
 positions, so matching happens once per reference corner. It reads one
-float64 copy of the guide, `_matching_guide`, in two steps with the
-exact result of one: `_shortlist_row` narrows the search windows of a
-row of reference corners, those at one (x, y) start, with one distance
+float64 copy of the guide channel in two steps with the exact result
+of one: `_shortlist_row` narrows the search windows of a row of
+reference corners, those at one (x, y) start, with one distance
 product, and `_match_from_view` ranks each reference's shortlist
 exactly. A guide's groups do not depend on its dtype.
 
@@ -21,23 +21,24 @@ dims, builds the PSD lag table and takes the voxel rows once for both.
 The table is `basis_autocorr` of the PSD on its full grid, exact for
 the PSD the caller passes.
 
-The whole stage is channel-last and filters in the dtype of its rows.
-The channels (and the stage-2 pilot) are read as a (V, C) array of
-voxel rows, a view of the (m, n, o, C) stack. One function,
-`as_filter_dtype`, holds the dtype rule and is the one cast: float32,
-unless a sample is too large for float32 squares. The pipeline casts
+The whole stage is channel-last and filters in the dtype of its rows,
+float32 from `bm4d_multichannel`. The channels (and the stage-2 pilot)
+are read as a (V, C) array of voxel rows, a view of the (m, n, o, C)
+stack. `as_float32_stack` is the one check and cast: the pipeline casts
 the PCs with it and drops the float64 PCs before it calls
-`bm4d_multichannel`; the driver applies it again for any other caller,
-and uses a float32 stack as it is. The noise variances are computed in
-float64 and cast per group. A block is addressed by one flat voxel
-index, its corner's raveled index plus `block_offsets`, so each group
-is one row take of shape (M, P, C). Groups are transformed as
-(M, b0, b1, b2, C) arrays, and the filtered blocks add into an
-(m, n, o, C) numerator without a layout change; group weights go into
-a corner field that `_spread_weights` turns into the per-voxel weight
-sums. The stage returns its numerator as (V, C) rows: stage 2 reads
-them as its pilot without a copy, and `bm4d_multichannel` casts the
-stage-2 rows to a float64 (m, n, o, C) array.
+`bm4d_multichannel`, and the driver applies it again for any other
+caller. The components are in units of the noise sigma, so only a
+near-zero noise map, as the one estimated from noise-free data, makes
+them large enough for a stage to scale its groups (SCALE_EXPONENT).
+The noise variances are computed in float64 and cast per group. A block
+is addressed by one flat voxel index, its corner's raveled index plus
+`block_offsets`, so each group is one row take of shape (M, P, C).
+Groups are transformed as (M, b0, b1, b2, C) arrays, and the filtered
+blocks add into an (m, n, o, C) numerator without a layout change;
+group weights go into a corner field that `_spread_weights` turns into
+the per-voxel weight sums. The stage returns its numerator as (V, C)
+rows: stage 2 reads them as its pilot without a copy, and
+`bm4d_multichannel` casts the stage-2 rows to a float64 array.
 """
 
 from collections import deque
@@ -51,10 +52,12 @@ from .transforms import group_inverse, group_transform
 from .variance import basis_autocorr, fold_psd, variances_from_fields
 
 WEIGHT_FLOOR = 1e-12
-# Channels filter in float32 up to this magnitude. A group's coefficients
-# reach sqrt(M * P) = 45 times its largest sample, and their float32
-# squares overflow past 1.8e19; a larger sample keeps the stages float64.
-FLOAT32_MAX_SAMPLE = 1e15
+# A group's coefficients reach sqrt(M * P) = 45 times its largest sample. A
+# stage scales the groups of rows at 2^SCALE_EXPONENT or beyond so that their
+# float32 squares stay finite; its output, up to 45 times a sample as well,
+# stays below float32's 2^128 for samples below 2^MAX_EXPONENT.
+SCALE_EXPONENT = 32
+MAX_EXPONENT = 122
 
 
 # the standard two-stage settings; both stages share the block geometry
@@ -71,19 +74,10 @@ def block_offsets(dims, block) -> np.ndarray:
     return np.ravel_multi_index(np.indices(block).reshape(3, -1), dims)
 
 
-def _matching_guide(column) -> np.ndarray:
-    """The float64 volume both matching passes read: `column` scaled by
-    a power of two (exact for samples above 2^-1021 times the largest)
-    so that no sample exceeds 1 in magnitude and no square overflows."""
-    guide = column.astype(np.float64)
-    np.ldexp(guide, -int(np.frexp(max(guide.max(), -guide.min()))[1]), out=guide)
-    return guide
-
-
 def _match_from_view(guide, dims, ref, candidates, count, offsets) -> np.ndarray:
     """Corners of the `count` blocks most similar to the reference block.
 
-    `guide` is the `_matching_guide` volume of shape `dims`, raveled in
+    `guide` is the float64 guide volume of shape `dims`, raveled in
     C order, and `offsets` its `block_offsets`. `ref` is the raveled
     corner of the reference block and `candidates` the raveled corners
     of a shortlist of its SEARCH_RADIUS window, ascending (raster
@@ -103,7 +97,7 @@ def _shortlist_row(blocks, index, x, y, zs, max_group):
     """`_match_from_view`'s (ref, candidates, count) for the references of
     one row: the T corners (x, y, z) for z in the ascending `zs`.
 
-    `blocks` is the sliding block view of the `_matching_guide` volume
+    `blocks` is the sliding block view of the float64 guide volume
     and `index` the raveled index of each of its voxels. A reference's
     group is the exact ranking of its SEARCH_RADIUS window cut to
     `count` blocks, the largest power of two of at most min(window
@@ -120,10 +114,9 @@ def _shortlist_row(blocks, index, x, y, zs, max_group):
     """
     dims = index.shape
     size = int(np.prod(BLOCK))
-    # the bound: the float64 error of the product and of the exact distance
-    # per unit of |r|^2 + |c|^2, and a floor for squares that underflow
+    # the bound: the float64 error of the product and of the exact distance per
+    # unit of |r|^2 + |c|^2 (float64 squares of float32 samples stay normal)
     slack = 16 * (size + 2) * np.finfo(np.float64).eps
-    floor = 16 * size * np.finfo(np.float64).smallest_subnormal
     (x_lo, x_hi), (y_lo, y_hi) = (
         (max(c - r, 0), min(c + r, d - b))
         for c, r, d, b in zip((x, y), SEARCH_RADIUS, dims, BLOCK)
@@ -147,7 +140,7 @@ def _shortlist_row(blocks, index, x, y, zs, max_group):
     counts = [1 << (int(n).bit_length() - 1) for n in counts]
     ranks = np.array(counts) - 1
     kth = np.partition(dist, np.unique(ranks), axis=1)[np.arange(len(zs)), ranks]
-    limit = kth + floor + slack * (norms[refs] + norms.max())
+    limit = kth + slack * (norms[refs] + norms.max())
     corners = corners.ravel()
     # a distance outside the window is inf, beyond every (finite) limit
     return [(corners[ref], corners[row], count)
@@ -223,29 +216,23 @@ def _spread_weights(corner_weight, block) -> np.ndarray:
     return corner_weight
 
 
-def _channel_stack(channels) -> np.ndarray:
-    """`channels` as an array, checked to be a real, finite (m, n, o, C)
-    stack with C >= 1. An array is not copied."""
+def as_float32_stack(channels) -> np.ndarray:
+    """`channels` as the float32 (m, n, o, C) stack the stages filter:
+    real, of at least one channel, finite and below 2^MAX_EXPONENT in
+    magnitude, or a ValueError. A float32 array is not copied."""
     if np.iscomplexobj(channels):
         raise ValueError("channels must be real")
-    stacked = np.asarray(channels)
-    if stacked.ndim != 4 or stacked.shape[-1] == 0:
+    stack = np.asarray(channels)
+    if stack.ndim != 4 or stack.shape[-1] == 0:
         raise ValueError("need an (m, n, o, C) array of at least one channel")
-    if not np.all(np.isfinite(stacked)):
+    # no integer wrap, a nan propagates, an empty volume goes to the block check
+    largest = max(float(stack.max(initial=0)), -float(stack.min(initial=0)))
+    if not np.isfinite(largest):
         raise ValueError("channels contain non-finite samples")
-    return stacked
-
-
-def as_filter_dtype(stack) -> np.ndarray:
-    """`stack` in the dtype the stages filter in, its layout kept.
-
-    Float32, unless a sample is beyond FLOAT32_MAX_SAMPLE or not
-    finite, as float32 squares could overflow; then float64. No copy
-    when the stack has that dtype already.
-    """
-    largest = max(float(stack.max()), -float(stack.min()))  # no integer wrap
-    dtype = np.float32 if largest <= FLOAT32_MAX_SAMPLE else np.float64
-    return stack.astype(dtype, copy=False)
+    if largest >= 2.0**MAX_EXPONENT:
+        raise ValueError(f"channels reach {largest:.3g}, beyond the float32 "
+                         "stages' range; is the noise map near zero?")
+    return stack.astype(np.float32, copy=False)
 
 
 def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
@@ -258,11 +245,12 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     every channel against its own pilot spectrum. The inputs are the ones
     `bm4d_multichannel` checked; the stage checks nothing again, and
     divides by the weight sums directly. Matching reads a float64 copy
-    of the guide (`_matching_guide`); the transforms, the gains, the
-    weights and the sums run in the dtype of `rows`: float32 from
-    `bm4d_multichannel`, unless a sample is beyond FLOAT32_MAX_SAMPLE,
-    and float64 otherwise. Returns the filtered C-contiguous (V, C)
-    rows, of that dtype.
+    of the guide channel; the transforms, the gains, the weights and the
+    sums run in the dtype of `rows`. Rows that reach 2^SCALE_EXPONENT
+    are filtered as copies scaled by 2^-k, the pilot too: the gains
+    read the group variances scaled by 4^-k, the weights the variances
+    as they are, and the output is scaled back by 2^k.
+    Returns the filtered C-contiguous (V, C) rows, of that dtype.
     Identical output for any thread count: the calling thread
     shortlists the references row by row (`_shortlists`), worker
     threads rank each reference's shortlist exactly and filter its
@@ -270,9 +258,14 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     """
     nchan = rows.shape[1]
     offsets = block_offsets(dims, BLOCK)
-    guide = _matching_guide((rows if stage == 1 else pilot_rows)[:, 0])
+    guide = (rows if stage == 1 else pilot_rows)[:, 0].astype(np.float64)
     max_group = HT_MAX_GROUP if stage == 1 else WIENER_MAX_GROUP
     shortlists = _shortlists(guide, dims, max_group)
+    # rows at 2^SCALE_EXPONENT or beyond are filtered as copies scaled by 2^-k
+    k = max(int(np.frexp(max(rows.max(), -rows.min()))[1]) - SCALE_EXPONENT, 0)
+    if k:
+        rows = np.ldexp(rows, -k)
+        pilot_rows = pilot_rows if stage == 1 else np.ldexp(pilot_rows, -k)
 
     def filter_group(shortlist):
         positions = _match_from_view(guide, dims, *shortlist, offsets)
@@ -281,11 +274,12 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
         idx = np.ravel_multi_index(positions.T, dims)[:, None] + offsets
         group_shape = (len(positions),) + BLOCK + (nchan,)
         coeffs = group_transform(np.take(rows, idx, axis=0).reshape(group_shape))
+        scaled_var = np.ldexp(var, -2 * k) if k else var
         if stage == 1:
-            gain = _ht_core(coeffs, var, HT_THRESHOLD)
+            gain = _ht_core(coeffs, scaled_var, HT_THRESHOLD)
         else:
             pilot = np.take(pilot_rows, idx, axis=0).reshape(group_shape)
-            gain = wiener_shrink(group_transform(pilot), var)
+            gain = wiener_shrink(group_transform(pilot), scaled_var)
         weight = _group_weight(gain, var)
         coeffs *= gain
         blocks = group_inverse(coeffs)
@@ -312,33 +306,33 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
 
     # sums > 0: reference blocks tile, each leads its own group, group weights > 0
     num /= _spread_weights(corner_weight, BLOCK)
+    if k:
+        np.ldexp(num, k, out=num)
     return num.reshape(-1, nchan)
 
 
 def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
     """Full two-stage filtering of a real (m, n, o, C) channel stack.
 
-    Both stages filter in the dtype of `as_filter_dtype`, float32 for a
-    stack with no sample beyond FLOAT32_MAX_SAMPLE (float32 squares
-    could overflow past it) and float64 otherwise; both match in
-    float64. A float32 stack, as the pipeline passes its PCs, is
-    used as it is; any other, integer stacks too, is cast once, by
-    `as_filter_dtype`. The stages read the stack's (V, C) voxel rows, a
-    view of a C-contiguous stack. Returns the filtered C-contiguous
-    float64 (m, n, o, C) array.
+    Both stages filter float32 and match in float64. A float32 stack,
+    as the pipeline passes its PCs, is used as it is; any other,
+    integer stacks too, is cast once, by `as_float32_stack`, which
+    refuses a sample at 2^MAX_EXPONENT or beyond before any stage runs.
+    The stages read the stack's (V, C) voxel rows, a view of a
+    C-contiguous stack. Returns the filtered C-contiguous float64
+    (m, n, o, C) array.
     """
-    stacked = _channel_stack(channels)
+    stacked = as_float32_stack(channels)
     dims = stacked.shape[:3]
     if any(b > d for b, d in zip(BLOCK, dims)):
         raise ValueError("volume smaller than the block")
     if psd.dims != dims:
         raise ValueError("PSD dims must match the channels")
-    # the lag table's build temporaries are freed before any (V, C) row copy exists
     fields = basis_autocorr(psd.data, BLOCK, SEARCH_RADIUS)
-    rows = as_filter_dtype(stacked).reshape(-1, stacked.shape[-1])
+    rows = stacked.reshape(-1, stacked.shape[-1])
     pilot_rows = bm4d_stage(rows, dims, fields, stage=1, threads=threads)
     out = bm4d_stage(
         rows, dims, fields, stage=2, pilot_rows=pilot_rows, threads=threads
     )
-    del rows, pilot_rows  # freed before the float64 output is made
-    return out.astype(np.float64, copy=False).reshape(dims + (-1,))
+    del stacked, rows, pilot_rows  # freed before the float64 output is made
+    return out.astype(np.float64).reshape(dims + (-1,))

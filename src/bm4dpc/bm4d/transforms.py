@@ -11,7 +11,7 @@ takes its basis autocorrelations from the same rows. Everything is real and
 orthonormal, so coefficient energies and the exact-variance formula
 stay simple. The cached matrices are float64; a group transform uses
 them cast to its samples' dtype, cached per group shape and dtype, so
-float32 groups are transformed in float32.
+the stages' float32 groups are transformed in float32.
 """
 
 from functools import lru_cache

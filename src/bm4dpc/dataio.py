@@ -66,7 +66,8 @@ def _pack_header(dims, n_volumes, datatype):
 def write_nifti(data, path) -> None:
     """Write a volume, dataset, noise map, or PSD as single-file NIfTI-1.
 
-    Real samples are stored as float32, complex samples as complex64.
+    Real samples are stored as float32, complex samples as complex64;
+    one beyond float32's range is a ValueError before any write.
     """
     if isinstance(data, DwiDataset):
         payload = np.moveaxis(data.data, 0, -1)  # NIfTI puts volumes last
@@ -78,7 +79,11 @@ def write_nifti(data, path) -> None:
         raise TypeError(f"cannot write a {type(data).__name__} as NIfTI")
 
     datatype = DT_COMPLEX64 if np.iscomplexobj(payload) else DT_FLOAT32
-    raw = np.asarray(payload, dtype=DTYPES[datatype])
+    try:
+        with np.errstate(over="raise"):  # a cast to inf raises
+            raw = np.asarray(payload, dtype=DTYPES[datatype])
+    except FloatingPointError:
+        raise ValueError(f"{path}: samples beyond float32's range") from None
     header = _pack_header(raw.shape[:3], n_volumes, datatype)
     with open(path, "wb") as fh:
         fh.write(header)

@@ -12,7 +12,7 @@ noise statistics.
 from typing import Optional
 
 from .bm4d import bm4d_multichannel
-from .bm4d.engine import as_filter_dtype
+from .bm4d.engine import as_float32_stack
 from .core import DwiDataset, NoiseMap, NoisePsd
 from .gpca import forward_pca, inverse_pca
 from .noisest import clamp_sigma, estimate_noise
@@ -27,14 +27,14 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     is. A given `noise_map` or `psd` replaces the estimate from the
     data. The caller's arrays are never written. Each full-size
     intermediate is dropped after its last use, and the PCs are cast
-    to the stages' dtype (`engine.as_filter_dtype`) before filtering,
-    so the float64 PCs are gone when stage 1 starts. On CPython 3.11
+    to float32 (`engine.as_float32_stack`) before filtering, so the
+    float64 PCs are gone when stage 1 starts. On CPython 3.11
     and later, where a Python-to-Python call moves its arguments into
     the callee, a caller that hands over its only reference to
     `dataset` lets the input be freed once it is phase-stabilized.
     A noise map of other dims is a `ValueError` here;
-    `bm4d_multichannel` raises one for a PSD of other dims or a volume
-    smaller than its block.
+    `bm4d_multichannel` raises one for a PSD of other dims, a volume
+    smaller than its block or PCs beyond its float32 range.
 
     Returns
     -------
@@ -61,7 +61,7 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     del normalized
     basis = projected.basis
     # the stages' only copy of the PCs: the float64 ones go before stage 1
-    pcs = as_filter_dtype(projected.pcs)
+    pcs = as_float32_stack(projected.pcs)
     del projected
     denoised_pcs = bm4d_multichannel(pcs, psd, threads=threads)
     del pcs

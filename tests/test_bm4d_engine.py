@@ -13,14 +13,12 @@ from bm4dpc.bm4d import engine
 from bm4dpc.bm4d.engine import (
     WEIGHT_FLOOR,
     _add_group,
-    _channel_stack,
     _group_weight,
     _ht_core,
     _match_from_view,
-    _matching_guide,
     _shortlists,
     _spread_weights,
-    as_filter_dtype,
+    as_float32_stack,
     block_offsets,
     wiener_shrink,
 )
@@ -54,7 +52,7 @@ def _match(data, ref):
     count = min(window.size, engine.HT_MAX_GROUP)
     count = 1 << (count.bit_length() - 1)
     return _match_from_view(
-        _matching_guide(data.ravel()), dims, np.ravel_multi_index(ref, dims),
+        data.astype(np.float64).ravel(), dims, np.ravel_multi_index(ref, dims),
         window, count, block_offsets(dims, engine.BLOCK),
     )
 
@@ -63,7 +61,7 @@ def _row_groups(data, max_group):
     """The stage's matched groups of every reference corner of a guide
     volume, in corner order: the rows' shortlists re-ranked exactly."""
     dims = data.shape
-    guide = _matching_guide(data.ravel())
+    guide = data.astype(np.float64).ravel()
     offsets = block_offsets(dims, engine.BLOCK)
     return [
         _match_from_view(guide, dims, *shortlist, offsets)
@@ -79,14 +77,12 @@ def _reference_corners(dims):
 
 def _brute_match(data, ref, max_group=None):
     """Reference matcher: every corner of the window scored by the float64
-    mean squared difference of its block to the reference block, the
-    samples scaled by the power of two that brings the largest magnitude
-    into [1/2, 1), a (distance, corner) sort with the reference forced
-    first, and power-of-two truncation."""
+    mean squared difference of its block to the reference block, a
+    (distance, corner) sort with the reference forced first, and
+    power-of-two truncation."""
     if max_group is None:
         max_group = engine.HT_MAX_GROUP
-    _, exponent = np.frexp(np.abs(data).max())
-    data = np.ldexp(data.astype(np.float64), -int(exponent))
+    data = data.astype(np.float64)
     dims = data.shape
     block = engine.BLOCK
     ranges = [
@@ -107,8 +103,8 @@ def _brute_match(data, ref, max_group=None):
 
 def _oracle_guide(kind):
     """Guides whose distances are generic, nearly tied, exactly tied,
-    beyond float32, in the float64 subnormals, or on odd, small and
-    long grids, and on a grid of one z start per row."""
+    of float64 samples at 2^62, or on odd, small and long grids, and on
+    a grid of one z start per row."""
     rng = np.random.default_rng(21)
     dims = (32, 32, 16)
     if kind == "noise":
@@ -122,9 +118,7 @@ def _oracle_guide(kind):
     if kind == "quantized":
         return np.round(2.0 * rng.standard_normal(dims)).astype(np.float32)
     if kind == "float64":
-        guide = 2.0**60 * (5.0 + rng.standard_normal(dims))
-        assert guide.max() > engine.FLOAT32_MAX_SAMPLE
-        return guide
+        return 2.0**60 * (5.0 + rng.standard_normal(dims))
     if kind == "near_ties":
         # symmetric under x <-> y, so transposed candidates of a reference
         # on the diagonal tie; a one-ulp nudge of a fifth of the samples
@@ -138,12 +132,6 @@ def _oracle_guide(kind):
         return 0.37 * np.indices(dims).sum(axis=0) + 1e12
     if kind == "underflow":  # float32 squares below the subnormals
         return (1e-25 * rng.standard_normal(dims)).astype(np.float32)
-    if kind == "overflow":  # float64 squares past the largest float64
-        return 1e200 * rng.standard_normal(dims)
-    if kind.startswith("subnormal"):  # squares below float64's normals
-        guide = 10.0 ** -int(kind[len("subnormal"):]) * rng.standard_normal(dims)
-        guide[0, 0, 0] = 1.0  # so the scaling does not lift the rest
-        return guide
     # rows of many z starts (long_z, odd_long_z) and of one (one_z)
     shapes = {"odd": (17, 19, 9), "few": (5, 6, 7), "one": (4, 4, 4),
               "long_z": (12, 12, 24), "odd_long_z": (9, 20, 31),
@@ -196,8 +184,7 @@ class TestMatchBlocks:
     @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
     @pytest.mark.parametrize("kind", [
         "noise", "ramp", "ties", "quantized", "near_ties", "offset", "float64",
-        "underflow", "overflow", "subnormal160", "subnormal161", "odd", "few",
-        "one", "long_z", "odd_long_z", "one_z",
+        "underflow", "odd", "few", "one", "long_z", "odd_long_z", "one_z",
     ])
     def test_tiles_match_exhaustive_scan(self, kind, max_group):
         """The rows' distance products and exact re-ranking pick the
@@ -205,11 +192,9 @@ class TestMatchBlocks:
         noise, on a ramp at 1e4 (near ties), on a 90% constant guide
         (exact ties), on quantized values, on near ties, on a float64
         ramp at 1e12 (the expansion's error dwarfs the distances), on a
-        float64 guide beyond float32's range, on float32 guides at 1e-25
-        and float64 ones at 1e200 (the scaling gives both real rankings,
-        not ties of underflowed or overflowed distances), on float64
-        noise at 1e-160 and 1e-161 beside one unit sample (squares in
-        the subnormals: the bound's floor), on odd dims, on windows with
+        float64 guide at 2^62, on a float32 guide at 1e-25 (float64
+        squares of float32 samples neither overflow nor underflow, so
+        the rankings are real ones), on odd dims, on windows with
         fewer candidates than a group (5x6x7 and 4x4x4), on grids of
         long rows (12x12x24 and 9x20x31) and on one of one z start per
         row (12x12x4)."""
@@ -548,21 +533,46 @@ class TestBm4dStage:
         assert np.all(np.isfinite(out))
         assert np.all(out[:5] == 0.0)
 
-    def test_large_samples_filter_in_float64(self):
+    def test_large_samples_filter_in_float32(self, monkeypatch):
         """Components of noise-free data under a near-zero noise map
-        reach 1e18, where float32 squares overflow: the driver then
-        returns the float64 stages' bytes. Up to FLOAT32_MAX_SAMPLE the
-        float32 stages stay finite (an overflow warning is an error
-        in this suite)."""
+        reach 1e19. Both stages still receive float32 rows. With a first
+        channel at 2^60 or 2^90 and a second of smooth signal in unit
+        noise, each channel filters to within 1e-5 of its largest
+        magnitude of the output of float64 stages that scale nothing:
+        the gains see the second channel's noise, the weights are the
+        unscaled ones, and the sums stay finite (an overflow warning is
+        an error in CI). The largest supported stack, just below
+        2^MAX_EXPONENT, filters to a finite output; one exponent step
+        beyond it is a ValueError before any stage runs."""
         rng = np.random.default_rng(17)
         dims = (12, 12, 12)
-        channels = 2.0**60 * (5.0 + rng.standard_normal(dims + (2,)))
+        noisy = _smooth_signal(rng, dims, 3.0) + rng.standard_normal(dims)
         psd = NoisePsd(np.ones(dims))
-        pilot = run_stage(channels, psd, stage=1)
-        expected = run_stage(channels, psd, stage=2, pilot=pilot)
-        assert np.array_equal(bm4d_multichannel(channels, psd), expected)
-        at_bound = channels * (engine.FLOAT32_MAX_SAMPLE / np.abs(channels).max())
-        assert np.all(np.isfinite(bm4d_multichannel(at_bound, psd)))
+        stage, dtypes = engine.bm4d_stage, []
+
+        def recorded(rows, *args, **kwargs):
+            dtypes.append(rows.dtype)
+            return stage(rows, *args, **kwargs)
+
+        monkeypatch.setattr(engine, "bm4d_stage", recorded)
+        for exponent in (60, 90):
+            large = 2.0**exponent * (5.0 + rng.standard_normal(dims))
+            channels = np.stack([large, noisy], axis=-1)
+            with monkeypatch.context() as unscaled:
+                unscaled.setattr(engine, "SCALE_EXPONENT", 1024)
+                pilot = run_stage(channels, psd, stage=1)
+                expected = run_stage(channels, psd, stage=2, pilot=pilot)
+            dtypes.clear()
+            out = bm4d_multichannel(channels, psd)
+            assert dtypes == [np.float32, np.float32]
+            err = np.abs(out - expected).max(axis=(0, 1, 2))
+            assert np.all(err <= 1e-5 * np.abs(expected).max(axis=(0, 1, 2))), exponent
+        top = channels * (np.nextafter(2.0**engine.MAX_EXPONENT, 0) / channels.max())
+        assert np.all(np.isfinite(bm4d_multichannel(top, psd)))
+        dtypes.clear()
+        with pytest.raises(ValueError, match="beyond the float32 stages' range"):
+            bm4d_multichannel(2.0 * top, psd)
+        assert dtypes == []
 
     def test_single_channel_supported(self):
         rng = np.random.default_rng(9)
@@ -587,6 +597,8 @@ class TestBm4dStage:
             bm4d_multichannel(nan, psd)
         with pytest.raises(ValueError, match="smaller than the block"):
             bm4d_multichannel(np.zeros((3, 8, 8, 1)), NoisePsd(np.ones((3, 8, 8))))
+        with pytest.raises(ValueError, match="smaller than the block"):
+            bm4d_multichannel(np.zeros((0, 8, 8, 1)), psd)
         with pytest.raises(ValueError, match="PSD dims"):
             bm4d_multichannel(np.zeros((8, 8, 8, 1)), NoisePsd(np.ones((8, 8, 4))))
 
@@ -623,10 +635,9 @@ class TestChannelLayout:
         rng = np.random.default_rng(15)
         dims = (10, 9, 8)
         double = rng.standard_normal(dims + (3,))
-        single = as_filter_dtype(double)
+        single = as_float32_stack(double)
         assert single.dtype == np.float32
-        assert _channel_stack(single) is single
-        assert as_filter_dtype(single) is single
+        assert as_float32_stack(single) is single
         _use_small_geometry(monkeypatch)
         psd = NoisePsd(np.ones(dims))
         out = bm4d_multichannel(single, psd)
@@ -634,8 +645,6 @@ class TestChannelLayout:
         integers = np.round(1000.0 * double).astype(np.int16)
         assert np.array_equal(bm4d_multichannel(integers, psd),
                               bm4d_multichannel(integers.astype(np.float64), psd))
-        large = 2.0**60 * double
-        assert as_filter_dtype(large) is large
 
     def test_output_independent_of_input_layout(self, monkeypatch):
         """The output is a C-contiguous float64 (m, n, o, C) array, and

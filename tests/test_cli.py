@@ -228,6 +228,25 @@ class TestArgHandling:
         assert not (tmp_path / "out.nii").exists()
         assert taken.read_text() == "a regular file\n"
 
+    def test_noise_map_near_zero_is_value_error(self, small_sim, tmp_path, capsys):
+        """A noise map of 1e-44 puts the components beyond the float32
+        stages' range: exit 2 with a message, no traceback, no output."""
+        tiny = tmp_path / "tiny_map.nii"
+        write_nifti(Volume3(np.full((16, 16, 16), 1e-44)), str(tiny))
+        code = run_cli([
+            "denoise",
+            "--in", str(small_sim / "noisy.nii"),
+            "--bval", str(small_sim / "bvals"),
+            "--noise-map", str(tiny),
+            "--psd", str(small_sim / "psd_true.nii"),
+            "--out", str(tmp_path / "out.nii"),
+        ])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "beyond the float32 stages' range" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "out.nii").exists()
+
     def test_failed_denoise_leaves_estimates_dirs_as_they_were(self, tmp_path,
                                                                 capsys):
         """A denoise run that fails after making its --save-noise-estimates
@@ -251,15 +270,23 @@ class TestArgHandling:
         assert [p.name for p in kept.iterdir()] == ["note.txt"]
 
     def test_simulate_beyond_nifti_dims_is_value_error(self, tmp_path, capsys):
-        """A 40000-voxel axis does not fit NIfTI-1's int16 dim: exit 2
-        with a message, not a traceback from the header packer."""
-        code = run_cli([
-            "simulate", "--out", str(tmp_path / "x"),
-            "--size", "40000", "1", "1", "--noise-type", "white",
-        ])
-        assert code == 2
-        assert "must not exceed 32767" in capsys.readouterr().err
-        assert not (tmp_path / "x").exists()
+        """A 40000-voxel axis does not fit NIfTI-1's int16 dim, and noise
+        at 1e39 does not fit its float32 samples: exit 2 with a message,
+        not a traceback from the header packer or a file of infinities
+        that `read_nifti` refuses, and no output directory is left."""
+        cases = [
+            (["--size", "40000", "1", "1"], "must not exceed 32767"),
+            (["--size", "20", "20", "6", "--shells", "0:1,1000:7",
+              "--noise-level", "1e39"], "noisy.nii: samples beyond float32's range"),
+        ]
+        for argv, message in cases:
+            code = run_cli([
+                "simulate", "--out", str(tmp_path / "x"), *argv,
+                "--noise-type", "white",
+            ])
+            assert code == 2
+            assert message in capsys.readouterr().err
+            assert not (tmp_path / "x").exists()
 
     def test_failed_simulate_leaves_out_dirs_as_they_were(self, tmp_path):
         """A failed run removes every directory it made, and leaves a

@@ -1,6 +1,7 @@
 """End-to-end denoising chain behavior."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,6 +27,17 @@ class TestVanishingNoise:
         diff = np.abs(out.data - ref)
         rel = np.max(diff) / np.max(np.abs(ref))
         assert rel <= 1e-3
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_noise_free_input_with_estimated_statistics(self, gt_real, dtype):
+        """The noise map estimated from noise-free data is near zero, so
+        the components reach 1e17, and 5e19 for the float32-rounded
+        series: the float32 stages filter them scaled, and the output is
+        finite and within 1e-3 of the input's maximum."""
+        data = gt_real.data.astype(dtype).astype(np.float64)
+        out, _, _ = denoise_bm4dpc(replace(gt_real, data=data))
+        assert np.all(np.isfinite(out.data))
+        assert np.max(np.abs(out.data - data)) <= 1e-3 * np.max(np.abs(data))
 
 
 class TestDenoiseQuality:
@@ -152,9 +164,9 @@ class TestPhaseStabilization:
 
 class TestPsdFields:
     def test_built_once_for_both_stages(self, monkeypatch):
-        """Both stages share the block geometry, so one run checks the
-        PCs and builds the PSD fields once."""
-        calls = {"basis_autocorr": 0, "_channel_stack": 0}
+        """Both stages share the block geometry, so the driver checks the
+        PCs and builds the PSD fields once per run."""
+        calls = {"basis_autocorr": 0, "as_float32_stack": 0}
 
         def counted(name):
             original = getattr(engine, name)
@@ -173,7 +185,7 @@ class TestPsdFields:
             np.array([0.0, 1000.0, 1000.0, 1000.0]),
         )
         denoise_bm4dpc(ds, NoiseMap(np.full(ds.dims, 0.5)), NoisePsd(np.ones(ds.dims)))
-        assert calls == {"basis_autocorr": 1, "_channel_stack": 1}
+        assert calls == {"basis_autocorr": 1, "as_float32_stack": 1}
 
 
 class TestMemory:
