@@ -1,4 +1,4 @@
-"""Shared domain types.
+"""Shared domain types, and the one smoother the layers share.
 
 A series of N volumes of dims (m, n, o) is one array of shape
 (N, m, n, o), which `DwiDataset.data` stores C-contiguous. The fields
@@ -7,7 +7,9 @@ layer writes into the arrays they hold, so the types are safe to share
 across workers.
 """
 
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from typing import Optional, Sequence
 
 import numpy as np
@@ -25,6 +27,54 @@ def _starts(extent: int, size: int, step: int) -> list:
     if starts[-1] != extent - size:
         starts.append(extent - size)
     return starts
+
+
+def _gaussian_taps(sigma: float, radius: int) -> tuple:
+    """Taps exp(-k^2 / (2 sigma^2)) for k = -radius..radius, summing to 1."""
+    k = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * k * k)
+    return tuple(phi / phi.sum())
+
+
+@lru_cache(maxsize=64)
+def _correlation_matrix(n: int, taps: tuple, nearest: bool) -> np.ndarray:
+    """Read-only (n, n) matrix whose product with a length-n signal is
+    its correlation with the odd, symmetric `taps`.
+
+    Beyond the ends the signal is its edge sample when `nearest` (the
+    "nearest" mode of scipy.ndimage), else zero (its "constant" mode
+    with cval 0).
+    """
+    r = len(taps) // 2
+    rows = np.repeat(np.arange(n), len(taps))
+    cols = (np.arange(n)[:, None] + np.arange(-r, r + 1)).ravel()
+    weights = np.tile(taps, n)
+    if nearest:
+        cols = np.clip(cols, 0, n - 1)
+    else:
+        inside = (cols >= 0) & (cols < n)
+        rows, cols, weights = rows[inside], cols[inside], weights[inside]
+    matrix = np.zeros((n, n))
+    np.add.at(matrix, (rows, cols), weights)
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _correlate(x: np.ndarray, taps: tuple, nearest: bool, axes) -> np.ndarray:
+    """Real `x` correlated with `taps` along each of `axes` in turn.
+
+    Each axis is one matrix product with its `_correlation_matrix`,
+    batched over the axes before it; `x` is not written.
+    """
+    for axis in axes:
+        shape = x.shape
+        matrix = _correlation_matrix(shape[axis], taps, nearest)
+        if axis == x.ndim - 1:
+            x = x.reshape(-1, shape[axis]) @ matrix.T
+        else:
+            x = np.matmul(matrix, x.reshape(-1, shape[axis], math.prod(shape[axis + 1:])))
+        x = x.reshape(shape)
+    return x
 
 
 def _as_samples(data, ndim: int, what: str) -> np.ndarray:

@@ -12,9 +12,8 @@ import math
 from dataclasses import replace
 
 import numpy as np
-from scipy import ndimage
 
-from .core import SHELL_TOLERANCE, DwiDataset, Volume3, _starts
+from .core import SHELL_TOLERANCE, DwiDataset, Volume3, _correlate, _gaussian_taps, _starts
 from .dataio import group_shells
 from .gpca import forward_pca, inverse_pca
 
@@ -25,6 +24,7 @@ SSIM_SIGMA = 1.5
 DTI_MAX_BVAL = 1000.0  # the tensor fit uses the shells up to this b
 MPPCA_KERNEL = 5  # smallest edge of the baseline's cubic patches
 MPPCA_STEP = 3    # stride between the baseline's patch corners
+_SSIM_TAPS = _gaussian_taps(SSIM_SIGMA, SSIM_WINDOW // 2)
 
 
 def _data(x) -> np.ndarray:
@@ -68,7 +68,9 @@ def psnr(gt: Volume3, test: Volume3) -> float:
 
 
 def _ssim_window_filter(x: np.ndarray) -> np.ndarray:
-    return ndimage.gaussian_filter(x, SSIM_SIGMA, radius=SSIM_WINDOW // 2, mode="nearest")
+    """The SSIM window's weighted mean at every voxel, edges padded
+    with the edge sample."""
+    return _correlate(x, _SSIM_TAPS, True, range(x.ndim))
 
 
 def ssim(gt: Volume3, test: Volume3) -> float:

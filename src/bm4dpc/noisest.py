@@ -9,10 +9,9 @@ PCA, and the two estimators trust the tail it hands them.
 """
 
 import numpy as np
-from scipy import ndimage
 
 from .bm4d.variance import fold_psd
-from .core import DwiDataset, NoiseMap, NoisePsd, _starts
+from .core import DwiDataset, NoiseMap, NoisePsd, _correlate, _starts
 from .dataio import group_shells
 from .gpca import forward_pca
 
@@ -44,15 +43,18 @@ def _noise_map(tail_pcs) -> NoiseMap:
     `tail_pcs` is the real (K, m, n, o) tail `estimate_noise` checked.
     Each tail PC yields a local std map (MAP_WINDOW-cubed window,
     mean-subtracted, divisor n-1, window shrunk at the borders); the
-    final map is their arithmetic mean.
+    final map is their arithmetic mean. The window sums and the counts
+    of voxels inside the grid are box sums with zero padding, one
+    matrix product per axis.
     """
-    dims = tail_pcs.shape[1:]
-    kernel = np.ones((MAP_WINDOW,) * 3)
-    counts = ndimage.correlate(np.ones(dims), kernel, mode="constant", cval=0.0)
+    def box_sums(x):
+        return _correlate(x, (1.0,) * MAP_WINDOW, False, (0, 1, 2))
+
+    counts = box_sums(np.ones(tail_pcs.shape[1:]))
     maps = []
     for x in tail_pcs:
-        s1 = ndimage.correlate(x, kernel, mode="constant", cval=0.0)
-        s2 = ndimage.correlate(x * x, kernel, mode="constant", cval=0.0)
+        s1 = box_sums(x)
+        s2 = box_sums(x * x)
         var = (s2 - s1 * s1 / counts) / (counts - 1.0)
         maps.append(np.sqrt(np.clip(var, 0.0, None)))
     return NoiseMap(np.mean(maps, axis=0))

@@ -2,6 +2,9 @@
 
 import importlib.util
 import inspect
+import os
+import subprocess
+import sys
 
 import bm4dpc
 from bm4dpc import bm4d, pipeline
@@ -59,3 +62,16 @@ def test_no_options_or_profile_objects():
     assert importlib.util.find_spec("bm4dpc.bm4d.profile") is None
     params = inspect.signature(bm4dpc.denoise_bm4dpc).parameters
     assert list(params) == ["dataset", "noise_map", "psd", "threads"]
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI run on numpy alone: importing them loads
+    no scipy module, whose import would dominate a process's start."""
+    src = os.path.dirname(os.path.dirname(bm4dpc.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = ("import sys, bm4dpc, bm4dpc.cli; "
+             "print(sorted(k for k in sys.modules if k.split('.')[0] == 'scipy'))")
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy import ndimage
 
 from bm4dpc import DwiDataset, NoiseMap, NoisePsd, Volume3
+from bm4dpc.core import _correlate, _correlation_matrix, _gaussian_taps
 
 
 def _volume(data):
@@ -165,3 +167,42 @@ class TestNoiseTypes:
         with pytest.raises(ValueError, match="non-finite"):
             make(bad)
 
+
+
+class TestCorrelate:
+    """The matrix smoother against scipy.ndimage, on axes shorter than,
+    as long as and longer than the window."""
+
+    CASES = {
+        "gaussian2_inplane": (
+            lambda x: ndimage.gaussian_filter(x, (2.0, 2.0, 0), radius=8, mode="nearest"),
+            lambda x: _correlate(x, _gaussian_taps(2.0, 8), True, (0, 1))),
+        "gaussian1.5": (
+            lambda x: ndimage.gaussian_filter(x, 1.5, radius=3, mode="nearest"),
+            lambda x: _correlate(x, _gaussian_taps(1.5, 3), True, (0, 1, 2))),
+        "box5": (
+            lambda x: ndimage.correlate(x, np.ones((5, 5, 5)), mode="constant", cval=0.0),
+            lambda x: _correlate(x, (1.0,) * 5, False, (0, 1, 2))),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    @pytest.mark.parametrize("length", [1, 3, 5, 17])
+    def test_matches_scipy(self, case, length):
+        reference, smoother = self.CASES[case]
+        rng = np.random.default_rng(length)
+        for shape in ((length, 6, 5), (5, length, 6), (6, 5, length)):
+            x = rng.standard_normal(shape)
+            before = x.copy()
+            expected = reference(x)
+            got = smoother(x)
+            assert got.shape == shape
+            assert np.max(np.abs(got - expected)) <= 1e-13 * np.max(np.abs(expected))
+            assert np.array_equal(x, before)
+
+    def test_matrix_cached_and_read_only(self):
+        taps = _gaussian_taps(1.5, 3)
+        matrix = _correlation_matrix(9, taps, True)
+        assert _correlation_matrix(9, taps, True) is matrix
+        assert not matrix.flags.writeable
+        # the edge sample's padding keeps a constant signal constant
+        assert np.allclose(matrix.sum(axis=1), 1.0, rtol=0, atol=1e-15)
