@@ -27,9 +27,8 @@ are read as a (V, C) array of voxel rows, a view of the (m, n, o, C)
 stack. `as_float32_stack` is the one check and cast: the pipeline casts
 the PCs with it and drops the float64 PCs before it calls
 `bm4d_multichannel`, and the driver applies it again for any other
-caller. The components are in units of the noise sigma, so only a
-near-zero noise map, as the one estimated from noise-free data, makes
-them large enough for a stage to scale its groups (SCALE_EXPONENT).
+caller. It refuses a sample at 2^MAX_EXPONENT or beyond, and the
+pipeline floors its noise map so that no component gets there.
 The noise variances are computed in float64 and cast per group. A block
 is addressed by one flat voxel index, its corner's raveled index plus
 `block_offsets`, so each group is one row take of shape (M, P, C).
@@ -52,12 +51,11 @@ from .transforms import group_inverse, group_transform
 from .variance import basis_autocorr, fold_psd, variances_from_fields
 
 WEIGHT_FLOOR = 1e-12
-# A group's coefficients reach sqrt(M * P) = 45 times its largest sample. A
-# stage scales the groups of rows at 2^SCALE_EXPONENT or beyond so that their
-# float32 squares stay finite; its output, up to 45 times a sample as well,
-# stays below float32's 2^128 for samples below 2^MAX_EXPONENT.
-SCALE_EXPONENT = 32
-MAX_EXPONENT = 122
+# The float32 stages' range: samples below 2^MAX_EXPONENT in magnitude. A
+# group's coefficients reach sqrt(M * P) = 45 times its largest sample, so the
+# Wiener pilot's float32 squares, the largest values a stage forms, stay
+# below 2^76, far from float32's 2^128.
+MAX_EXPONENT = 32
 
 
 # the standard two-stage settings; both stages share the block geometry
@@ -246,10 +244,7 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     `bm4d_multichannel` checked; the stage checks nothing again, and
     divides by the weight sums directly. Matching reads a float64 copy
     of the guide channel; the transforms, the gains, the weights and the
-    sums run in the dtype of `rows`. Rows that reach 2^SCALE_EXPONENT
-    are filtered as copies scaled by 2^-k, the pilot too: the gains
-    read the group variances scaled by 4^-k, the weights the variances
-    as they are, and the output is scaled back by 2^k.
+    sums run in the dtype of `rows`.
     Returns the filtered C-contiguous (V, C) rows, of that dtype.
     Identical output for any thread count: the calling thread
     shortlists the references row by row (`_shortlists`), worker
@@ -261,11 +256,6 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
     guide = (rows if stage == 1 else pilot_rows)[:, 0].astype(np.float64)
     max_group = HT_MAX_GROUP if stage == 1 else WIENER_MAX_GROUP
     shortlists = _shortlists(guide, dims, max_group)
-    # rows at 2^SCALE_EXPONENT or beyond are filtered as copies scaled by 2^-k
-    k = max(int(np.frexp(max(rows.max(), -rows.min()))[1]) - SCALE_EXPONENT, 0)
-    if k:
-        rows = np.ldexp(rows, -k)
-        pilot_rows = pilot_rows if stage == 1 else np.ldexp(pilot_rows, -k)
 
     def filter_group(shortlist):
         positions = _match_from_view(guide, dims, *shortlist, offsets)
@@ -274,12 +264,11 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
         idx = np.ravel_multi_index(positions.T, dims)[:, None] + offsets
         group_shape = (len(positions),) + BLOCK + (nchan,)
         coeffs = group_transform(np.take(rows, idx, axis=0).reshape(group_shape))
-        scaled_var = np.ldexp(var, -2 * k) if k else var
         if stage == 1:
-            gain = _ht_core(coeffs, scaled_var, HT_THRESHOLD)
+            gain = _ht_core(coeffs, var, HT_THRESHOLD)
         else:
             pilot = np.take(pilot_rows, idx, axis=0).reshape(group_shape)
-            gain = wiener_shrink(group_transform(pilot), scaled_var)
+            gain = wiener_shrink(group_transform(pilot), var)
         weight = _group_weight(gain, var)
         coeffs *= gain
         blocks = group_inverse(coeffs)
@@ -306,8 +295,6 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
 
     # sums > 0: reference blocks tile, each leads its own group, group weights > 0
     num /= _spread_weights(corner_weight, BLOCK)
-    if k:
-        np.ldexp(num, k, out=num)
     return num.reshape(-1, nchan)
 
 

@@ -1,9 +1,9 @@
 """Command-line interface for simulation, denoising, and evaluation.
 
 Exit codes follow the exception type: 0 success; 2 invalid arguments
-or input values (`ValueError`: bad b-values, a negative or near-zero
-noise map, dims below the block size, the noise estimator's windows,
-the SSIM window or the MPPCA patch, samples beyond NIfTI's float32); 3
+or input values (`ValueError`: bad b-values, a negative noise map, dims
+below the block size, the noise estimator's windows, the SSIM window
+or the MPPCA patch, samples beyond NIfTI's float32); 3
 unreadable or malformed files (`OSError`, `NiftiError`, including non-finite
 NIfTI samples); 4 numerical failure (`np.linalg.LinAlgError`). All
 diagnostics go to stderr; metric reports are JSON with stable key

@@ -148,7 +148,9 @@ def read_nifti(path):
     if math.isfinite(scl_slope) and scl_slope != 0.0:
         inter = scl_inter if math.isfinite(scl_inter) else 0.0
         if not (scl_slope == 1.0 and inter == 0.0):
-            data = data * scl_slope + inter
+            # in float64: a float32 sample times the slope may pass float32's range
+            wide = np.promote_types(dtype, np.float64)  # complex64 -> complex128
+            data = data.astype(wide) * scl_slope + inter
     if not np.all(np.isfinite(data)):
         raise NiftiError(f"{path}: payload holds non-finite samples")
 

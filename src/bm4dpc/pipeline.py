@@ -2,17 +2,20 @@
 
 The full chain: phase stabilization makes complex data real, the noise map
 and PSD are estimated from the highest shell (or taken from the
-caller), volumes are normalized by the clamped map, decorrelated by
+caller), volumes are normalized by the clamped map, floored so that
+the components stay inside the float32 stages' range, decorrelated by
 global PCA, every component is collaboratively filtered under the
-shared PSD, and the result is rotated and rescaled back. The method's fixed settings are module constants of the layer that
-uses them; the caller supplies only the data and, optionally, the
-noise statistics.
+shared PSD, and the result is rotated and rescaled back. The method's
+fixed settings are module constants of the layer that uses them; the
+caller supplies only the data and, optionally, the noise statistics.
 """
 
 from typing import Optional
 
+import numpy as np
+
 from .bm4d import bm4d_multichannel
-from .bm4d.engine import as_float32_stack
+from .bm4d.engine import MAX_EXPONENT, as_float32_stack
 from .core import DwiDataset, NoiseMap, NoisePsd
 from .gpca import forward_pca, inverse_pca
 from .noisest import clamp_sigma, estimate_noise
@@ -28,13 +31,18 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     data. The caller's arrays are never written. Each full-size
     intermediate is dropped after its last use, and the PCs are cast
     to float32 (`engine.as_float32_stack`) before filtering, so the
-    float64 PCs are gone when stage 1 starts. On CPython 3.11
+    float64 PCs are gone when stage 1 starts. The clamped map is also
+    floored at max|x| * sqrt(N) * 2^(1 - engine.MAX_EXPONENT) for the
+    N volumes x. By Cauchy-Schwarz a PC is at most
+    sqrt(N) * max|x / sigma|, so the PCs stay inside the float32
+    stages' range, even for noise-free input or a near-zero given
+    map, and the floor scales with the data. On CPython 3.11
     and later, where a Python-to-Python call moves its arguments into
     the callee, a caller that hands over its only reference to
     `dataset` lets the input be freed once it is phase-stabilized.
     A noise map of other dims is a `ValueError` here;
-    `bm4d_multichannel` raises one for a PSD of other dims, a volume
-    smaller than its block or PCs beyond its float32 range.
+    `bm4d_multichannel` raises one for a PSD of other dims or a volume
+    smaller than its block.
 
     Returns
     -------
@@ -54,7 +62,9 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     if noise_map.dims != real.dims:
         raise ValueError("noise map dims must match the data")
 
-    clamped = clamp_sigma(noise_map.data)
+    largest = max(real.data.max(), -real.data.min())
+    floor = largest * np.sqrt(real.n_volumes) * 2.0 ** (1 - MAX_EXPONENT)
+    clamped = np.maximum(clamp_sigma(noise_map.data), floor)
     normalized = real.data / clamped
     del real
     projected = forward_pca(normalized)

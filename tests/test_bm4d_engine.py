@@ -534,16 +534,13 @@ class TestBm4dStage:
         assert np.all(out[:5] == 0.0)
 
     def test_large_samples_filter_in_float32(self, monkeypatch):
-        """Components of noise-free data under a near-zero noise map
-        reach 1e19. Both stages still receive float32 rows. With a first
-        channel at 2^60 or 2^90 and a second of smooth signal in unit
-        noise, each channel filters to within 1e-5 of its largest
-        magnitude of the output of float64 stages that scale nothing:
-        the gains see the second channel's noise, the weights are the
-        unscaled ones, and the sums stay finite (an overflow warning is
-        an error in CI). The largest supported stack, just below
-        2^MAX_EXPONENT, filters to a finite output; one exponent step
-        beyond it is a ValueError before any stage runs."""
+        """Both stages receive float32 rows. With a first channel within
+        a factor of 2 of 2^MAX_EXPONENT and a second of smooth signal in
+        unit noise, each channel filters to within 1e-5 of its largest
+        magnitude of the output of float64 stages (an overflow warning
+        is an error in CI). The largest supported stack, just below
+        2^MAX_EXPONENT, filters to a finite output; a sample at
+        2^MAX_EXPONENT is a ValueError before any stage runs."""
         rng = np.random.default_rng(17)
         dims = (12, 12, 12)
         noisy = _smooth_signal(rng, dims, 3.0) + rng.standard_normal(dims)
@@ -554,24 +551,23 @@ class TestBm4dStage:
             dtypes.append(rows.dtype)
             return stage(rows, *args, **kwargs)
 
+        bound = 2.0**engine.MAX_EXPONENT
+        large = bound / 16 * (5.0 + rng.standard_normal(dims))
+        channels = np.stack([large, noisy], axis=-1)
+        assert bound / 2 <= channels.max() < bound
+        pilot = run_stage(channels, psd, stage=1)
+        expected = run_stage(channels, psd, stage=2, pilot=pilot)
         monkeypatch.setattr(engine, "bm4d_stage", recorded)
-        for exponent in (60, 90):
-            large = 2.0**exponent * (5.0 + rng.standard_normal(dims))
-            channels = np.stack([large, noisy], axis=-1)
-            with monkeypatch.context() as unscaled:
-                unscaled.setattr(engine, "SCALE_EXPONENT", 1024)
-                pilot = run_stage(channels, psd, stage=1)
-                expected = run_stage(channels, psd, stage=2, pilot=pilot)
-            dtypes.clear()
-            out = bm4d_multichannel(channels, psd)
-            assert dtypes == [np.float32, np.float32]
-            err = np.abs(out - expected).max(axis=(0, 1, 2))
-            assert np.all(err <= 1e-5 * np.abs(expected).max(axis=(0, 1, 2))), exponent
-        top = channels * (np.nextafter(2.0**engine.MAX_EXPONENT, 0) / channels.max())
+        out = bm4d_multichannel(channels, psd)
+        assert dtypes == [np.float32, np.float32]
+        err = np.abs(out - expected).max(axis=(0, 1, 2))
+        assert np.all(err <= 1e-5 * np.abs(expected).max(axis=(0, 1, 2)))
+        top = channels * (np.nextafter(bound, 0) / channels.max())
         assert np.all(np.isfinite(bm4d_multichannel(top, psd)))
+        top[0, 0, 0, 0] = bound
         dtypes.clear()
         with pytest.raises(ValueError, match="beyond the float32 stages' range"):
-            bm4d_multichannel(2.0 * top, psd)
+            bm4d_multichannel(top, psd)
         assert dtypes == []
 
     def test_single_channel_supported(self):

@@ -151,6 +151,18 @@ class TestNiftiRoundTrip:
         back = read_nifti(path)
         assert np.allclose(back.data, data * 2.0 + 1.0, atol=0, rtol=0)
 
+    def test_scaling_beyond_float32_range_applied_in_float64(self, tmp_path):
+        """A float32 sample of 3e38 times a slope of 10 is finite in the
+        float64 series the reader returns, and no overflow warning is
+        raised (an error in CI)."""
+        data = np.array([3e38, -3e38, 1.0, 0.0, 2.0, 3.0, 4.0, 5.0],
+                        dtype=np.float32).reshape(2, 2, 2)
+        path = tmp_path / "scaled.nii"
+        path.write_bytes(_reference_nifti_bytes(data, scl_slope=10.0, scl_inter=1.0))
+        back = read_nifti(path)
+        assert np.array_equal(back.data, data.astype(np.float64) * 10.0 + 1.0)
+        assert np.isfinite(back.data).all()
+
     def test_nan_or_zero_scaling_means_unscaled(self, tmp_path):
         """A zero or NaN slope leaves the payload unscaled (nibabel writes
         NaN for unscaled float data); a NaN intercept reads as 0."""
