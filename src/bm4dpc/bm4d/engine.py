@@ -17,27 +17,28 @@ exactly. A guide's groups do not depend on its dtype.
 The method's settings are the module constants below, read at call
 time. Both stages share the block geometry, so `bm4d_multichannel`,
 the one entry point, checks its input against the block and the PSD
-dims, builds the PSD lag table and takes the voxel rows once for both.
+dims and builds the PSD lag table once for both.
 The table is `basis_autocorr` of the PSD on its full grid, exact for
 the PSD the caller passes.
 
-The whole stage is channel-last and filters in the dtype of its rows,
-float32 from `bm4d_multichannel`. The channels (and the stage-2 pilot)
-are read as a (V, C) array of voxel rows, a view of the (m, n, o, C)
-stack. `as_float32_stack` is the one check and cast: the pipeline casts
-the PCs with it and drops the float64 PCs before it calls
+The stages take and return real (m, n, o, C) stacks, channel-last,
+and filter in the dtype of the stack, float32 from `bm4d_multichannel`.
+`as_float32_stack` is the one check and cast: the pipeline casts the
+PCs with it and drops the float64 PCs before it calls
 `bm4d_multichannel`, and the driver applies it again for any other
 caller. It refuses a sample at 2^MAX_EXPONENT or beyond, and the
 pipeline floors its noise map so that no component gets there.
-The noise variances are computed in float64 and cast per group. A block
-is addressed by one flat voxel index, its corner's raveled index plus
-`block_offsets`, so each group is one row take of shape (M, P, C).
-Groups are transformed as (M, b0, b1, b2, C) arrays, and the filtered
-blocks add into an (m, n, o, C) numerator without a layout change;
-group weights go into a corner field that `_spread_weights` turns into
-the per-voxel weight sums. The stage returns its numerator as (V, C)
-rows: stage 2 reads them as its pilot without a copy, and
-`bm4d_multichannel` casts the stage-2 rows to a float64 array.
+The noise variances are computed in float64 and cast per group. Inside
+a stage, the stack and the stage-2 pilot are read as (V, C) voxel rows,
+views of C-contiguous stacks, and a block is addressed by one flat
+voxel index, its corner's raveled index plus `block_offsets`, so each
+group is one row take of shape (M, P, C). Groups are transformed as
+(M, b0, b1, b2, C) arrays, and the filtered blocks add into an
+(m, n, o, C) numerator without a layout change; group weights go into
+a corner field that `_spread_weights` turns into the per-voxel weight
+sums. The stage returns its numerator: stage 2 takes the stage-1 one
+as its pilot, and `bm4d_multichannel` casts the stage-2 one to a
+float64 array.
 """
 
 from collections import deque
@@ -215,9 +216,10 @@ def _spread_weights(corner_weight, block) -> np.ndarray:
 
 
 def as_float32_stack(channels) -> np.ndarray:
-    """`channels` as the float32 (m, n, o, C) stack the stages filter:
-    real, of at least one channel, finite and below 2^MAX_EXPONENT in
-    magnitude, or a ValueError. A float32 array is not copied."""
+    """`channels` as the C-contiguous float32 (m, n, o, C) stack the
+    stages filter: real, of at least one channel, finite and below
+    2^MAX_EXPONENT in magnitude, or a ValueError. A C-contiguous float32
+    array is not copied."""
     if np.iscomplexobj(channels):
         raise ValueError("channels must be real")
     stack = np.asarray(channels)
@@ -230,53 +232,56 @@ def as_float32_stack(channels) -> np.ndarray:
     if largest >= 2.0**MAX_EXPONENT:
         raise ValueError(f"channels reach {largest:.3g}, beyond the float32 "
                          "stages' range; is the noise map near zero?")
-    return stack.astype(np.float32, copy=False)
+    # C order: the stages' voxel rows are then views, not one copy per stage
+    return stack.astype(np.float32, order="C", copy=False)
 
 
-def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
-               threads: int = 1) -> np.ndarray:
-    """One filtering pass over the (V, C) voxel rows of an (m, n, o) grid.
+def bm4d_stage(stack, fields, stage: int, pilot=None, threads: int = 1) -> np.ndarray:
+    """One filtering pass over a real (m, n, o, C) channel stack.
 
     `fields` is the `basis_autocorr` lag table of the noise PSD. Stage 1
-    matches on channel 0 of `rows` and hard-thresholds; stage 2 matches
-    on channel 0 of `pilot_rows` (the stage-1 output) and Wiener-filters
-    every channel against its own pilot spectrum. The inputs are the ones
-    `bm4d_multichannel` checked; the stage checks nothing again, and
-    divides by the weight sums directly. Matching reads a float64 copy
-    of the guide channel; the transforms, the gains, the weights and the
-    sums run in the dtype of `rows`.
-    Returns the filtered C-contiguous (V, C) rows, of that dtype.
+    matches on channel 0 of `stack` and hard-thresholds; stage 2 matches
+    on channel 0 of `pilot` (the stage-1 output, a stack of the same
+    shape) and Wiener-filters every channel against its own pilot
+    spectrum. The inputs are the ones `bm4d_multichannel` checked; the
+    stage checks nothing again, and divides by the weight sums directly.
+    Matching reads a float64 copy of the guide channel; the transforms,
+    the gains, the weights and the sums run in the dtype of `stack`.
+    Returns the filtered C-contiguous (m, n, o, C) stack, of that dtype.
     Identical output for any thread count: the calling thread
     shortlists the references row by row (`_shortlists`), worker
     threads rank each reference's shortlist exactly and filter its
     group, and the calling thread adds the groups up in corner order.
     """
-    nchan = rows.shape[1]
+    dims, nchan = stack.shape[:3], stack.shape[-1]
+    # (V, C) voxel rows, views of C-contiguous stacks: a group is one take
+    rows = stack.reshape(-1, nchan)
+    guide_rows = rows if stage == 1 else pilot.reshape(-1, nchan)
     offsets = block_offsets(dims, BLOCK)
-    guide = (rows if stage == 1 else pilot_rows)[:, 0].astype(np.float64)
+    guide = guide_rows[:, 0].astype(np.float64)
     max_group = HT_MAX_GROUP if stage == 1 else WIENER_MAX_GROUP
     shortlists = _shortlists(guide, dims, max_group)
 
     def filter_group(shortlist):
         positions = _match_from_view(guide, dims, *shortlist, offsets)
         var = variances_from_fields(fields, positions - positions[0], BLOCK)
-        var = var.astype(rows.dtype)[..., None]  # broadcast over the channels
+        var = var.astype(stack.dtype)[..., None]  # broadcast over the channels
         idx = np.ravel_multi_index(positions.T, dims)[:, None] + offsets
         group_shape = (len(positions),) + BLOCK + (nchan,)
         coeffs = group_transform(np.take(rows, idx, axis=0).reshape(group_shape))
         if stage == 1:
             gain = _ht_core(coeffs, var, HT_THRESHOLD)
         else:
-            pilot = np.take(pilot_rows, idx, axis=0).reshape(group_shape)
-            gain = wiener_shrink(group_transform(pilot), var)
+            pilot_group = np.take(guide_rows, idx, axis=0).reshape(group_shape)
+            gain = wiener_shrink(group_transform(pilot_group), var)
         weight = _group_weight(gain, var)
         coeffs *= gain
         blocks = group_inverse(coeffs)
         blocks *= weight
         return positions, blocks, weight
 
-    num = np.zeros(dims + (nchan,), dtype=rows.dtype)
-    corner_weight = np.zeros(dims + (nchan,), dtype=rows.dtype)
+    num = np.zeros(stack.shape, dtype=stack.dtype)
+    corner_weight = np.zeros(stack.shape, dtype=stack.dtype)
     # serial at one thread: a one-worker pool ran gate-colored slower (ROADMAP item 7)
     if threads <= 1:
         for shortlist in shortlists:
@@ -295,19 +300,19 @@ def bm4d_stage(rows, dims, fields, stage: int, pilot_rows=None,
 
     # sums > 0: reference blocks tile, each leads its own group, group weights > 0
     num /= _spread_weights(corner_weight, BLOCK)
-    return num.reshape(-1, nchan)
+    return num
 
 
 def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
     """Full two-stage filtering of a real (m, n, o, C) channel stack.
 
-    Both stages filter float32 and match in float64. A float32 stack,
-    as the pipeline passes its PCs, is used as it is; any other,
-    integer stacks too, is cast once, by `as_float32_stack`, which
-    refuses a sample at 2^MAX_EXPONENT or beyond before any stage runs.
-    The stages read the stack's (V, C) voxel rows, a view of a
-    C-contiguous stack. Returns the filtered C-contiguous float64
-    (m, n, o, C) array.
+    Both stages filter float32 and match in float64. A C-contiguous
+    float32 stack, as the pipeline passes its PCs, is used as it is;
+    any other, integer stacks too, is cast once, by `as_float32_stack`,
+    which refuses a sample at 2^MAX_EXPONENT or beyond before any stage
+    runs. Both stages take the stack itself, and stage 2 the stack that
+    stage 1 returns as its pilot. Returns the filtered C-contiguous
+    float64 (m, n, o, C) array.
     """
     stacked = as_float32_stack(channels)
     dims = stacked.shape[:3]
@@ -316,10 +321,7 @@ def bm4d_multichannel(channels, psd: NoisePsd, threads: int = 1):
     if psd.dims != dims:
         raise ValueError("PSD dims must match the channels")
     fields = basis_autocorr(psd.data, BLOCK, SEARCH_RADIUS)
-    rows = stacked.reshape(-1, stacked.shape[-1])
-    pilot_rows = bm4d_stage(rows, dims, fields, stage=1, threads=threads)
-    out = bm4d_stage(
-        rows, dims, fields, stage=2, pilot_rows=pilot_rows, threads=threads
-    )
-    del stacked, rows, pilot_rows  # freed before the float64 output is made
-    return out.astype(np.float64).reshape(dims + (-1,))
+    pilot = bm4d_stage(stacked, fields, stage=1, threads=threads)
+    out = bm4d_stage(stacked, fields, stage=2, pilot=pilot, threads=threads)
+    del stacked, pilot  # freed before the float64 output is made
+    return out.astype(np.float64)

@@ -231,12 +231,11 @@ def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
         sl = (slice(None),) + tuple(slice(c, c + edge) for c in corner)
         patch = dataset.data[sl]
         means = patch.mean(axis=(1, 2, 3), keepdims=True)
-        pc = forward_pca(patch - means)
-        evals = pc.eigenvalues
+        pcs, basis, evals = forward_pca(patch - means)
         noise = evals - evals[-1] < spread_scale * np.cumsum(evals[::-1])[::-1]
         if noise.any():  # zero the noise tail
-            pc.pcs[..., np.argmax(noise):] = 0.0
-            patch = inverse_pca(pc.pcs, pc.basis) + means
+            pcs[..., np.argmax(noise):] = 0.0
+            patch = inverse_pca(pcs, basis) + means
         num[sl] += patch
         den[sl[1:]] += 1.0
     return replace(dataset, data=num / den)

@@ -9,34 +9,10 @@ phase-stabilized before they get here. The column signs are whatever
 the eigensolver returns; no caller depends on them.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 
 
-@dataclass(frozen=True)
-class PcStack:
-    """Principal-component volumes with their basis and eigenvalues.
-
-    Attributes
-    ----------
-    pcs : ndarray (..., N)
-        PC j is pcs[..., j] = sum_i basis[i, j] * stack[i], strongest
-        first; C-contiguous, channel-last.
-    basis : ndarray (N, N)
-        Orthonormal eigenvector columns of the Gram matrix, each up to
-        sign.
-    eigenvalues : ndarray (N,)
-        Nonincreasing, nonnegative; equal to the squared singular
-        values of the data matrix.
-    """
-
-    pcs: np.ndarray
-    basis: np.ndarray
-    eigenvalues: np.ndarray
-
-
-def forward_pca(stack: np.ndarray) -> PcStack:
+def forward_pca(stack: np.ndarray):
     """Eigendecompose the Gram matrix and project the data onto its basis.
 
     Parameters
@@ -48,9 +24,14 @@ def forward_pca(stack: np.ndarray) -> PcStack:
 
     Returns
     -------
-    PcStack
-        PCs of shape stack.shape[1:] + (N,), ordered by descending
-        eigenvalue.
+    (pcs, basis, eigenvalues)
+        `pcs` is the C-contiguous, channel-last stack.shape[1:] + (N,)
+        array of PCs, strongest first: PC j is
+        pcs[..., j] = sum_i basis[i, j] * stack[i]. `basis` is the
+        (N, N) matrix of orthonormal eigenvector columns of the Gram
+        matrix, each up to sign. `eigenvalues` (N,) are nonincreasing,
+        nonnegative, and equal to the squared singular values of the
+        data matrix.
     """
     N = stack.shape[0]
     X = stack.reshape(N, -1)
@@ -59,7 +40,7 @@ def forward_pca(stack: np.ndarray) -> PcStack:
     eigenvalues = np.clip(eigenvalues[::-1], 0.0, None)
     basis = basis[:, ::-1].copy()  # C-contiguous, as BLAS takes it
     pcs = (X.T @ basis).reshape(stack.shape[1:] + (N,))
-    return PcStack(pcs, basis, eigenvalues)
+    return pcs, basis, eigenvalues
 
 
 def inverse_pca(pcs: np.ndarray, basis: np.ndarray) -> np.ndarray:

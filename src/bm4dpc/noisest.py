@@ -120,7 +120,7 @@ def estimate_noise(dataset: DwiDataset):
     if len(members) <= TAIL_COUNT:
         raise ValueError("highest shell has too few volumes for the tail")
 
-    pcs = forward_pca(dataset.data[list(members)]).pcs
+    pcs, _, _ = forward_pca(dataset.data[list(members)])
     tail = np.moveaxis(pcs[..., -TAIL_COUNT:], -1, 0)  # (K, m, n, o)
     sigma = _noise_map(tail)
     psd = _noise_psd(tail / clamp_sigma(sigma.data))

@@ -40,8 +40,8 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     and later, where a Python-to-Python call moves its arguments into
     the callee, a caller that hands over its only reference to
     `dataset` lets the input be freed once it is phase-stabilized.
-    A noise map of other dims is a `ValueError` here;
-    `bm4d_multichannel` raises one for a PSD of other dims or a volume
+    A given noise map or PSD of other dims is a `ValueError` here,
+    before any layer runs; `bm4d_multichannel` raises one for a volume
     smaller than its block.
 
     Returns
@@ -49,6 +49,11 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
     (denoised DwiDataset, NoiseMap, NoisePsd)
         The map and PSD actually used (the map after clamping).
     """
+    # before any layer runs: a wrong-shaped map could broadcast in the
+    # division below, and a wrong PSD would fail only after the PCA
+    for given, name in ((noise_map, "noise map"), (psd, "PSD")):
+        if given is not None and given.dims != dataset.dims:
+            raise ValueError(f"{name} dims must match the data")
     real = stabilize_phase(dataset)
     del dataset
     bvals, bvecs = real.bvals, real.bvecs
@@ -58,21 +63,16 @@ def denoise_bm4dpc(dataset: DwiDataset, noise_map: Optional[NoiseMap] = None,
         est_map, est_psd = estimate_noise(real)
         noise_map = noise_map if noise_map is not None else est_map
         psd = psd if psd is not None else est_psd
-    # a wrong-shaped map could broadcast in the division below
-    if noise_map.dims != real.dims:
-        raise ValueError("noise map dims must match the data")
 
     largest = max(real.data.max(), -real.data.min())
     floor = largest * np.sqrt(real.n_volumes) * 2.0 ** (1 - MAX_EXPONENT)
     clamped = np.maximum(clamp_sigma(noise_map.data), floor)
     normalized = real.data / clamped
     del real
-    projected = forward_pca(normalized)
+    pcs, basis, _ = forward_pca(normalized)
     del normalized
-    basis = projected.basis
     # the stages' only copy of the PCs: the float64 ones go before stage 1
-    pcs = as_float32_stack(projected.pcs)
-    del projected
+    pcs = as_float32_stack(pcs)
     denoised_pcs = bm4d_multichannel(pcs, psd, threads=threads)
     del pcs
     restored = inverse_pca(denoised_pcs, basis)

@@ -18,20 +18,16 @@ def shell_mean_psnr(gt_dataset, test_dataset, center, tol=50.0):
 
 
 def run_stage(channels, psd, stage, pilot=None, threads=1):
-    """One engine stage on an (m, n, o, C) stack, given the inputs that
-    `bm4d_multichannel` prepares: its voxel rows and the PSD lag table.
+    """One engine stage on an (m, n, o, C) stack, filtered in float64,
+    given the PSD lag table that `bm4d_multichannel` builds.
 
     Returns the filtered (m, n, o, C) stack.
     """
-    stacked = np.asarray(channels, dtype=np.float64)
-    dims, nchan = stacked.shape[:3], stacked.shape[-1]
-    pilot_rows = None if pilot is None else pilot.reshape(-1, nchan)
-    rows = engine.bm4d_stage(
-        stacked.reshape(-1, nchan), dims,
+    return engine.bm4d_stage(
+        np.asarray(channels, dtype=np.float64),
         engine.basis_autocorr(psd.data, engine.BLOCK, engine.SEARCH_RADIUS),
-        stage=stage, pilot_rows=pilot_rows, threads=threads,
+        stage=stage, pilot=pilot, threads=threads,
     )
-    return rows.reshape(stacked.shape)
 
 
 def group_variances(psd, positions):

@@ -131,8 +131,8 @@ def test_criterion_8_transform_and_pca_exactness(monkeypatch):
     ) / np.linalg.norm(group)
 
     matrix = rng.standard_normal((500, 10)).T  # 10 volumes of 500 voxels
-    stack = forward_pca(matrix)
-    restored = inverse_pca(stack.pcs, stack.basis)
+    pcs, basis, _ = forward_pca(matrix)
+    restored = inverse_pca(pcs, basis)
     round_trip = np.linalg.norm(restored - matrix) / np.linalg.norm(matrix)
 
     channels = rng.standard_normal((16, 16, 16, 1))

@@ -189,7 +189,7 @@ class TestEngineTable:
             return tables[-1]
 
         monkeypatch.setattr(engine, "basis_autocorr", recorded)
-        monkeypatch.setattr(engine, "bm4d_stage", lambda rows, *args, **kwargs: rows)
+        monkeypatch.setattr(engine, "bm4d_stage", lambda stack, *args, **kwargs: stack)
         bm4d_multichannel(np.zeros(dims + (1,)), psd)
         assert len(tables) == 1
         ref = padded_basis_autocorr(psd.data, BLOCK, SEARCH_RADIUS)

@@ -13,9 +13,8 @@ from bm4dpc.gpca import forward_pca, inverse_pca
 
 class TestForwardPca:
     def test_identity_input(self):
-        stack = forward_pca(np.eye(2))
-        assert np.allclose(stack.eigenvalues, [1.0, 1.0], atol=1e-12)
-        A = stack.pcs
+        A, _, eigenvalues = forward_pca(np.eye(2))
+        assert np.allclose(eigenvalues, [1.0, 1.0], atol=1e-12)
         assert np.allclose(A @ A.T, np.eye(2), atol=1e-12)
         assert np.linalg.norm(A) == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
@@ -23,9 +22,9 @@ class TestForwardPca:
         rng = np.random.default_rng(0)
         q = rng.standard_normal(50)
         matrix = np.stack([q, 2.0 * q])
-        stack = forward_pca(matrix)
-        assert stack.eigenvalues[1] <= 1e-10 * stack.eigenvalues[0]
-        second = stack.pcs[..., 1]
+        pcs, _, eigenvalues = forward_pca(matrix)
+        assert eigenvalues[1] <= 1e-10 * eigenvalues[0]
+        second = pcs[..., 1]
         assert np.linalg.norm(second) <= 1e-6 * np.linalg.norm(matrix)
 
     def test_svd_oracle(self):
@@ -33,12 +32,11 @@ class TestForwardPca:
         per-column sign."""
         rng = np.random.default_rng(1)
         matrix = rng.standard_normal((100, 8))
-        stack = forward_pca(matrix.T)
+        A, _, eigenvalues = forward_pca(matrix.T)
 
         u, s, _ = np.linalg.svd(matrix, full_matrices=False)
-        assert np.allclose(stack.eigenvalues, s**2, rtol=1e-8)
+        assert np.allclose(eigenvalues, s**2, rtol=1e-8)
 
-        A = stack.pcs
         us = u * s
         for j in range(8):
             sign = np.sign(A[:, j] @ us[:, j])
@@ -46,29 +44,29 @@ class TestForwardPca:
 
     def test_eigenvalues_sorted_nonnegative(self):
         rng = np.random.default_rng(2)
-        stack = forward_pca(rng.standard_normal((60, 6)).T)
-        assert np.all(np.diff(stack.eigenvalues) <= 0)
-        assert np.all(stack.eigenvalues >= 0)
+        _, _, eigenvalues = forward_pca(rng.standard_normal((60, 6)).T)
+        assert np.all(np.diff(eigenvalues) <= 0)
+        assert np.all(eigenvalues >= 0)
 
     def test_basis_orthonormal(self):
         rng = np.random.default_rng(3)
-        stack = forward_pca(rng.standard_normal((40, 5)).T)
-        gram = stack.basis.T @ stack.basis
+        _, basis, _ = forward_pca(rng.standard_normal((40, 5)).T)
+        gram = basis.T @ basis
         assert np.max(np.abs(gram - np.eye(5))) <= 1e-10
 
     def test_energy_conserved(self):
         rng = np.random.default_rng(5)
         matrix = rng.standard_normal((80, 7))
-        stack = forward_pca(matrix.T)
-        assert np.linalg.norm(stack.pcs) == pytest.approx(
+        pcs, _, _ = forward_pca(matrix.T)
+        assert np.linalg.norm(pcs) == pytest.approx(
             np.linalg.norm(matrix), rel=1e-10
         )
 
     def test_dims_reshape(self):
         rng = np.random.default_rng(6)
-        stack = forward_pca(rng.standard_normal((3, 2, 3, 4)))
-        assert stack.pcs.shape == (2, 3, 4, 3)
-        assert stack.basis.shape == (3, 3)
+        pcs, basis, _ = forward_pca(rng.standard_normal((3, 2, 3, 4)))
+        assert pcs.shape == (2, 3, 4, 3)
+        assert basis.shape == (3, 3)
 
 
 class TestInversePca:
@@ -78,8 +76,8 @@ class TestInversePca:
         rng = np.random.default_rng(7)
         for matrix in (rng.standard_normal((64, 6)).T,
                        rng.standard_normal((65, 4, 4, 4))):
-            stack = forward_pca(matrix)
-            back = inverse_pca(stack.pcs, stack.basis)
+            pcs, basis, _ = forward_pca(matrix)
+            back = inverse_pca(pcs, basis)
             rel = np.linalg.norm(back - matrix) / np.linalg.norm(matrix)
             assert rel <= 1e-8
 
@@ -91,11 +89,10 @@ class TestInversePca:
     def test_zeroed_last_pc_matches_truncated_svd(self):
         rng = np.random.default_rng(9)
         matrix = rng.standard_normal((50, 6))
-        stack = forward_pca(matrix.T)
+        pcs, basis, _ = forward_pca(matrix.T)
 
-        pcs = stack.pcs.copy()
         pcs[..., -1] = 0.0
-        recon = inverse_pca(pcs, stack.basis)
+        recon = inverse_pca(pcs, basis)
 
         u, s, vh = np.linalg.svd(matrix, full_matrices=False)
         truncated = (u[:, :5] @ np.diag(s[:5]) @ vh[:5]).T
@@ -109,43 +106,43 @@ class TestStackLayout:
         m, n, o extents catch any mix-up of the spatial axes."""
         rng = np.random.default_rng(11)
         stack = rng.standard_normal((5, 3, 4, 6))
-        pcs = forward_pca(stack)
-        assert pcs.pcs.shape == stack.shape[1:] + (5,)
+        pcs, basis, _ = forward_pca(stack)
+        assert pcs.shape == stack.shape[1:] + (5,)
         for j in range(5):
-            expected = sum(pcs.basis[i, j] * stack[i] for i in range(5))
-            assert np.max(np.abs(pcs.pcs[..., j] - expected)) <= 1e-12
-        back = inverse_pca(pcs.pcs, pcs.basis)
+            expected = sum(basis[i, j] * stack[i] for i in range(5))
+            assert np.max(np.abs(pcs[..., j] - expected)) <= 1e-12
+        back = inverse_pca(pcs, basis)
         assert back.shape == stack.shape
         assert np.max(np.abs(back - stack)) <= 1e-12
 
     def test_pcs_c_contiguous_channel_last(self):
-        """The PCs are one C-contiguous (m, n, o, N) array, so the
-        (V, N) rows the filtering stages read are a view of it."""
+        """The PCs are one C-contiguous (m, n, o, N) array, the stack
+        that the filtering stages take as it is: flattening its voxels
+        copies nothing."""
         rng = np.random.default_rng(12)
         stack = rng.standard_normal((5, 3, 4, 6))
-        result = forward_pca(stack)
-        pcs = result.pcs
+        pcs, basis, _ = forward_pca(stack)
         assert pcs.shape == (3, 4, 6, 5)
         assert pcs.flags.c_contiguous
-        rows = pcs.reshape(-1, 5)
-        assert np.shares_memory(rows, pcs)
-        expected = stack.reshape(5, -1).T @ result.basis
-        assert np.max(np.abs(rows - expected)) <= 1e-12
+        flat = pcs.reshape(-1, 5)
+        assert np.shares_memory(flat, pcs)
+        expected = stack.reshape(5, -1).T @ basis
+        assert np.max(np.abs(flat - expected)) <= 1e-12
 
     def test_inverse_reads_any_layout(self):
         """Non-contiguous channel-last views (components first in
         memory, or every other component of a wider array) give the
         contiguous PCs' volumes, C-contiguous."""
         rng = np.random.default_rng(13)
-        pcs = forward_pca(rng.standard_normal((5, 3, 4, 6)))
-        back = inverse_pca(pcs.pcs, pcs.basis)
+        pcs, basis, _ = forward_pca(rng.standard_normal((5, 3, 4, 6)))
+        back = inverse_pca(pcs, basis)
         assert back.shape == (5, 3, 4, 6)
         assert back.flags.c_contiguous
-        channel_first = np.moveaxis(np.moveaxis(pcs.pcs, -1, 0).copy(), 0, -1)
+        channel_first = np.moveaxis(np.moveaxis(pcs, -1, 0).copy(), 0, -1)
         wide = np.zeros((3, 4, 6, 10))
-        wide[..., ::2] = pcs.pcs
+        wide[..., ::2] = pcs
         for view in (channel_first, wide[..., ::2]):
             assert not view.flags.c_contiguous
-            got = inverse_pca(view, pcs.basis)
+            got = inverse_pca(view, basis)
             assert got.flags.c_contiguous
             assert np.max(np.abs(got - back)) <= 1e-12

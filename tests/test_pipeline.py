@@ -210,7 +210,7 @@ class TestMemory:
         """The PCs are cast to the stages' float32 before filtering and
         the float64 PCs dropped: at stage 1 the pipeline holds half a
         series beyond the caller's, where the float64 PCs next to their
-        float32 rows made it 1.5 series."""
+        float32 copy made it 1.5 series."""
         rng = np.random.default_rng(8)
         ds = DwiDataset(1.0 + rng.standard_normal((32, 16, 16, 12)),
                         np.array([0.0] * 4 + [1000.0] * 28))
@@ -243,8 +243,8 @@ class TestPipelineValidation:
         ("sub_block", "smaller than the block"),
     ], ids=["map", "psd", "sub_block"])
     def test_prior_dims_checked(self, gt_real, case, match):
-        """The pipeline checks the noise map it divides by; the engine
-        checks the PSD dims and the block geometry."""
+        """The pipeline checks the given noise map and PSD dims; the
+        engine checks the block geometry."""
         dataset = gt_real
         if case == "sub_block":
             dataset = DwiDataset(
@@ -257,6 +257,25 @@ class TestPipelineValidation:
             denoise_bm4dpc(
                 dataset, NoiseMap(np.ones(map_dims)), NoisePsd(np.ones(psd_dims))
             )
+
+    @pytest.mark.parametrize("case", ["map", "psd"])
+    def test_given_dims_checked_before_any_layer(self, gt_real, monkeypatch, case):
+        """A given map or PSD of other dims is refused before phase
+        stabilization, noise estimation or the PCA runs, with the other
+        statistic left to the estimator."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("a layer ran before the dims check")
+
+        for name in ("stabilize_phase", "estimate_noise", "forward_pca"):
+            monkeypatch.setattr(pipeline, name, refuse)
+        wrong = np.ones((8, 8, 8))
+        assert wrong.shape != gt_real.dims
+        if case == "map":
+            given, match = {"noise_map": NoiseMap(wrong)}, "noise map dims must match"
+        else:
+            given, match = {"psd": NoisePsd(wrong)}, "PSD dims must match"
+        with pytest.raises(ValueError, match=match):
+            denoise_bm4dpc(gt_real, **given)
 
     def test_tiny_volume_rejected(self):
         """With no noise statistics given, the estimator's windows do not
