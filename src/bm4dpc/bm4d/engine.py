@@ -41,6 +41,7 @@ as its pilot, and `bm4d_multichannel` casts the stage-2 one to a
 float64 array.
 """
 
+import os
 from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
@@ -66,6 +67,14 @@ STEP = 3  # reference corner stride; at most min(BLOCK), so the blocks tile
 HT_THRESHOLD = 2.7  # hard-threshold multiplier of the coefficient deviation
 HT_MAX_GROUP = 16  # blocks per group in stage 1
 WIENER_MAX_GROUP = 32  # blocks per group in stage 2
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its CPU affinity where the OS
+    has one, else the machine's CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def block_offsets(dims, block) -> np.ndarray:
@@ -248,6 +257,8 @@ def bm4d_stage(stack, fields, stage: int, pilot=None, threads: int = 1) -> np.nd
     Matching reads a float64 copy of the guide channel; the transforms,
     the gains, the weights and the sums run in the dtype of `stack`.
     Returns the filtered C-contiguous (m, n, o, C) stack, of that dtype.
+    `threads` is a cap: the stage starts min(threads, `usable_cpus()`)
+    workers and filters on the calling thread when that is one.
     Identical output for any thread count: the calling thread
     shortlists the references row by row (`_shortlists`), worker
     threads rank each reference's shortlist exactly and filter its
@@ -282,18 +293,20 @@ def bm4d_stage(stack, fields, stage: int, pilot=None, threads: int = 1) -> np.nd
 
     num = np.zeros(stack.shape, dtype=stack.dtype)
     corner_weight = np.zeros(stack.shape, dtype=stack.dtype)
-    # serial at one thread: a one-worker pool ran gate-colored slower (ROADMAP item 7)
-    if threads <= 1:
+    # a worker beyond the usable CPUs only adds memory and switching
+    workers = min(threads, usable_cpus())
+    # serial at one worker: a one-worker pool ran gate-colored slower (ROADMAP item 14)
+    if workers <= 1:
         for shortlist in shortlists:
             _add_group(num, corner_weight, *filter_group(shortlist))
     else:
         # a bounded queue keeps finished groups from piling up, and the
         # corner-order sum makes the output independent of the thread count
-        with ThreadPoolExecutor(max_workers=threads) as executor:
+        with ThreadPoolExecutor(max_workers=workers) as executor:
             pending = deque()
             for shortlist in shortlists:
                 pending.append(executor.submit(filter_group, shortlist))
-                if len(pending) == 2 * threads:
+                if len(pending) == 2 * workers:
                     _add_group(num, corner_weight, *pending.popleft().result())
             for future in pending:
                 _add_group(num, corner_weight, *future.result())

@@ -5,13 +5,17 @@ or input values (`ValueError`: bad b-values, a negative noise map, dims
 below the block size, the noise estimator's windows, the SSIM window
 or the MPPCA patch, samples beyond NIfTI's float32); 3
 unreadable or malformed files (`OSError`, `NiftiError`, including non-finite
-NIfTI samples); 4 numerical failure (`np.linalg.LinAlgError`). All
-diagnostics go to stderr; metric reports are JSON with stable key
-order.
+NIfTI samples, and an output path that is a directory or whose
+directory does not exist, refused before any input is read); 4
+numerical failure (`np.linalg.LinAlgError`). All diagnostics go to
+stderr; metric reports are JSON with stable key order. `--threads` caps
+the stages' worker threads, which never outnumber the usable CPUs
+(`engine.usable_cpus`, also the default).
 """
 
 import argparse
 import contextlib
+import errno
 import json
 import os
 import shutil
@@ -21,6 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
+from .bm4d.engine import usable_cpus
 from .core import DwiDataset, NoiseMap, NoisePsd, Volume3
 from .dataio import (NiftiError, attach_gradients, read_bvals_bvecs, read_nifti,
                      write_bvals_bvecs, write_nifti)
@@ -38,12 +43,6 @@ EXIT_NUMERIC = 4
 
 def _err(message):
     print(f"error: {message}", file=sys.stderr)
-
-
-def _default_threads():
-    if hasattr(os, "sched_getaffinity"):  # CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _parse_shells(text):
@@ -74,6 +73,16 @@ def _load_volume(path):
     if isinstance(loaded, DwiDataset):
         raise ValueError(f"{path} holds a 4D series; need a single volume")
     return loaded
+
+
+def _check_outputs(*paths):
+    """Refuse, before any input is read, an output path that is a
+    directory or whose directory does not exist (an `OSError`)."""
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, "output is a directory", path)
+        if not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+            raise FileNotFoundError(errno.ENOENT, "output directory does not exist", path)
 
 
 @contextlib.contextmanager
@@ -120,6 +129,7 @@ def _cmd_denoise(args):
     estimates = args.save_noise_estimates
     # a directory that cannot be made fails before the input is read
     with _output_dir(estimates) if estimates else contextlib.nullcontext():
+        _check_outputs(args.out)  # after the directory, as --out may lie in it
         provided_map = provided_psd = None
         if args.noise_map:
             provided_map = NoiseMap(_load_volume(args.noise_map).data)
@@ -141,6 +151,7 @@ def _cmd_denoise(args):
 
 
 def _cmd_estimate_noise(args):
+    _check_outputs(args.out_map, args.out_psd)
     dataset = stabilize_phase(_load_dataset(args.input, args.bval))
     sigma, psd = estimate_noise(dataset)
     write_nifti(sigma, args.out_map)
@@ -149,6 +160,7 @@ def _cmd_estimate_noise(args):
 
 
 def _cmd_metrics(args):
+    _check_outputs(args.out)
     ref = stabilize_phase(_load_dataset(args.ref, args.bval))
     test = stabilize_phase(_load_dataset(args.test, args.bval))
     report = report_metrics(ref, test)
@@ -159,6 +171,7 @@ def _cmd_metrics(args):
 
 
 def _cmd_dti(args):
+    _check_outputs(args.out_fa, args.out_md)
     dataset = stabilize_phase(_load_dataset(args.input, args.bval, args.bvec))
     mask = (
         _load_volume(args.mask).data > 0.5
@@ -172,6 +185,7 @@ def _cmd_dti(args):
 
 
 def _cmd_baseline_mppca(args):
+    _check_outputs(args.out)
     denoised = mppca_denoise(stabilize_phase(_load_dataset(args.input)))
     write_nifti(denoised, args.out)
     return EXIT_OK
@@ -184,8 +198,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     parser.add_argument(
-        "--threads", type=int, default=_default_threads(),
-        help="worker threads (default: usable CPUs); results do not depend on it",
+        "--threads", type=int, default=usable_cpus(),
+        help="at most this many worker threads, and never more than the usable "
+             "CPUs (default: the usable CPUs); results do not depend on it",
     )
     parser.add_argument("--seed", type=int, default=0, help="simulation seed")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -167,19 +167,17 @@ def make_phantom(spec: PhantomSpec = None):
 
     data = np.empty((len(bvals),) + spec.dims, dtype=np.complex128)
     for i, (b, g) in enumerate(zip(bvals, bvecs)):
-        if b == 0:
-            mag = s0_map.copy()
-        else:
-            # g^T D g per voxel via the tensor's upper triangle
-            gdg = (
-                g[0] * g[0] * tensors[..., 0, 0]
-                + g[1] * g[1] * tensors[..., 1, 1]
-                + g[2] * g[2] * tensors[..., 2, 2]
-                + 2.0 * g[0] * g[1] * tensors[..., 0, 1]
-                + 2.0 * g[0] * g[2] * tensors[..., 0, 2]
-                + 2.0 * g[1] * g[2] * tensors[..., 1, 2]
-            )
-            mag = s0_map * np.exp(-b * gdg)
+        # g^T D g per voxel via the tensor's upper triangle; a b=0 volume's
+        # zero b-vector gives exactly exp(-0) = 1
+        gdg = (
+            g[0] * g[0] * tensors[..., 0, 0]
+            + g[1] * g[1] * tensors[..., 1, 1]
+            + g[2] * g[2] * tensors[..., 2, 2]
+            + 2.0 * g[0] * g[1] * tensors[..., 0, 1]
+            + 2.0 * g[0] * g[2] * tensors[..., 0, 2]
+            + 2.0 * g[1] * g[2] * tensors[..., 1, 2]
+        )
+        mag = s0_map * np.exp(-b * gdg)
         rng = np.random.default_rng([int(spec.seed), 1, i])
         phase = np.empty(spec.dims)
         for k in range(o):

@@ -3,6 +3,7 @@
 import itertools
 import threading
 import tracemalloc
+from concurrent.futures import Future
 
 import numpy as np
 import pytest
@@ -38,6 +39,12 @@ def _use_small_geometry(monkeypatch):
     monkeypatch.setattr(engine, "SEARCH_RADIUS", (1, 1, 1))
     monkeypatch.setattr(engine, "HT_MAX_GROUP", 4)
     monkeypatch.setattr(engine, "WIENER_MAX_GROUP", 4)
+
+
+def _pin_cpus(monkeypatch, count):
+    """Let the stages see `count` usable CPUs, so a pool test runs its
+    real workers on any machine."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: count)
 
 
 def _match(data, ref):
@@ -103,8 +110,10 @@ def _brute_match(data, ref, max_group=None):
 
 def _oracle_guide(kind):
     """Guides whose distances are generic, nearly tied, exactly tied,
-    of float64 samples at 2^62, or on odd, small and long grids, and on
-    a grid of one z start per row."""
+    of float64 samples at 2^62, of float32 samples at the ends of the
+    stages' range (near 2^31 and below float32's smallest normal), or
+    on odd, small and long grids, and on a grid of one z start per
+    row."""
     rng = np.random.default_rng(21)
     dims = (32, 32, 16)
     if kind == "noise":
@@ -132,6 +141,10 @@ def _oracle_guide(kind):
         return 0.37 * np.indices(dims).sum(axis=0) + 1e12
     if kind == "underflow":  # float32 squares below the subnormals
         return (1e-25 * rng.standard_normal(dims)).astype(np.float32)
+    if kind == "float32_top":  # the largest samples the pipeline's floor allows
+        return (2.0**30 * (1.5 + 0.1 * rng.standard_normal(dims))).astype(np.float32)
+    if kind == "subnormal":  # float32 samples below its smallest normal
+        return (1e-40 * rng.standard_normal(dims)).astype(np.float32)
     # rows of many z starts (long_z, odd_long_z) and of one (one_z)
     shapes = {"odd": (17, 19, 9), "few": (5, 6, 7), "one": (4, 4, 4),
               "long_z": (12, 12, 24), "odd_long_z": (9, 20, 31),
@@ -184,7 +197,8 @@ class TestMatchBlocks:
     @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
     @pytest.mark.parametrize("kind", [
         "noise", "ramp", "ties", "quantized", "near_ties", "offset", "float64",
-        "underflow", "odd", "few", "one", "long_z", "odd_long_z", "one_z",
+        "underflow", "float32_top", "subnormal", "odd", "few", "one", "long_z",
+        "odd_long_z", "one_z",
     ])
     def test_tiles_match_exhaustive_scan(self, kind, max_group):
         """The rows' distance products and exact re-ranking pick the
@@ -192,9 +206,10 @@ class TestMatchBlocks:
         noise, on a ramp at 1e4 (near ties), on a 90% constant guide
         (exact ties), on quantized values, on near ties, on a float64
         ramp at 1e12 (the expansion's error dwarfs the distances), on a
-        float64 guide at 2^62, on a float32 guide at 1e-25 (float64
-        squares of float32 samples neither overflow nor underflow, so
-        the rankings are real ones), on odd dims, on windows with
+        float64 guide at 2^62, on float32 guides at 1e-25, near 2^31 and
+        at 1e-40, below float32's smallest normal (float64 squares of
+        float32 samples neither overflow nor underflow, so the rankings
+        are real ones), on odd dims, on windows with
         fewer candidates than a group (5x6x7 and 4x4x4), on grids of
         long rows (12x12x24 and 9x20x31) and on one of one z start per
         row (12x12x4)."""
@@ -241,11 +256,15 @@ class TestMatchBlocks:
             assert np.array_equal(a, b), b[0]
 
     @pytest.mark.parametrize("max_group", [engine.HT_MAX_GROUP, engine.WIENER_MAX_GROUP])
-    @pytest.mark.parametrize("kind", ["near_ties", "ties", "underflow"])
+    @pytest.mark.parametrize("kind", [
+        "near_ties", "ties", "underflow", "float32_top", "subnormal",
+    ])
     def test_groups_independent_of_guide_dtype(self, kind, max_group):
         """A float32 guide is matched as its float64 values: on near and
-        exact ties and on squares below float32's subnormals, the groups
-        of every reference corner are those of the float64 guide."""
+        exact ties, on squares below float32's subnormals, and at both
+        ends of the stages' range (samples near 2^31 and subnormal
+        samples), the groups of every reference corner are those of the
+        float64 guide."""
         guide = _oracle_guide(kind)
         assert guide.dtype == np.float32
         exact = _row_groups(guide.astype(np.float64), max_group)
@@ -471,16 +490,18 @@ class TestBm4dStage:
         mse_final = np.mean((final[..., 0] - clean[..., 0]) ** 2)
         assert mse_final < mse_pilot
 
-    def test_thread_count_does_not_change_output(self, bm4d_noise_bench):
+    def test_thread_count_does_not_change_output(self, monkeypatch, bm4d_noise_bench):
         _, noisy, psd = bm4d_noise_bench
+        _pin_cpus(monkeypatch, 4)
         serial = bm4d_multichannel(noisy, psd, threads=1)
         threaded = bm4d_multichannel(noisy, psd, threads=4)
         assert np.array_equal(serial, threaded)
 
     @pytest.mark.parametrize("dims", [(12, 12, 24), (9, 20, 31), (12, 12, 4)])
-    def test_threads_agree_across_rows(self, dims):
+    def test_threads_agree_across_rows(self, monkeypatch, dims):
         """On grids of long rows (many z starts per (x, y) start) and of
         one z start per row, every thread count gives the same bytes."""
+        _pin_cpus(monkeypatch, 4)
         rng = np.random.default_rng(18)
         channels = rng.standard_normal(dims + (2,))
         psd = NoisePsd(np.ones(dims))
@@ -496,6 +517,7 @@ class TestBm4dStage:
         channels = rng.standard_normal(dims + (2,))
         psd = NoisePsd(np.ones(dims))
         monkeypatch.setattr(engine, "SEARCH_RADIUS", (1, 1, 1))
+        _pin_cpus(monkeypatch, 4)
         with monkeypatch.context() as identity:
             identity.setattr(engine, "HT_THRESHOLD", 0.0)
             out = run_stage(channels, psd, stage=1)
@@ -509,6 +531,7 @@ class TestBm4dStage:
             raise RuntimeError("variance lookup failed")
 
         monkeypatch.setattr(engine, "variances_from_fields", fail)
+        _pin_cpus(monkeypatch, 4)
         rng = np.random.default_rng(12)
         channels = rng.standard_normal((16, 16, 16, 1))
         psd = NoisePsd(np.ones((16, 16, 16)))
@@ -516,6 +539,41 @@ class TestBm4dStage:
         with pytest.raises(RuntimeError, match="variance lookup failed"):
             run_stage(channels, psd, stage=1, threads=2)
         assert threading.active_count() == before
+
+    def test_workers_capped_at_usable_cpus(self, monkeypatch):
+        """`threads` is a cap: each stage builds a pool of
+        min(threads, usable CPUs) workers, so a huge `threads` on two
+        CPUs gives two-worker pools and the serial bytes, and on one CPU
+        no pool is built. The stand-in executor records its size and
+        runs each group inline, so no thread starts."""
+        sizes = []
+
+        class InlineExecutor:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+        rng = np.random.default_rng(19)
+        channels = rng.standard_normal((12, 12, 12, 2))
+        psd = NoisePsd(np.ones((12, 12, 12)))
+        serial = bm4d_multichannel(channels, psd, threads=1)
+        monkeypatch.setattr(engine, "ThreadPoolExecutor", InlineExecutor)
+        _pin_cpus(monkeypatch, 2)
+        assert np.array_equal(bm4d_multichannel(channels, psd, threads=10**6), serial)
+        assert sizes == [2, 2]
+        _pin_cpus(monkeypatch, 1)
+        assert np.array_equal(bm4d_multichannel(channels, psd, threads=10**6), serial)
+        assert sizes == [2, 2]
 
     @pytest.mark.parametrize("colored", [False, True], ids=["white", "dog"])
     def test_zero_slab_stays_finite(self, colored):
@@ -693,6 +751,7 @@ class TestChannelLayout:
         channels = rng.standard_normal(dims + (3,))
         psd = NoisePsd(np.ones(dims))
         _use_small_geometry(monkeypatch)
+        _pin_cpus(monkeypatch, 4)
         out = bm4d_multichannel(channels, psd, threads=threads)
         flipped = channels.copy()
         flipped[..., 1] *= -1.0

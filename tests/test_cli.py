@@ -104,6 +104,39 @@ class TestArgHandling:
         assert code == 3
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, output", [
+        ("denoise", "--out"), ("estimate-noise", "--out-map"),
+        ("estimate-noise", "--out-psd"), ("metrics", "--out"), ("dti", "--out-fa"),
+        ("dti", "--out-md"), ("baseline-mppca", "--out"),
+    ])
+    def test_bad_output_refused_before_reading(self, tmp_path, monkeypatch, capsys,
+                                               command, output):
+        """An output in a directory that does not exist, or one that is
+        a directory, exits 3 naming that output before any input is
+        read."""
+        def read(path):
+            raise OSError(f"read {path}")
+
+        monkeypatch.setattr(cli, "read_nifti", read)
+        flags = {
+            "denoise": {"--in": "in.nii", "--bval": "bvals", "--out": "out.nii"},
+            "estimate-noise": {"--in": "in.nii", "--bval": "bvals",
+                               "--out-map": "map.nii", "--out-psd": "psd.nii"},
+            "metrics": {"--ref": "ref.nii", "--test": "test.nii", "--bval": "bvals",
+                        "--out": "report.json"},
+            "dti": {"--in": "in.nii", "--bval": "bvals", "--bvec": "bvecs",
+                    "--out-fa": "fa.nii", "--out-md": "md.nii"},
+            "baseline-mppca": {"--in": "in.nii", "--out": "out.nii"},
+        }[command]
+        for bad in (tmp_path / "no_dir" / "x.nii", tmp_path):
+            argv = [command]
+            for flag, name in flags.items():
+                argv += [flag, str(bad if flag == output else tmp_path / name)]
+            assert run_cli(argv) == 3
+            err = capsys.readouterr().err
+            assert str(bad) in err and "read " not in err, err
+        assert not any(tmp_path.iterdir())
+
     def test_colored_kernel_needs_room(self, tmp_path, capsys):
         # the correlation kernel spans 17 voxels in-plane
         code = run_cli(
