@@ -5,7 +5,8 @@ variances; stage 2 re-runs the grouping on the stage-1 pilot and
 applies empirical Wiener gains. Either stage is its gain: `_ht_core`
 returns the 0/1 keep mask and `wiener_shrink` the pilot^2 / (pilot^2 +
 var) gains, and the stage multiplies the group's coefficients by the
-gain and weights the group by 1 / sum(gain^2 * var), `_group_weight`.
+gain and weights the group by 1 / (var @ gain^2), `_group_weight`, on
+(M * P, C) coefficient rows and one (M * P,) variance vector.
 Multiple channels (principal components) ride along the same matched
 positions, so matching happens once per reference corner. It reads one
 float64 copy of the guide channel in two steps with the exact result
@@ -90,12 +91,15 @@ def _match_from_view(guide, dims, ref, candidates, count, offsets) -> np.ndarray
     corner of the reference block and `candidates` the raveled corners
     of a shortlist of its SEARCH_RADIUS window, ascending (raster
     order), that holds the reference and the whole result. The
-    candidates are ranked by float64 mean squared difference, ties in
-    raster order, and the reference always comes first.
+    candidates are ranked by float64 mean squared difference, read as
+    the sum (the mean times the block size, a power of two: the same
+    order), ties in raster order, and the reference always comes first.
     Returns the (count, 3) corners.
     """
     blocks = guide[candidates[:, None] + offsets]  # (K, block voxels)
-    dist = ((blocks - guide[ref + offsets]) ** 2).mean(axis=1)
+    blocks -= guide[ref + offsets]
+    blocks *= blocks
+    dist = blocks.sum(axis=1)
     dist[candidates == ref] = -np.inf  # reference always ranks first
     order = np.argsort(dist, kind="stable")[:count]  # ties fall back to corner order
     return np.stack(np.unravel_index(candidates[order], dims), axis=1)
@@ -169,29 +173,27 @@ def _shortlists(guide, dims, max_group):
 
 
 def _ht_core(coeffs, variances, lam):
-    """Hard-threshold gain: keep coefficients beyond lam * sigma (a mask)."""
-    keep = np.abs(coeffs) > lam * np.sqrt(variances)
-    keep[0, 0, 0, 0] = True  # group DC always survives
-    return keep
+    """Hard-threshold gain of (M * P, C) coefficient rows, in their dtype:
+    1 beyond lam * sigma of the row, else 0; the group DC row survives."""
+    keep = np.abs(coeffs) > (lam * np.sqrt(variances))[:, None]
+    keep[0] = True
+    return keep.astype(coeffs.dtype)
 
 
 def wiener_shrink(pilot, variances):
-    """Empirical Wiener gain pilot^2 / (pilot^2 + var) of each coefficient.
-
-    The variances are nonnegative, so where pilot^2 + var is zero the
-    gain is zero.
-    """
+    """Empirical Wiener gain pilot^2 / (pilot^2 + var) of (M * P, C) pilot
+    coefficient rows. The variances are floored at their dtype's smallest
+    normal: a zero pilot gets gain 0, also at zero variance."""
+    floored = np.maximum(variances, np.finfo(variances.dtype).tiny)
     energy = pilot * pilot
-    denom = energy + variances
-    return np.divide(energy, denom, out=energy, where=denom > 0)
+    energy /= energy + floored[:, None]
+    return energy
 
 
-def _group_weight(gain, variances):
-    """1 / sum(gain^2 * var) over the four group axes, one per channel:
-    the inverse residual noise of the filtered group, floored to stay
-    finite."""
-    residual = (gain * gain * variances).sum(axis=(0, 1, 2, 3))
-    return 1.0 / np.maximum(residual, WEIGHT_FLOOR)
+def _group_weight(gain_sq, variances):
+    """1 / (variances @ gain_sq) per channel, for (M * P, C) squared gains:
+    the inverse residual noise of the filtered group, floored to stay finite."""
+    return 1.0 / np.maximum(variances @ gain_sq, WEIGHT_FLOOR)
 
 
 def _add_group(num, corner_weight, positions, blocks, weight) -> None:
@@ -276,17 +278,19 @@ def bm4d_stage(stack, fields, stage: int, pilot=None, threads: int = 1) -> np.nd
     def filter_group(shortlist):
         positions = _match_from_view(guide, dims, *shortlist, offsets)
         var = variances_from_fields(fields, positions - positions[0], BLOCK)
-        var = var.astype(stack.dtype)[..., None]  # broadcast over the channels
+        var = var.astype(stack.dtype).ravel()  # one entry per coefficient row
         idx = np.ravel_multi_index(positions.T, dims)[:, None] + offsets
         group_shape = (len(positions),) + BLOCK + (nchan,)
         coeffs = group_transform(np.take(rows, idx, axis=0).reshape(group_shape))
-        if stage == 1:
-            gain = _ht_core(coeffs, var, HT_THRESHOLD)
+        # shrinking in (M * P, C) rows; ROADMAP item 7 lists the layouts found slower
+        if stage == 1:  # a 0/1 gain is its own square
+            gain = gain_sq = _ht_core(coeffs.reshape(-1, nchan), var, HT_THRESHOLD)
         else:
             pilot_group = np.take(guide_rows, idx, axis=0).reshape(group_shape)
-            gain = wiener_shrink(group_transform(pilot_group), var)
-        weight = _group_weight(gain, var)
-        coeffs *= gain
+            gain = wiener_shrink(group_transform(pilot_group).reshape(-1, nchan), var)
+            gain_sq = gain * gain
+        weight = _group_weight(gain_sq, var)
+        coeffs *= gain.reshape(group_shape)
         blocks = group_inverse(coeffs)
         blocks *= weight
         return positions, blocks, weight

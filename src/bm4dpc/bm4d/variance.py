@@ -3,13 +3,13 @@
 For stationary noise with PSD psi, the variance of every 4D transform
 coefficient of a block group has a closed form that accounts for
 inter-block correlation (blocks in a group overlap and share noise).
-Rewriting that form through the autocorrelation function reduces each
-group to table lookups at the pairwise block offsets, so the spectral
-work is one inverse FFT of the PSD on its own grid, correlated once per
-axis with the 1D autocorrelations of the block DCT rows. The table is
-exact for the PSD the caller passes: nothing resamples or clips the
-PSD first. `fold_psd` serves the noise estimator alone, which grows a
-window-sized spectrum to the slice grid.
+Through the autocorrelation function, each group reduces to table
+lookups at the block offsets of its pairs i < j (the table is even in
+the lag), so the spectral work is one inverse FFT of the PSD on its own
+grid, correlated once per axis with the 1D autocorrelations of the
+block DCT rows. The table is exact for the PSD the caller passes:
+nothing resamples or clips the PSD first. `fold_psd` serves the noise
+estimator alone, which grows a window-sized spectrum to the slice grid.
 """
 
 from functools import lru_cache
@@ -80,12 +80,14 @@ def basis_autocorr(psi_work: np.ndarray, block: tuple, radius: tuple) -> np.ndar
 
 
 @lru_cache(maxsize=None)
-def _haar_pairs(m: int) -> np.ndarray:
-    """(M, M * M) products haar[k, i] * haar[k, j], raveled over (i, j)."""
-    haar = haar_matrix(m)
-    pairs = (haar[:, :, None] * haar[:, None, :]).reshape(m, m * m)
-    pairs.setflags(write=False)  # cached: every caller shares this array
-    return pairs
+def _haar_pairs(m: int) -> tuple:
+    """Pairs i < j of M members (`np.triu_indices(m, 1)`) and their
+    (M, M (M - 1) / 2) weights 2 * haar[k, i] * haar[k, j]."""
+    first, second = np.triu_indices(m, 1)
+    pairs = 2.0 * haar_matrix(m)[:, first] * haar_matrix(m)[:, second]
+    for array in (first, second, pairs):
+        array.setflags(write=False)  # cached: every caller shares these arrays
+    return first, second, pairs
 
 
 def variances_from_fields(
@@ -98,16 +100,18 @@ def variances_from_fields(
     the pairwise-offset covariance table of basis p; round-off
     negatives are clipped to zero. `table` is `basis_autocorr`'s, and
     the offsets are the members' corners less the reference's, each
-    within the table's radius. The raveled lags are one subtraction of
-    the raveled offsets, the (M * M, P) covariances one row take at
-    them, and all M * P forms one matrix product.
+    within the table's radius. The table is even in the lag and Haar rows
+    have unit norm, so a form is the zero-lag row plus the weighted pairs
+    i < j: their (M (M - 1) / 2, P) covariances are one row take at the
+    raveled lags, and all M * P forms one matrix product.
     """
     m = offsets.shape[0]
     lags = table.shape[:3]
     raveled = offsets @ np.array([lags[1] * lags[2], lags[2], 1])
     rows = table.reshape(-1, table.shape[3])
     center = len(rows) // 2  # the zero lag, the middle of an odd-edged box
-    pairs = (raveled[:, None] - raveled[None, :] + center).ravel()
-    covariances = np.take(rows, pairs, axis=0)  # (M * M, P)
-    var = _haar_pairs(m) @ covariances  # (M, P)
-    return np.clip(var, 0.0, None).reshape((m,) + tuple(block))
+    first, second, pairs = _haar_pairs(m)
+    covariances = np.take(rows, raveled[first] - raveled[second] + center, axis=0)
+    var = pairs @ covariances  # (M, P)
+    var += rows[center]
+    return np.clip(var, 0.0, None, out=var).reshape((m,) + tuple(block))

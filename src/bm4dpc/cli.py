@@ -127,9 +127,11 @@ def _cmd_simulate(args):
 
 def _cmd_denoise(args):
     estimates = args.save_noise_estimates
+    names = ("sigma_est.nii", "psd_est.nii") if estimates else ()
+    saved = [os.path.join(estimates, name) for name in names]
     # a directory that cannot be made fails before the input is read
     with _output_dir(estimates) if estimates else contextlib.nullcontext():
-        _check_outputs(args.out)  # after the directory, as --out may lie in it
+        _check_outputs(args.out, *saved)  # after the directory, as --out may lie in it
         provided_map = provided_psd = None
         if args.noise_map:
             provided_map = NoiseMap(_load_volume(args.noise_map).data)
@@ -144,9 +146,8 @@ def _cmd_denoise(args):
             provided_psd, threads=args.threads,
         )
         write_nifti(denoised, args.out)
-        if estimates:
-            write_nifti(used_map, os.path.join(estimates, "sigma_est.nii"))
-            write_nifti(used_psd, os.path.join(estimates, "psd_est.nii"))
+        for image, path in zip((used_map, used_psd), saved):
+            write_nifti(image, path)
     return EXIT_OK
 
 

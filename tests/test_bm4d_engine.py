@@ -1,8 +1,10 @@
 """Block matching, shrinkage, aggregation and the stage driver."""
 
+import collections
 import itertools
 import threading
 import tracemalloc
+import warnings
 from concurrent.futures import Future
 
 import numpy as np
@@ -297,90 +299,135 @@ class TestMatchBlocks:
 
 
 class TestHardThreshold:
+    """`_ht_core` on a group's (M * P, C) coefficient rows, one variance
+    per row."""
+
     def test_zero_lambda_keeps_values(self):
         rng = np.random.default_rng(3)
-        coeffs = rng.standard_normal((4, 2, 2, 2))
-        keep = _ht_core(coeffs, np.ones_like(coeffs), 0.0)
+        coeffs = rng.standard_normal((32, 3))
+        keep = _ht_core(coeffs, np.ones(32), 0.0)
+        assert keep.dtype == coeffs.dtype
         assert np.array_equal(coeffs * keep, coeffs)
         assert keep.sum() == coeffs.size
 
     def test_threshold_scales_with_sigma(self):
-        coeffs = np.array([3.0, 1.0]).reshape(1, 2, 1, 1)
-        var = np.ones_like(coeffs)
+        """Each row's threshold is lam times its own deviation, the same
+        for every channel of the row."""
+        coeffs = np.array([[0.0, 0.0], [3.0, 1.0], [3.0, 6.0]])  # row 0: the DC
+        var = np.array([1.0, 1.0, 4.0])
         keep = _ht_core(coeffs, var, 2.7)
-        assert np.array_equal(keep, [[[[True]], [[False]]]])
+        assert np.array_equal(keep, [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
         # same coefficients survive a 4x noisier spectrum only if they
         # clear the doubled deviate
         keep4 = _ht_core(coeffs, 4.0 * var, 1.4)
-        assert np.array_equal(keep4, [[[[True]], [[False]]]])
+        assert np.array_equal(keep4, [[1.0, 1.0], [1.0, 0.0], [0.0, 1.0]])
 
     def test_group_dc_always_kept(self):
-        coeffs = np.full((2, 2, 2, 2), 0.01)
-        var = np.ones_like(coeffs)
+        coeffs = np.full((16, 3), 0.01, dtype=np.float32)
+        var = np.ones(16, dtype=np.float32)
         keep = _ht_core(coeffs, var, 2.7)
-        assert keep[0, 0, 0, 0]
-        assert keep.sum() == 1
-        # the mask is a gain: only the DC's unit variance is left
-        assert _group_weight(keep, var) == 1.0
+        assert keep.dtype == np.float32
+        assert np.array_equal(keep[0], np.ones(3))
+        assert keep.sum() == 3
+        # the mask is its own square: only the DC's unit variance is left
+        assert np.array_equal(_group_weight(keep, var), np.ones(3))
 
     def test_idempotent(self):
         rng = np.random.default_rng(4)
-        coeffs = rng.standard_normal((4, 2, 2, 2))
-        var = np.full_like(coeffs, 0.5)
+        coeffs = rng.standard_normal((32, 3))
+        var = np.full(32, 0.5)
         once = coeffs * _ht_core(coeffs, var, 1.0)
         twice = once * _ht_core(once, var, 1.0)
         assert np.array_equal(once, twice)
 
 
 class TestWienerShrink:
+    """`wiener_shrink` and `_group_weight` on a group's (M * P, C) pilot
+    rows, one variance per row."""
+
     def test_zero_pilot_kills_everything(self):
-        pilot = np.zeros((2, 2, 2, 2))
-        var = np.ones_like(pilot)
+        pilot = np.zeros((16, 2))
+        var = np.ones(16)
         gain = wiener_shrink(pilot, var)
         assert np.all(gain == 0.0)
-        assert _group_weight(gain, var) == pytest.approx(1.0 / WEIGHT_FLOOR)
+        assert _group_weight(gain * gain, var) == pytest.approx(1.0 / WEIGHT_FLOOR)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_zero_pilot_at_zero_variance(self, dtype):
+        """0 / 0 is never formed: the gain is 0 and the weight finite,
+        with no floating-point warning."""
+        pilot = np.zeros((16, 3), dtype=dtype)
+        var = np.zeros(16, dtype=dtype)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gain = wiener_shrink(pilot, var)
+            weight = _group_weight(gain * gain, var)
+        assert gain.dtype == dtype and np.all(gain == 0.0)
+        assert np.all(np.isfinite(weight))
+        assert weight == pytest.approx(1.0 / WEIGHT_FLOOR, rel=1e-6)
 
     def test_zero_variance_passes_through(self):
         rng = np.random.default_rng(5)
-        pilot = rng.standard_normal((2, 2, 2, 2))  # nonzero everywhere
-        var = np.zeros_like(pilot)
+        pilot = rng.standard_normal((16, 2))  # nonzero everywhere
+        var = np.zeros(16)
         gain = wiener_shrink(pilot, var)
         assert np.allclose(gain, 1.0, atol=1e-12)
-        assert _group_weight(gain, var) == pytest.approx(1.0 / WEIGHT_FLOOR)
+        assert _group_weight(gain * gain, var) == pytest.approx(1.0 / WEIGHT_FLOOR)
 
     def test_half_gain_at_unit_snr(self):
-        pilot = np.full((1, 2, 2, 2), 2.0)
-        var = np.full((1, 2, 2, 2), 4.0)  # pilot^2 == var
+        pilot = np.full((8, 1), 2.0)
+        var = np.full(8, 4.0)  # pilot^2 == var
         gain = wiener_shrink(pilot, var)
         assert np.allclose(gain, 0.5, atol=1e-12)
         # weight = 1 / sum(gain^2 var) = 1 / (8 * 0.25 * 4)
-        assert _group_weight(gain, var) == pytest.approx(1.0 / 8.0)
+        assert _group_weight(gain * gain, var) == pytest.approx(1.0 / 8.0)
 
     def test_weight_per_channel(self):
         rng = np.random.default_rng(6)
-        pilot = rng.standard_normal((2, 2, 2, 2, 3))
-        var = np.full_like(pilot, 0.7)
+        pilot = rng.standard_normal((16, 3))
+        var = np.full(16, 0.7)
         gain = wiener_shrink(pilot, var)
         assert gain.shape == pilot.shape
-        weight = _group_weight(gain, var)
+        weight = _group_weight(gain * gain, var)
         assert weight.shape == (3,)
         for c in range(3):
-            wc = _group_weight(wiener_shrink(pilot[..., c], var[..., c]), var[..., c])
-            assert weight[c] == pytest.approx(wc, rel=1e-12)
+            single = wiener_shrink(pilot[:, c:c + 1], var)
+            assert weight[c] == pytest.approx(_group_weight(single * single, var)[0],
+                                              rel=1e-12)
 
     def test_inputs_not_mutated(self):
-        """The gain reuses a scratch buffer, never the caller's arrays,
-        also when the variances broadcast over the channels."""
+        """The gain is a new array, never the caller's, also where the
+        variance is floored."""
         rng = np.random.default_rng(16)
-        pilot = rng.standard_normal((4, 2, 2, 2, 3))
-        pilot[0, 0, 0, 0] = 0.0
-        var = rng.random((4, 2, 2, 2, 1))
-        var[0, 0, 0, 0] = 0.0  # pilot^2 + var == 0: the zero-gain branch
+        pilot = rng.standard_normal((32, 3))
+        pilot[0] = 0.0
+        var = rng.random(32)
+        var[0] = 0.0  # pilot^2 + var == 0 before the floor
         copies = [a.copy() for a in (pilot, var)]
         gain = wiener_shrink(pilot, var)
         for given, kept in zip((pilot, var), copies):
             assert np.array_equal(given, kept)
-        assert np.all(gain[0, 0, 0, 0] == 0.0)
+        assert np.all(gain[0] == 0.0)
+
+    @pytest.mark.parametrize("nchan", [1, 33, 96])
+    @pytest.mark.parametrize("m", [16, 32])
+    def test_weight_is_the_float64_residual(self, m, nchan):
+        """The float32 weight of either stage's gain is 1 / sum(gain^2 *
+        var) taken in float64, within the float32 rounding of a sum of
+        M * P nonnegative terms."""
+        rng = np.random.default_rng(17)
+        rows = m * int(np.prod(engine.BLOCK))
+        var = rng.random(rows).astype(np.float32)
+        coeffs = (3.0 * rng.standard_normal((rows, nchan))).astype(np.float32)
+        wiener = wiener_shrink(coeffs, var)
+        keep = _ht_core(coeffs, var, engine.HT_THRESHOLD)
+        for gain_sq in (wiener * wiener, keep):
+            weight = _group_weight(gain_sq, var)
+            assert weight.dtype == np.float32 and weight.shape == (nchan,)
+            residual = var.astype(np.float64) @ gain_sq.astype(np.float64)
+            expected = 1.0 / np.maximum(residual, WEIGHT_FLOOR)
+            tol = rows * np.finfo(np.float32).eps
+            assert np.max(np.abs(weight / expected - 1.0)) <= tol
 
 
 def _aggregate(groups, dims):
@@ -699,6 +746,43 @@ class TestChannelLayout:
         bm4d_multichannel(np.zeros(dims + (1,)), NoisePsd(np.ones(dims)))
         assert stages == [1, 2]
 
+    def test_hooks_called_once_per_reference_corner(self, monkeypatch):
+        """In each stage, `_match_from_view`, `variances_from_fields` and
+        the stage's shrinker (`_ht_core`, then `wiener_shrink`) are module
+        globals called once per reference corner: the benchmark's trace
+        wraps them by name and times each stage's layers by them."""
+        dims = (10, 9, 8)
+        channels = np.random.default_rng(18).standard_normal(dims + (2,))
+        _use_small_geometry(monkeypatch)
+        stage_of_call, calls = [], []
+
+        def counted(name):
+            inner = getattr(engine, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append((stage_of_call[-1], name))
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(engine, name, wrapper)
+
+        hooks = ("_match_from_view", "variances_from_fields", "_ht_core", "wiener_shrink")
+        for name in hooks:
+            counted(name)
+        stage = engine.bm4d_stage
+
+        def staged(*args, **kwargs):
+            stage_of_call.append(kwargs["stage"])
+            return stage(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "bm4d_stage", staged)
+        bm4d_multichannel(channels, NoisePsd(np.ones(dims)))
+        corners = len(list(_reference_corners(dims)))
+        assert dict(collections.Counter(calls)) == {
+            (1, "_match_from_view"): corners, (1, "variances_from_fields"): corners,
+            (1, "_ht_core"): corners, (2, "_match_from_view"): corners,
+            (2, "variances_from_fields"): corners, (2, "wiener_shrink"): corners,
+        }
+
     def test_float32_stack_kept(self, monkeypatch):
         """A C-contiguous float32 stack, as the pipeline hands over its
         PCs, is checked and cast without a float64 or float32 copy, and
@@ -800,18 +884,19 @@ def _reference_stage(channels, psd, stage, pilot=None):
     den = np.zeros(channels.shape)
     for ref in _reference_corners(dims):
         positions = _brute_match(guide, ref, max_group)
-        var = variances_from_fields(fields, positions - positions[0], block)
-        var = var[..., None]
-        # (M, b0, b1, b2, C): the group axis first, channels trailing
+        var = variances_from_fields(fields, positions - positions[0], block).ravel()
+        # (M, b0, b1, b2, C): the group axis first, channels trailing; the
+        # shrinkers read it as (M * P, C) coefficient rows
         coeffs = group_transform(np.stack([channels[block_at(p)] for p in positions]))
+        rows = coeffs.reshape(len(var), -1)
         if stage == 1:
-            gain = _ht_core(coeffs, var, engine.HT_THRESHOLD)
+            gain = _ht_core(rows, var, engine.HT_THRESHOLD)
         else:
             pilots = np.stack([pilot[block_at(p)] for p in positions])
-            gain = wiener_shrink(group_transform(pilots), var)
-        residual = (np.square(gain, dtype=np.float64) * var).sum(axis=(0, 1, 2, 3))
+            gain = wiener_shrink(group_transform(pilots).reshape(rows.shape), var)
+        residual = (np.square(gain, dtype=np.float64) * var[:, None]).sum(axis=0)
         weight = 1.0 / np.maximum(residual, WEIGHT_FLOOR)
-        blocks = group_inverse(gain * coeffs)
+        blocks = group_inverse(gain.reshape(coeffs.shape) * coeffs)
         for j, pos in enumerate(positions):
             num[block_at(pos)] += weight * blocks[j]
             den[block_at(pos)] += weight

@@ -14,9 +14,9 @@ import pytest
 
 from bm4dpc.bm4d import engine
 from bm4dpc.bm4d.engine import BLOCK, SEARCH_RADIUS, bm4d_multichannel
-from bm4dpc.bm4d.transforms import dct_matrix
+from bm4dpc.bm4d.transforms import dct_matrix, haar_matrix
 from bm4dpc.bm4d.variance import (
-    _centered_lags, _haar_pairs, basis_autocorr, fold_psd, variances_from_fields,
+    _centered_lags, basis_autocorr, fold_psd, variances_from_fields,
 )
 from bm4dpc.core import NoisePsd
 from bm4dpc.simulate import kernel_to_psd, make_colored_kernel
@@ -95,13 +95,18 @@ def padded_basis_autocorr(psi_work, block, radius):
 
 def fields_variances(fields, offsets, block):
     """The variances read from working-grid fields at the pairwise
-    offsets modulo the grid: one row take, one Haar pair product."""
+    offsets modulo the grid: the double sum over every member pair (i,
+    j) of haar[k, i] * haar[k, j] * field(off_i - off_j), for all Haar
+    rows k at once."""
     m = offsets.shape[0]
-    work = fields.shape[:3]
-    diff = (offsets[:, None, :] - offsets[None, :, :]) % np.asarray(work)
-    lags = np.ravel_multi_index(np.moveaxis(diff, -1, 0), work)
-    table = np.take(fields.reshape(-1, fields.shape[3]), lags.ravel(), axis=0)
-    return np.clip(_haar_pairs(m) @ table, 0.0, None).reshape((m,) + tuple(block))
+    work = np.asarray(fields.shape[:3])
+    haar = haar_matrix(m)
+    var = np.zeros((m, fields.shape[3]))
+    for i in range(m):
+        for j in range(m):
+            lag = tuple((offsets[i] - offsets[j]) % work)
+            var += np.outer(haar[:, i] * haar[:, j], fields[lag])
+    return np.clip(var, 0.0, None).reshape((m,) + tuple(block))
 
 
 # (28, 28, 16) has in-plane axes past the 21 signed lags of radius 5 and a
@@ -131,19 +136,36 @@ class TestBasisAutocorr:
     @pytest.mark.parametrize("m", [1, 2, 16, 32])
     def test_variances_match_working_grid_fields(self, work, m):
         """Groups of corners within the search radius of their reference
-        get the bytes of the variances read from the working-grid fields
-        modulo the grid. The table is those fields' signed-lag rows, so
-        this checks the lookup alone."""
+        get the variances read from the working-grid fields modulo the
+        grid by the explicit sum over all M^2 member pairs, within the
+        float64 rounding of M^2 terms of at most the fields' largest
+        magnitude. The table is those fields' signed-lag rows, so this
+        checks the lookup and the half-pair sum."""
         rng = np.random.default_rng(8)
         psi = rng.random(work)
         block = (4, 4, 4)
         fields = one_shot_fields(psi, block)
         table = _signed_lags(fields, (5, 5, 5))
+        tol = m * m * np.finfo(np.float64).eps * np.abs(fields).max()
         for _ in range(5):
             offsets = rng.integers(-5, 6, size=(m, 3))
             offsets[0] = 0  # the reference
             expected = fields_variances(fields, offsets, block)
-            assert np.array_equal(variances_from_fields(table, offsets, block), expected)
+            got = variances_from_fields(table, offsets, block)
+            assert np.max(np.abs(got - expected)) <= tol
+
+    @pytest.mark.parametrize("work", WORK_GRIDS)
+    def test_table_even_in_the_lag(self, work):
+        """T[-d] = T[d] up to rounding, for a random PSD with no symmetry
+        of its own: ifftn(psi).real is even for any real psi, and so is
+        each DCT row's autocorrelation. `variances_from_fields` sums
+        only the pairs i < j on this property."""
+        psi = np.random.default_rng(9).random(work) + 0.1
+        assert not np.allclose(psi, np.roll(psi[::-1, ::-1, ::-1], 1, axis=(0, 1, 2)))
+        table = basis_autocorr(psi, (4, 4, 4), (5, 5, 5))
+        flipped = table[::-1, ::-1, ::-1]  # the lag box is symmetric about 0
+        tol = 8 * np.finfo(np.float64).eps * np.abs(table).max()
+        assert np.max(np.abs(flipped - table)) <= tol
 
     def test_peak_memory_below_three_fields(self):
         """The build never holds the (28, 28, 16, 64) working-grid fields

@@ -261,6 +261,30 @@ class TestArgHandling:
         assert not (tmp_path / "out.nii").exists()
         assert taken.read_text() == "a regular file\n"
 
+    @pytest.mark.parametrize("name", ["sigma_est.nii", "psd_est.nii"])
+    def test_saved_estimate_checked_before_reading(self, tmp_path, monkeypatch,
+                                                   capsys, name):
+        """A directory where --save-noise-estimates would write one of its
+        files exits 3 naming that file before any input is read, and no
+        --out is written."""
+        def never(*args, **kwargs):
+            raise AssertionError("input read before the outputs were checked")
+
+        monkeypatch.setattr(cli, "denoise_bm4dpc", never)
+        monkeypatch.setattr(cli, "read_nifti", never)
+        taken = tmp_path / "est" / name
+        taken.mkdir(parents=True)
+        code = run_cli([
+            "denoise",
+            "--in", str(tmp_path / "noisy.nii"),
+            "--bval", str(tmp_path / "bvals"),
+            "--save-noise-estimates", str(tmp_path / "est"),
+            "--out", str(tmp_path / "out.nii"),
+        ])
+        assert code == 3
+        assert str(taken) in capsys.readouterr().err
+        assert not (tmp_path / "out.nii").exists()
+
     def test_noise_map_near_zero_is_floored(self, small_sim, tmp_path, capsys):
         """A noise map of 1e-44 would put the components beyond the
         float32 stages' range; the pipeline floors it, so the run exits 0
