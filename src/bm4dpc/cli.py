@@ -174,11 +174,7 @@ def _cmd_metrics(args):
 def _cmd_dti(args):
     _check_outputs(args.out_fa, args.out_md)
     dataset = stabilize_phase(_load_dataset(args.input, args.bval, args.bvec))
-    mask = (
-        _load_volume(args.mask).data > 0.5
-        if args.mask
-        else np.ones(dataset.dims, bool)
-    )
+    mask = _load_volume(args.mask).data > 0.5 if args.mask else np.ones(dataset.dims, bool)
     fa, md = fit_dti(dataset, mask)
     write_nifti(fa, args.out_fa)
     write_nifti(md, args.out_md)

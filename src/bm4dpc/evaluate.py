@@ -15,7 +15,7 @@ import numpy as np
 
 from .core import SHELL_TOLERANCE, DwiDataset, Volume3, _correlate, _gaussian_taps, _starts
 from .dataio import group_shells
-from .gpca import forward_pca, inverse_pca
+from .gpca import _mp_tail_start, forward_pca, inverse_pca
 
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
@@ -28,9 +28,7 @@ _SSIM_TAPS = _gaussian_taps(SSIM_SIGMA, SSIM_WINDOW // 2)
 
 
 def _data(x) -> np.ndarray:
-    if isinstance(x, np.ndarray):
-        return x
-    return np.asarray(getattr(x, "data", x))
+    return x if isinstance(x, np.ndarray) else np.asarray(getattr(x, "data", x))
 
 
 def _finite(what: str, samples: np.ndarray) -> np.ndarray:
@@ -204,9 +202,9 @@ def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
 
     The patch edge is MPPCA_KERNEL, grown by 2 until edge^3 >= N. Each
     cubic patch, corners MPPCA_STEP apart, is centered and decomposed by
-    `gpca.forward_pca`; the PCs from the first one whose eigenvalue spread
-    fits pure noise (Marchenko-Pastur) on are zeroed and `gpca.inverse_pca`
-    rebuilds the patch. Overlapping patch estimates are averaged. Complex
+    `gpca.forward_pca`; its Marchenko-Pastur noise tail
+    (`gpca._mp_tail_start`) is zeroed and `gpca.inverse_pca` rebuilds
+    the patch. Overlapping patch estimates are averaged. Complex
     data (phase-stabilize it first) and volumes smaller than the patch
     raise ValueError.
     """
@@ -220,10 +218,6 @@ def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
     if any(d < edge for d in dims):
         raise ValueError("volume smaller than the patch")
 
-    # the noise tail starts at the first PC p with evals[p] - evals[-1] <
-    # 4 sqrt((N - p) / edge^3) mean(evals[p:]); scale-free, so Gram eigenvalues serve
-    tail_counts = np.arange(n, 0, -1)
-    spread_scale = 4.0 * np.sqrt(tail_counts / edge**3) / tail_counts
     num = np.zeros(dataset.data.shape)
     den = np.zeros(dims)
     corners = itertools.product(*(_starts(d, edge, MPPCA_STEP) for d in dims))
@@ -232,9 +226,9 @@ def mppca_denoise(dataset: DwiDataset) -> DwiDataset:
         patch = dataset.data[sl]
         means = patch.mean(axis=(1, 2, 3), keepdims=True)
         pcs, basis, evals = forward_pca(patch - means)
-        noise = evals - evals[-1] < spread_scale * np.cumsum(evals[::-1])[::-1]
-        if noise.any():  # zero the noise tail
-            pcs[..., np.argmax(noise):] = 0.0
+        tail = _mp_tail_start(evals, edge**3)
+        if tail < n:  # zero the noise tail
+            pcs[..., tail:] = 0.0
             patch = inverse_pca(pcs, basis) + means
         num[sl] += patch
         den[sl[1:]] += 1.0

@@ -52,3 +52,13 @@ def inverse_pca(pcs: np.ndarray, basis: np.ndarray) -> np.ndarray:
     """
     n = basis.shape[0]
     return (basis @ pcs.reshape(-1, n).T).reshape((n,) + pcs.shape[:-1])
+
+
+def _mp_tail_start(eigenvalues: np.ndarray, samples) -> int:
+    """First PC of the Marchenko-Pastur noise tail (Veraart et al.,
+    NeuroImage 2016): the first p with eigenvalues[p] - eigenvalues[-1]
+    < 4 sqrt((N - p) / samples) mean(eigenvalues[p:]), else N. `samples`
+    is the voxel count; the rule is scale-free, so Gram eigenvalues serve."""
+    tail = np.arange(len(eigenvalues), 0, -1)
+    spread = 4.0 * np.sqrt(tail / samples) / tail * np.cumsum(eigenvalues[::-1])[::-1]
+    return int(np.argmax(np.append(eigenvalues - eigenvalues[-1] < spread, True)))

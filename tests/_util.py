@@ -30,6 +30,12 @@ def run_stage(channels, psd, stage, pilot=None, threads=1):
     )
 
 
+def pin_cpus(monkeypatch, count):
+    """Let the stages see `count` usable CPUs, so a pool test runs its
+    real workers on any machine."""
+    monkeypatch.setattr(engine, "usable_cpus", lambda: count)
+
+
 def group_variances(psd, positions):
     """Exact (M, b0, b1, b2) noise variances of one group's coefficients,
     by the engine's two calls: the PSD lag table a run builds once, then

@@ -26,7 +26,7 @@ from bm4dpc import (
 from bm4dpc.bm4d.transforms import group_transform
 from bm4dpc.cli import run_cli
 
-from _util import group_variances, synth_colored_batch
+from _util import group_variances, pin_cpus, synth_colored_batch
 
 NOISE_LEVEL = 0.05
 COLORED_SEED = 1
@@ -187,9 +187,13 @@ def _run_cli_chain(root, threads):
 
 @pytest.fixture(scope="session")
 def cli_chains(tmp_path_factory):
-    """The full CLI chain run with --threads 1 and --threads 8."""
+    """The full CLI chain run with --threads 1 and --threads 8. The
+    stages see 2 usable CPUs, so --threads 8 runs a real 2-worker pool
+    even on a one-CPU runner."""
     root = tmp_path_factory.mktemp("cli_chains")
-    return {
-        1: _run_cli_chain(root, 1),
-        8: _run_cli_chain(root, 8),
-    }
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        pin_cpus(monkeypatch, 2)
+        return {
+            1: _run_cli_chain(root, 1),
+            8: _run_cli_chain(root, 8),
+        }

@@ -32,7 +32,7 @@ from bm4dpc.gpca import forward_pca
 from bm4dpc.noisest import clamp_sigma
 from bm4dpc.simulate import kernel_to_psd, make_colored_kernel
 
-from _util import run_stage
+from _util import pin_cpus, run_stage
 
 
 def _use_small_geometry(monkeypatch):
@@ -41,12 +41,6 @@ def _use_small_geometry(monkeypatch):
     monkeypatch.setattr(engine, "SEARCH_RADIUS", (1, 1, 1))
     monkeypatch.setattr(engine, "HT_MAX_GROUP", 4)
     monkeypatch.setattr(engine, "WIENER_MAX_GROUP", 4)
-
-
-def _pin_cpus(monkeypatch, count):
-    """Let the stages see `count` usable CPUs, so a pool test runs its
-    real workers on any machine."""
-    monkeypatch.setattr(engine, "usable_cpus", lambda: count)
 
 
 def _match(data, ref):
@@ -539,7 +533,7 @@ class TestBm4dStage:
 
     def test_thread_count_does_not_change_output(self, monkeypatch, bm4d_noise_bench):
         _, noisy, psd = bm4d_noise_bench
-        _pin_cpus(monkeypatch, 4)
+        pin_cpus(monkeypatch, 4)
         serial = bm4d_multichannel(noisy, psd, threads=1)
         threaded = bm4d_multichannel(noisy, psd, threads=4)
         assert np.array_equal(serial, threaded)
@@ -548,7 +542,7 @@ class TestBm4dStage:
     def test_threads_agree_across_rows(self, monkeypatch, dims):
         """On grids of long rows (many z starts per (x, y) start) and of
         one z start per row, every thread count gives the same bytes."""
-        _pin_cpus(monkeypatch, 4)
+        pin_cpus(monkeypatch, 4)
         rng = np.random.default_rng(18)
         channels = rng.standard_normal(dims + (2,))
         psd = NoisePsd(np.ones(dims))
@@ -564,7 +558,7 @@ class TestBm4dStage:
         channels = rng.standard_normal(dims + (2,))
         psd = NoisePsd(np.ones(dims))
         monkeypatch.setattr(engine, "SEARCH_RADIUS", (1, 1, 1))
-        _pin_cpus(monkeypatch, 4)
+        pin_cpus(monkeypatch, 4)
         with monkeypatch.context() as identity:
             identity.setattr(engine, "HT_THRESHOLD", 0.0)
             out = run_stage(channels, psd, stage=1)
@@ -578,7 +572,7 @@ class TestBm4dStage:
             raise RuntimeError("variance lookup failed")
 
         monkeypatch.setattr(engine, "variances_from_fields", fail)
-        _pin_cpus(monkeypatch, 4)
+        pin_cpus(monkeypatch, 4)
         rng = np.random.default_rng(12)
         channels = rng.standard_normal((16, 16, 16, 1))
         psd = NoisePsd(np.ones((16, 16, 16)))
@@ -615,10 +609,10 @@ class TestBm4dStage:
         psd = NoisePsd(np.ones((12, 12, 12)))
         serial = bm4d_multichannel(channels, psd, threads=1)
         monkeypatch.setattr(engine, "ThreadPoolExecutor", InlineExecutor)
-        _pin_cpus(monkeypatch, 2)
+        pin_cpus(monkeypatch, 2)
         assert np.array_equal(bm4d_multichannel(channels, psd, threads=10**6), serial)
         assert sizes == [2, 2]
-        _pin_cpus(monkeypatch, 1)
+        pin_cpus(monkeypatch, 1)
         assert np.array_equal(bm4d_multichannel(channels, psd, threads=10**6), serial)
         assert sizes == [2, 2]
 
@@ -835,7 +829,7 @@ class TestChannelLayout:
         channels = rng.standard_normal(dims + (3,))
         psd = NoisePsd(np.ones(dims))
         _use_small_geometry(monkeypatch)
-        _pin_cpus(monkeypatch, 4)
+        pin_cpus(monkeypatch, 4)
         out = bm4d_multichannel(channels, psd, threads=threads)
         flipped = channels.copy()
         flipped[..., 1] *= -1.0

@@ -12,6 +12,8 @@ from bm4dpc.dataio import attach_gradients, read_bvals_bvecs, read_nifti, write_
 from bm4dpc.evaluate import mppca_denoise, report_metrics
 from bm4dpc.phasestab import stabilize_phase
 
+from _util import pin_cpus
+
 
 @pytest.fixture(scope="module")
 def small_sim(tmp_path_factory):
@@ -27,6 +29,26 @@ def small_sim(tmp_path_factory):
             "--noise-type", "white",
         ]
     )
+    assert code == 0
+    return out
+
+
+@pytest.fixture(scope="module")
+def colored_sim(tmp_path_factory):
+    """A 32 x 32 x 8 colored-noise acquisition of three shells and its
+    series denoised with estimated statistics (`denoised.nii`)."""
+    out = tmp_path_factory.mktemp("colored_sim")
+    code = run_cli([
+        "simulate", "--out", str(out), "--size", "32", "32", "8",
+        "--shells", "0:1,1000:7,2000:7",
+    ])
+    assert code == 0
+    code = run_cli([
+        "--threads", "1", "denoise",
+        "--in", str(out / "noisy.nii"),
+        "--bval", str(out / "bvals"),
+        "--out", str(out / "denoised.nii"),
+    ])
     assert code == 0
     return out
 
@@ -462,6 +484,25 @@ class TestSubcommands:
         assert not out.is_complex
         assert out.dims == (16, 16, 16)
 
+    def test_psd_scale_divided_out(self, colored_sim, tmp_path):
+        """A given PSD keeps only its shape: the file at 4x (exact in
+        float32) denoises to the same bytes as the PSD itself."""
+        psd = read_nifti(str(colored_sim / "psd_true.nii")).data
+        write_nifti(Volume3(4.0 * psd), tmp_path / "psd_x4.nii")
+        for name, path in (("given", colored_sim / "psd_true.nii"),
+                           ("given_x4", tmp_path / "psd_x4.nii")):
+            code = run_cli([
+                "--threads", "1", "denoise",
+                "--in", str(colored_sim / "noisy.nii"),
+                "--bval", str(colored_sim / "bvals"),
+                "--noise-map", str(colored_sim / "sigma_true.nii"),
+                "--psd", str(path),
+                "--out", str(tmp_path / f"{name}.nii"),
+            ])
+            assert code == 0
+        assert ((tmp_path / "given.nii").read_bytes()
+                == (tmp_path / "given_x4.nii").read_bytes())
+
     def test_estimate_noise_smoke(self, small_sim, tmp_path):
         code = run_cli(
             [
@@ -496,6 +537,32 @@ class TestSubcommands:
         assert np.all(fa.data >= 0.0)
         assert np.all(fa.data <= 1.0 + 1e-6)
         assert np.all(md.data >= 0.0)
+
+    def test_dti_half_mask(self, colored_sim, tmp_path):
+        """`mask.nii` covers the whole grid; a mask of the lower half of x
+        zeroes FA outside it and leaves the FA inside unchanged."""
+        mask = read_nifti(str(colored_sim / "mask.nii")).data
+        mask[mask.shape[0] // 2:] = 0.0
+        write_nifti(Volume3(mask), tmp_path / "half.nii")
+        fa = {}
+        for tag, path in (("whole", colored_sim / "mask.nii"),
+                          ("half", tmp_path / "half.nii")):
+            code = run_cli([
+                "dti",
+                "--in", str(colored_sim / "denoised.nii"),
+                "--bval", str(colored_sim / "bvals"),
+                "--bvec", str(colored_sim / "bvecs"),
+                "--mask", str(path),
+                "--out-fa", str(tmp_path / f"fa_{tag}.nii"),
+                "--out-md", str(tmp_path / f"md_{tag}.nii"),
+            ])
+            assert code == 0
+            fa[tag] = read_nifti(str(tmp_path / f"fa_{tag}.nii")).data
+        inside = mask > 0.5
+        assert inside.any() and not inside.all()
+        assert np.any(fa["whole"][~inside])
+        assert not np.any(fa["half"][~inside])
+        assert np.max(np.abs(fa["half"][inside] - fa["whole"][inside])) <= 1e-6
 
     def test_dti_reads_b5_as_b0(self, small_sim, tmp_path):
         """Scanners write b=5 for a b=0 volume with a zero b-vector: `dti`
@@ -537,6 +604,16 @@ class TestSubcommands:
             assert code == 0
             fa[tag] = read_nifti(str(tmp_path / f"fa_{tag}.nii")).data
         assert np.max(np.abs(fa["b1005"] - fa["b1000"])) <= 1e-6
+
+    def test_simulate_writes_exact_bvalues(self, tmp_path):
+        """b-values are written exactly, not rounded to 6 digits."""
+        out = tmp_path / "sim"
+        code = run_cli([
+            "simulate", "--out", str(out), "--size", "12", "12", "8",
+            "--shells", "0:2,1234.567:8", "--noise-type", "white",
+        ])
+        assert code == 0
+        assert "1234.567" in (out / "bvals").read_text()
 
     def test_baseline_mppca_many_volumes(self, tmp_path):
         """130 volumes outnumber the voxels of a 5^3 patch: the patch
@@ -649,6 +726,30 @@ class TestDeterminism:
             for name in ("gt.nii", "denoised.nii")
         )
         assert report_metrics(gt, test) == cli_chains[1]["report"]
+
+    def test_more_volumes_than_voxels(self, tmp_path, monkeypatch):
+        """65 volumes of 4 x 4 x 4 voxels, more PCs than voxels, are
+        denoised with a given map and PSD to the same bytes at --threads
+        1 and 2."""
+        pin_cpus(monkeypatch, 4)
+        sim = tmp_path / "sim"
+        code = run_cli([
+            "simulate", "--out", str(sim), "--size", "4", "4", "4",
+            "--shells", "0:2,1000:31,2000:32", "--noise-type", "white",
+        ])
+        assert code == 0
+        for threads in ("1", "2"):
+            code = run_cli([
+                "--threads", threads, "denoise",
+                "--in", str(sim / "noisy.nii"),
+                "--bval", str(sim / "bvals"),
+                "--noise-map", str(sim / "sigma_true.nii"),
+                "--psd", str(sim / "psd_true.nii"),
+                "--out", str(tmp_path / f"given_t{threads}.nii"),
+            ])
+            assert code == 0
+        assert ((tmp_path / "given_t1.nii").read_bytes()
+                == (tmp_path / "given_t2.nii").read_bytes())
 
     def test_thread_count_does_not_change_bytes(self, cli_chains):
         one, eight = cli_chains[1]["files"], cli_chains[8]["files"]

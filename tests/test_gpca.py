@@ -8,7 +8,7 @@ their transpose.
 import numpy as np
 import pytest
 
-from bm4dpc.gpca import forward_pca, inverse_pca
+from bm4dpc.gpca import _mp_tail_start, forward_pca, inverse_pca
 
 
 class TestForwardPca:
@@ -146,3 +146,43 @@ class TestStackLayout:
             got = inverse_pca(view, basis)
             assert got.flags.c_contiguous
             assert np.max(np.abs(got - back)) <= 1e-12
+
+
+class TestMarchenkoPasturTail:
+    def test_spiked_covariance(self):
+        """Rank 4 plus white noise, W = 4096 voxels of 33 volumes: the
+        noise tail starts at PC 4. The largest noise eigenvalue lies near
+        the Marchenko-Pastur edge, so a few draws keep one noise PC too;
+        the median draw gives 4, and none gives another count. A
+        smaller W widens the allowed spread, so for the same eigenvalues
+        it never gives a larger signal count K."""
+        n, r, w = 33, 4, 4096
+        counts = []
+        for seed in range(20):
+            rng = np.random.default_rng(seed)
+            spikes = rng.standard_normal((n, r)) * np.linspace(3.0, 1.0, r)
+            stack = spikes @ rng.standard_normal((r, w)) + rng.standard_normal((n, w))
+            _, _, evals = forward_pca(stack)
+            counts.append(_mp_tail_start(evals, w))
+            ks = [_mp_tail_start(evals, s) for s in (w, w // 4, w // 16, n, 4, 1)]
+            assert ks == sorted(ks, reverse=True), ks
+        assert set(counts) <= {r, r + 1}, counts
+        assert np.median(counts) == r, counts
+
+    def test_matches_the_rule_as_written(self):
+        """Against the rule read PC by PC: the first p with
+        evals[p] - evals[-1] < 4 sqrt((N - p) / W) mean(evals[p:]), else N."""
+        def first_noise_pc(evals, w):
+            n = len(evals)
+            for p in range(n):
+                if evals[p] - evals[-1] < 4.0 * np.sqrt((n - p) / w) * np.mean(evals[p:]):
+                    return p
+            return n
+
+        rng = np.random.default_rng(3)
+        for n in (2, 7, 33):
+            for w in (n, 64, 4096):
+                evals = np.sort(rng.exponential(size=n) ** 3)[::-1]
+                assert _mp_tail_start(evals, w) == first_noise_pc(evals, w)
+        # zero eigenvalues hold no tail (0 < 0 fails): N, and no PC is zeroed
+        assert _mp_tail_start(np.zeros(5), 64) == first_noise_pc(np.zeros(5), 64) == 5
